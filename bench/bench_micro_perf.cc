@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "bench_util.h"
@@ -24,6 +25,7 @@
 #include "planner/dp_planner.h"
 #include "prediction/spar.h"
 #include "sim/simulator.h"
+#include "sim/strategies.h"
 #include "storage/partition_map.h"
 #include "storage/schema.h"
 #include "txn/procedure.h"
@@ -53,6 +55,48 @@ void BM_DpPlannerSineHorizon(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DpPlannerSineHorizon)->Arg(12)->Arg(24)->Arg(56)->Arg(288);
+
+// One P-Store decision cycle on the production path (Sec. 8.3's
+// capacity study): SPAR forecasts range(0) five-minute slots ahead and
+// a planner capped at 40 machines, whose move tables are built once,
+// plans over them. Every iteration decides the same morning-ramp minute,
+// so each does identical work.
+void BM_PStoreStrategyDecide(benchmark::State& state) {
+  const int32_t horizon = static_cast<int32_t>(state.range(0));
+  constexpr int32_t kSlot = 5;
+  constexpr int64_t kTrainDays = 28;
+  std::vector<double> load(static_cast<size_t>(kTrainDays + 2) * 1440);
+  Rng rng(3);
+  for (size_t m = 0; m < load.size(); ++m) {
+    const double day = 2 * M_PI * static_cast<double>(m % 1440) / 1440.0;
+    load[m] = (1500 - 1300 * std::cos(day)) * (1 + 0.02 * rng.NextGaussian());
+  }
+  std::vector<double> slots(static_cast<size_t>(kTrainDays) * 1440 / kSlot);
+  for (size_t s = 0; s < slots.size(); ++s) {
+    for (int32_t j = 0; j < kSlot; ++j) slots[s] += load[s * kSlot + j];
+    slots[s] /= kSlot;
+  }
+  SparConfig spar;
+  spar.period = 1440 / kSlot;
+  spar.num_periods = 7;
+  spar.num_recent = 6;
+  auto predictor = std::make_unique<SparPredictor>(spar);
+  if (!predictor->Fit(slots, horizon).ok()) state.SkipWithError("fit failed");
+
+  PStoreStrategyConfig config;
+  config.move_model = PlannerConfig();
+  config.move_model.q = 0.65 * 438.0;
+  config.horizon_intervals = horizon;
+  config.max_machines = 40;
+  PStoreStrategy strategy(config, std::move(predictor), "P-Store SPAR");
+  const int64_t minute = kTrainDays * 1440 + 9 * 60;
+  const int32_t current = static_cast<int32_t>(
+      std::ceil(load[static_cast<size_t>(minute)] / config.move_model.q));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(strategy.Decide(load, minute, current));
+  }
+}
+BENCHMARK(BM_PStoreStrategyDecide)->Arg(12)->Arg(48);
 
 void BM_SparPredict(benchmark::State& state) {
   SparConfig config;
@@ -282,15 +326,21 @@ void BM_ObsSamplingOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsSamplingOverhead)->Arg(0)->Arg(100);
 
-/// Console output as usual, plus every per-iteration run collected as a
-/// BenchCaseResult for the JSON result file the regression gate reads.
+/// Console output as usual, plus one BenchCaseResult per case for the
+/// JSON result file the regression gate reads: the case's run, or with
+/// --benchmark_repetitions the median over its repetitions.
 class JsonCollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      if (run.error_occurred) continue;
+      const bool single =
+          run.run_type == Run::RT_Iteration && run.repetitions <= 1;
+      const bool median = run.run_type == Run::RT_Aggregate &&
+                          run.aggregate_name == "median";
+      if (!single && !median) continue;
       bench::BenchCaseResult result;
-      result.name = run.benchmark_name();
+      result.name = run.run_name.str();
       result.value = run.GetAdjustedRealTime();  // default unit: ns/op
       result.unit = "ns/op";
       const auto it = run.counters.find("items_per_second");

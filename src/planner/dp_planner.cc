@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
+#include <optional>
 #include <sstream>
 
 namespace pstore {
@@ -44,7 +44,9 @@ std::string Plan::ToString() const {
 }
 
 DpPlanner::DpPlanner(MoveModel model, int32_t max_nodes)
-    : model_(std::move(model)), max_nodes_(max_nodes) {}
+    : model_(std::move(model)), max_nodes_(max_nodes) {
+  if (max_nodes_ > 0) tables_ = MoveTables(model_, max_nodes_);
+}
 
 int32_t DpPlanner::NodesForLoad(double load) const {
   if (load <= 0) return 1;
@@ -52,50 +54,43 @@ int32_t DpPlanner::NodesForLoad(double load) const {
       1, static_cast<int32_t>(std::ceil(load / model_.config().q - 1e-9)));
 }
 
+DpPlanner::MoveTables::MoveTables(const MoveModel& model, int32_t z)
+    : stride(z + 1) {
+  const size_t pairs =
+      static_cast<size_t>(stride) * static_cast<size_t>(stride);
+  duration.assign(pairs, 0);
+  move_cost.assign(pairs, 0.0);
+  effcap_offset.assign(pairs, 0);
+  for (int32_t a = 1; a <= z; ++a) {
+    for (int32_t b = 1; b <= z; ++b) {
+      const size_t idx = Index(b, a);
+      int32_t d = model.MoveTimeIntervals(b, a);
+      double cost = model.MoveCost(b, a);
+      if (d == 0) {
+        d = 1;
+        cost = b;
+      }
+      duration[idx] = d;
+      move_cost[idx] = cost;
+      effcap_offset[idx] = static_cast<uint32_t>(effcap.size());
+      for (int32_t i = 1; i <= d; ++i) {
+        effcap.push_back(
+            model.EffectiveCapacity(b, a, static_cast<double>(i) / d));
+      }
+    }
+  }
+}
+
 struct DpPlanner::PlanTables {
-  int32_t z = 0;
-  /// duration/move_cost per (b, a), flattened b * (z + 1) + a, with the
-  /// Algorithm 3 convention already applied (b == a: duration 1,
-  /// cost b).
-  std::vector<int32_t> duration;
-  std::vector<double> move_cost;
-  /// effcap[b * (z+1) + a][i - 1] = EffectiveCapacity(b, a, i/duration).
-  std::vector<std::vector<double>> effcap;
+  const MoveTables& moves;
   /// amin[t] = smallest machine count a with load[t] <= Capacity(a),
   /// or z + 1 when even z machines are overloaded. Capacity is
   /// monotonic in a, so "load[t] > Capacity(a)" == "a < amin[t]".
   std::vector<int32_t> amin;
 
-  PlanTables(const MoveModel& model, const std::vector<double>& load,
-             int32_t z_in)
-      : z(z_in) {
-    const size_t pairs = static_cast<size_t>(z + 1) *
-                         static_cast<size_t>(z + 1);
-    duration.assign(pairs, 0);
-    move_cost.assign(pairs, 0.0);
-    effcap.assign(pairs, {});
-    for (int32_t b = 1; b <= z; ++b) {
-      for (int32_t a = 1; a <= z; ++a) {
-        const size_t idx = static_cast<size_t>(b) *
-                               static_cast<size_t>(z + 1) +
-                           static_cast<size_t>(a);
-        int32_t d = model.MoveTimeIntervals(b, a);
-        double cost = model.MoveCost(b, a);
-        if (d == 0) {
-          d = 1;
-          cost = b;
-        }
-        duration[idx] = d;
-        move_cost[idx] = cost;
-        std::vector<double>& caps = effcap[idx];
-        caps.resize(static_cast<size_t>(d));
-        for (int32_t i = 1; i <= d; ++i) {
-          caps[static_cast<size_t>(i - 1)] =
-              model.EffectiveCapacity(b, a, static_cast<double>(i) / d);
-        }
-      }
-    }
-    amin.resize(load.size());
+  PlanTables(const MoveTables& moves_in, const MoveModel& model,
+             const std::vector<double>& load, int32_t z)
+      : moves(moves_in), amin(load.size()) {
     for (size_t t = 0; t < load.size(); ++t) {
       int32_t a = 1;
       while (a <= z && load[t] > model.Capacity(a)) ++a;
@@ -112,13 +107,13 @@ double DpPlanner::SubCost(int32_t t, int32_t b, int32_t a,
   // do-nothing move (b == a) gets duration 1 and cost b.
   int32_t duration;
   double move_cost;
-  const std::vector<double>* caps = nullptr;
+  const double* caps = nullptr;
   if (tables != nullptr) {
-    const size_t idx = static_cast<size_t>(b) * static_cast<size_t>(z + 1) +
-                       static_cast<size_t>(a);
-    duration = tables->duration[idx];
-    move_cost = tables->move_cost[idx];
-    caps = &tables->effcap[idx];
+    const MoveTables& moves = tables->moves;
+    const size_t idx = moves.Index(b, a);
+    duration = moves.duration[idx];
+    move_cost = moves.move_cost[idx];
+    caps = moves.effcap.data() + moves.effcap_offset[idx];
   } else {
     duration = model_.MoveTimeIntervals(b, a);
     move_cost = model_.MoveCost(b, a);
@@ -149,7 +144,7 @@ double DpPlanner::SubCost(int32_t t, int32_t b, int32_t a,
     const double predicted = load[static_cast<size_t>(start_move + i)];
     const double cap =
         caps != nullptr
-            ? (*caps)[static_cast<size_t>(i - 1)]
+            ? caps[i - 1]
             : model_.EffectiveCapacity(b, a,
                                        static_cast<double>(i) / duration);
     if (predicted > cap) {
@@ -201,9 +196,7 @@ double DpPlanner::Cost(int32_t t, int32_t a, const std::vector<double>& load,
   if (best_b >= 0) {
     int32_t duration =
         tables != nullptr
-            ? tables->duration[static_cast<size_t>(best_b) *
-                                   static_cast<size_t>(z + 1) +
-                               static_cast<size_t>(a)]
+            ? tables->moves.duration[tables->moves.Index(best_b, a)]
             : model_.MoveTimeIntervals(best_b, a);
     if (duration == 0) duration = 1;
     entry.prev_time = t - duration;
@@ -236,13 +229,18 @@ Plan DpPlanner::BestMoves(const std::vector<double>& load, int32_t n0) const {
     for (const MemoEntry& e : memo) cells += e.exists ? 1 : 0;
     return cells;
   };
-  std::unique_ptr<PlanTables> tables;
+  // The move tables cover up to max_nodes_ >= z machines when the
+  // constructor built them; otherwise build them for this call's z.
+  std::optional<MoveTables> call_moves;
+  std::optional<PlanTables> plan_tables;
   if (!exhaustive_) {
-    tables = std::make_unique<PlanTables>(model_, load, z);
+    const MoveTables* moves = &tables_;
+    if (tables_.stride == 0) moves = &call_moves.emplace(model_, z);
+    plan_tables.emplace(*moves, model_, load, z);
   }
+  const PlanTables* tables = plan_tables ? &*plan_tables : nullptr;
   for (int32_t final_nodes = 1; final_nodes <= z; ++final_nodes) {
-    const double total =
-        Cost(horizon, final_nodes, load, n0, z, tables.get(), &memo);
+    const double total = Cost(horizon, final_nodes, load, n0, z, tables, &memo);
     if (total == kInf) continue;
 
     // Backtrack through the memo matrix to recover the move series.

@@ -65,7 +65,9 @@ struct Plan {
 class DpPlanner {
  public:
   /// \param model the move model (shared parameters Q, P, D, interval)
-  /// \param max_nodes hard cap on cluster size (0 = derived from load)
+  /// \param max_nodes hard cap on cluster size (0 = derived from load).
+  ///        A positive cap also bounds every plan's machine count, so
+  ///        the per-(b, a) move tables are built here, once.
   explicit DpPlanner(MoveModel model, int32_t max_nodes = 0);
 
   /// Algorithm 1 (best-moves). `load` must have at least 2 entries
@@ -96,13 +98,37 @@ class DpPlanner {
     bool exists = false;
   };
 
-  /// Per-plan lookup tables (fast mode only): move durations, move
-  /// costs and effective-capacity profiles depend only on (b, a), and
-  /// the per-interval feasibility threshold amin[t] (the smallest
-  /// machine count whose steady capacity covers load[t]) turns the
-  /// load-vs-capacity check into one integer compare. All entries hold
-  /// exactly the values the exhaustive recursion would recompute, so
-  /// results are bit-identical.
+  /// Move tables for machine counts 1..z (fast mode only): move
+  /// durations and costs with Algorithm 3's do-nothing convention
+  /// applied (b == a: duration 1, cost b), and each move's
+  /// effective-capacity profile, all flat and indexed with the table's
+  /// own stride. They depend only on (b, a), never on the load, and
+  /// hold exactly the values the exhaustive recursion would recompute,
+  /// so results are bit-identical.
+  struct MoveTables {
+    int32_t stride = 0;  ///< z + 1; 0 = not built.
+    std::vector<int32_t> duration;
+    std::vector<double> move_cost;
+    /// Profile of (b, a) starts at effcap[effcap_offset[Index(b, a)]]:
+    /// entry i - 1 = EffectiveCapacity(b, a, i / duration), i = 1..d.
+    std::vector<uint32_t> effcap_offset;
+    std::vector<double> effcap;
+
+    MoveTables() = default;
+    MoveTables(const MoveModel& model, int32_t z);
+
+    /// Target-major, so Cost's scan over predecessors b reads
+    /// consecutive entries.
+    size_t Index(int32_t b, int32_t a) const {
+      return static_cast<size_t>(a) * static_cast<size_t>(stride) +
+             static_cast<size_t>(b);
+    }
+  };
+
+  /// Per-plan view (fast mode only): the move tables plus the
+  /// per-interval feasibility threshold amin[t] (the smallest machine
+  /// count whose steady capacity covers load[t]), which turns the
+  /// load-vs-capacity check into one integer compare.
   struct PlanTables;
 
   // Algorithm 2: min cost of a feasible series ending with `a` nodes at
@@ -120,6 +146,9 @@ class DpPlanner {
   MoveModel model_;
   int32_t max_nodes_;
   bool exhaustive_ = false;
+  /// Built by the constructor when max_nodes_ > 0; BestMoves builds a
+  /// per-call set for its own z otherwise.
+  MoveTables tables_;
 };
 
 }  // namespace pstore

@@ -30,6 +30,20 @@ int64_t SparModel::MinHistory() const {
 
 namespace {
 
+/// Dy(t - j) = y(t - j) minus the mean of the same slot over the n
+/// previous periods.
+double RecentDeviation(const std::vector<double>& y, int64_t t, int32_t j,
+                       const SparConfig& cfg) {
+  const int64_t period = cfg.period;
+  const int32_t n = cfg.num_periods;
+  double periodic_mean = 0;
+  for (int32_t k = 1; k <= n; ++k) {
+    periodic_mean += y[static_cast<size_t>(t - j - k * period)];
+  }
+  periodic_mean /= n;
+  return y[static_cast<size_t>(t - j)] - periodic_mean;
+}
+
 /// Fills one feature row for predicting y(t + tau) from series[0..t].
 /// Layout: [y(t+tau-kT) for k=1..n] ++ [Dy(t-j) for j=1..m].
 void FillFeatures(const std::vector<double>& y, int64_t t, int32_t tau,
@@ -41,13 +55,28 @@ void FillFeatures(const std::vector<double>& y, int64_t t, int32_t tau,
     out[k - 1] = y[static_cast<size_t>(t + tau - k * period)];
   }
   for (int32_t j = 1; j <= m; ++j) {
-    double periodic_mean = 0;
-    for (int32_t k = 1; k <= n; ++k) {
-      periodic_mean += y[static_cast<size_t>(t - j - k * period)];
-    }
-    periodic_mean /= n;
-    out[n + j - 1] = y[static_cast<size_t>(t - j)] - periodic_mean;
+    out[n + j - 1] = RecentDeviation(y, t, j, cfg);
   }
+}
+
+/// Equation 8 for one tau: the dot product of the model's coefficients
+/// with the feature row of (y, t), in feature order. `recent(j)`
+/// supplies Dy(t - j - 1); it does not depend on tau, so Forecast
+/// computes it once for all horizon steps. Predict and Forecast both
+/// sum here, so their outputs are bit-identical.
+template <typename Recent>
+double Combine(const SparModel& model, const std::vector<double>& y,
+               int64_t t, Recent recent) {
+  const int64_t period = model.config().period;
+  const std::vector<double>& a = model.periodic_coefficients();
+  const std::vector<double>& b = model.recent_coefficients();
+  double acc = 0;
+  for (size_t k = 0; k < a.size(); ++k) {
+    const int64_t lag = static_cast<int64_t>(k + 1) * period;
+    acc += a[k] * y[static_cast<size_t>(t + model.tau() - lag)];
+  }
+  for (size_t j = 0; j < b.size(); ++j) acc += b[j] * recent(j);
+  return acc;
 }
 
 }  // namespace
@@ -95,17 +124,9 @@ Result<SparModel> SparModel::Fit(const std::vector<double>& train,
 double SparModel::Predict(const std::vector<double>& series, int64_t t) const {
   assert(t >= MinHistory());
   assert(t < static_cast<int64_t>(series.size()));
-  const int32_t n = config_.num_periods;
-  const int32_t m = config_.num_recent;
-  std::vector<double> features(static_cast<size_t>(n + m));
-  FillFeatures(series, t, tau_, config_, features.data());
-  double acc = 0;
-  for (int32_t k = 0; k < n; ++k) acc += a_[static_cast<size_t>(k)] *
-                                         features[static_cast<size_t>(k)];
-  for (int32_t j = 0; j < m; ++j) {
-    acc += b_[static_cast<size_t>(j)] * features[static_cast<size_t>(n + j)];
-  }
-  return acc;
+  return Combine(*this, series, t, [&](size_t j) {
+    return RecentDeviation(series, t, static_cast<int32_t>(j + 1), config_);
+  });
 }
 
 Result<SparModel> SparPredictor::SolveTau(const std::vector<double>& train,
@@ -230,10 +251,16 @@ Result<std::vector<double>> SparPredictor::Forecast(
   if (t < MinHistory() || t >= static_cast<int64_t>(series.size())) {
     return Status::InvalidArgument("not enough history at t");
   }
+  std::vector<double> recent(static_cast<size_t>(config_.num_recent));
+  for (size_t j = 0; j < recent.size(); ++j) {
+    recent[j] =
+        RecentDeviation(series, t, static_cast<int32_t>(j + 1), config_);
+  }
   std::vector<double> out(static_cast<size_t>(horizon));
   for (int32_t h = 1; h <= horizon; ++h) {
     out[static_cast<size_t>(h - 1)] =
-        models_[static_cast<size_t>(h - 1)].Predict(series, t);
+        Combine(models_[static_cast<size_t>(h - 1)], series, t,
+                [&recent](size_t j) { return recent[j]; });
   }
   return out;
 }

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -85,6 +87,53 @@ TEST(DpPruningTest, SpikeAndCrashShapes) {
   // Flat at a capacity boundary: amin sits exactly on the edge.
   std::vector<double> edge(9, 300.0);  // == Capacity(3) with q = 100
   ExpectEquivalentOn(edge, 3, 6);
+}
+
+/// One planner instance answers many randomized plans, each checked
+/// against a fresh exhaustive planner. With max_nodes > 0 the move
+/// tables are built once, for stride max_nodes + 1, and every call with
+/// a smaller z must index them correctly; with max_nodes == 0 each call
+/// builds its own.
+void ExpectReusedPlannerEquivalent(int32_t max_nodes, uint64_t seed) {
+  const DpPlanner reused(MoveModel(SmallConfig()), max_nodes);
+  const int32_t z_cap = max_nodes > 0 ? max_nodes : 12;
+  std::vector<bool> z_seen(static_cast<size_t>(z_cap) + 2, false);
+  Rng rng(seed);
+  for (int call = 0; call < 240; ++call) {
+    const int32_t horizon = 1 + static_cast<int32_t>(rng.NextBounded(48));
+    // Aim at a machine count in 1..z_cap + 1 (one past the cap covers
+    // the max_nodes clamp and infeasible plans), start no higher, and
+    // touch that count's capacity once (q = 100).
+    const int32_t target = 1 + static_cast<int32_t>(rng.NextBounded(
+                                   static_cast<uint64_t>(z_cap) + 1));
+    const int32_t n0 = 1 + static_cast<int32_t>(rng.NextBounded(
+                               static_cast<uint64_t>(std::min(target, z_cap))));
+    const double peak = 100.0 * (target - 0.9 * rng.NextDouble());
+    std::vector<double> load(static_cast<size_t>(horizon) + 1);
+    for (double& l : load) l = peak * (0.3 + 0.7 * rng.NextDouble());
+    load[rng.NextBounded(load.size())] = peak;
+    const double load_peak = *std::max_element(load.begin(), load.end());
+    int32_t z = std::max(reused.NodesForLoad(load_peak), n0);
+    if (max_nodes > 0) z = std::min(z, max_nodes);
+    z_seen[static_cast<size_t>(z)] = true;
+
+    DpPlanner exhaustive(MoveModel(SmallConfig()), max_nodes);
+    exhaustive.set_exhaustive(true);
+    SCOPED_TRACE("call " + std::to_string(call) + ", z " + std::to_string(z));
+    ExpectIdenticalPlans(reused.BestMoves(load, n0),
+                         exhaustive.BestMoves(load, n0));
+  }
+  for (int32_t z = 1; z <= z_cap; ++z) {
+    EXPECT_TRUE(z_seen[static_cast<size_t>(z)]) << "z " << z << " not drawn";
+  }
+}
+
+TEST(DpPruningTest, ReusedPlannerWithBuiltTablesMatchesExhaustive) {
+  ExpectReusedPlannerEquivalent(/*max_nodes=*/12, /*seed=*/11);
+}
+
+TEST(DpPruningTest, ReusedPlannerWithPerCallTablesMatchesExhaustive) {
+  ExpectReusedPlannerEquivalent(/*max_nodes=*/0, /*seed=*/12);
 }
 
 TEST(DpPruningTest, InfeasibleInstancesAgree) {

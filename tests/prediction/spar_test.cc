@@ -150,6 +150,85 @@ TEST(SparPredictorTest, ForecastAtMatchesForecast) {
   }
 }
 
+/// Equation 8 written out: build the feature row [y(t+tau-kT) for
+/// k=1..n] ++ [Dy(t-j) for j=1..m] and take its dot product with the
+/// coefficients in that order — the summation order every SPAR
+/// forecast must reproduce bit for bit.
+double ReferencePredict(const SparModel& model, const std::vector<double>& y,
+                        int64_t t) {
+  const SparConfig& cfg = model.config();
+  std::vector<double> row;
+  for (int32_t k = 1; k <= cfg.num_periods; ++k) {
+    row.push_back(y[static_cast<size_t>(t + model.tau() - k * cfg.period)]);
+  }
+  for (int32_t j = 1; j <= cfg.num_recent; ++j) {
+    double mean = 0;
+    for (int32_t k = 1; k <= cfg.num_periods; ++k) {
+      mean += y[static_cast<size_t>(t - j - k * cfg.period)];
+    }
+    mean /= cfg.num_periods;
+    row.push_back(y[static_cast<size_t>(t - j)] - mean);
+  }
+  std::vector<double> coeffs = model.periodic_coefficients();
+  coeffs.insert(coeffs.end(), model.recent_coefficients().begin(),
+                model.recent_coefficients().end());
+  double acc = 0;
+  for (size_t i = 0; i < row.size(); ++i) acc += coeffs[i] * row[i];
+  return acc;
+}
+
+/// Forecast shares the recent-deviation features across horizon steps;
+/// every entry must still equal ForecastAt, the per-tau model's Predict
+/// and the written-out Equation 8 exactly, at every t of a window.
+void ExpectForecastsBitIdentical(const SparPredictor& predictor,
+                                 const std::vector<double>& y,
+                                 int32_t max_horizon) {
+  for (int64_t t = predictor.MinHistory();
+       t < static_cast<int64_t>(y.size()); ++t) {
+    const int32_t horizon = 1 + static_cast<int32_t>(t % max_horizon);
+    auto all = predictor.Forecast(y, t, horizon);
+    ASSERT_TRUE(all.ok());
+    ASSERT_EQ(all->size(), static_cast<size_t>(horizon));
+    for (int32_t h = 1; h <= horizon; ++h) {
+      const double forecast = (*all)[static_cast<size_t>(h - 1)];
+      auto at = predictor.ForecastAt(y, t, h);
+      ASSERT_TRUE(at.ok());
+      const SparModel& model = predictor.models()[static_cast<size_t>(h - 1)];
+      EXPECT_EQ(forecast, *at) << "t " << t << " h " << h;
+      EXPECT_EQ(forecast, model.Predict(y, t)) << "t " << t << " h " << h;
+      EXPECT_EQ(forecast, ReferencePredict(model, y, t))
+          << "t " << t << " h " << h;
+    }
+  }
+}
+
+TEST(SparPredictorTest, ForecastBitIdenticalToPerTauPredict) {
+  SparConfig config;
+  config.period = 60;
+  config.num_periods = 3;
+  config.num_recent = 5;
+  constexpr int32_t kMaxHorizon = 48;
+  for (const uint64_t seed : {5u, 6u}) {
+    Rng rng(seed);
+    std::vector<double> y(60 * 12);
+    for (size_t t = 0; t < y.size(); ++t) {
+      y[t] = 200.0 + 80.0 * std::sin(2 * M_PI * (t % 60) / 60.0) +
+             15.0 * rng.NextGaussian();
+    }
+    const std::vector<double> prefix(y.begin(), y.begin() + 60 * 9);
+
+    SparPredictor full(config);
+    ASSERT_TRUE(full.Fit(prefix, kMaxHorizon).ok());
+    ExpectForecastsBitIdentical(full, y, kMaxHorizon);
+
+    // Incremental refit over the extended series: same identities.
+    SparPredictor refit(config);
+    ASSERT_TRUE(refit.Fit(prefix, kMaxHorizon).ok());
+    ASSERT_TRUE(refit.Refit(y, kMaxHorizon).ok());
+    ExpectForecastsBitIdentical(refit, y, kMaxHorizon);
+  }
+}
+
 TEST(SparPredictorTest, AccurateOnSyntheticB2wTrace) {
   // The headline claim of Section 5: ~10% MRE at tau = 60 minutes on the
   // B2W load. Our synthetic trace should admit comparable accuracy.

@@ -115,6 +115,36 @@ TEST(BenchCompareTest, NewCaseIsInformationalOnly) {
   EXPECT_EQ(z->status, CaseStatus::kNew);
 }
 
+TEST(BenchCompareTest, ZeroBaselineStayingZeroIsUnchanged) {
+  // "dark" is a zero-seconds case (an outage that did not happen). The
+  // other cases move 3x so normalization would otherwise skew it.
+  JsonValue baseline = MakeRun({{"dark", 0.0}, {"a", 100.0}, {"b", 200.0}});
+  JsonValue current = MakeRun({{"dark", 0.0}, {"a", 300.0}, {"b", 600.0}});
+  auto report = CompareBenchDocs(baseline, current, CompareOptions{});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->pass);
+  EXPECT_EQ(report->improved, 0);
+  const CaseComparison* dark = FindCase(*report, "dark");
+  ASSERT_NE(dark, nullptr);
+  EXPECT_EQ(dark->status, CaseStatus::kOk);
+}
+
+TEST(BenchCompareTest, ZeroBaselineGrowingRegresses) {
+  JsonValue baseline = MakeRun({{"dark", 0.0}, {"a", 100.0}});
+  JsonValue current = MakeRun({{"dark", 30.0}, {"a", 100.0}});
+  for (const bool normalize : {true, false}) {
+    CompareOptions options;
+    options.normalize = normalize;
+    auto report = CompareBenchDocs(baseline, current, options);
+    ASSERT_TRUE(report.ok());
+    EXPECT_FALSE(report->pass);
+    EXPECT_EQ(report->regressed, 1);
+    const CaseComparison* dark = FindCase(*report, "dark");
+    ASSERT_NE(dark, nullptr);
+    EXPECT_EQ(dark->status, CaseStatus::kRegressed);
+  }
+}
+
 TEST(BenchCompareTest, MetricsCasesAreNotGated) {
   JsonValue baseline = MakeRun({{"a", 100.0}});
   JsonValue current = MakeRun({{"a", 100.0}});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace pstore {
@@ -173,8 +174,17 @@ Result<CompareReport> CompareBenchDocs(const JsonValue& baseline,
       continue;
     }
     c.current_ns = *cur_ns;
-    c.raw_ratio = base_ns > 0.0 ? *cur_ns / base_ns : 0.0;
-    c.normalized_ratio = c.raw_ratio / report.median_ratio;
+    if (base_ns > 0.0) {
+      c.raw_ratio = *cur_ns / base_ns;
+      c.normalized_ratio = c.raw_ratio / report.median_ratio;
+    } else {
+      // No ratio exists against a zero baseline, and normalization does
+      // not apply: staying at zero is unchanged, anything above zero
+      // regressed (0 s dark becoming 30 s dark must trip the gate).
+      c.raw_ratio = *cur_ns > 0.0 ? std::numeric_limits<double>::infinity()
+                                  : 1.0;
+      c.normalized_ratio = c.raw_ratio;
+    }
     if (c.normalized_ratio > fail_above) {
       c.status = CaseStatus::kRegressed;
       ++report.regressed;

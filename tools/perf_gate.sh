@@ -66,7 +66,12 @@ done
 status=0
 
 rm -f "$CURRENT"
-if ! "$BENCH_MICRO_PERF" --benchmark_min_time=0.05; then
+# Each case's value is its median over three repetitions, interleaved
+# with every other case's, so a host slowdown that lasts a moment
+# lands in one repetition of a few cases and is voted out.
+if ! "$BENCH_MICRO_PERF" --benchmark_min_time=0.05 \
+    --benchmark_repetitions=3 --benchmark_enable_random_interleaving=true \
+    --benchmark_display_aggregates_only=true; then
   echo "perf_gate: bench_micro_perf exited non-zero" >&2
   exit 1
 fi
