@@ -1,7 +1,9 @@
 /// Micro-benchmarks (google-benchmark) for the hot components: the DP
 /// planner (runs every control interval online), SPAR fit/predict/refit,
 /// the migration schedule generator, partition-map assignment and
-/// rebalancing, and the engine's transaction path on the virtual clock.
+/// rebalancing, the storage row index and B2W line-item codec that
+/// procedure bodies spend their time in, and the engine's transaction
+/// path on the virtual clock.
 ///
 /// Unlike the figure harnesses, this binary measures *wall-clock* cost,
 /// so its output feeds the regression gate: a custom reporter collects
@@ -13,6 +15,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -26,9 +29,11 @@
 #include "prediction/spar.h"
 #include "sim/simulator.h"
 #include "sim/strategies.h"
+#include "storage/fragment.h"
 #include "storage/partition_map.h"
 #include "storage/schema.h"
 #include "txn/procedure.h"
+#include "workload/b2w_schema.h"
 
 namespace pstore {
 namespace {
@@ -205,6 +210,61 @@ void BM_PartitionMapAssign(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBuckets);
 }
 BENCHMARK(BM_PartitionMapAssign);
+
+// Random point reads and upserts, half each, over 200k KV rows spread
+// across one node's six fragments the way the engine places them: the
+// row-index lookup every procedure body pays.
+void BM_FragmentPointOps(benchmark::State& state) {
+  constexpr int64_t kRows = 200000;
+  constexpr int32_t kBuckets = 1024;
+  constexpr int32_t kPartitions = 6;
+  Catalog catalog;
+  const TableId table = *catalog.AddTable(Schema(
+      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
+  const PartitionMap map(kBuckets, kPartitions);
+  std::vector<std::unique_ptr<StorageFragment>> fragments;
+  for (int32_t p = 0; p < kPartitions; ++p) {
+    fragments.push_back(std::make_unique<StorageFragment>(&catalog, kBuckets));
+  }
+  for (int64_t k = 0; k < kRows; ++k) {
+    const Row row({Value(k), Value(k)});
+    if (!fragments[static_cast<size_t>(map.PartitionOfKey(k))]
+             ->Insert(table, row)
+             .ok()) {
+      state.SkipWithError("preload failed");
+      return;
+    }
+  }
+  Rng rng(5);
+  int64_t op = 0;
+  for (auto _ : state) {
+    const auto key = static_cast<int64_t>(rng.NextBounded(kRows));
+    StorageFragment& frag =
+        *fragments[static_cast<size_t>(map.PartitionOfKey(key))];
+    if (++op % 2 == 0) {
+      benchmark::DoNotOptimize(frag.Get(table, key));
+    } else {
+      benchmark::DoNotOptimize(
+          frag.Upsert(table, Row({Value(key), Value(op)})));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FragmentPointOps);
+
+// One cart update's codec work: decode a three-item `lines` column,
+// append an item, and encode it back.
+void BM_B2wLineCodec(benchmark::State& state) {
+  const std::string encoded = EncodeLines(
+      {{1234567, 2, 19.99}, {98765432, 1, 5.5}, {555, 10, 1299.0}});
+  for (auto _ : state) {
+    auto lines = DecodeLines(encoded);
+    lines->push_back(LineItem{42, 3, 7.25});
+    benchmark::DoNotOptimize(EncodeLines(*lines));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_B2wLineCodec);
 
 struct EngineFixture {
   Simulator sim;

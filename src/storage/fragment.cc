@@ -8,22 +8,31 @@ StorageFragment::StorageFragment(const Catalog* catalog, int32_t num_buckets)
     : catalog_(catalog), num_buckets_(num_buckets) {
   assert(catalog != nullptr);
   assert(num_buckets > 0);
-  tables_.resize(catalog->num_tables());
+  held_index_.assign(static_cast<size_t>(num_buckets), -1);
+  row_counts_.assign(catalog->num_tables(), 0);
+  bucket_bytes_.assign(static_cast<size_t>(num_buckets), 0);
 }
 
-StorageFragment::TableStore& StorageFragment::StoreFor(TableId table) {
-  if (static_cast<size_t>(table) >= tables_.size()) {
-    tables_.resize(static_cast<size_t>(table) + 1);
-  }
-  return tables_[static_cast<size_t>(table)];
+const BucketRows* StorageFragment::RowsOf(TableId table,
+                                          BucketId bucket) const {
+  const int32_t h = held_index_[static_cast<size_t>(bucket)];
+  if (h < 0 || table < 0) return nullptr;
+  const std::vector<BucketRows>& tables = held_[static_cast<size_t>(h)].tables;
+  const auto t = static_cast<size_t>(table);
+  return t < tables.size() ? &tables[t] : nullptr;
 }
 
-const StorageFragment::TableStore* StorageFragment::StoreFor(
-    TableId table) const {
-  if (table < 0 || static_cast<size_t>(table) >= tables_.size()) {
-    return nullptr;
+BucketRows& StorageFragment::MutableRowsOf(TableId table, BucketId bucket) {
+  const auto t = static_cast<size_t>(table);
+  if (t >= row_counts_.size()) row_counts_.resize(t + 1, 0);
+  int32_t& h = held_index_[static_cast<size_t>(bucket)];
+  if (h < 0) {
+    h = static_cast<int32_t>(held_.size());
+    held_.push_back(HeldBucket{bucket, {}});
   }
-  return &tables_[static_cast<size_t>(table)];
+  std::vector<BucketRows>& tables = held_[static_cast<size_t>(h)].tables;
+  if (t >= tables.size()) tables.resize(row_counts_.size());
+  return tables[t];
 }
 
 Status StorageFragment::Insert(TableId table, const Row& row) {
@@ -31,18 +40,16 @@ Status StorageFragment::Insert(TableId table, const Row& row) {
   PSTORE_RETURN_NOT_OK(schema.Validate(row));
   const int64_t key = schema.PartitionKey(row);
   const BucketId bucket = KeyToBucket(key, num_buckets_);
-  TableStore& store = StoreFor(table);
-  BucketRows& rows = store.buckets[bucket];
-  auto [it, inserted] = rows.emplace(key, row);
+  auto [it, inserted] = MutableRowsOf(table, bucket).try_emplace(key, row);
   if (!inserted) {
     return Status::AlreadyExists("key " + std::to_string(key) +
                                  " already exists in table '" +
                                  schema.name() + "'");
   }
   const int64_t bytes = static_cast<int64_t>(it->second.ByteSize());
-  bucket_bytes_[bucket] += bytes;
+  bucket_bytes_[static_cast<size_t>(bucket)] += bytes;
   total_bytes_ += bytes;
-  ++store.row_count;
+  ++row_counts_[static_cast<size_t>(table)];
   return Status::OK();
 }
 
@@ -51,109 +58,96 @@ Status StorageFragment::Upsert(TableId table, const Row& row) {
   PSTORE_RETURN_NOT_OK(schema.Validate(row));
   const int64_t key = schema.PartitionKey(row);
   const BucketId bucket = KeyToBucket(key, num_buckets_);
-  TableStore& store = StoreFor(table);
-  BucketRows& rows = store.buckets[bucket];
-  auto it = rows.find(key);
-  if (it == rows.end()) {
-    auto [new_it, ok] = rows.emplace(key, row);
-    (void)ok;
-    const int64_t bytes = static_cast<int64_t>(new_it->second.ByteSize());
-    bucket_bytes_[bucket] += bytes;
-    total_bytes_ += bytes;
-    ++store.row_count;
-    return Status::OK();
+  auto [it, inserted] = MutableRowsOf(table, bucket).try_emplace(key, row);
+  int64_t delta = static_cast<int64_t>(row.ByteSize());
+  if (inserted) {
+    ++row_counts_[static_cast<size_t>(table)];
+  } else {
+    delta -= static_cast<int64_t>(it->second.ByteSize());
+    it->second = row;
   }
-  const int64_t old_bytes = static_cast<int64_t>(it->second.ByteSize());
-  it->second = row;
-  const int64_t new_bytes = static_cast<int64_t>(it->second.ByteSize());
-  bucket_bytes_[bucket] += new_bytes - old_bytes;
-  total_bytes_ += new_bytes - old_bytes;
+  bucket_bytes_[static_cast<size_t>(bucket)] += delta;
+  total_bytes_ += delta;
   return Status::OK();
 }
 
 Result<Row> StorageFragment::Get(TableId table, int64_t key) const {
-  const TableStore* store = StoreFor(table);
-  if (store != nullptr) {
-    const BucketId bucket = KeyToBucket(key, num_buckets_);
-    auto bit = store->buckets.find(bucket);
-    if (bit != store->buckets.end()) {
-      auto rit = bit->second.find(key);
-      if (rit != bit->second.end()) return rit->second;
-    }
+  const BucketRows* rows = RowsOf(table, KeyToBucket(key, num_buckets_));
+  if (rows != nullptr) {
+    auto it = rows->find(key);
+    if (it != rows->end()) return it->second;
   }
   return Status::NotFound("key " + std::to_string(key) + " not found");
 }
 
 bool StorageFragment::Contains(TableId table, int64_t key) const {
-  const TableStore* store = StoreFor(table);
-  if (store == nullptr) return false;
-  const BucketId bucket = KeyToBucket(key, num_buckets_);
-  auto bit = store->buckets.find(bucket);
-  return bit != store->buckets.end() && bit->second.count(key) > 0;
+  const BucketRows* rows = RowsOf(table, KeyToBucket(key, num_buckets_));
+  return rows != nullptr && rows->find(key) != rows->end();
 }
 
 Status StorageFragment::Delete(TableId table, int64_t key) {
-  TableStore& store = StoreFor(table);
   const BucketId bucket = KeyToBucket(key, num_buckets_);
-  auto bit = store.buckets.find(bucket);
-  if (bit == store.buckets.end()) {
-    return Status::NotFound("key " + std::to_string(key) + " not found");
+  auto* rows = const_cast<BucketRows*>(RowsOf(table, bucket));
+  if (rows != nullptr) {
+    auto it = rows->find(key);
+    if (it != rows->end()) {
+      const int64_t bytes = static_cast<int64_t>(it->second.ByteSize());
+      rows->erase(it);
+      bucket_bytes_[static_cast<size_t>(bucket)] -= bytes;
+      total_bytes_ -= bytes;
+      --row_counts_[static_cast<size_t>(table)];
+      return Status::OK();
+    }
   }
-  auto rit = bit->second.find(key);
-  if (rit == bit->second.end()) {
-    return Status::NotFound("key " + std::to_string(key) + " not found");
-  }
-  const int64_t bytes = static_cast<int64_t>(rit->second.ByteSize());
-  bit->second.erase(rit);
-  if (bit->second.empty()) store.buckets.erase(bit);
-  bucket_bytes_[bucket] -= bytes;
-  total_bytes_ -= bytes;
-  --store.row_count;
-  return Status::OK();
+  return Status::NotFound("key " + std::to_string(key) + " not found");
 }
 
 int64_t StorageFragment::RowCount(TableId table) const {
-  const TableStore* store = StoreFor(table);
-  return store == nullptr ? 0 : store->row_count;
+  const auto t = static_cast<size_t>(table);
+  return table < 0 || t >= row_counts_.size() ? 0 : row_counts_[t];
 }
 
 int64_t StorageFragment::TotalRowCount() const {
   int64_t total = 0;
-  for (const auto& t : tables_) total += t.row_count;
+  for (int64_t count : row_counts_) total += count;
   return total;
 }
 
 int64_t StorageFragment::BucketRowCount(BucketId bucket) const {
+  const int32_t h = held_index_[static_cast<size_t>(bucket)];
+  if (h < 0) return 0;
   int64_t rows = 0;
-  for (const auto& t : tables_) {
-    auto bit = t.buckets.find(bucket);
-    if (bit != t.buckets.end()) {
-      rows += static_cast<int64_t>(bit->second.size());
-    }
+  for (const BucketRows& t : held_[static_cast<size_t>(h)].tables) {
+    rows += static_cast<int64_t>(t.size());
   }
   return rows;
 }
 
 int64_t StorageFragment::BucketBytes(BucketId bucket) const {
-  auto it = bucket_bytes_.find(bucket);
-  return it == bucket_bytes_.end() ? 0 : it->second;
+  return bucket_bytes_[static_cast<size_t>(bucket)];
 }
 
 std::vector<std::pair<TableId, BucketRows>> StorageFragment::ExtractBucket(
     BucketId bucket) {
   std::vector<std::pair<TableId, BucketRows>> out;
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    auto bit = tables_[t].buckets.find(bucket);
-    if (bit == tables_[t].buckets.end()) continue;
-    tables_[t].row_count -= static_cast<int64_t>(bit->second.size());
-    out.emplace_back(static_cast<TableId>(t), std::move(bit->second));
-    tables_[t].buckets.erase(bit);
+  total_bytes_ -= bucket_bytes_[static_cast<size_t>(bucket)];
+  bucket_bytes_[static_cast<size_t>(bucket)] = 0;
+  int32_t& h = held_index_[static_cast<size_t>(bucket)];
+  if (h < 0) return out;
+  std::vector<BucketRows>& tables = held_[static_cast<size_t>(h)].tables;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    if (tables[t].empty()) continue;
+    row_counts_[t] -= static_cast<int64_t>(tables[t].size());
+    out.emplace_back(static_cast<TableId>(t), std::move(tables[t]));
   }
-  auto bytes_it = bucket_bytes_.find(bucket);
-  if (bytes_it != bucket_bytes_.end()) {
-    total_bytes_ -= bytes_it->second;
-    bucket_bytes_.erase(bytes_it);
+  // Drop the entry: the last one takes its place in held_.
+  if (static_cast<size_t>(h) + 1 != held_.size()) {
+    HeldBucket& moved = held_[static_cast<size_t>(h)];
+    moved = std::move(held_.back());
+    held_index_[static_cast<size_t>(moved.bucket)] = h;
   }
+  held_.pop_back();
+  h = -1;
   return out;
 }
 
@@ -161,21 +155,18 @@ Status StorageFragment::InstallBucket(
     BucketId bucket, std::vector<std::pair<TableId, BucketRows>> data) {
   int64_t bytes = 0;
   for (auto& [table, rows] : data) {
-    TableStore& store = StoreFor(table);
-    BucketRows& dest = store.buckets[bucket];
+    BucketRows& dest = MutableRowsOf(table, bucket);
     for (auto& [key, row] : rows) {
       bytes += static_cast<int64_t>(row.ByteSize());
-      auto [it, inserted] = dest.emplace(key, std::move(row));
-      (void)it;
-      if (!inserted) {
+      if (!dest.try_emplace(key, std::move(row)).second) {
         return Status::Internal("bucket " + std::to_string(bucket) +
                                 " key " + std::to_string(key) +
                                 " already present at destination");
       }
-      ++store.row_count;
+      ++row_counts_[static_cast<size_t>(table)];
     }
   }
-  bucket_bytes_[bucket] += bytes;
+  bucket_bytes_[static_cast<size_t>(bucket)] += bytes;
   total_bytes_ += bytes;
   return Status::OK();
 }
@@ -183,12 +174,10 @@ Status StorageFragment::InstallBucket(
 std::vector<int64_t> StorageFragment::BucketKeys(TableId table,
                                                  BucketId bucket) const {
   std::vector<int64_t> keys;
-  const TableStore* store = StoreFor(table);
-  if (store == nullptr) return keys;
-  auto bit = store->buckets.find(bucket);
-  if (bit == store->buckets.end()) return keys;
-  keys.reserve(bit->second.size());
-  for (const auto& [key, row] : bit->second) keys.push_back(key);
+  const BucketRows* rows = RowsOf(table, bucket);
+  if (rows == nullptr) return keys;
+  keys.reserve(rows->size());
+  for (const auto& [key, row] : *rows) keys.push_back(key);
   return keys;
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/partition_map.h"
+#include "storage/row_map.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -18,7 +18,7 @@
 namespace pstore {
 
 /// Rows of one (table, bucket), keyed by partitioning key.
-using BucketRows = std::unordered_map<int64_t, Row>;
+using BucketRows = RowMap;
 
 /// \brief All data a single partition owns.
 ///
@@ -71,25 +71,34 @@ class StorageFragment {
   Status InstallBucket(BucketId bucket,
                        std::vector<std::pair<TableId, BucketRows>> data);
 
-  /// Keys present for a table in one bucket (for tests/verification).
+  /// Keys present for a table in one bucket, in no particular order
+  /// (replica rebuilds copy a bucket key by key; the invariant checker
+  /// compares primary and backup).
   std::vector<int64_t> BucketKeys(TableId table, BucketId bucket) const;
 
   int32_t num_buckets() const { return num_buckets_; }
 
  private:
-  struct TableStore {
-    // bucket -> rows of that bucket.
-    std::unordered_map<BucketId, BucketRows> buckets;
-    int64_t row_count = 0;
+  /// Rows of one held bucket, indexed by table.
+  struct HeldBucket {
+    BucketId bucket;
+    std::vector<BucketRows> tables;
   };
 
-  TableStore& StoreFor(TableId table);
-  const TableStore* StoreFor(TableId table) const;
+  /// The rows of (table, bucket), or nullptr if no map is held for them.
+  const BucketRows* RowsOf(TableId table, BucketId bucket) const;
+  /// The rows of (table, bucket), creating an empty map if needed.
+  BucketRows& MutableRowsOf(TableId table, BucketId bucket);
 
   const Catalog* catalog_;
   int32_t num_buckets_;
-  std::vector<TableStore> tables_;
-  std::unordered_map<BucketId, int64_t> bucket_bytes_;
+  /// bucket -> index into held_, or -1. Dense, so finding a bucket's
+  /// rows is one load; held_ has an entry only for buckets that got rows
+  /// here since they last left (ExtractBucket drops it).
+  std::vector<int32_t> held_index_;
+  std::vector<HeldBucket> held_;
+  std::vector<int64_t> row_counts_;    ///< Per table.
+  std::vector<int64_t> bucket_bytes_;  ///< Per bucket.
   int64_t total_bytes_ = 0;
 };
 

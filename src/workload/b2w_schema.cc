@@ -1,9 +1,24 @@
 #include "workload/b2w_schema.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 namespace pstore {
+namespace {
+
+/// Parses the number at *pos, which `sep` must follow before `limit`,
+/// and moves *pos past the separator.
+template <typename T>
+bool ParseField(const char** pos, const char* limit, char sep, T* value) {
+  const auto [ptr, ec] = std::from_chars(*pos, limit, *value);
+  if (ec != std::errc() || ptr == limit || *ptr != sep) return false;
+  *pos = ptr + 1;
+  return true;
+}
+
+}  // namespace
 
 Result<B2wTables> RegisterB2wTables(Catalog* catalog) {
   B2wTables tables;
@@ -59,39 +74,46 @@ Result<B2wTables> RegisterB2wTables(Catalog* catalog) {
 }
 
 std::string EncodeLines(const std::vector<LineItem>& lines) {
+  // "%lld:%lld:%.2f;" without printf: std::to_chars in fixed format with
+  // precision 2 prints exactly what printf's %.2f does.
   std::string out;
-  char buf[96];
+  char buf[std::numeric_limits<double>::max_exponent10 + 8];
+  const auto append = [&out, &buf](auto... value_and_format) {
+    out.append(buf, std::to_chars(std::begin(buf), std::end(buf),
+                                  value_and_format...)
+                        .ptr);
+  };
   for (const auto& line : lines) {
-    std::snprintf(buf, sizeof(buf), "%lld:%lld:%.2f;",
-                  static_cast<long long>(line.sku),
-                  static_cast<long long>(line.quantity), line.unit_price);
-    out += buf;
+    append(line.sku);
+    out += ':';
+    append(line.quantity);
+    out += ':';
+    append(line.unit_price, std::chars_format::fixed, 2);
+    out += ';';
   }
   return out;
 }
 
 Result<std::vector<LineItem>> DecodeLines(const std::string& encoded) {
   std::vector<LineItem> lines;
-  size_t pos = 0;
-  while (pos < encoded.size()) {
-    const size_t end = encoded.find(';', pos);
-    if (end == std::string::npos) {
+  const char* item = encoded.data();
+  const char* const end = item + encoded.size();
+  while (item < end) {
+    const auto* semi = static_cast<const char*>(
+        std::memchr(item, ';', static_cast<size_t>(end - item)));
+    if (semi == nullptr) {
       return Status::InvalidArgument("unterminated line item");
     }
-    const std::string item = encoded.substr(pos, end - pos);
     LineItem line;
-    char* cursor = nullptr;
-    line.sku = std::strtoll(item.c_str(), &cursor, 10);
-    if (cursor == nullptr || *cursor != ':') {
-      return Status::InvalidArgument("bad line item: " + item);
+    const char* pos = item;
+    if (!ParseField(&pos, semi, ':', &line.sku) ||
+        !ParseField(&pos, semi, ':', &line.quantity) ||
+        !ParseField(&pos, semi + 1, ';', &line.unit_price)) {
+      return Status::InvalidArgument("bad line item: " +
+                                     std::string(item, semi));
     }
-    line.quantity = std::strtoll(cursor + 1, &cursor, 10);
-    if (cursor == nullptr || *cursor != ':') {
-      return Status::InvalidArgument("bad line item: " + item);
-    }
-    line.unit_price = std::strtod(cursor + 1, &cursor);
     lines.push_back(line);
-    pos = end + 1;
+    item = pos;
   }
   return lines;
 }
