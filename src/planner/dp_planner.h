@@ -62,8 +62,17 @@ struct Plan {
 /// the current machine count N0, finds a sequence of moves that (a) never
 /// lets predicted load exceed (effective) capacity and (b) minimizes
 /// total machine-intervals, ending with as few machines as possible.
+///
+/// A planner owns the memo and scratch buffers its calls reuse, so
+/// BestMoves mutates it: a planner is never shared across threads. Give
+/// each thread its own.
 class DpPlanner {
  public:
+  /// Generation stamp that invalidates the memo between calls. The
+  /// memo's stamps are re-zeroed once every
+  /// std::numeric_limits<MemoStamp>::max() calls, when it wraps.
+  using MemoStamp = uint16_t;
+
   /// \param model the move model (shared parameters Q, P, D, interval)
   /// \param max_nodes hard cap on cluster size (0 = derived from load).
   ///        A positive cap also bounds every plan's machine count, so
@@ -74,11 +83,15 @@ class DpPlanner {
   /// (now plus one future interval); entry t is the predicted load at
   /// interval t. Returns an infeasible Plan when no feasible sequence
   /// exists from N0 — the controller then falls back to reactive
-  /// scale-out (Section 4.3.1's options 1 and 2).
-  Plan BestMoves(const std::vector<double>& load, int32_t n0) const;
+  /// scale-out (Section 4.3.1's options 1 and 2). Once the planner's
+  /// buffers have grown to the largest call seen, a call with
+  /// max_nodes > 0 allocates nothing but the returned plan's moves.
+  Plan BestMoves(const std::vector<double>& load, int32_t n0);
 
-  /// Convenience: the number of machines whose *steady* capacity covers
-  /// `load` (ceil(load / Q)), at least 1.
+  /// Convenience: the smallest machine count whose *steady* capacity
+  /// (MoveModel::Capacity, replication overhead included) covers
+  /// `load`, at least 1. With no replication overhead this is
+  /// ceil(load / Q), forgiving a 1e-9 rounding excess.
   int32_t NodesForLoad(double load) const;
 
   /// Forces the textbook recursion: no precomputed per-(b, a) move
@@ -91,20 +104,14 @@ class DpPlanner {
   const MoveModel& model() const { return model_; }
 
  private:
-  struct MemoEntry {
-    double cost = std::numeric_limits<double>::infinity();
-    int32_t prev_time = -1;
-    int32_t prev_nodes = -1;
-    bool exists = false;
-  };
-
   /// Move tables for machine counts 1..z (fast mode only): move
   /// durations and costs with Algorithm 3's do-nothing convention
-  /// applied (b == a: duration 1, cost b), and each move's
-  /// effective-capacity profile, all flat and indexed with the table's
-  /// own stride. They depend only on (b, a), never on the load, and
-  /// hold exactly the values the exhaustive recursion would recompute,
-  /// so results are bit-identical.
+  /// applied (b == a: duration 1, cost b), each move's
+  /// effective-capacity profile, and each machine count's steady
+  /// capacity, all flat and indexed with the table's own stride. They
+  /// depend only on (b, a), never on the load, and hold exactly the
+  /// values the exhaustive recursion would recompute, so results are
+  /// bit-identical.
   struct MoveTables {
     int32_t stride = 0;  ///< z + 1; 0 = not built.
     std::vector<int32_t> duration;
@@ -113,11 +120,15 @@ class DpPlanner {
     /// entry i - 1 = EffectiveCapacity(b, a, i / duration), i = 1..d.
     std::vector<uint32_t> effcap_offset;
     std::vector<double> effcap;
+    /// cap[n] = Capacity(n) for n = 1..z (cap[0] unused).
+    std::vector<double> cap;
+    /// max_duration[n] = the longest move among machine counts 1..n.
+    std::vector<int32_t> max_duration;
 
     MoveTables() = default;
     MoveTables(const MoveModel& model, int32_t z);
 
-    /// Target-major, so Cost's scan over predecessors b reads
+    /// Target-major, so the scan over predecessors b reads
     /// consecutive entries.
     size_t Index(int32_t b, int32_t a) const {
       return static_cast<size_t>(a) * static_cast<size_t>(stride) +
@@ -125,23 +136,67 @@ class DpPlanner {
     }
   };
 
-  /// Per-plan view (fast mode only): the move tables plus the
-  /// per-interval feasibility threshold amin[t] (the smallest machine
-  /// count whose steady capacity covers load[t]), which turns the
-  /// load-vs-capacity check into one integer compare.
-  struct PlanTables;
+  /// Buffers every call reuses, grown to the largest call seen and
+  /// never shrunk. Memo cell (t, a) of a call with z machines lives at
+  /// t * (z + 1) + a and is live iff stamp == generation, so a new call
+  /// invalidates the whole memo by bumping the generation.
+  struct Workspace {
+    std::vector<double> cost;
+    std::vector<int32_t> prev_time;
+    std::vector<int32_t> prev_nodes;
+    std::vector<MemoStamp> stamp;
+    /// 0 only before the first call; never equal to a stale stamp.
+    MemoStamp generation = 0;
+    /// Cells first stamped in this call (Plan::dp_cells_evaluated).
+    int64_t cells = 0;
+    /// Fast mode: amin[t] = the smallest machine count a with
+    /// load[t] <= Capacity(a), or z + 1 when even z machines are
+    /// overloaded. Capacity is monotonic in a, so
+    /// "load[t] > Capacity(a)" == "a < amin[t]".
+    std::vector<int32_t> amin;
+    /// Fast mode: b_lo[t] = min amin[s] over the starts s in
+    /// [t - max_duration, t - 1] a move ending at t can have. A
+    /// predecessor b < b_lo[t] is overloaded at its start whatever the
+    /// move's duration.
+    std::vector<int32_t> b_lo;
 
-  // Algorithm 2: min cost of a feasible series ending with `a` nodes at
-  // interval `t`.
-  double Cost(int32_t t, int32_t a, const std::vector<double>& load,
-              int32_t n0, int32_t z, const PlanTables* tables,
-              std::vector<MemoEntry>* memo) const;
+    /// Grows the memo to at least `size` cells and opens a new
+    /// generation.
+    void BeginCall(size_t size);
+    /// Stamps cell `i` live, counting it. Returns false if it already
+    /// was live in this call.
+    bool Stamp(size_t i) {
+      if (stamp[i] == generation) return false;
+      stamp[i] = generation;
+      ++cells;
+      return true;
+    }
+  };
 
-  // Algorithm 3: min cost ending at `t` with the last move being b -> a.
-  double SubCost(int32_t t, int32_t b, int32_t a,
-                 const std::vector<double>& load, int32_t n0, int32_t z,
-                 const PlanTables* tables,
-                 std::vector<MemoEntry>* memo) const;
+  /// The call being planned; both recursions read it.
+  struct Call {
+    const double* load = nullptr;
+    int32_t n0 = 0;
+    int32_t z = 0;
+    const MoveTables* moves = nullptr;  ///< Fast mode only.
+
+    size_t Cell(int32_t t, int32_t a) const {
+      return static_cast<size_t>(t) * static_cast<size_t>(z + 1) +
+             static_cast<size_t>(a);
+    }
+  };
+
+  // Algorithm 2 (exhaustive mode): min cost of a feasible series ending
+  // with `a` nodes at interval `t`.
+  double Cost(int32_t t, int32_t a);
+
+  // Algorithm 3 (exhaustive mode): min cost ending at `t` with the last
+  // move being b -> a.
+  double SubCost(int32_t t, int32_t b, int32_t a);
+
+  // Algorithms 2 and 3 fused over the move tables (fast mode). The
+  // caller has checked a >= amin[t] and, at t == 0, a == n0.
+  double FastCost(int32_t t, int32_t a);
 
   MoveModel model_;
   int32_t max_nodes_;
@@ -149,6 +204,8 @@ class DpPlanner {
   /// Built by the constructor when max_nodes_ > 0; BestMoves builds a
   /// per-call set for its own z otherwise.
   MoveTables tables_;
+  Workspace ws_;
+  Call call_;
 };
 
 }  // namespace pstore

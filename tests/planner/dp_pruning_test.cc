@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -95,7 +98,7 @@ TEST(DpPruningTest, SpikeAndCrashShapes) {
 /// a smaller z must index them correctly; with max_nodes == 0 each call
 /// builds its own.
 void ExpectReusedPlannerEquivalent(int32_t max_nodes, uint64_t seed) {
-  const DpPlanner reused(MoveModel(SmallConfig()), max_nodes);
+  DpPlanner reused(MoveModel(SmallConfig()), max_nodes);
   const int32_t z_cap = max_nodes > 0 ? max_nodes : 12;
   std::vector<bool> z_seen(static_cast<size_t>(z_cap) + 2, false);
   Rng rng(seed);
@@ -147,6 +150,129 @@ TEST(DpPruningTest, InfeasibleInstancesAgree) {
   const Plan b = exhaustive.BestMoves(load, 1);
   EXPECT_FALSE(a.feasible);
   ExpectIdenticalPlans(a, b);
+}
+
+/// The capacity study's planner (Sec. 8.3): Q = 65% of 438 txn/s,
+/// 6 partitions per node, D = 85 min, 5-minute intervals.
+MoveModelConfig CapacityPlanConfig() {
+  MoveModelConfig config;
+  config.q = 0.65 * 438.0;
+  config.partitions_per_node = 6;
+  config.d_minutes = 85.0;
+  config.interval_minutes = 5.0;
+  return config;
+}
+
+/// One planner shaped like the capacity study's answers a long run of
+/// diurnal-ramp plans. Horizons 12, 24 and 48 interleave and the
+/// machine count z varies from call to call, so the workspace both
+/// grows and serves smaller calls (with other strides) after larger
+/// ones; every call must match a fresh exhaustive planner.
+TEST(DpPruningTest, ProductionShapedWorkspaceReuse) {
+  constexpr int32_t kMaxNodes = 40;
+  const MoveModel model(CapacityPlanConfig());
+  DpPlanner reused(model, kMaxNodes);
+  Rng rng(15);
+  int feasible = 0;
+  int32_t largest_z = 0;
+  for (int call = 0; call < 1200; ++call) {
+    const int32_t horizon = std::array<int32_t, 3>{12, 24, 48}[call % 3];
+    // Like the study, most plans need a handful of machines; one in ten
+    // reaches up to one past the cap.
+    const int32_t target =
+        call % 10 == 9
+            ? 9 + static_cast<int32_t>(rng.NextBounded(kMaxNodes - 7))
+            : 1 + static_cast<int32_t>(rng.NextBounded(8));
+    const double level =
+        model.Capacity(target) * (0.5 + 0.5 * rng.NextDouble());
+    const double phase = 2 * M_PI * rng.NextDouble();
+    std::vector<double> load(static_cast<size_t>(horizon) + 1);
+    for (size_t t = 0; t < load.size(); ++t) {
+      const double day = phase + 2 * M_PI * static_cast<double>(t) / 288.0;
+      load[t] = level * (0.75 + 0.25 * std::sin(day)) *
+                (1 + 0.02 * rng.NextGaussian());
+    }
+    // Sometimes touch the target's capacity exactly (amin's edge).
+    if (rng.NextBounded(4) == 0) {
+      load[rng.NextBounded(load.size())] = model.Capacity(target);
+    }
+    // Start at, below or above what the current load needs: scale-outs,
+    // scale-ins, and plans that cannot scale out in time.
+    const int32_t needed = reused.NodesForLoad(load[0]);
+    const int32_t n0 = std::clamp(
+        needed + static_cast<int32_t>(rng.NextBounded(5)) - 2, 1, kMaxNodes);
+    const double peak = *std::max_element(load.begin(), load.end());
+    largest_z = std::max(largest_z,
+                         std::min(std::max(reused.NodesForLoad(peak), n0),
+                                  kMaxNodes));
+
+    DpPlanner exhaustive(model, kMaxNodes);
+    exhaustive.set_exhaustive(true);
+    SCOPED_TRACE("call " + std::to_string(call));
+    const Plan plan = reused.BestMoves(load, n0);
+    ExpectIdenticalPlans(plan, exhaustive.BestMoves(load, n0));
+    feasible += plan.feasible ? 1 : 0;
+  }
+  // Both outcomes, and the cap, must actually occur.
+  EXPECT_GT(feasible, 600);
+  EXPECT_LT(feasible, 1200);
+  EXPECT_EQ(largest_z, kMaxNodes);
+}
+
+/// The memo's generation stamp wraps after
+/// numeric_limits<MemoStamp>::max() calls. Plan A stamps its cells in
+/// call 1; plan B runs at the last two generations before the wrap;
+/// plan C, with A's machine range (so A's memo layout) but a longer
+/// horizon and another load, grows the memo in the first call after
+/// it, and A runs again in the next. Had the wrap not re-zeroed the
+/// stamps, the wrapped generation would read never-stamped cells or
+/// A's cells from call 1 as live, and C's plan would differ.
+TEST(DpPruningTest, MemoStampWrapAround) {
+  constexpr int64_t kPeriod = std::numeric_limits<DpPlanner::MemoStamp>::max();
+  const auto sine = [](size_t horizon, double mean, double amplitude) {
+    std::vector<double> load(horizon + 1);
+    for (size_t t = 0; t < load.size(); ++t) {
+      load[t] = mean + amplitude * std::sin(2 * M_PI * static_cast<double>(t) /
+                                            static_cast<double>(horizon));
+    }
+    return load;
+  };
+  const std::vector<double> plan_a = sine(32, 250, 180);
+  const std::vector<double> plan_b = sine(20, 330, 230);
+  const std::vector<double> plan_c = sine(48, 240, 190);
+  const std::vector<double> tiny = {50, 50};
+  const auto reference = [](const std::vector<double>& load, int32_t n0) {
+    DpPlanner exhaustive(MoveModel(SmallConfig()), 8);
+    exhaustive.set_exhaustive(true);
+    return exhaustive.BestMoves(load, n0);
+  };
+  const Plan ref_a = reference(plan_a, 3);
+  const Plan ref_b = reference(plan_b, 4);
+  const Plan ref_c = reference(plan_c, 3);
+  const Plan ref_tiny = reference(tiny, 1);
+  ASSERT_TRUE(ref_a.feasible);
+  ASSERT_TRUE(ref_b.feasible);
+  ASSERT_TRUE(ref_c.feasible);
+  ASSERT_GT(ref_c.dp_cells_evaluated, ref_a.dp_cells_evaluated);
+
+  DpPlanner reused(MoveModel(SmallConfig()), 8);
+  for (int64_t call = 1; call <= kPeriod + 2; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    if (call == 1 || call == kPeriod + 2) {
+      ExpectIdenticalPlans(reused.BestMoves(plan_a, 3), ref_a);
+    } else if (call == kPeriod - 1 || call == kPeriod) {
+      ExpectIdenticalPlans(reused.BestMoves(plan_b, 4), ref_b);
+    } else if (call == kPeriod + 1) {
+      ExpectIdenticalPlans(reused.BestMoves(plan_c, 3), ref_c);
+    } else {
+      const Plan plan = reused.BestMoves(tiny, 1);
+      if (plan.dp_cells_evaluated != ref_tiny.dp_cells_evaluated ||
+          plan.total_cost != ref_tiny.total_cost) {
+        ADD_FAILURE() << "tiny plan diverged";
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace
