@@ -74,7 +74,7 @@ CellResult RunCell(double offered_tps, bool limits, double seconds,
     // The breaker never trips here: this bench isolates the queue
     // bound + deadline (Eq. 7) — a tripped breaker sheds whole windows
     // and would hide the plateau. Breaker dynamics are exercised by
-    // chaos_run --spike and the overload test suite.
+    // chaos_run --scenario=spike and the overload test suite.
     config.overload.breaker.min_samples =
         std::numeric_limits<int64_t>::max();
   }

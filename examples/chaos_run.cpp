@@ -1,1111 +1,180 @@
-/// Chaos run: deterministic fault injection end-to-end. A small cluster
-/// serves a steady read workload under a reactive controller while a
-/// seeded FaultPlan crashes nodes, stalls migration streams, fails
-/// chunks, and corrupts forecasts — with the InvariantChecker auditing
-/// the cluster every virtual second. The whole run derives from one
-/// seed, so it is executed TWICE and the two event traces must match
-/// byte for byte (same fingerprint).
+/// Chaos run: deterministic fault injection end-to-end. Runs one row of
+/// the scenario table (src/scenario/scenario.h): a small cluster serving
+/// a workload while a seeded or scripted FaultPlan crashes nodes, stalls
+/// migration streams, partitions the network, rots disks, revokes spot
+/// nodes or hides flash crowds from the forecast, with the
+/// InvariantChecker auditing the cluster every virtual second. The whole
+/// run derives from one seed, so it is executed TWICE and the two runs
+/// must match exactly: fault trace, every counter, and every telemetry
+/// artifact. A run passes when both runs are violation-free, the replay
+/// is identical, and every acceptance predicate of the row holds.
 ///
-/// Telemetry: every run records cluster/migration/reactive metrics,
-/// spans and events through src/obs; the replay also proves the metric
-/// and span dumps reproduce byte for byte. Pass --out=DIR to write
-/// metrics.json, metrics.csv, spans.txt and events.txt there.
+/// --scenario=NAME picks the row (default "plain"); --list-scenarios
+/// prints the table. Besides chaos_run's own seven scenarios (plain,
+/// spike, recovery, partition, corruption, revocation, flashcrowd) the
+/// table holds the seven 50-seed ctest sweeps, so any failing sweep
+/// seed replays from the command line, e.g.
+///   ./build/examples/chaos_run --scenario=durability_sweep --seed=17
 ///
-/// --spike switches to the overload scenario: slower service (so the
-/// cluster saturates at ~300 txn/s), a load generator that multiplies
-/// its rate by the injector's live load_scale(), kLoadSpike events in
-/// the chaos mix, bounded queues + deadline + priority shedding +
-/// per-node circuit breakers in the engine, breaker-aware reactive
-/// scaling, and a client retry budget with jittered backoff. The same
-/// determinism contract holds: one seed, two byte-identical runs.
+/// --events=N overrides the event count of random-plan rows (scripted
+/// rows ignore it). --out=DIR writes metrics.json, metrics.csv,
+/// spans.txt, events.txt and fault_trace.txt there. --trace-sample=P
+/// (0 < P <= 1) turns on transaction lifecycle tracing from a dedicated
+/// Rng stream and adds txn_traces.txt plus a Chrome/Perfetto trace.json
+/// (feed it to tools/trace_analyze); without the flag nothing is
+/// recorded and every other artifact stays byte-identical.
 ///
-/// --recovery switches to the replication scenario: k=1 backups with
-/// synchronous apply, a read/write workload, and a SCRIPTED fault plan
-/// (a scale-out racing a primary-heavy crash, a replica-lag window, the
-/// crashed node restarting through checkpoint + log replay, then a
-/// backup-heavy crash). Promotion failover must lose zero committed
-/// rows, k-safety must be restored by re-replication, and — as always —
-/// two same-seed runs must match byte for byte.
+/// Unknown flags, unknown scenarios and malformed or out-of-range values
+/// exit 2 with a usage line.
 ///
-/// --partition switches to the network scenario: k=1 replication plus
-/// the simulated message substrate (net.enabled), and a SCRIPTED fault
-/// plan — a scale-out racing a net partition that outlives the failover
-/// timeout (suspicion -> lease expiry -> fenced failover), a message
-/// loss/duplication window over the chunk protocol, an extra-latency
-/// window, and a second partition, all healed before the end. A fenced
-/// primary must never commit, no chunk may apply twice, rows are
-/// conserved, k-safety is restored after heal — and two same-seed runs
-/// must match byte for byte.
-///
-/// --corruption switches to the durability scenario: k=1 replication
-/// with the content-modeled durable store (checksummed checkpoint and
-/// command-log records) plus a background scrubber, and a SCRIPTED
-/// fault plan — a primary-heavy crash whose dead disk is then bit-rotted
-/// AND torn, so the 20 s restart must *detect* the damage and degrade
-/// (previous-checkpoint fallback or wire re-replication); bit rot on a
-/// *live* node that only the scrubber can find and repair from the
-/// intact replica; a disk-stall window stretching the second restart's
-/// replay; and a backup-heavy crash/restart cycle on top. No corrupt
-/// record may ever be served, no committed row may be lost (an intact
-/// replica survives throughout), and two same-seed runs must match byte
-/// for byte — including the disk Rng stream and the store's content
-/// digest.
-///
-/// --revocation switches to the topology scenario: k=1 replication plus
-/// the failure-domain topology layer (3 domains striped across the node
-/// index, node 0 on-demand, everyone else spot-revocable), and a
-/// SCRIPTED fault plan — a generous-notice spot revocation whose drain
-/// evacuates every bucket before the hard kill, the revoked node
-/// rejoining, a correlated domain outage that a domain-diverse replica
-/// map must survive with zero committed-row loss, two restarts, and a
-/// short-notice revocation whose window fits nothing, so every bucket
-/// falls back to replica promotion at the kill. The controllers must
-/// treat drains as impending capacity loss, the drain-deadline and
-/// domain-diversity audits must stay clean — and two same-seed runs
-/// must match byte for byte.
-///
-/// --flashcrowd switches to the misprediction scenario: a SPAR-driven
-/// PredictiveController with the forecast-divergence guard enabled
-/// (DESIGN.md §16) serves a steady load, and a SCRIPTED fault plan
-/// opens a kTraceDropout window (the controller keeps seeing its last
-/// stale sample) overlapping the onset of a kFlashCrowd window (3x the
-/// offered load, invisible to the forecast by construction) — while a
-/// stale-forecast scale-in is mid-flight. The guard must detect the
-/// divergence once real telemetry returns, veto the predictive path,
-/// truncate the now-wrong move at a chunk boundary, re-plan reactively
-/// from the current placement, and rejoin prediction after the crowd
-/// passes — with the plan-repair invariant audits clean and, as
-/// always, two same-seed runs byte-identical.
-///
-/// --list-scenarios prints every scripted scenario with a one-line
-/// description and exits (tools/check_determinism.sh uses it to reject
-/// unknown scenario names).
-///
-/// --trace-sample=P (0 < P <= 1) turns on transaction lifecycle tracing:
-/// sampled transactions record every phase transition on the virtual
-/// clock, and the dump gains txn_traces.txt plus a Chrome/Perfetto
-/// trace.json (feed it to tools/trace_analyze or load it at
-/// https://ui.perfetto.dev). Sampling draws from a dedicated Rng stream,
-/// so the replay must also reproduce the trace fingerprint byte for
-/// byte; with the flag absent nothing is recorded and every pre-existing
-/// artifact stays byte-identical.
-///
-///   ./build/examples/chaos_run [--seed=42] [--events=10] [--out=DIR]
-///                              [--trace-sample=P] [--list-scenarios]
-///                              [--spike | --recovery | --partition |
-///                               --corruption | --revocation |
-///                               --flashcrowd]
+///   ./build/examples/chaos_run [--scenario=NAME] [--seed=42] [--events=N]
+///                              [--out=DIR] [--trace-sample=P]
+///                              [--list-scenarios]
 
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "cluster/engine.h"
-#include "core/predictive_controller.h"
-#include "core/reactive_controller.h"
-#include "prediction/spar.h"
-#include "durability/content_store.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
-#include "migration/migration_executor.h"
 #include "obs/exporter.h"
-#include "obs/telemetry.h"
-#include "overload/retry_budget.h"
-#include "sim/simulator.h"
-#include "storage/schema.h"
-#include "txn/procedure.h"
+#include "scenario/scenario.h"
 
 using namespace pstore;
 
 namespace {
 
-struct RunResult {
-  std::string plan;
-  std::string trace;
-  uint64_t fingerprint = 0;
-  int64_t crashes = 0;
-  int64_t restarts = 0;
-  int64_t chunk_faults = 0;
-  int64_t chunk_retries = 0;
-  int64_t moves = 0;
-  int64_t moves_aborted = 0;
-  int64_t committed = 0;
-  int64_t checks = 0;
-  size_t violations = 0;
-  int64_t events = 0;
-  // Overload-scenario extras (all 0 outside --spike).
-  int64_t shed = 0;
-  int64_t breaker_trips = 0;
-  int64_t evictions = 0;
-  int64_t load_spikes = 0;
-  int64_t chunks_backpressured = 0;
-  int64_t retries = 0;
-  int64_t sheds_seen = 0;
-  int64_t safety_scale_outs = 0;
-  // Recovery-scenario extras (all 0 outside --recovery).
-  int64_t promotions = 0;
-  int64_t rebuilds = 0;
-  int64_t backup_applies = 0;
-  int64_t replica_lags = 0;
-  int64_t recoveries = 0;
-  int64_t rows_lost = 0;
-  int64_t degraded_at_end = 0;
-  // Durability-scenario extras (all 0 outside --corruption).
-  int64_t disk_corruptions = 0;
-  int64_t torn_writes = 0;
-  int64_t disk_stalls = 0;
-  int64_t records_corrupted = 0;
-  int64_t crc_detected = 0;
-  int64_t torn_detected = 0;
-  int64_t fallbacks = 0;
-  int64_t rereplicates = 0;
-  int64_t scrub_found = 0;
-  int64_t scrub_repairs = 0;
-  int64_t corrupt_served = 0;
-  uint64_t disk_rng_hash = 0;
-  uint64_t store_hash = 0;
-  // Revocation-scenario extras (all 0 outside --revocation).
-  int64_t spot_revocations = 0;
-  int64_t domain_outages = 0;
-  int64_t infeasible_outages = 0;
-  int64_t drains_started = 0;
-  int64_t drain_kills = 0;
-  int64_t drain_kills_infeasible = 0;
-  int64_t buckets_evacuated = 0;
-  int64_t evac_deadline_skipped = 0;
-  // Flash-crowd-scenario extras (all 0 outside --flashcrowd).
-  int64_t flash_crowds = 0;
-  int64_t trace_dropouts = 0;
-  int64_t divergences = 0;
-  int64_t guard_rejoins = 0;
-  int64_t guard_vetoes = 0;
-  int64_t plan_repairs = 0;
-  int64_t moves_truncated = 0;
-  // Partition-scenario extras (all 0 outside --partition).
-  int64_t net_partitions = 0;
-  int64_t suspicions = 0;
-  int64_t fenced_failovers = 0;
-  int64_t fenced_rejections = 0;
-  int64_t fenced_commits = 0;
-  int64_t msgs_sent = 0;
-  int64_t msgs_dropped = 0;
-  int64_t net_retransmits = 0;
-  int64_t net_duplicate_data = 0;
-  int64_t net_double_applies = 0;
-  // Telemetry dumps + their determinism digests.
-  std::string metrics_json;
-  std::string metrics_csv;
-  std::string spans;
-  std::string telemetry_events;
-  uint64_t metrics_fingerprint = 0;
-  uint64_t span_fingerprint = 0;
-  // Lifecycle tracing (all empty/0 unless --trace-sample > 0).
-  std::string txn_traces;
-  std::string trace_json;
-  uint64_t txn_trace_fingerprint = 0;
-  int64_t txns_sampled = 0;
-};
+constexpr const char* kUsage =
+    "usage: chaos_run [--scenario=NAME] [--seed=N] [--events=N] "
+    "[--out=DIR] [--trace-sample=P] [--list-scenarios]";
 
-RunResult RunOnce(uint64_t seed, int32_t num_events, bool spike,
-                  bool recovery, bool partition, bool corruption,
-                  bool revocation, bool flashcrowd, double trace_sample) {
-  // A tiny KV database: one table, Get and Put procedures. (Put is
-  // registered in every mode but only the recovery workload issues it,
-  // so the plain and spike scenarios are untouched.)
-  Catalog catalog;
-  const TableId table = *catalog.AddTable(Schema(
-      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
-  ProcedureRegistry registry;
-  const ProcedureId get = *registry.Register(ProcedureDef{
-      "Get",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        auto row = ctx.Get(table, req.key);
-        if (!row.ok()) {
-          r.status = row.status();
-        } else {
-          r.rows.push_back(std::move(row).MoveValueUnsafe());
-        }
-        return r;
-      },
-      1.0});
-  const ProcedureId put = *registry.Register(ProcedureDef{
-      "Put",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        r.status = ctx.Upsert(
-            table, Row({Value(req.key), req.args.empty()
-                                            ? Value(int64_t{0})
-                                            : req.args[0]}));
-        return r;
-      },
-      1.0});
+[[noreturn]] void Usage(const std::string& why) {
+  std::fprintf(stderr, "chaos_run: %s\n%s\n", why.c_str(), kUsage);
+  std::exit(2);
+}
 
-  Simulator sim;
-  EngineConfig config;
-  config.num_buckets = 64;
-  config.partitions_per_node = 2;
-  config.max_nodes = 8;
-  config.initial_nodes = 3;
-  config.txn_service_us_mean = 1000.0;
-  config.txn_service_cv = 0.0;
-  if (spike) {
-    // Slow the service down so the initial 3-node / 6-partition cluster
-    // saturates at ~300 txn/s: a 2x-8x load spike on the 100 txn/s base
-    // genuinely overloads it, exercising every shedding path.
-    config.txn_service_us_mean = 20000.0;
-    config.overload.enabled = true;
-    config.overload.max_queue_depth = 16;
-    config.overload.queue_deadline = 200 * kMillisecond;
-    config.overload.policy = overload::AdmissionPolicy::kPriorityShed;
-    config.overload.breaker.window = kSecond;
-    config.overload.breaker.shed_threshold = 0.2;
-    config.overload.breaker.min_samples = 20;
-    config.overload.breaker.cooldown = 3 * kSecond;
+/// Parses the whole of `text` as a T, or exits 2 naming `arg`.
+template <typename T>
+T ParseOrDie(std::string_view text, std::string_view arg) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+    Usage("malformed value in " + std::string(arg));
   }
-  if (recovery || partition || corruption || revocation) {
-    // k=1 backups, synchronous apply, chunked re-replication, and
-    // checkpoint + command-log replay on restart.
-    config.replication.enabled = true;
-    config.replication.k = 1;
-    config.replication.db_size_mb = 10.0;
-    config.replication.rebuild_chunk_kb = 100.0;
-    config.replication.rebuild_rate_kbps = 10000.0;
-    config.replication.wire_kbps = 100000.0;
-    config.replication.checkpoint_period = 5 * kSecond;
-  }
-  if (corruption) {
-    // Content-modeled durable records plus a scrubber fast enough to
-    // sweep every node's checkpoint + log a few times between the
-    // scripted live-node bit rot and the end of the run.
-    config.replication.durability.enabled = true;
-    config.replication.durability.scrub_rate_kbps = 64.0;
-  }
-  if (revocation) {
-    // Failure domains striped across the node index (n % 3), node 0
-    // on-demand, every other node spot-revocable.
-    config.topology.enabled = true;
-    config.topology.num_domains = 3;
-    config.topology.spot_from_node = 1;
-  }
-  if (partition) {
-    // The simulated message substrate with the default timer chain:
-    // 250 ms heartbeats, 1 s suspicion, 2 s lease, 4 s failover — so a
-    // partition longer than 4 s fences the isolated node and fails its
-    // buckets over, and a shorter one only suspends scale-ins.
-    config.net.enabled = true;
-  }
-  ClusterEngine engine(&sim, catalog, registry, config);
-  obs::TelemetryBundle telemetry;
-  telemetry.tracer.set_clock([&sim]() { return sim.Now(); });
-  if (trace_sample > 0) {
-    // A dedicated sampling stream: with the flag absent the recorder
-    // stays disabled, draws nothing, and every artifact above is
-    // byte-identical to an untraced run.
-    obs::TxnTraceRecorder::Config tc;
-    tc.sample_rate = trace_sample;
-    tc.seed = seed ^ 0xa0761d6478bd642fULL;
-    telemetry.txn_traces.Configure(tc);
-  }
-  engine.set_telemetry(telemetry.view());
-  const int64_t rows = 500;
-  for (int64_t k = 0; k < rows; ++k) {
-    if (!engine.LoadRow(table, Row({Value(k), Value(k)})).ok()) abort();
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  if (flashcrowd) {
-    // Slow the streams down (~11 s for a 3 -> 2 shrink) so the
-    // stale-forecast scale-in is still mid-flight when the guard
-    // detects the divergence — the plan-repair path needs a move to
-    // truncate.
-    migration.rate_kbps = 300;
-  }
-  MigrationExecutor migrator(&engine, migration);
-  migrator.set_telemetry(telemetry.view());
-  if (revocation) {
-    // A revocation notice immediately starts the deadline-aware
-    // evacuation: hottest buckets first, with replica promotion
-    // covering whatever the notice window cannot fit.
-    engine.set_drain_hook([&migrator](NodeId n, SimTime deadline) {
-      (void)migrator.StartEvacuation(n, deadline);
-    });
-  }
-
-  ReactiveConfig reactive;
-  reactive.q = 100.0;
-  reactive.q_hat = 125.0;
-  reactive.high_watermark = 0.9;
-  reactive.headroom = 0.10;
-  reactive.monitor_period = kSecond;
-  reactive.scale_in_hold = 5 * kSecond;
-  ReactiveController controller(&engine, &migrator, reactive);
-  if (!flashcrowd) {
-    controller.set_telemetry(telemetry.view());
-    if (spike) controller.set_overload(engine.admission());
-    controller.Start();
-  }
-
-  // Flash-crowd scenario: predictive control driven by a SPAR model
-  // fitted on four minutes of synthetic seasonal history (2 s slots),
-  // with the forecast-divergence guard armed. Started below, after the
-  // injector exists (the trace-dropout probe polls it).
-  SparConfig spar_config;
-  spar_config.period = 30;
-  spar_config.num_periods = 2;
-  spar_config.num_recent = 5;
-  SparPredictor spar(spar_config);
-  std::unique_ptr<PredictiveController> predictive;
-  if (flashcrowd) {
-    std::vector<double> history;
-    for (int32_t i = 0; i < 120; ++i) {
-      history.push_back(230.0 + 20.0 * std::sin(2.0 * M_PI * i / 30.0));
-    }
-    ControllerConfig pc;
-    pc.move_model.q = 100.0;
-    pc.move_model.partitions_per_node = 2;
-    // D: 10 MB at 300 kB/s is ~33 s -> ~0.56 "minutes".
-    pc.move_model.d_minutes = 0.6;
-    pc.move_model.interval_minutes = 2.0 / 60.0;  // 2 s control ticks.
-    pc.q_hat = 125.0;
-    pc.horizon_intervals = 8;
-    pc.prediction_inflation = 0.15;
-    pc.guard.enabled = true;
-    if (!spar.Fit(history, pc.horizon_intervals).ok()) abort();
-    predictive = std::make_unique<PredictiveController>(&engine, &migrator,
-                                                        &spar, pc);
-    predictive->set_telemetry(telemetry.view());
-    predictive->SeedHistory(std::move(history));
-  }
-
-  // Sample the registry once per virtual second (read-only: the tick
-  // never perturbs engine state, so traces match un-sampled runs).
-  obs::TimeseriesExporter exporter(&telemetry.metrics);
-  auto sample = std::make_shared<std::function<void()>>();
-  // Raw-pointer capture: `sample` outlives the run, and a shared_ptr
-  // capture would be a reference cycle that never frees the closure.
-  *sample = [&sim, &exporter, tick = sample.get()]() {
-    exporter.Sample(sim.Now());
-    sim.Schedule(kSecond, *tick);
-  };
-  sim.Schedule(0, *sample);
-
-  // The fault plan: drawn from the seed, except in --recovery, which
-  // scripts a fixed crash/lag/restart/crash sequence so the assertions
-  // (promotion, zero loss, one full replay) hold for every seed.
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  FaultPlan plan;
-  if (recovery) {
-    FaultEvent crash1;
-    crash1.at = 3 * kSecond;  // Races the 2 s scale-out's chunk streams.
-    crash1.type = FaultType::kNodeCrash;
-    crash1.scope = CrashScope::kPrimaryHeavy;
-    FaultEvent lag;
-    lag.at = 6 * kSecond;  // Overlaps re-replication of the crash.
-    lag.type = FaultType::kReplicaLag;
-    lag.duration = 10 * kSecond;
-    lag.stall = 2 * kMillisecond;
-    FaultEvent restart1;
-    restart1.at = 20 * kSecond;  // Checkpoint + log replay, then rejoin.
-    restart1.type = FaultType::kNodeRestart;
-    FaultEvent crash2;
-    crash2.at = 40 * kSecond;  // k already restored: still zero loss.
-    crash2.type = FaultType::kNodeCrash;
-    crash2.scope = CrashScope::kBackupHeavy;
-    FaultEvent restart2;
-    restart2.at = 55 * kSecond;
-    restart2.type = FaultType::kNodeRestart;
-    plan.events = {crash1, lag, restart1, crash2, restart2};
-  } else if (partition) {
-    // Scripted so the assertions (a fenced failover happened, nothing
-    // dual-committed, nothing applied twice) hold for every seed.
-    FaultEvent part1;
-    part1.at = 3 * kSecond;  // Races the 2 s scale-out's chunk streams.
-    part1.type = FaultType::kNetPartition;
-    part1.duration = 8 * kSecond;  // > failover_timeout: fences + fails over.
-    FaultEvent loss;
-    loss.at = 15 * kSecond;  // Over re-replication + retransmit traffic.
-    loss.type = FaultType::kNetLoss;
-    loss.duration = 10 * kSecond;
-    loss.probability = 0.2;
-    loss.dup_probability = 0.1;
-    FaultEvent delay;
-    delay.at = 30 * kSecond;
-    delay.type = FaultType::kNetDelay;
-    delay.duration = 10 * kSecond;
-    delay.stall = 5 * kMillisecond;
-    FaultEvent part2;
-    part2.at = 45 * kSecond;  // Second fence/heal cycle on a full-k map.
-    part2.type = FaultType::kNetPartition;
-    part2.duration = 6 * kSecond;
-    plan.events = {part1, loss, delay, part2};
-  } else if (corruption) {
-    // Scripted so the assertions (damage detected and degraded around,
-    // scrubber repaired the live node, zero corrupt records served,
-    // zero rows lost) hold for every seed.
-    FaultEvent crash1;
-    crash1.at = 3 * kSecond;  // Races the 2 s scale-out's chunk streams.
-    crash1.type = FaultType::kNodeCrash;
-    crash1.scope = CrashScope::kPrimaryHeavy;
-    FaultEvent rot_dead;
-    rot_dead.at = 5 * kSecond;  // Auto-targets the crashed node's disk.
-    rot_dead.type = FaultType::kDiskCorruption;
-    rot_dead.probability = 0.3;
-    FaultEvent tear;
-    tear.at = 6 * kSecond;  // Same dead disk: torn tail on top of rot.
-    tear.type = FaultType::kTornWrite;
-    tear.probability = 0.3;
-    FaultEvent restart1;
-    restart1.at = 20 * kSecond;  // Must detect the damage and degrade.
-    restart1.type = FaultType::kNodeRestart;
-    FaultEvent rot_live;
-    rot_live.at = 30 * kSecond;  // Everything is up: hits a LIVE disk,
-    rot_live.type = FaultType::kDiskCorruption;  // only the scrubber
-    rot_live.probability = 0.3;                  // can find + repair it.
-    FaultEvent stall;
-    stall.at = 38 * kSecond;  // Window covers the 40 s crash's restart
-    stall.type = FaultType::kDiskStall;  // replay and throttles scrub.
-    stall.duration = 20 * kSecond;
-    stall.load_scale = 4.0;
-    FaultEvent crash2;
-    crash2.at = 40 * kSecond;
-    crash2.type = FaultType::kNodeCrash;
-    crash2.scope = CrashScope::kBackupHeavy;
-    FaultEvent restart2;
-    restart2.at = 55 * kSecond;  // Replay stretched by the stall window.
-    restart2.type = FaultType::kNodeRestart;
-    plan.events = {crash1, rot_dead, tear, restart1,
-                   rot_live, stall, crash2, restart2};
-  } else if (revocation) {
-    // Scripted so the assertions (a generous notice evacuates before
-    // the kill, a short notice falls back to promotion, a domain
-    // outage loses nothing on a domain-diverse map) hold for every
-    // seed.
-    FaultEvent revoke1;
-    revoke1.at = 8 * kSecond;  // After the 2 s scale-out settles.
-    revoke1.type = FaultType::kSpotRevocation;
-    revoke1.duration = 20 * kSecond;  // Generous notice: evacuates all.
-    FaultEvent restart1;
-    restart1.at = 35 * kSecond;  // Revoked node rejoins, fresh instance.
-    restart1.type = FaultType::kNodeRestart;
-    FaultEvent outage;
-    outage.at = 45 * kSecond;  // Correlated crash of a whole domain.
-    outage.type = FaultType::kDomainOutage;
-    FaultEvent restart2;
-    restart2.at = 60 * kSecond;
-    restart2.type = FaultType::kNodeRestart;
-    FaultEvent restart3;
-    restart3.at = 62 * kSecond;
-    restart3.type = FaultType::kNodeRestart;
-    FaultEvent revoke2;
-    revoke2.at = 80 * kSecond;  // Notice shorter than one bucket's
-    revoke2.type = FaultType::kSpotRevocation;  // transfer time: every
-    revoke2.duration = 10 * kMillisecond;       // bucket misses the
-    plan.events = {revoke1, restart1, outage,   // deadline and promotes.
-                   restart2, restart3, revoke2};
-  } else if (flashcrowd) {
-    // Scripted so the assertions (divergence detected, predictive path
-    // vetoed, the mid-flight move truncated and re-planned, prediction
-    // rejoined) hold for every seed. The dropout opens WITH the crowd:
-    // the controller keeps seeing its last pre-crowd sample, so the
-    // stale-forecast scale-in below launches into the surge and the
-    // guard can only react once real telemetry returns at 40 s.
-    FaultEvent dropout;
-    dropout.at = 30 * kSecond;
-    dropout.type = FaultType::kTraceDropout;
-    dropout.duration = 10 * kSecond;
-    FaultEvent flash;
-    flash.at = 30 * kSecond;  // 3x of 230 txn/s needs 8 nodes at Q=100.
-    flash.type = FaultType::kFlashCrowd;
-    flash.duration = 32 * kSecond;
-    flash.load_scale = 3.0;
-    plan.events = {dropout, flash};
-  } else {
-    ChaosConfig chaos;
-    chaos.horizon = 90 * kSecond;
-    chaos.num_events = num_events;
-    chaos.max_window = 15 * kSecond;
-    chaos.max_stall = 2 * kSecond;
-    // kLoadSpike sits in a trailing zero-weight bucket, so giving it
-    // weight only changes which faults are drawn — never how many draws
-    // the plan Rng makes.
-    if (spike) chaos.load_spike_weight = 1.0;
-    plan = RandomFaultPlan(&plan_rng, chaos);
-  }
-
-  FaultInjector injector(&engine, &migrator, seed);
-  if (!injector.Arm(plan).ok()) abort();
-  if (flashcrowd) {
-    predictive->set_trace_dropout_probe(
-        [&injector]() { return injector.trace_dropout_active(); });
-    predictive->Start();
-  }
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  const double seconds = 120.0;
-  // Retry machinery for --spike (constructed unconditionally but only
-  // the spike generator consults it, so the plain path draws nothing).
-  overload::RetryPolicy retry_policy;
-  overload::RetryBudget retry_budget(retry_policy);
-  Rng retry_rng(seed ^ 0x94d049bb133111ebULL);
-  int64_t retries = 0, sheds_seen = 0;
-  auto resubmit =
-      std::make_shared<std::function<void(TxnRequest, int32_t)>>();
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  if (flashcrowd) {
-    // Self-scheduling generator: 230 txn/s base, multiplied live by the
-    // injector's offered_load_scale() — the flash-crowd surge raises
-    // what is *offered*, while the forecast path (which consults only
-    // load_scale()) never sees it coming. That asymmetry is the whole
-    // scenario.
-    const double base_rate = 230.0;
-    *generate = [&sim, &engine, &injector, get, rows, base_rate, seconds,
-                 self = generate.get()](int64_t i) {
-      if (sim.Now() >= SecondsToDuration(seconds)) return;
-      TxnRequest req;
-      req.proc = get;
-      req.key = (i * 48271) % rows;
-      engine.Submit(req);
-      const double rate = base_rate * injector.offered_load_scale();
-      const auto gap = static_cast<SimDuration>(1e6 / rate);
-      sim.Schedule(gap < 1 ? 1 : gap, [self, i]() { (*self)(i + 1); });
-    };
-    sim.Schedule(0, [self = generate.get()]() { (*self)(0); });
-    // A scale-in planned from the stale pre-crowd forecast, started
-    // inside the dropout window: exactly the wrong move, mid-flight
-    // when the guard detects the divergence — forcing the truncate +
-    // re-plan repair path rather than a clean handoff.
-    sim.ScheduleAt(38 * kSecond,
-                   [&migrator]() { (void)migrator.StartMove(2, nullptr); });
-  } else if (!spike) {
-    // Steady 40 txn/s for 120 virtual seconds: pure reads, except that
-    // the recovery and partition scenarios write one in four so the
-    // command log and the synchronous backup applies carry real traffic
-    // (and, under --partition, so the commit gate has writes to fence).
-    const double rate = 40.0;
-    for (int64_t i = 0; i < static_cast<int64_t>(rate * seconds); ++i) {
-      TxnRequest req;
-      req.key = (i * 48271) % rows;
-      if ((recovery || partition || corruption || revocation) &&
-          i % 4 == 0) {
-        req.proc = put;
-        req.args.push_back(Value(i));
-      } else {
-        req.proc = get;
-      }
-      sim.ScheduleAt(SecondsToDuration(i / rate),
-                     [&engine, req]() { engine.Submit(req); });
-    }
-    if (recovery || partition || corruption || revocation) {
-      // A scale-out racing the 3 s crash (or partition): the executor
-      // must abort or finish the move cleanly — retransmitting through
-      // the fault under --partition — and keep replica placement legal.
-      sim.ScheduleAt(2 * kSecond,
-                     [&migrator]() { (void)migrator.StartMove(5, nullptr); });
-    }
-  } else {
-    // Submit-with-retry: shed transactions re-enter after a jittered
-    // backoff, spending the token budget (dedicated Rng stream).
-    *resubmit = [&engine, &sim, &retry_budget, &retry_rng, &retries,
-                 &sheds_seen, &retry_policy,
-                 self = resubmit.get()](TxnRequest req, int32_t attempt) {
-      if (attempt == 0) retry_budget.OnRequest();
-      TxnRequest copy = req;
-      engine.Submit(
-          std::move(req),
-          [&sim, &retry_budget, &retry_rng, &retries, &sheds_seen,
-           &retry_policy, self, copy = std::move(copy),
-           attempt](const TxnResult& result) mutable {
-            if (!result.shed) return;
-            ++sheds_seen;
-            if (attempt + 1 >= retry_policy.max_attempts) return;
-            if (!retry_budget.TrySpend()) return;
-            ++retries;
-            const SimDuration backoff =
-                retry_budget.Backoff(attempt + 1, &retry_rng);
-            sim.Schedule(backoff,
-                         [self, copy = std::move(copy), attempt]() mutable {
-                           (*self)(std::move(copy), attempt + 1);
-                         });
-          });
-    };
-    // Self-scheduling generator: 100 txn/s base, multiplied live by the
-    // injector's load_scale(), so kLoadSpike windows really raise the
-    // offered load (deterministically — the scale is plan state, not a
-    // per-arrival draw).
-    const double base_rate = 100.0;
-    *generate = [&sim, &injector, get, rows, base_rate, seconds,
-                 submit = resubmit.get(),
-                 self = generate.get()](int64_t i) {
-      if (sim.Now() >= SecondsToDuration(seconds)) return;
-      TxnRequest req;
-      req.proc = get;
-      req.key = (i * 48271) % rows;
-      (*submit)(std::move(req), 0);
-      const double rate = base_rate * injector.load_scale();
-      const auto gap = static_cast<SimDuration>(1e6 / rate);
-      sim.Schedule(gap < 1 ? 1 : gap, [self, i]() { (*self)(i + 1); });
-    };
-    sim.Schedule(0, [self = generate.get()]() { (*self)(0); });
-  }
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  if (predictive != nullptr) predictive->Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 30));
-  checker.Check();
-
-  RunResult out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.fingerprint = injector.trace().Fingerprint();
-  out.crashes = injector.crashes();
-  out.restarts = injector.restarts();
-  out.chunk_faults = injector.chunk_faults();
-  out.chunk_retries = migrator.chunk_retries();
-  out.moves = static_cast<int64_t>(migrator.history().size());
-  out.moves_aborted = migrator.moves_aborted();
-  out.committed = engine.txns_committed();
-  out.checks = checker.checks_run();
-  out.violations = checker.violations().size();
-  out.events = sim.events_executed();
-  if (spike) {
-    out.shed = engine.txns_shed();
-    out.breaker_trips = engine.admission()->total_trips();
-    out.evictions = engine.admission()->evictions();
-    out.load_spikes = injector.load_spikes();
-    out.chunks_backpressured = migrator.chunks_backpressured();
-    out.retries = retries;
-    out.sheds_seen = sheds_seen;
-    out.safety_scale_outs = controller.scale_outs();
-  }
-  if (recovery || partition || corruption || revocation) {
-    out.promotions = engine.replication()->promotions();
-    out.rebuilds = engine.replication()->rebuilds_completed();
-    out.backup_applies = engine.replication()->applies();
-    out.replica_lags = injector.replica_lags();
-    out.recoveries = engine.recoveries();
-    out.rows_lost = engine.rows_lost();
-    out.degraded_at_end = engine.replication()->degraded_buckets();
-  }
-  if (corruption) {
-    const durability::ContentDurableStore* store =
-        engine.replication()->content();
-    out.disk_corruptions = injector.disk_corruptions();
-    out.torn_writes = injector.torn_writes();
-    out.disk_stalls = injector.disk_stalls();
-    out.records_corrupted = injector.records_corrupted();
-    out.crc_detected = store->crc_failures_detected();
-    out.torn_detected = store->torn_segments_detected();
-    out.fallbacks = store->checkpoint_fallbacks();
-    out.rereplicates = store->replays_unrecoverable();
-    out.scrub_found = store->scrub_corruptions_found();
-    out.scrub_repairs = store->scrub_repairs();
-    out.corrupt_served = store->corrupt_records_served();
-    out.disk_rng_hash = injector.disk_rng_state_hash();
-    out.store_hash = store->StateHash();
-  }
-  if (revocation) {
-    out.spot_revocations = injector.spot_revocations();
-    out.domain_outages = injector.domain_outages();
-    out.infeasible_outages = injector.infeasible_outages();
-    out.drains_started = engine.drains_started();
-    out.drain_kills = engine.drain_kills();
-    out.drain_kills_infeasible = engine.drain_kills_infeasible();
-    out.buckets_evacuated = migrator.buckets_evacuated();
-    out.evac_deadline_skipped = migrator.evacuations_deadline_skipped();
-  }
-  if (flashcrowd) {
-    out.flash_crowds = injector.flash_crowds();
-    out.trace_dropouts = injector.trace_dropouts();
-    out.divergences = predictive->guard_monitor()->divergences();
-    out.guard_rejoins = predictive->guard_monitor()->rejoins();
-    out.guard_vetoes = predictive->guard_vetoes();
-    out.plan_repairs = predictive->plan_repairs();
-    out.moves_truncated = migrator.moves_truncated();
-  }
-  if (partition) {
-    out.net_partitions = injector.net_partitions();
-    out.suspicions = engine.suspicions();
-    out.fenced_failovers = engine.fenced_failovers();
-    out.fenced_rejections = engine.fenced_rejections();
-    out.fenced_commits = engine.fenced_commits();
-    out.msgs_sent = engine.net()->messages_sent();
-    out.msgs_dropped = engine.net()->messages_dropped_partition() +
-                       engine.net()->messages_dropped_loss();
-    out.net_retransmits = migrator.net_retransmits();
-    out.net_duplicate_data = migrator.net_duplicate_data();
-    out.net_double_applies = migrator.net_double_applies();
-  }
-  out.metrics_json = telemetry.metrics.DumpJson();
-  out.metrics_csv = exporter.ToCsv();
-  out.spans = telemetry.tracer.ToString();
-  out.telemetry_events = telemetry.events.ToString();
-  out.metrics_fingerprint = telemetry.metrics.Fingerprint();
-  out.span_fingerprint = telemetry.tracer.Fingerprint();
-  if (trace_sample > 0) {
-    out.txn_traces = telemetry.txn_traces.ToString();
-    out.trace_json =
-        obs::ToChromeTraceJson(&telemetry.tracer, &telemetry.txn_traces);
-    out.txn_trace_fingerprint = telemetry.txn_traces.Fingerprint();
-    out.txns_sampled = telemetry.txn_traces.sampled();
-  }
-  if (!checker.violations().empty()) {
-    std::printf("INVARIANT VIOLATIONS:\n");
-    for (const auto& v : checker.violations()) {
-      std::printf("  %s\n", v.ToString().c_str());
-    }
-  }
-  return out;
+  return value;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string name = "plain";
   uint64_t seed = 42;
-  int32_t num_events = 10;
-  bool spike = false;
-  bool recovery = false;
-  bool partition = false;
-  bool corruption = false;
-  bool revocation = false;
-  bool flashcrowd = false;
-  bool list_scenarios = false;
-  double trace_sample = 0.0;
+  int32_t events = -1;  // -1: the row's own count.
   std::string out_dir;
+  double trace_sample = 0.0;
+  bool list = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--events=", 9) == 0) {
-      num_events = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_dir = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-      trace_sample = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strcmp(argv[i], "--spike") == 0) {
-      spike = true;
-    } else if (std::strcmp(argv[i], "--recovery") == 0) {
-      recovery = true;
-    } else if (std::strcmp(argv[i], "--partition") == 0) {
-      partition = true;
-    } else if (std::strcmp(argv[i], "--corruption") == 0) {
-      corruption = true;
-    } else if (std::strcmp(argv[i], "--revocation") == 0) {
-      revocation = true;
-    } else if (std::strcmp(argv[i], "--flashcrowd") == 0) {
-      flashcrowd = true;
-    } else if (std::strcmp(argv[i], "--list-scenarios") == 0) {
-      list_scenarios = true;
+    const std::string_view arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string_view flag = arg.substr(0, eq);
+    const std::string_view value =
+        eq == std::string_view::npos ? "" : arg.substr(eq + 1);
+    if (arg == "--list-scenarios") {
+      list = true;
+    } else if (flag == "--scenario" && !value.empty()) {
+      name = value;
+    } else if (flag == "--seed") {
+      seed = ParseOrDie<uint64_t>(value, arg);
+    } else if (flag == "--events") {
+      events = ParseOrDie<int32_t>(value, arg);
+      if (events < 0) Usage("--events must be >= 0");
+    } else if (flag == "--out" && !value.empty()) {
+      out_dir = value;
+    } else if (flag == "--trace-sample") {
+      trace_sample = ParseOrDie<double>(value, arg);
+      if (!(trace_sample > 0 && trace_sample <= 1)) {
+        Usage("--trace-sample must be in (0, 1]");
+      }
+    } else {
+      Usage("unknown argument " + std::string(arg));
     }
   }
-  if (list_scenarios) {
-    std::printf(
-        "scenarios:\n"
-        "  (default)     seeded random fault mix: crashes, restarts, "
-        "migration stalls, chunk failures, misforecast windows\n"
-        "  --spike       overload: load-spike windows against bounded "
-        "queues, shedding, breakers and a client retry budget\n"
-        "  --recovery    replication: scripted crash/lag/restart/crash "
-        "with promotion failover and re-replication\n"
-        "  --partition   network: scripted partitions, loss/duplication "
-        "and delay windows over the message substrate\n"
-        "  --corruption  durability: scripted bit rot, torn writes and "
-        "disk stalls against the content-modeled store\n"
-        "  --revocation  topology: scripted spot-revocation notices "
-        "(graceful drain + deadline evacuation) and a domain outage\n"
-        "  --flashcrowd  guard: scripted unforecast flash crowd under a "
-        "telemetry dropout, with divergence handoff and plan repair\n");
+  if (list) {
+    for (const scenario::Scenario& s : scenario::Scenarios()) {
+      std::printf("%-18s %s\n", s.name.c_str(), s.summary.c_str());
+    }
     return 0;
   }
-  if (spike + recovery + partition + corruption + revocation + flashcrowd >
-      1) {
-    std::fprintf(stderr,
-                 "--spike, --recovery, --partition, --corruption, "
-                 "--revocation and --flashcrowd are exclusive\n");
-    return 2;
+  const scenario::Scenario* row = scenario::FindScenario(name);
+  if (row == nullptr) {
+    Usage("unknown scenario '" + name + "' (see --list-scenarios)");
   }
+  scenario::Scenario s = *row;
+  if (events >= 0) s.chaos.num_events = events;
 
-  std::printf(
-      "chaos run, seed %llu, %d fault events%s\n",
-      static_cast<unsigned long long>(seed), num_events,
-      spike ? ", overload scenario"
-            : recovery
-                  ? ", recovery scenario (scripted plan)"
-                  : partition
-                        ? ", partition scenario (scripted plan)"
-                        : corruption
-                              ? ", durability scenario (scripted plan)"
-                              : revocation
-                                    ? ", revocation scenario "
-                                      "(scripted plan)"
-                                    : flashcrowd
-                                          ? ", flash-crowd scenario "
-                                            "(scripted plan)"
-                                          : "");
-  const RunResult first = RunOnce(seed, num_events, spike, recovery,
-                                  partition, corruption, revocation,
-                                  flashcrowd, trace_sample);
+  std::printf("chaos run: scenario %s, seed %llu, %s\n", s.name.c_str(),
+              static_cast<unsigned long long>(seed),
+              s.script.empty()
+                  ? ("random plan of " + std::to_string(s.chaos.num_events) +
+                     " events")
+                        .c_str()
+                  : "scripted plan");
+  scenario::ScenarioTelemetry telemetry{trace_sample};
+  const scenario::ScenarioResult first =
+      scenario::RunScenario(s, seed, &telemetry);
   std::printf("\nfault plan:\n%s", first.plan.c_str());
   std::printf("\nevent trace:\n%s", first.trace.c_str());
-  std::printf(
-      "\nsummary: %lld crashes, %lld restarts, %lld chunk faults, "
-      "%lld retries, %lld moves (%lld aborted), %lld txns committed, "
-      "%lld invariant checks, %zu violations\n",
-      static_cast<long long>(first.crashes),
-      static_cast<long long>(first.restarts),
-      static_cast<long long>(first.chunk_faults),
-      static_cast<long long>(first.chunk_retries),
-      static_cast<long long>(first.moves),
-      static_cast<long long>(first.moves_aborted),
-      static_cast<long long>(first.committed),
-      static_cast<long long>(first.checks), first.violations);
-  if (spike) {
-    std::printf(
-        "overload: %lld load spikes, %lld txns shed, %lld evictions, "
-        "%lld breaker trips, %lld chunks backpressured, %lld sheds seen "
-        "by client, %lld retries, %lld scale-outs\n",
-        static_cast<long long>(first.load_spikes),
-        static_cast<long long>(first.shed),
-        static_cast<long long>(first.evictions),
-        static_cast<long long>(first.breaker_trips),
-        static_cast<long long>(first.chunks_backpressured),
-        static_cast<long long>(first.sheds_seen),
-        static_cast<long long>(first.retries),
-        static_cast<long long>(first.safety_scale_outs));
+  std::printf("\ncounters:\n");
+  for (const auto& [counter, value] : first.counters) {
+    std::printf("  %-24s %lld\n", counter.c_str(),
+                static_cast<long long>(value));
   }
-  if (partition) {
-    std::printf(
-        "partition: %lld partitions, %lld suspicions, %lld fenced "
-        "failovers, %lld rejections, %lld fenced commits, %lld msgs sent "
-        "(%lld dropped), %lld retransmits, %lld dup chunks, "
-        "%lld double applies, %lld rows lost, %lld degraded at end\n",
-        static_cast<long long>(first.net_partitions),
-        static_cast<long long>(first.suspicions),
-        static_cast<long long>(first.fenced_failovers),
-        static_cast<long long>(first.fenced_rejections),
-        static_cast<long long>(first.fenced_commits),
-        static_cast<long long>(first.msgs_sent),
-        static_cast<long long>(first.msgs_dropped),
-        static_cast<long long>(first.net_retransmits),
-        static_cast<long long>(first.net_duplicate_data),
-        static_cast<long long>(first.net_double_applies),
-        static_cast<long long>(first.rows_lost),
-        static_cast<long long>(first.degraded_at_end));
+  if (!first.violations.empty()) {
+    std::printf("INVARIANT VIOLATIONS:\n");
+    for (const std::string& v : first.violations) {
+      std::printf("  %s\n", v.c_str());
+    }
   }
-  if (flashcrowd) {
-    std::printf(
-        "guard: %lld flash crowds, %lld trace dropouts, %lld divergences, "
-        "%lld rejoins, %lld vetoes, %lld plan repairs, %lld moves "
-        "truncated, %lld moves total (%lld aborted)\n",
-        static_cast<long long>(first.flash_crowds),
-        static_cast<long long>(first.trace_dropouts),
-        static_cast<long long>(first.divergences),
-        static_cast<long long>(first.guard_rejoins),
-        static_cast<long long>(first.guard_vetoes),
-        static_cast<long long>(first.plan_repairs),
-        static_cast<long long>(first.moves_truncated),
-        static_cast<long long>(first.moves),
-        static_cast<long long>(first.moves_aborted));
-  }
-  if (trace_sample > 0) {
-    std::printf("tracing: %lld txns sampled at rate %g, fingerprint "
-                "%016llx\n",
-                static_cast<long long>(first.txns_sampled), trace_sample,
-                static_cast<unsigned long long>(first.txn_trace_fingerprint));
-  }
-  if (corruption) {
-    std::printf(
-        "durability: %lld corruptions (%lld records), %lld torn writes, "
-        "%lld stall windows; detected %lld crc + %lld torn, "
-        "%lld fallbacks, %lld re-replications, scrub found %lld / "
-        "repaired %lld, %lld corrupt served, %lld rows lost, "
-        "%lld recoveries\n",
-        static_cast<long long>(first.disk_corruptions),
-        static_cast<long long>(first.records_corrupted),
-        static_cast<long long>(first.torn_writes),
-        static_cast<long long>(first.disk_stalls),
-        static_cast<long long>(first.crc_detected),
-        static_cast<long long>(first.torn_detected),
-        static_cast<long long>(first.fallbacks),
-        static_cast<long long>(first.rereplicates),
-        static_cast<long long>(first.scrub_found),
-        static_cast<long long>(first.scrub_repairs),
-        static_cast<long long>(first.corrupt_served),
-        static_cast<long long>(first.rows_lost),
-        static_cast<long long>(first.recoveries));
-  }
-  if (revocation) {
-    std::printf(
-        "revocation: %lld notices, %lld drain kills (%lld infeasible), "
-        "%lld buckets evacuated, %lld left to promotion, %lld domain "
-        "outages (%lld infeasible), %lld promotions, %lld rows lost, "
-        "%lld degraded at end\n",
-        static_cast<long long>(first.spot_revocations),
-        static_cast<long long>(first.drain_kills),
-        static_cast<long long>(first.drain_kills_infeasible),
-        static_cast<long long>(first.buckets_evacuated),
-        static_cast<long long>(first.evac_deadline_skipped),
-        static_cast<long long>(first.domain_outages),
-        static_cast<long long>(first.infeasible_outages),
-        static_cast<long long>(first.promotions),
-        static_cast<long long>(first.rows_lost),
-        static_cast<long long>(first.degraded_at_end));
-  }
-  if (recovery) {
-    std::printf(
-        "recovery: %lld promotions, %lld rebuilds, %lld backup applies, "
-        "%lld lag windows, %lld node recoveries, %lld rows lost, "
-        "%lld buckets degraded at end\n",
-        static_cast<long long>(first.promotions),
-        static_cast<long long>(first.rebuilds),
-        static_cast<long long>(first.backup_applies),
-        static_cast<long long>(first.replica_lags),
-        static_cast<long long>(first.recoveries),
-        static_cast<long long>(first.rows_lost),
-        static_cast<long long>(first.degraded_at_end));
+  if (!first.status.ok()) {
+    std::printf("final audit: %s\n", first.status.ToString().c_str());
   }
 
   if (!out_dir.empty()) {
-    const bool wrote =
-        obs::WriteStringToFile(out_dir + "/metrics.json",
-                               first.metrics_json) &&
-        obs::WriteStringToFile(out_dir + "/metrics.csv", first.metrics_csv) &&
-        obs::WriteStringToFile(out_dir + "/spans.txt", first.spans) &&
-        obs::WriteStringToFile(out_dir + "/events.txt",
-                               first.telemetry_events) &&
-        obs::WriteStringToFile(out_dir + "/fault_trace.txt", first.trace);
-    // Trace artifacts exist only when tracing is on, so untraced out
-    // dirs stay byte-identical to pre-tracing runs.
-    const bool wrote_traces =
-        trace_sample <= 0 ||
-        (obs::WriteStringToFile(out_dir + "/txn_traces.txt",
-                                first.txn_traces) &&
-         obs::WriteStringToFile(out_dir + "/trace.json", first.trace_json));
-    std::printf("\ntelemetry %s to %s\n",
-                wrote && wrote_traces ? "written" : "FAILED to write",
+    bool wrote = true;
+    for (const auto& [file, contents] : telemetry.artifacts) {
+      wrote = wrote && obs::WriteStringToFile(out_dir + "/" + file, contents);
+    }
+    std::printf("\ntelemetry %s to %s\n", wrote ? "written" : "FAILED to write",
                 out_dir.c_str());
-    if (!wrote || !wrote_traces) return 1;
+    if (!wrote) return 1;
   }
 
-  // Replay: the same seed must reproduce the run exactly — the fault
-  // trace, the metric dump and the span trace all fingerprint-equal.
-  const RunResult second = RunOnce(seed, num_events, spike, recovery,
-                                   partition, corruption, revocation,
-                                   flashcrowd, trace_sample);
-  const bool replay_ok =
-      first.fingerprint == second.fingerprint &&
-      first.events == second.events &&
-      first.metrics_fingerprint == second.metrics_fingerprint &&
-      first.span_fingerprint == second.span_fingerprint &&
-      first.txn_trace_fingerprint == second.txn_trace_fingerprint &&
-      first.txns_sampled == second.txns_sampled &&
-      first.metrics_csv == second.metrics_csv &&
-      first.shed == second.shed && first.retries == second.retries &&
-      first.breaker_trips == second.breaker_trips &&
-      first.promotions == second.promotions &&
-      first.backup_applies == second.backup_applies &&
-      first.recoveries == second.recoveries &&
-      first.msgs_sent == second.msgs_sent &&
-      first.msgs_dropped == second.msgs_dropped &&
-      first.net_retransmits == second.net_retransmits &&
-      first.suspicions == second.suspicions &&
-      first.disk_rng_hash == second.disk_rng_hash &&
-      first.store_hash == second.store_hash &&
-      first.crc_detected == second.crc_detected &&
-      first.scrub_repairs == second.scrub_repairs &&
-      first.drains_started == second.drains_started &&
-      first.drain_kills == second.drain_kills &&
-      first.buckets_evacuated == second.buckets_evacuated &&
-      first.evac_deadline_skipped == second.evac_deadline_skipped &&
-      first.divergences == second.divergences &&
-      first.guard_rejoins == second.guard_rejoins &&
-      first.guard_vetoes == second.guard_vetoes &&
-      first.plan_repairs == second.plan_repairs &&
-      first.moves_truncated == second.moves_truncated;
-  std::printf("\nreplay: trace fingerprints %016llx vs %016llx, "
-              "metrics %016llx vs %016llx, spans %016llx vs %016llx -> %s\n",
+  // Replay: the same seed must reproduce the run exactly.
+  scenario::ScenarioTelemetry replay_telemetry{trace_sample};
+  const scenario::ScenarioResult second =
+      scenario::RunScenario(s, seed, &replay_telemetry);
+  std::string diff = scenario::FirstDifference(first, second);
+  if (diff.empty() && telemetry.artifacts != replay_telemetry.artifacts) {
+    diff = "telemetry artifacts differ";
+  }
+  std::printf("\nreplay: trace fingerprints %016llx vs %016llx -> %s%s\n",
               static_cast<unsigned long long>(first.fingerprint),
               static_cast<unsigned long long>(second.fingerprint),
-              static_cast<unsigned long long>(first.metrics_fingerprint),
-              static_cast<unsigned long long>(second.metrics_fingerprint),
-              static_cast<unsigned long long>(first.span_fingerprint),
-              static_cast<unsigned long long>(second.span_fingerprint),
-              replay_ok ? "IDENTICAL" : "MISMATCH");
+              diff.empty() ? "IDENTICAL" : "MISMATCH: ", diff.c_str());
 
-  // Recovery acceptance: the crash promoted (not teleported), every
-  // committed row survived, the restarted node replayed exactly twice,
-  // and re-replication restored full k before the end of the run.
-  const bool recovery_ok =
-      !recovery ||
-      (first.promotions > 0 && first.rebuilds > 0 &&
-       first.backup_applies > 0 && first.replica_lags == 1 &&
-       first.recoveries == 2 && first.rows_lost == 0 &&
-       first.degraded_at_end == 0);
-  // Partition acceptance: both fence/heal cycles opened, suspicion and
-  // at least one fenced failover fired, retransmission carried the move
-  // through the fault windows — and the safety tripwires stayed at zero
-  // (no dual-commit, no double apply, no rows lost, full k at the end).
-  const bool partition_ok =
-      !partition ||
-      (first.net_partitions == 2 && first.suspicions > 0 &&
-       first.fenced_failovers > 0 && first.msgs_dropped > 0 &&
-       first.net_retransmits > 0 && first.fenced_commits == 0 &&
-       first.net_double_applies == 0 && first.rows_lost == 0 &&
-       first.degraded_at_end == 0);
-  // Durability acceptance: all three disk faults fired, the damaged
-  // restart *detected* (crc + torn) and degraded (fallback or wire
-  // re-replication), the scrubber found and repaired the live node's
-  // bit rot, both crashed nodes recovered, and the hard lines held —
-  // zero corrupt records served, zero committed rows lost, full k.
-  const bool corruption_ok =
-      !corruption ||
-      (first.disk_corruptions == 2 && first.torn_writes == 1 &&
-       first.disk_stalls == 1 && first.records_corrupted > 0 &&
-       first.crc_detected > 0 && first.torn_detected > 0 &&
-       first.fallbacks + first.rereplicates > 0 &&
-       first.scrub_found > 0 && first.scrub_repairs > 0 &&
-       first.corrupt_served == 0 && first.recoveries == 2 &&
-       first.rows_lost == 0 && first.degraded_at_end == 0);
-  // Revocation acceptance: both notices fired and hard-killed on
-  // deadline, the generous notice really evacuated, the short notice
-  // really fell back to promotion, the domain outage was survivable
-  // (domain-diverse placement in force) — and the hard lines held:
-  // zero committed rows lost, full k restored by the end.
-  const bool revocation_ok =
-      !revocation ||
-      (first.spot_revocations == 2 && first.domain_outages == 1 &&
-       first.drains_started == 2 && first.drain_kills == 2 &&
-       first.buckets_evacuated > 0 && first.evac_deadline_skipped > 0 &&
-       first.promotions > 0 && first.infeasible_outages == 0 &&
-       first.drain_kills_infeasible == 0 && first.rows_lost == 0 &&
-       first.degraded_at_end == 0);
-  // Flash-crowd acceptance: both control-plane fault windows opened,
-  // the guard diverged and (after the crowd passed) rejoined, the
-  // predictive path was vetoed while diverged, and the stale scale-in
-  // was truncated mid-flight and re-planned — exactly once — with the
-  // plan-repair invariant audits silent throughout.
-  const bool flashcrowd_ok =
-      !flashcrowd ||
-      (first.flash_crowds == 1 && first.trace_dropouts == 1 &&
-       first.divergences >= 1 && first.guard_rejoins >= 1 &&
-       first.guard_vetoes > 0 && first.plan_repairs == 1 &&
-       first.moves_truncated == 1);
-  const bool ok = first.violations == 0 && second.violations == 0 &&
-                  replay_ok && recovery_ok && partition_ok &&
-                  corruption_ok && revocation_ok && flashcrowd_ok;
+  bool ok = diff.empty() && first.status.ok() && first.violations.empty() &&
+            second.violations.empty();
+  for (const scenario::Check& check : s.accept) {
+    if (!first.status.ok()) break;  // A failed setup has no counters.
+    const bool holds = scenario::Holds(check, first);
+    std::printf("accept: %s %s %lld (got %lld) -> %s\n", check.counter,
+                scenario::OpName(check.op),
+                static_cast<long long>(check.bound),
+                static_cast<long long>(first.counter(check.counter)),
+                holds ? "ok" : "FAILED");
+    ok = ok && holds;
+  }
   std::printf("%s\n", ok ? "chaos run PASSED" : "chaos run FAILED");
   return ok ? 0 : 1;
 }

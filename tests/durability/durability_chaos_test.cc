@@ -1,168 +1,27 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "../test_util.h"
-#include "durability/content_store.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
 
-/// Chaos property tests for the durability stack (DESIGN.md §14):
-/// random plans mixing crash/restart with the storage faults (bit rot,
-/// torn writes, disk stalls) against a k=1 cluster with the
-/// content-modeled store and an active scrubber. Every seed must keep
-/// the durability tripwire at zero (no corrupt record is ever replayed
-/// into live state), lose no committed rows, and pass every placement /
-/// row-set invariant; same-seed runs must replay byte-identically down
-/// to the durable store's digest.
+/// Chaos property tests for the durability stack (DESIGN.md §14;
+/// scenario row "durability_sweep"): random plans mixing crash/restart
+/// with the storage faults (bit rot, torn writes, disk stalls) against a
+/// k=1 cluster with the content-modeled store and an active scrubber.
+/// Every seed must keep the durability tripwire at zero (no corrupt
+/// record is ever replayed into live state), lose no committed rows, and
+/// pass every placement / row-set invariant; same-seed runs must replay
+/// byte-identically down to the durable store's digest (the store_hash
+/// counter).
 
 namespace pstore {
 namespace {
 
-using testing_util::MakeKvDatabase;
-using testing_util::SmallEngineConfig;
+using testing_util::ExpectNoViolations;
 
-struct DurabilityOutcome {
-  std::string plan;
-  std::string trace;
-  uint64_t trace_fingerprint = 0;
-  uint64_t store_hash = 0;
-  std::vector<std::string> violations;
-  int64_t events_executed = 0;
-  int64_t committed = 0;
-  int64_t crashes = 0;
-  int64_t restarts = 0;
-  int64_t disk_corruptions = 0;
-  int64_t torn_writes = 0;
-  int64_t disk_stalls = 0;
-  int64_t records_corrupted = 0;
-  int64_t records_torn = 0;
-  int64_t crc_detected = 0;
-  int64_t torn_detected = 0;
-  int64_t fallbacks = 0;
-  int64_t rereplicates = 0;
-  int64_t scrub_found = 0;
-  int64_t scrub_repairs = 0;
-  int64_t corrupt_served = 0;
-  int64_t recoveries = 0;
-  int64_t rows_lost = 0;
-};
-
-/// One seeded durability-chaos run: 3 nodes, k=1, mixed Put/Get load,
-/// content-modeled store with a 64 kB/s scrubber, and a random plan
-/// weighted toward crash/restart plus all three storage faults.
-DurabilityOutcome RunDurabilityChaos(uint64_t seed) {
-  auto db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = SmallEngineConfig();
-  config.initial_nodes = 3;
-  config.txn_service_us_mean = 5000.0;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
-  config.replication.checkpoint_period = 5 * kSecond;
-  config.replication.durability.enabled = true;
-  config.replication.durability.scrub_rate_kbps = 64.0;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  ChaosConfig chaos;
-  chaos.horizon = 40 * kSecond;
-  chaos.num_events = 8;
-  chaos.max_window = 10 * kSecond;
-  // Crash/restart keep restart-replay validation busy; the three
-  // storage faults damage disks under it; everything else stays off so
-  // failures implicate the durability machinery.
-  chaos.crash_weight = 2.0;
-  chaos.restart_weight = 2.0;
-  chaos.stall_weight = 0.0;
-  chaos.chunk_failure_weight = 0.0;
-  chaos.misforecast_weight = 0.0;
-  chaos.disk_corruption_weight = 2.0;
-  chaos.torn_write_weight = 1.0;
-  chaos.disk_stall_weight = 1.0;
-  FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // 100 txn/s, 1-in-4 writes (the write stream keeps the command logs
-  // and backups busy).
-  const double seconds = 60.0;
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest req;
-    req.key = (i * 48271) % rows;
-    if (i % 4 == 0) {
-      req.proc = db.put;
-      req.args.push_back(Value(i));
-    } else {
-      req.proc = db.get;
-    }
-    engine.Submit(std::move(req));
-    sim.Schedule(10 * kMillisecond, [&, i]() { (*generate)(i + 1); });
-  };
-  sim.Schedule(0, [&]() { (*generate)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 60));
-
-  Status final_check = checker.Check();
-  EXPECT_TRUE(final_check.ok()) << final_check.ToString();
-
-  const durability::ContentDurableStore* store =
-      engine.replication()->content();
-  EXPECT_NE(store, nullptr);
-
-  DurabilityOutcome out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.trace_fingerprint = injector.trace().Fingerprint();
-  out.store_hash = store->StateHash();
-  for (const InvariantViolation& v : checker.violations()) {
-    out.violations.push_back(v.ToString());
-  }
-  out.events_executed = sim.events_executed();
-  out.committed = engine.txns_committed();
-  out.crashes = injector.crashes();
-  out.restarts = injector.restarts();
-  out.disk_corruptions = injector.disk_corruptions();
-  out.torn_writes = injector.torn_writes();
-  out.disk_stalls = injector.disk_stalls();
-  out.records_corrupted = store->records_corrupted();
-  out.records_torn = store->records_torn();
-  out.crc_detected = store->crc_failures_detected();
-  out.torn_detected = store->torn_segments_detected();
-  out.fallbacks = store->checkpoint_fallbacks();
-  out.rereplicates = store->replays_unrecoverable();
-  out.scrub_found = store->scrub_corruptions_found();
-  out.scrub_repairs = store->scrub_repairs();
-  out.corrupt_served = store->corrupt_records_served();
-  out.recoveries = engine.recoveries();
-  out.rows_lost = engine.rows_lost();
-  return out;
+/// 3 nodes, k=1, mixed Put/Get load, content-modeled store with a
+/// 64 kB/s scrubber, and a random plan weighted toward crash/restart
+/// plus all three storage faults.
+scenario::ScenarioResult RunDurabilityChaos(uint64_t seed) {
+  return testing_util::RunRow("durability_sweep", seed);
 }
 
 // The 50-seed sweep is sharded 5 seeds per ctest unit so `ctest -j`
@@ -175,19 +34,15 @@ class DurabilitySeedShard : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DurabilitySeedShard, NoCorruptRecordServedAndNoRowLost) {
   const uint64_t first = GetParam();
   for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const DurabilityOutcome out = RunDurabilityChaos(seed);
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violations; first: " << out.violations[0] << "\nplan:\n"
-        << out.plan << "\ntrace:\n"
-        << out.trace;
+    const scenario::ScenarioResult out = RunDurabilityChaos(seed);
+    ExpectNoViolations(seed, out);
     // The tripwire: damaged bits must never reach live state, no
     // matter what the plan did to the disks.
-    EXPECT_EQ(out.corrupt_served, 0) << "seed " << seed;
+    EXPECT_EQ(out.counter("corrupt_served"), 0) << "seed " << seed;
     // k=1 and at most one node down at a time: every committed row
     // survives every plan.
-    EXPECT_EQ(out.rows_lost, 0) << "seed " << seed;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+    EXPECT_EQ(out.counter("rows_lost"), 0) << "seed " << seed;
+    EXPECT_GT(out.counter("committed"), 0) << "seed " << seed;
   }
 }
 
@@ -204,16 +59,16 @@ TEST(DurabilityChaosTest, SweepExercisesDurabilityMachinery) {
   int64_t damaged = 0, detected = 0, scrub_found = 0, scrub_repairs = 0;
   int64_t escalations = 0, recoveries = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const DurabilityOutcome out = RunDurabilityChaos(seed);
-    corruptions += out.disk_corruptions;
-    tears += out.torn_writes;
-    stalls += out.disk_stalls;
-    damaged += out.records_corrupted + out.records_torn;
-    detected += out.crc_detected + out.torn_detected;
-    scrub_found += out.scrub_found;
-    scrub_repairs += out.scrub_repairs;
-    escalations += out.fallbacks + out.rereplicates;
-    recoveries += out.recoveries;
+    const scenario::ScenarioResult out = RunDurabilityChaos(seed);
+    corruptions += out.counter("disk_corruptions");
+    tears += out.counter("torn_writes");
+    stalls += out.counter("disk_stalls");
+    damaged += out.counter("records_corrupted") + out.counter("records_torn");
+    detected += out.counter("crc_detected") + out.counter("torn_detected");
+    scrub_found += out.counter("scrub_found");
+    scrub_repairs += out.counter("scrub_repairs");
+    escalations += out.counter("escalations");
+    recoveries += out.counter("recoveries");
   }
   EXPECT_GT(corruptions, 2);
   EXPECT_GT(tears, 1);
@@ -227,28 +82,11 @@ TEST(DurabilityChaosTest, SweepExercisesDurabilityMachinery) {
 }
 
 TEST(DurabilityChaosTest, SameSeedReplaysIdenticallyDownToTheStore) {
-  const DurabilityOutcome a = RunDurabilityChaos(42);
-  const DurabilityOutcome b = RunDurabilityChaos(42);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.store_hash, b.store_hash);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.records_corrupted, b.records_corrupted);
-  EXPECT_EQ(a.records_torn, b.records_torn);
-  EXPECT_EQ(a.crc_detected, b.crc_detected);
-  EXPECT_EQ(a.scrub_repairs, b.scrub_repairs);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.rows_lost, b.rows_lost);
-  EXPECT_TRUE(a.violations.empty());
+  testing_util::ExpectReplaysIdentically("durability_sweep");
 }
 
 TEST(DurabilityChaosTest, DifferentSeedsDiverge) {
-  const DurabilityOutcome a = RunDurabilityChaos(3);
-  const DurabilityOutcome b = RunDurabilityChaos(4);
-  EXPECT_NE(a.plan, b.plan);
-  EXPECT_NE(a.trace_fingerprint, b.trace_fingerprint);
+  testing_util::ExpectSeedsDiverge("durability_sweep");
 }
 
 }  // namespace

@@ -1,119 +1,19 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "../test_util.h"
-#include "core/reactive_controller.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
+
+/// The fault sweep (scenario row "fault_sweep"): a 3-node cluster with
+/// 200 preloaded rows under a steady read-only load and a reactive
+/// controller, with a random crash/restart/stall/chunk/misforecast plan
+/// derived from each seed and an invariant check every virtual second.
 
 namespace pstore {
 namespace {
 
-using testing_util::MakeKvDatabase;
-using testing_util::SmallEngineConfig;
+using testing_util::ExpectNoViolations;
 
-/// Everything observable about one chaos run, for property and golden
-/// (replay-identity) assertions.
-struct ChaosOutcome {
-  std::string plan;
-  std::string trace;
-  uint64_t trace_fingerprint = 0;
-  std::vector<MoveRecord> history;
-  std::vector<std::string> violations;
-  int64_t events_executed = 0;
-  int64_t committed = 0;
-  int64_t checks_run = 0;
-  int64_t crashes = 0;
-  uint64_t rng_state = 0;
-  double kb_moved = 0;
-};
-
-/// One fully seeded chaos run: a 3-node cluster with 200 preloaded rows
-/// under a steady read-only load and a reactive controller, with a
-/// random fault plan derived from `seed` and an invariant check every
-/// virtual second. Deterministic: identical seeds must produce
-/// byte-identical outcomes.
-ChaosOutcome RunChaos(uint64_t seed) {
-  auto db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = SmallEngineConfig();
-  config.initial_nodes = 3;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  ReactiveConfig reactive;
-  reactive.q = 100.0;
-  reactive.q_hat = 125.0;
-  reactive.high_watermark = 0.9;
-  reactive.headroom = 0.10;
-  reactive.monitor_period = kSecond;
-  reactive.scale_in_hold = 5 * kSecond;
-  ReactiveController controller(&engine, &migrator, reactive);
-  controller.Start();
-
-  // The plan itself is drawn from the seed, so one integer reproduces
-  // the entire run.
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  ChaosConfig chaos;
-  chaos.horizon = 60 * kSecond;
-  chaos.num_events = 8;
-  chaos.max_window = 10 * kSecond;
-  chaos.max_stall = 2 * kSecond;
-  FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // Steady read-only load (conservation stays exact under Gets).
-  const double rate = 40.0, seconds = 80.0;
-  const int64_t n = static_cast<int64_t>(rate * seconds);
-  for (int64_t i = 0; i < n; ++i) {
-    TxnRequest get;
-    get.proc = db.get;
-    get.key = (i * 48271) % rows;
-    sim.ScheduleAt(SecondsToDuration(i / rate),
-                   [&engine, get]() { engine.Submit(get); });
-  }
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 30));  // drain in-flight work
-
-  Status final_check = checker.Check();
-  EXPECT_TRUE(final_check.ok()) << final_check.ToString();
-
-  ChaosOutcome out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.trace_fingerprint = injector.trace().Fingerprint();
-  out.history = migrator.history();
-  for (const InvariantViolation& v : checker.violations()) {
-    out.violations.push_back(v.ToString());
-  }
-  out.events_executed = sim.events_executed();
-  out.committed = engine.txns_committed();
-  out.checks_run = checker.checks_run();
-  out.crashes = injector.crashes();
-  out.rng_state = injector.rng_state_hash();
-  out.kb_moved = migrator.total_kb_moved();
-  return out;
+scenario::ScenarioResult RunChaos(uint64_t seed) {
+  return testing_util::RunRow("fault_sweep", seed);
 }
 
 // The 50-seed sweep is sharded 5 seeds per ctest unit so `ctest -j`
@@ -126,14 +26,10 @@ class ChaosSeedShard : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ChaosSeedShard, ZeroInvariantViolations) {
   const uint64_t first = GetParam();
   for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const ChaosOutcome out = RunChaos(seed);
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violations; first: " << out.violations[0] << "\nplan:\n"
-        << out.plan << "\ntrace:\n"
-        << out.trace;
-    EXPECT_GT(out.checks_run, 60) << "seed " << seed;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+    const scenario::ScenarioResult out = RunChaos(seed);
+    ExpectNoViolations(seed, out);
+    EXPECT_GT(out.counter("checks"), 60) << "seed " << seed;
+    EXPECT_GT(out.counter("committed"), 0) << "seed " << seed;
   }
 }
 
@@ -150,34 +46,20 @@ TEST(ChaosPropertyTest, SweepExercisesFaultMachinery) {
   int64_t total_crashes = 0;
   int64_t runs_with_migration = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
-    const ChaosOutcome out = RunChaos(seed);
-    total_crashes += out.crashes;
-    if (!out.history.empty()) ++runs_with_migration;
+    const scenario::ScenarioResult out = RunChaos(seed);
+    total_crashes += out.counter("crashes");
+    if (out.counter("moves") > 0) ++runs_with_migration;
   }
   EXPECT_GT(total_crashes, 10);
   EXPECT_GT(runs_with_migration, 10);
 }
 
 TEST(ChaosPropertyTest, GoldenSameSeedIdenticalReplay) {
-  const ChaosOutcome a = RunChaos(42);
-  const ChaosOutcome b = RunChaos(42);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.history, b.history);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.rng_state, b.rng_state);
-  EXPECT_DOUBLE_EQ(a.kb_moved, b.kb_moved);
-  EXPECT_TRUE(a.violations.empty());
+  testing_util::ExpectReplaysIdentically("fault_sweep");
 }
 
 TEST(ChaosPropertyTest, DifferentSeedsDifferentRuns) {
-  const ChaosOutcome a = RunChaos(1);
-  const ChaosOutcome b = RunChaos(2);
-  EXPECT_NE(a.plan, b.plan);
-  EXPECT_NE(a.trace_fingerprint, b.trace_fingerprint);
+  testing_util::ExpectSeedsDiverge("fault_sweep", 1, 2);
 }
 
 }  // namespace

@@ -1,24 +1,12 @@
-#include <cmath>
-#include <functional>
-#include <memory>
-#include <vector>
-
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
-#include "core/predictive_controller.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
-#include "fault/invariant_checker.h"
-#include "migration/migration_executor.h"
-#include "prediction/spar.h"
-#include "sim/simulator.h"
 
 /// \file misprediction_chaos_test.cc
-/// 50-seed misprediction chaos sweep (DESIGN.md §16), sharded five
-/// seeds per ctest unit. Each seed drives a SPAR-fed
-/// PredictiveController with the forecast-divergence guard enabled
-/// through a random control-plane fault mix — flash crowds the
+/// 50-seed misprediction chaos sweep (DESIGN.md §16; scenario row
+/// "guard_sweep"), sharded five seeds per ctest unit. Each seed drives a
+/// SPAR-fed PredictiveController with the forecast-divergence guard
+/// enabled through a random control-plane fault mix — flash crowds the
 /// forecast cannot see, trace dropouts that starve the controller of
 /// fresh telemetry, plus crashes, restarts and migration faults — with
 /// the InvariantChecker auditing every virtual second. The hard lines:
@@ -29,128 +17,6 @@
 namespace pstore {
 namespace {
 
-using testing_util::MakeKvDatabase;
-
-struct SweepOutcome {
-  int64_t flash_crowds = 0;
-  int64_t trace_dropouts = 0;
-  int64_t crashes = 0;
-  int64_t divergences = 0;
-  int64_t rejoins = 0;
-  int64_t vetoes = 0;
-  int64_t plan_repairs = 0;
-  int64_t moves_truncated = 0;
-  int64_t moves_aborted = 0;
-  int64_t committed = 0;
-  int64_t checks = 0;
-  std::vector<InvariantViolation> violations;
-};
-
-SweepOutcome RunMispredictionChaos(uint64_t seed) {
-  testing_util::KvDatabase db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = testing_util::SmallEngineConfig();
-  config.initial_nodes = 3;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 500;  // Slow moves: repairs catch them mid-flight.
-  migration.wire_kbps = 50000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  // SPAR fitted on four minutes of seasonal history at 2 s slots; the
-  // generator below offers the same base load, so only the injected
-  // flash crowds (which the forecast never sees) cause divergence.
-  SparConfig spar_config;
-  spar_config.period = 30;
-  spar_config.num_periods = 2;
-  spar_config.num_recent = 5;
-  SparPredictor spar(spar_config);
-  std::vector<double> history;
-  for (int32_t i = 0; i < 120; ++i) {
-    history.push_back(200.0 + 20.0 * std::sin(2.0 * M_PI * i / 30.0));
-  }
-  ControllerConfig pc;
-  pc.move_model.q = 100.0;
-  pc.move_model.partitions_per_node = 2;
-  pc.move_model.d_minutes = 0.6;
-  pc.move_model.interval_minutes = 2.0 / 60.0;
-  pc.q_hat = 125.0;
-  pc.horizon_intervals = 8;
-  pc.prediction_inflation = 0.15;
-  pc.guard.enabled = true;
-  EXPECT_TRUE(spar.Fit(history, pc.horizon_intervals).ok());
-  PredictiveController controller(&engine, &migrator, &spar, pc);
-  controller.SeedHistory(std::move(history));
-
-  // The control-plane faults dominate the mix, with crashes, restarts
-  // and migration faults riding along so repairs race real failures.
-  ChaosConfig chaos;
-  chaos.horizon = 60 * kSecond;
-  chaos.num_events = 8;
-  chaos.max_window = 15 * kSecond;
-  chaos.max_stall = 2 * kSecond;
-  chaos.flash_crowd_weight = 3.0;
-  chaos.trace_dropout_weight = 2.0;
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  const FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-  controller.set_trace_dropout_probe(
-      [&injector]() { return injector.trace_dropout_active(); });
-  controller.Start();
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // Self-scheduling generator: 200 txn/s base, multiplied live by the
-  // injector's offered load scale so flash-crowd windows genuinely
-  // surge while the forecast path stays blind to them.
-  const double seconds = 60.0;
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&sim, &engine, &injector, &db, rows, seconds,
-               self = generate.get()](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest req;
-    req.proc = db.get;
-    req.key = (i * 48271) % rows;
-    engine.Submit(req);
-    const double rate = 200.0 * injector.offered_load_scale();
-    const auto gap = static_cast<SimDuration>(1e6 / rate);
-    sim.Schedule(gap < 1 ? 1 : gap, [self, i]() { (*self)(i + 1); });
-  };
-  sim.Schedule(0, [self = generate.get()]() { (*self)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 20));
-  (void)checker.Check();
-
-  SweepOutcome out;
-  out.flash_crowds = injector.flash_crowds();
-  out.trace_dropouts = injector.trace_dropouts();
-  out.crashes = injector.crashes();
-  out.divergences = controller.guard_monitor()->divergences();
-  out.rejoins = controller.guard_monitor()->rejoins();
-  out.vetoes = controller.guard_vetoes();
-  out.plan_repairs = controller.plan_repairs();
-  out.moves_truncated = migrator.moves_truncated();
-  out.moves_aborted = migrator.moves_aborted();
-  out.committed = engine.txns_committed();
-  out.checks = checker.checks_run();
-  out.violations = checker.violations();
-  return out;
-}
-
 constexpr uint64_t kSeedsPerShard = 5;
 
 class MispredictionSeedShard : public ::testing::TestWithParam<uint64_t> {};
@@ -158,28 +24,28 @@ class MispredictionSeedShard : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MispredictionSeedShard, GuardedControlSurvivesMispredictionChaos) {
   const uint64_t first = GetParam();
   for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const SweepOutcome out = RunMispredictionChaos(seed);
+    const scenario::ScenarioResult out =
+        testing_util::RunRow("guard_sweep", seed);
+    const auto c = [&out](const char* name) { return out.counter(name); };
     // The hard line: every audit clean — ownership single and live,
     // no orphan rows, and the plan-repair section's proof that no
     // bucket was stranded or double-owned by an aborted plan.
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violation(s); first: " << out.violations[0].ToString();
-    EXPECT_GT(out.checks, 0) << "seed " << seed;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+    testing_util::ExpectNoViolations(seed, out);
+    EXPECT_GT(c("checks"), 0) << "seed " << seed;
+    EXPECT_GT(c("committed"), 0) << "seed " << seed;
     // Repair bookkeeping reconciles: the controller's repairs are the
     // only source of truncation, and truncations abort.
-    EXPECT_EQ(out.plan_repairs, out.moves_truncated) << "seed " << seed;
-    EXPECT_LE(out.moves_truncated, out.moves_aborted) << "seed " << seed;
+    EXPECT_EQ(c("plan_repairs"), c("moves_truncated")) << "seed " << seed;
+    EXPECT_LE(c("moves_truncated"), c("moves_aborted")) << "seed " << seed;
     // Guard algebra: rejoins never outnumber divergences, and each
     // divergence vetoes at least the window that confirmed it.
-    EXPECT_LE(out.rejoins, out.divergences) << "seed " << seed;
-    EXPECT_GE(out.vetoes, out.divergences) << "seed " << seed;
+    EXPECT_LE(c("guard_rejoins"), c("divergences")) << "seed " << seed;
+    EXPECT_GE(c("guard_vetoes"), c("divergences")) << "seed " << seed;
     // With no flash crowd drawn, the forecast matches the offered load
     // and the guard must never fire (dropouts alone feed it stale but
     // *accurate* samples of the steady base).
-    if (out.flash_crowds == 0 && out.crashes == 0) {
-      EXPECT_EQ(out.divergences, 0) << "seed " << seed;
+    if (c("flash_crowds") == 0 && c("crashes") == 0) {
+      EXPECT_EQ(c("divergences"), 0) << "seed " << seed;
     }
   }
 }

@@ -1,177 +1,34 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "../test_util.h"
-#include "core/reactive_controller.h"
 #include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
 
-/// Chaos property tests for the network substrate: random partition /
-/// loss / delay plans (with crashes mixed in) against a k=1 cluster
-/// running a write workload while a scale-out migrates buckets through
-/// the fault windows. Every seed must keep every invariant — no
-/// dual-commit (split-brain), no double-applied chunk, conserved rows
-/// and messages, row-set equality after heal — and same-seed runs must
-/// replay byte-identically. A final pair of tests pins the opt-in
-/// contract: with net.enabled=false no NetworkModel exists, net faults
-/// draw nothing from any Rng stream, and runs are byte-identical across
-/// arbitrary (disabled) NetConfig values.
+/// Chaos property tests for the network substrate (scenario row
+/// "net_sweep"): random partition / loss / delay plans (with crashes
+/// mixed in) against a k=1 cluster running a write workload while a
+/// scale-out migrates buckets through the fault windows. Every seed must
+/// keep every invariant — no dual-commit (split-brain), no
+/// double-applied chunk, conserved rows and messages, row-set equality
+/// after heal. A final set of tests pins the opt-in contract: with
+/// net.enabled=false no NetworkModel exists, net faults draw nothing
+/// from any Rng stream, and runs are byte-identical across arbitrary
+/// (disabled) NetConfig values.
 
 namespace pstore {
 namespace {
 
+using testing_util::ExpectNoViolations;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
 
-struct NetChaosOutcome {
-  std::string plan;
-  std::string trace;
-  uint64_t trace_fingerprint = 0;
-  std::vector<std::string> violations;
-  int64_t events_executed = 0;
-  int64_t committed = 0;
-  int64_t net_partitions = 0;
-  int64_t net_losses = 0;
-  int64_t net_delays = 0;
-  int64_t suspicions = 0;
-  int64_t fenced_failovers = 0;
-  int64_t fenced_rejections = 0;
-  int64_t fenced_commits = 0;
-  int64_t net_retransmits = 0;
-  int64_t net_double_applies = 0;
-  int64_t msgs_dropped = 0;
-  int64_t degraded_at_end = 0;
-  int64_t rows_at_end = 0;
-  int64_t rows_lost = 0;
-  int64_t rows_net_created = 0;
-};
-
-/// One seeded net-chaos run: 3 nodes, k=1, net enabled, mixed Put/Get
-/// load, a 2 s scale-out racing the fault plan (partition-during-
-/// migration), and a net-heavy random plan.
-NetChaosOutcome RunNetChaos(uint64_t seed) {
-  auto db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = SmallEngineConfig();
-  config.initial_nodes = 3;
-  config.txn_service_us_mean = 5000.0;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
-  config.replication.checkpoint_period = 5 * kSecond;
-  config.net.enabled = true;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  ReactiveConfig reactive;
-  reactive.q = 100.0;
-  reactive.q_hat = 125.0;
-  reactive.high_watermark = 0.9;
-  reactive.monitor_period = kSecond;
-  reactive.scale_in_hold = 5 * kSecond;
-  ReactiveController controller(&engine, &migrator, reactive);
-  controller.Start();
-
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  ChaosConfig chaos;
-  chaos.horizon = 40 * kSecond;
-  chaos.num_events = 6;
-  chaos.max_window = 10 * kSecond;
-  chaos.max_stall = 20 * kMillisecond;
-  // Net faults dominate: this suite is about partitions, message loss
-  // and fencing, with enough crash/restart mixed in to interleave the
-  // two failure modes (a crash during a partition must still promote).
-  chaos.crash_weight = 0.5;
-  chaos.restart_weight = 0.5;
-  chaos.stall_weight = 0.0;
-  chaos.chunk_failure_weight = 0.0;
-  chaos.misforecast_weight = 0.0;
-  chaos.net_partition_weight = 2.0;
-  chaos.net_loss_weight = 1.5;
-  chaos.net_delay_weight = 1.0;
-  const FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // A scale-out racing the whole plan: its chunk streams cross every
-  // partition/loss window the plan opens (the titular scenario).
-  sim.ScheduleAt(2 * kSecond,
-                 [&migrator]() { (void)migrator.StartMove(5, nullptr); });
-
-  // 100 txn/s, 1-in-4 writes.
-  const double seconds = 60.0;
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest req;
-    req.key = (i * 48271) % rows;
-    if (i % 4 == 0) {
-      req.proc = db.put;
-      req.args.push_back(Value(i));
-    } else {
-      req.proc = db.get;
-    }
-    engine.Submit(std::move(req));
-    sim.Schedule(10 * kMillisecond, [&, i]() { (*generate)(i + 1); });
-  };
-  sim.Schedule(0, [&]() { (*generate)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  // Drain: every window expires, the cluster heals, rebuilds restore k.
-  sim.RunUntil(SecondsToDuration(seconds + 60));
-
-  Status final_check = checker.Check();
-  EXPECT_TRUE(final_check.ok()) << final_check.ToString();
-
-  NetChaosOutcome out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.trace_fingerprint = injector.trace().Fingerprint();
-  for (const InvariantViolation& v : checker.violations()) {
-    out.violations.push_back(v.ToString());
-  }
-  out.events_executed = sim.events_executed();
-  out.committed = engine.txns_committed();
-  out.net_partitions = injector.net_partitions();
-  out.net_losses = injector.net_losses();
-  out.net_delays = injector.net_delays();
-  out.suspicions = engine.suspicions();
-  out.fenced_failovers = engine.fenced_failovers();
-  out.fenced_rejections = engine.fenced_rejections();
-  out.fenced_commits = engine.fenced_commits();
-  out.net_retransmits = migrator.net_retransmits();
-  out.net_double_applies = migrator.net_double_applies();
-  out.msgs_dropped = engine.net()->messages_dropped_partition() +
-                     engine.net()->messages_dropped_loss();
-  out.degraded_at_end = engine.replication()->degraded_buckets();
-  out.rows_at_end = engine.TotalRowCount();
-  out.rows_lost = engine.rows_lost();
-  out.rows_net_created = engine.rows_net_created();
-  return out;
+/// 3 nodes, k=1, net enabled, mixed Put/Get load, a 2 s scale-out
+/// racing the fault plan (partition-during-migration), and a net-heavy
+/// random plan.
+scenario::ScenarioResult RunNetChaos(uint64_t seed) {
+  return testing_util::RunRow("net_sweep", seed);
 }
 
 // The 50-seed sweep is sharded 5 seeds per ctest unit so `ctest -j`
@@ -184,20 +41,18 @@ class NetSeedShard : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(NetSeedShard, NoSplitBrainNoDoubleApply) {
   const uint64_t first = GetParam();
   for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const NetChaosOutcome out = RunNetChaos(seed);
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violations; first: " << out.violations[0] << "\nplan:\n"
-        << out.plan << "\ntrace:\n"
-        << out.trace;
+    const scenario::ScenarioResult out = RunNetChaos(seed);
+    ExpectNoViolations(seed, out);
     // The two split-brain tripwires, per seed, unconditionally.
-    EXPECT_EQ(out.fenced_commits, 0) << "seed " << seed;
-    EXPECT_EQ(out.net_double_applies, 0) << "seed " << seed;
+    EXPECT_EQ(out.counter("fenced_commits"), 0) << "seed " << seed;
+    EXPECT_EQ(out.counter("net_double_applies"), 0) << "seed " << seed;
     // Row conservation after heal: crash losses are accounted, and the
     // write workload may legally re-create lost keys via upsert.
-    EXPECT_EQ(out.rows_at_end, 200 - out.rows_lost + out.rows_net_created)
+    EXPECT_EQ(out.counter("rows_at_end"),
+              200 - out.counter("rows_lost") +
+                  out.counter("rows_net_created"))
         << "seed " << seed;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+    EXPECT_GT(out.counter("committed"), 0) << "seed " << seed;
   }
 }
 
@@ -214,15 +69,15 @@ TEST(NetChaosTest, SweepExercisesNetworkMachinery) {
   int64_t total_suspicions = 0, total_failovers = 0, total_rejections = 0;
   int64_t total_retransmits = 0, total_dropped = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const NetChaosOutcome out = RunNetChaos(seed);
-    total_partitions += out.net_partitions;
-    total_losses += out.net_losses;
-    total_delays += out.net_delays;
-    total_suspicions += out.suspicions;
-    total_failovers += out.fenced_failovers;
-    total_rejections += out.fenced_rejections;
-    total_retransmits += out.net_retransmits;
-    total_dropped += out.msgs_dropped;
+    const scenario::ScenarioResult out = RunNetChaos(seed);
+    total_partitions += out.counter("net_partitions");
+    total_losses += out.counter("net_losses");
+    total_delays += out.counter("net_delays");
+    total_suspicions += out.counter("suspicions");
+    total_failovers += out.counter("fenced_failovers");
+    total_rejections += out.counter("fenced_rejections");
+    total_retransmits += out.counter("net_retransmits");
+    total_dropped += out.counter("msgs_dropped");
   }
   EXPECT_GT(total_partitions, 6);
   EXPECT_GT(total_losses, 4);
@@ -235,26 +90,11 @@ TEST(NetChaosTest, SweepExercisesNetworkMachinery) {
 }
 
 TEST(NetChaosTest, SameSeedReplaysIdentically) {
-  const NetChaosOutcome a = RunNetChaos(42);
-  const NetChaosOutcome b = RunNetChaos(42);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.suspicions, b.suspicions);
-  EXPECT_EQ(a.fenced_failovers, b.fenced_failovers);
-  EXPECT_EQ(a.fenced_rejections, b.fenced_rejections);
-  EXPECT_EQ(a.net_retransmits, b.net_retransmits);
-  EXPECT_EQ(a.msgs_dropped, b.msgs_dropped);
-  EXPECT_TRUE(a.violations.empty());
+  testing_util::ExpectReplaysIdentically("net_sweep");
 }
 
 TEST(NetChaosTest, DifferentSeedsDiverge) {
-  const NetChaosOutcome a = RunNetChaos(3);
-  const NetChaosOutcome b = RunNetChaos(4);
-  EXPECT_NE(a.plan, b.plan);
-  EXPECT_NE(a.trace_fingerprint, b.trace_fingerprint);
+  testing_util::ExpectSeedsDiverge("net_sweep");
 }
 
 // ---- The opt-in contract (Rng stream audit regressions) -------------

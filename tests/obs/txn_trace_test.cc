@@ -147,7 +147,7 @@ struct TracedRun {
 
 /// Drives a small cluster with tracing at `rate`; with `spike` the
 /// admission layer is enabled and the offered load overruns one node so
-/// shed/deadline terminals appear in the traces (the chaos_run --spike
+/// shed/deadline terminals appear in the traces (the chaos_run spike
 /// shape, scaled down).
 TracedRun RunTraced(uint64_t seed, double rate, bool spike) {
   Catalog catalog;

@@ -1,169 +1,24 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "../test_util.h"
-#include "core/reactive_controller.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
-#include "overload/retry_budget.h"
 
-/// Chaos property tests for the overload-control stack: node crashes
-/// and load spikes against a cluster running bounded queues, deadline
-/// shedding, priority eviction, per-node breakers, breaker-aware
-/// reactive scaling, and a client retry budget. Every seed must keep
-/// every invariant (including shed conservation), and same-seed runs
-/// must replay byte-identically.
+/// Chaos property tests for the overload-control stack (scenario row
+/// "overload_sweep"): node crashes and load spikes against a cluster
+/// running bounded queues, deadline shedding, priority eviction,
+/// per-node breakers, breaker-aware reactive scaling, and a client retry
+/// budget. Every seed must keep every invariant (including shed
+/// conservation).
 
 namespace pstore {
 namespace {
 
-using testing_util::MakeKvDatabase;
-using testing_util::SmallEngineConfig;
+using testing_util::ExpectNoViolations;
 
-struct OverloadOutcome {
-  std::string plan;
-  std::string trace;
-  uint64_t trace_fingerprint = 0;
-  std::vector<std::string> violations;
-  int64_t events_executed = 0;
-  int64_t committed = 0;
-  int64_t shed = 0;
-  int64_t breaker_trips = 0;
-  int64_t load_spikes = 0;
-  int64_t crashes = 0;
-  int64_t scale_outs = 0;
-  int64_t retries = 0;
-};
-
-/// One seeded overload-chaos run: 3 nodes saturating at ~300 txn/s, a
-/// 100 txn/s base load amplified live by kLoadSpike windows (2x-8x),
-/// crash/restart faults in the same plan, and shed-aware retries.
-OverloadOutcome RunOverloadChaos(uint64_t seed) {
-  auto db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = SmallEngineConfig();
-  config.initial_nodes = 3;
-  config.txn_service_us_mean = 20000.0;  // ~50 txn/s per partition
-  config.overload.enabled = true;
-  config.overload.max_queue_depth = 16;
-  config.overload.queue_deadline = 200 * kMillisecond;
-  config.overload.policy = overload::AdmissionPolicy::kPriorityShed;
-  config.overload.breaker.window = kSecond;
-  config.overload.breaker.shed_threshold = 0.2;
-  config.overload.breaker.min_samples = 20;
-  config.overload.breaker.cooldown = 3 * kSecond;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  ReactiveConfig reactive;
-  reactive.q = 100.0;
-  reactive.q_hat = 125.0;
-  reactive.high_watermark = 0.9;
-  reactive.headroom = 0.10;
-  reactive.monitor_period = kSecond;
-  reactive.scale_in_hold = 5 * kSecond;
-  ReactiveController controller(&engine, &migrator, reactive);
-  controller.set_overload(engine.admission());
-  controller.Start();
-
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  ChaosConfig chaos;
-  chaos.horizon = 40 * kSecond;
-  chaos.num_events = 6;
-  chaos.max_window = 10 * kSecond;
-  chaos.max_stall = 2 * kSecond;
-  // Crashes and load spikes dominate the mix: this suite is about
-  // overload behaviour under failures, not migration faults.
-  chaos.crash_weight = 2.0;
-  chaos.restart_weight = 1.0;
-  chaos.stall_weight = 0.5;
-  chaos.chunk_failure_weight = 0.5;
-  chaos.misforecast_weight = 0.5;
-  chaos.load_spike_weight = 3.0;
-  FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // Base 100 txn/s, amplified live by open load-spike windows; sheds
-  // re-enter through a token-bucket retry budget with jittered backoff
-  // on a dedicated Rng stream.
-  overload::RetryPolicy retry_policy;
-  overload::RetryBudget retry_budget(retry_policy);
-  Rng retry_rng(seed ^ 0x94d049bb133111ebULL);
-  int64_t retries = 0;
-  const double seconds = 60.0;
-  auto resubmit =
-      std::make_shared<std::function<void(TxnRequest, int32_t)>>();
-  *resubmit = [&](TxnRequest req, int32_t attempt) {
-    if (attempt == 0) retry_budget.OnRequest();
-    TxnRequest copy = req;
-    engine.Submit(std::move(req), [&, copy = std::move(copy),
-                                   attempt](const TxnResult& result) mutable {
-      if (!result.shed) return;
-      if (attempt + 1 >= retry_policy.max_attempts) return;
-      if (!retry_budget.TrySpend()) return;
-      ++retries;
-      sim.Schedule(retry_budget.Backoff(attempt + 1, &retry_rng),
-                   [&, copy = std::move(copy), attempt]() mutable {
-                     (*resubmit)(std::move(copy), attempt + 1);
-                   });
-    });
-  };
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest get;
-    get.proc = db.get;
-    get.key = (i * 48271) % rows;
-    (*resubmit)(std::move(get), 0);
-    const double rate = 100.0 * injector.load_scale();
-    const auto gap = static_cast<SimDuration>(1e6 / rate);
-    sim.Schedule(gap < 1 ? 1 : gap, [&, i]() { (*generate)(i + 1); });
-  };
-  sim.Schedule(0, [&]() { (*generate)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 30));
-
-  Status final_check = checker.Check();
-  EXPECT_TRUE(final_check.ok()) << final_check.ToString();
-
-  OverloadOutcome out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.trace_fingerprint = injector.trace().Fingerprint();
-  for (const InvariantViolation& v : checker.violations()) {
-    out.violations.push_back(v.ToString());
-  }
-  out.events_executed = sim.events_executed();
-  out.committed = engine.txns_committed();
-  out.shed = engine.txns_shed();
-  out.breaker_trips = engine.admission()->total_trips();
-  out.load_spikes = injector.load_spikes();
-  out.crashes = injector.crashes();
-  out.scale_outs = controller.scale_outs();
-  out.retries = retries;
-  return out;
+/// 3 nodes saturating at ~300 txn/s, a 100 txn/s base load amplified
+/// live by kLoadSpike windows (2x-8x), crash/restart faults in the same
+/// plan, and shed-aware retries.
+scenario::ScenarioResult RunOverloadChaos(uint64_t seed) {
+  return testing_util::RunRow("overload_sweep", seed);
 }
 
 // The 50-seed sweep is sharded 5 seeds per ctest unit so `ctest -j`
@@ -176,13 +31,9 @@ class OverloadSeedShard : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(OverloadSeedShard, ZeroViolationsWithActiveOverload) {
   const uint64_t first = GetParam();
   for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const OverloadOutcome out = RunOverloadChaos(seed);
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violations; first: " << out.violations[0] << "\nplan:\n"
-        << out.plan << "\ntrace:\n"
-        << out.trace;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+    const scenario::ScenarioResult out = RunOverloadChaos(seed);
+    ExpectNoViolations(seed, out);
+    EXPECT_GT(out.counter("committed"), 0) << "seed " << seed;
   }
 }
 
@@ -198,13 +49,13 @@ TEST(OverloadChaosTest, SweepExercisesOverloadMachinery) {
   int64_t total_trips = 0, total_spikes = 0, total_crashes = 0;
   int64_t total_shed = 0, total_scale_outs = 0, total_retries = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const OverloadOutcome out = RunOverloadChaos(seed);
-    total_trips += out.breaker_trips;
-    total_spikes += out.load_spikes;
-    total_crashes += out.crashes;
-    total_shed += out.shed;
-    total_scale_outs += out.scale_outs;
-    total_retries += out.retries;
+    const scenario::ScenarioResult out = RunOverloadChaos(seed);
+    total_trips += out.counter("breaker_trips");
+    total_spikes += out.counter("load_spikes");
+    total_crashes += out.counter("crashes");
+    total_shed += out.counter("shed");
+    total_scale_outs += out.counter("scale_outs");
+    total_retries += out.counter("retries");
   }
   EXPECT_GT(total_spikes, 4);
   EXPECT_GT(total_crashes, 2);
@@ -215,25 +66,11 @@ TEST(OverloadChaosTest, SweepExercisesOverloadMachinery) {
 }
 
 TEST(OverloadChaosTest, SameSeedReplaysIdentically) {
-  const OverloadOutcome a = RunOverloadChaos(42);
-  const OverloadOutcome b = RunOverloadChaos(42);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.scale_outs, b.scale_outs);
-  EXPECT_TRUE(a.violations.empty());
+  testing_util::ExpectReplaysIdentically("overload_sweep");
 }
 
 TEST(OverloadChaosTest, DifferentSeedsDiverge) {
-  const OverloadOutcome a = RunOverloadChaos(3);
-  const OverloadOutcome b = RunOverloadChaos(4);
-  EXPECT_NE(a.plan, b.plan);
-  EXPECT_NE(a.trace_fingerprint, b.trace_fingerprint);
+  testing_util::ExpectSeedsDiverge("overload_sweep");
 }
 
 }  // namespace

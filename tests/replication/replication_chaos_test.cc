@@ -1,161 +1,25 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "../test_util.h"
-#include "core/reactive_controller.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
 
-/// Chaos property tests for the replication stack: random crash /
-/// restart / replica-lag plans against a k=1 cluster running a write
-/// workload, with scoped crash targeting (primary-heavy, backup-heavy)
-/// and a reactive controller that treats recovery as overload. Every
-/// seed must keep every invariant — placement sanity, primary/backup
-/// row-set equality, k-safety restoration liveness, and rows_lost-aware
-/// conservation — and same-seed runs must replay byte-identically.
+/// Chaos property tests for the replication stack (scenario row
+/// "replication_sweep"): random crash / restart / replica-lag plans
+/// against a k=1 cluster running a write workload, with scoped crash
+/// targeting (primary-heavy, backup-heavy) and a reactive controller
+/// that treats recovery as overload. Every seed must keep every
+/// invariant — placement sanity, primary/backup row-set equality,
+/// k-safety restoration liveness, and rows_lost-aware conservation.
 
 namespace pstore {
 namespace {
 
-using testing_util::MakeKvDatabase;
-using testing_util::SmallEngineConfig;
+using testing_util::ExpectNoViolations;
 
-struct ReplicationOutcome {
-  std::string plan;
-  std::string trace;
-  uint64_t trace_fingerprint = 0;
-  std::vector<std::string> violations;
-  int64_t events_executed = 0;
-  int64_t committed = 0;
-  int64_t crashes = 0;
-  int64_t restarts = 0;
-  int64_t replica_lags = 0;
-  int64_t promotions = 0;
-  int64_t applies = 0;
-  int64_t rebuilds = 0;
-  int64_t recoveries = 0;
-  int64_t rows_lost = 0;
-  int64_t scale_outs = 0;
-};
-
-/// One seeded replication-chaos run: 3 nodes, k=1, a mixed Put/Get load,
-/// and a random crash/restart/lag plan whose auto-targeted crashes
-/// alternate between primary-heavy and backup-heavy scoping.
-ReplicationOutcome RunReplicationChaos(uint64_t seed) {
-  auto db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = SmallEngineConfig();
-  config.initial_nodes = 3;
-  config.txn_service_us_mean = 5000.0;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
-  config.replication.checkpoint_period = 5 * kSecond;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  ReactiveConfig reactive;
-  reactive.q = 100.0;
-  reactive.q_hat = 125.0;
-  reactive.high_watermark = 0.9;
-  reactive.monitor_period = kSecond;
-  reactive.scale_in_hold = 5 * kSecond;
-  ReactiveController controller(&engine, &migrator, reactive);
-  controller.Start();
-
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  ChaosConfig chaos;
-  chaos.horizon = 40 * kSecond;
-  chaos.num_events = 6;
-  chaos.max_window = 10 * kSecond;
-  chaos.max_stall = 20 * kMillisecond;
-  // Crash/restart/replica-lag dominate: this suite is about failover,
-  // re-replication, and recovery, not migration faults.
-  chaos.crash_weight = 2.0;
-  chaos.restart_weight = 2.0;
-  chaos.stall_weight = 0.5;
-  chaos.chunk_failure_weight = 0.5;
-  chaos.misforecast_weight = 0.0;
-  chaos.load_spike_weight = 0.5;
-  chaos.replica_lag_weight = 2.0;
-  FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-  // Alternate scoped targeting on auto-picked crashes, deterministically
-  // by event index, so the sweep exercises both heavy-side pickers.
-  int crash_index = 0;
-  for (FaultEvent& event : plan.events) {
-    if (event.type != FaultType::kNodeCrash) continue;
-    event.scope = (crash_index++ % 2 == 0) ? CrashScope::kPrimaryHeavy
-                                           : CrashScope::kBackupHeavy;
-  }
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // 100 txn/s, 1-in-4 writes (the write stream keeps backups busy).
-  const double seconds = 60.0;
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest req;
-    req.key = (i * 48271) % rows;
-    if (i % 4 == 0) {
-      req.proc = db.put;
-      req.args.push_back(Value(i));
-    } else {
-      req.proc = db.get;
-    }
-    engine.Submit(std::move(req));
-    sim.Schedule(10 * kMillisecond, [&, i]() { (*generate)(i + 1); });
-  };
-  sim.Schedule(0, [&]() { (*generate)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 60));
-
-  Status final_check = checker.Check();
-  EXPECT_TRUE(final_check.ok()) << final_check.ToString();
-
-  ReplicationOutcome out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.trace_fingerprint = injector.trace().Fingerprint();
-  for (const InvariantViolation& v : checker.violations()) {
-    out.violations.push_back(v.ToString());
-  }
-  out.events_executed = sim.events_executed();
-  out.committed = engine.txns_committed();
-  out.crashes = injector.crashes();
-  out.restarts = injector.restarts();
-  out.replica_lags = injector.replica_lags();
-  out.promotions = engine.replication()->promotions();
-  out.applies = engine.replication()->applies();
-  out.rebuilds = engine.replication()->rebuilds_completed();
-  out.recoveries = engine.recoveries();
-  out.rows_lost = engine.rows_lost();
-  out.scale_outs = controller.scale_outs();
-  return out;
+/// 3 nodes, k=1, a mixed Put/Get load, and a random crash/restart/lag
+/// plan whose auto-targeted crashes alternate between primary-heavy and
+/// backup-heavy scoping.
+scenario::ScenarioResult RunReplicationChaos(uint64_t seed) {
+  return testing_util::RunRow("replication_sweep", seed);
 }
 
 // The 50-seed sweep is sharded 5 seeds per ctest unit so `ctest -j`
@@ -168,13 +32,9 @@ class ReplicationSeedShard : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ReplicationSeedShard, ZeroViolationsWithActiveReplication) {
   const uint64_t first = GetParam();
   for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const ReplicationOutcome out = RunReplicationChaos(seed);
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violations; first: " << out.violations[0] << "\nplan:\n"
-        << out.plan << "\ntrace:\n"
-        << out.trace;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+    const scenario::ScenarioResult out = RunReplicationChaos(seed);
+    ExpectNoViolations(seed, out);
+    EXPECT_GT(out.counter("committed"), 0) << "seed " << seed;
   }
 }
 
@@ -191,15 +51,15 @@ TEST(ReplicationChaosTest, SweepExercisesReplicationMachinery) {
   int64_t total_promotions = 0, total_applies = 0, total_rebuilds = 0;
   int64_t total_recoveries = 0, total_scale_outs = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const ReplicationOutcome out = RunReplicationChaos(seed);
-    total_crashes += out.crashes;
-    total_restarts += out.restarts;
-    total_lags += out.replica_lags;
-    total_promotions += out.promotions;
-    total_applies += out.applies;
-    total_rebuilds += out.rebuilds;
-    total_recoveries += out.recoveries;
-    total_scale_outs += out.scale_outs;
+    const scenario::ScenarioResult out = RunReplicationChaos(seed);
+    total_crashes += out.counter("crashes");
+    total_restarts += out.counter("restarts");
+    total_lags += out.counter("replica_lags");
+    total_promotions += out.counter("promotions");
+    total_applies += out.counter("backup_applies");
+    total_rebuilds += out.counter("rebuilds");
+    total_recoveries += out.counter("recoveries");
+    total_scale_outs += out.counter("scale_outs");
   }
   EXPECT_GT(total_crashes, 4);
   EXPECT_GT(total_restarts, 2);
@@ -212,27 +72,11 @@ TEST(ReplicationChaosTest, SweepExercisesReplicationMachinery) {
 }
 
 TEST(ReplicationChaosTest, SameSeedReplaysIdentically) {
-  const ReplicationOutcome a = RunReplicationChaos(42);
-  const ReplicationOutcome b = RunReplicationChaos(42);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.promotions, b.promotions);
-  EXPECT_EQ(a.applies, b.applies);
-  EXPECT_EQ(a.rebuilds, b.rebuilds);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.rows_lost, b.rows_lost);
-  EXPECT_EQ(a.scale_outs, b.scale_outs);
-  EXPECT_TRUE(a.violations.empty());
+  testing_util::ExpectReplaysIdentically("replication_sweep");
 }
 
 TEST(ReplicationChaosTest, DifferentSeedsDiverge) {
-  const ReplicationOutcome a = RunReplicationChaos(3);
-  const ReplicationOutcome b = RunReplicationChaos(4);
-  EXPECT_NE(a.plan, b.plan);
-  EXPECT_NE(a.trace_fingerprint, b.trace_fingerprint);
+  testing_util::ExpectSeedsDiverge("replication_sweep");
 }
 
 }  // namespace

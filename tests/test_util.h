@@ -1,68 +1,26 @@
 #pragma once
 
-#include <memory>
+#include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "cluster/engine.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
-#include "storage/schema.h"
-#include "txn/procedure.h"
 
 /// \file test_util.h
 /// Shared fixtures: a minimal key-value database (one table, Put/Get/
 /// Delete procedures) on a ClusterEngine, for cluster/migration/core
-/// tests that don't need the full B2W workload.
+/// tests that don't need the full B2W workload, and the helpers the
+/// scenario-table sweeps share.
 
 namespace pstore {
 namespace testing_util {
 
-struct KvDatabase {
-  TableId table = -1;
-  ProcedureId put = -1;
-  ProcedureId get = -1;
-  ProcedureId del = -1;
-  Catalog catalog;
-  ProcedureRegistry registry;
-};
-
-inline KvDatabase MakeKvDatabase() {
-  KvDatabase db;
-  db.table = *db.catalog.AddTable(Schema(
-      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
-  const TableId table = db.table;
-  db.put = *db.registry.Register(ProcedureDef{
-      "Put",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        r.status = ctx.Upsert(
-            table, Row({Value(req.key), req.args.empty()
-                                            ? Value(int64_t{0})
-                                            : req.args[0]}));
-        return r;
-      },
-      1.0});
-  db.get = *db.registry.Register(ProcedureDef{
-      "Get",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        auto row = ctx.Get(table, req.key);
-        if (!row.ok()) {
-          r.status = row.status();
-        } else {
-          r.rows.push_back(std::move(row).MoveValueUnsafe());
-        }
-        return r;
-      },
-      1.0});
-  db.del = *db.registry.Register(ProcedureDef{
-      "Del",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        r.status = ctx.Delete(table, req.key);
-        return r;
-      },
-      1.0});
-  return db;
-}
+using scenario::KvDatabase;
+using scenario::MakeKvDatabase;
 
 /// Engine with small, fast-to-test defaults (deterministic service
 /// times unless overridden).
@@ -75,6 +33,60 @@ inline EngineConfig SmallEngineConfig() {
   config.txn_service_us_mean = 1000.0;  // 1 ms
   config.txn_service_cv = 0.0;          // deterministic
   return config;
+}
+
+/// One seed of the named scenario-table row, without telemetry.
+inline scenario::ScenarioResult RunRow(std::string_view name, uint64_t seed) {
+  const scenario::Scenario* row = scenario::FindScenario(name);
+  if (row == nullptr) {
+    throw std::invalid_argument("no scenario named " + std::string(name));
+  }
+  return scenario::RunScenario(*row, seed);
+}
+
+/// Failure context for one seed: its violations, plan and event trace
+/// (replay it with `chaos_run --scenario=NAME --seed=N`).
+inline std::string Explain(uint64_t seed, const scenario::ScenarioResult& r) {
+  std::string s = "seed " + std::to_string(seed) + ": " +
+                  std::to_string(r.violations.size()) + " violations";
+  if (!r.violations.empty()) s += "; first: " + r.violations[0];
+  if (!r.status.ok()) s += "; final audit: " + r.status.ToString();
+  return s + "\nplan:\n" + r.plan + "\ntrace:\n" + r.trace;
+}
+
+/// The hard line every sweep seed shares: every periodic audit and the
+/// final audit clean.
+inline void ExpectNoViolations(uint64_t seed,
+                               const scenario::ScenarioResult& r) {
+  EXPECT_TRUE(r.violations.empty() && r.status.ok()) << Explain(seed, r);
+}
+
+/// Two same-seed runs agree on everything: plan, trace, violations,
+/// final audit and every counter. Seed 42 is chaos_run's default, so
+/// the row's acceptance predicates must hold there too.
+inline void ExpectReplaysIdentically(std::string_view name) {
+  const scenario::ScenarioResult a = RunRow(name, 42);
+  EXPECT_EQ(scenario::FirstDifference(a, RunRow(name, 42)), "") << name;
+  ExpectNoViolations(42, a);
+  for (const scenario::Check& check : scenario::FindScenario(name)->accept) {
+    EXPECT_TRUE(scenario::Holds(check, a))
+        << name << ": " << check.counter << " "
+        << scenario::OpName(check.op) << " " << check.bound << ", got "
+        << a.counter(check.counter);
+  }
+}
+
+/// Different seeds draw different fault plans, and the runs differ.
+/// Only for rows whose plan is drawn from the seed: a scripted row runs
+/// the same plan at every seed, and most scripted rows draw nothing else
+/// from it either.
+inline void ExpectSeedsDiverge(std::string_view name, uint64_t seed_a = 3,
+                               uint64_t seed_b = 4) {
+  ASSERT_TRUE(scenario::FindScenario(name)->script.empty()) << name;
+  const scenario::ScenarioResult a = RunRow(name, seed_a);
+  const scenario::ScenarioResult b = RunRow(name, seed_b);
+  EXPECT_NE(a.plan, b.plan) << name;
+  EXPECT_NE(a.fingerprint, b.fingerprint) << name;
 }
 
 }  // namespace testing_util

@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "../test_util.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
 #include "planner/move_model.h"
 #include "topology/topology.h"
 
@@ -190,122 +186,11 @@ TEST(MoveModelTest, EvacuationCosting) {
 
 // --- The 50-seed correlated-failure sweep ----------------------------
 
-struct TopologyOutcome {
-  std::string plan;
-  std::string trace;
-  uint64_t trace_fingerprint = 0;
-  std::vector<std::string> violations;
-  int64_t events_executed = 0;
-  int64_t committed = 0;
-  int64_t crashes = 0;
-  int64_t restarts = 0;
-  int64_t spot_revocations = 0;
-  int64_t domain_outages = 0;
-  int64_t infeasible_outages = 0;
-  int64_t drains_started = 0;
-  int64_t drain_kills = 0;
-  int64_t drain_kills_infeasible = 0;
-  int64_t buckets_evacuated = 0;
-  int64_t evac_deadline_skipped = 0;
-  int64_t promotions = 0;
-  int64_t rows_lost = 0;
-};
-
-/// One seeded topology-chaos run: 6 nodes striped over 3 domains, k=1,
-/// mixed Put/Get load, the drain hook wired to the deadline evacuator,
-/// and a random plan mixing crash/restart with spot revocations and
-/// domain outages.
-TopologyOutcome RunTopologyChaos(uint64_t seed) {
-  auto db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = TopologyEngineConfig(6, 3);
-  config.txn_service_us_mean = 5000.0;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-  engine.set_drain_hook([&migrator](NodeId n, SimTime deadline) {
-    (void)migrator.StartEvacuation(n, deadline);
-  });
-
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  ChaosConfig chaos;
-  chaos.horizon = 40 * kSecond;
-  chaos.num_events = 8;
-  chaos.max_window = 10 * kSecond;
-  // Crash/restart keep single-node failover busy underneath; the two
-  // topology faults drive drains and correlated kills; everything else
-  // stays off so failures implicate the topology machinery.
-  chaos.crash_weight = 1.0;
-  chaos.restart_weight = 2.0;
-  chaos.stall_weight = 0.0;
-  chaos.chunk_failure_weight = 0.0;
-  chaos.misforecast_weight = 0.0;
-  chaos.spot_revocation_weight = 2.0;
-  chaos.domain_outage_weight = 1.0;
-  FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // 100 txn/s, 1-in-4 writes against preloaded keys.
-  const double seconds = 60.0;
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest req;
-    req.key = (i * 48271) % rows;
-    if (i % 4 == 0) {
-      req.proc = db.put;
-      req.args.push_back(Value(i));
-    } else {
-      req.proc = db.get;
-    }
-    engine.Submit(std::move(req));
-    sim.Schedule(10 * kMillisecond, [&, i]() { (*generate)(i + 1); });
-  };
-  sim.Schedule(0, [&]() { (*generate)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 60));
-
-  Status final_check = checker.Check();
-  EXPECT_TRUE(final_check.ok()) << final_check.ToString();
-
-  TopologyOutcome out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.trace_fingerprint = injector.trace().Fingerprint();
-  for (const InvariantViolation& v : checker.violations()) {
-    out.violations.push_back(v.ToString());
-  }
-  out.events_executed = sim.events_executed();
-  out.committed = engine.txns_committed();
-  out.crashes = injector.crashes();
-  out.restarts = injector.restarts();
-  out.spot_revocations = injector.spot_revocations();
-  out.domain_outages = injector.domain_outages();
-  out.infeasible_outages = injector.infeasible_outages();
-  out.drains_started = engine.drains_started();
-  out.drain_kills = engine.drain_kills();
-  out.drain_kills_infeasible = engine.drain_kills_infeasible();
-  out.buckets_evacuated = migrator.buckets_evacuated();
-  out.evac_deadline_skipped = migrator.evacuations_deadline_skipped();
-  out.promotions = engine.replication()->promotions();
-  out.rows_lost = engine.rows_lost();
-  return out;
+/// 6 nodes striped over 3 domains, k=1, mixed Put/Get load, the drain
+/// hook wired to the deadline evacuator, and a random plan mixing
+/// crash/restart with spot revocations and domain outages.
+scenario::ScenarioResult RunTopologyChaos(uint64_t seed) {
+  return testing_util::RunRow("topology_sweep", seed);
 }
 
 // The 50-seed sweep is sharded 5 seeds per ctest unit so `ctest -j`
@@ -318,25 +203,21 @@ class TopologySeedShard : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(TopologySeedShard, NoRowLostWhenDiversePlacementWasFeasible) {
   const uint64_t first = GetParam();
   for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const TopologyOutcome out = RunTopologyChaos(seed);
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violations; first: " << out.violations[0] << "\nplan:\n"
-        << out.plan << "\ntrace:\n"
-        << out.trace;
+    const scenario::ScenarioResult out = RunTopologyChaos(seed);
+    testing_util::ExpectNoViolations(seed, out);
     // The headline property: whenever a domain-diverse replica set
     // existed at notice/outage time (no kill or outage was flagged
     // infeasible), every committed row survives — correlated domain
     // loss and hard revocation kills included. When one was flagged,
     // rows_lost reports the honest damage and is not asserted.
-    if (out.infeasible_outages == 0 && out.drain_kills_infeasible == 0) {
-      EXPECT_EQ(out.rows_lost, 0)
-          << "seed " << seed << ": rows lost despite feasible diverse "
-          << "placement\nplan:\n"
-          << out.plan << "\ntrace:\n"
-          << out.trace;
+    const int64_t infeasible = out.counter("infeasible_outages") +
+                               out.counter("drain_kills_infeasible");
+    if (infeasible == 0) {
+      EXPECT_EQ(out.counter("rows_lost"), 0)
+          << "rows lost despite feasible diverse placement, "
+          << testing_util::Explain(seed, out);
     }
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+    EXPECT_GT(out.counter("committed"), 0) << "seed " << seed;
   }
 }
 
@@ -349,17 +230,18 @@ TEST(TopologyChaosTest, SweepExercisesTopologyMachinery) {
   // actually revoke spot nodes, kill whole domains, run drains to
   // their deadline, and evacuate buckets. (Per-seed safety lives in
   // the shards; this guards against a silently inert fault surface.)
+  // Whether any notice was too short to fit every bucket depends on
+  // the drawn windows, so evac_deadline_skipped is not asserted.
   int64_t revocations = 0, outages = 0, drains = 0, kills = 0;
-  int64_t evacuated = 0, skipped = 0, promotions = 0;
+  int64_t evacuated = 0, promotions = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const TopologyOutcome out = RunTopologyChaos(seed);
-    revocations += out.spot_revocations;
-    outages += out.domain_outages;
-    drains += out.drains_started;
-    kills += out.drain_kills;
-    evacuated += out.buckets_evacuated;
-    skipped += out.evac_deadline_skipped;
-    promotions += out.promotions;
+    const scenario::ScenarioResult out = RunTopologyChaos(seed);
+    revocations += out.counter("spot_revocations");
+    outages += out.counter("domain_outages");
+    drains += out.counter("drains_started");
+    kills += out.counter("drain_kills");
+    evacuated += out.counter("buckets_evacuated");
+    promotions += out.counter("promotions");
   }
   EXPECT_GT(revocations, 3);
   EXPECT_GT(outages, 1);
@@ -367,35 +249,14 @@ TEST(TopologyChaosTest, SweepExercisesTopologyMachinery) {
   EXPECT_GT(kills, 1);
   EXPECT_GT(evacuated, 5);
   EXPECT_GT(promotions, 3);
-  // Not asserted > 0: whether any notice was too short to fit every
-  // bucket depends on the drawn windows; log-only.
-  (void)skipped;
 }
 
 TEST(TopologyChaosTest, SameSeedReplaysIdentically) {
-  const TopologyOutcome a = RunTopologyChaos(42);
-  const TopologyOutcome b = RunTopologyChaos(42);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.spot_revocations, b.spot_revocations);
-  EXPECT_EQ(a.domain_outages, b.domain_outages);
-  EXPECT_EQ(a.drains_started, b.drains_started);
-  EXPECT_EQ(a.drain_kills, b.drain_kills);
-  EXPECT_EQ(a.buckets_evacuated, b.buckets_evacuated);
-  EXPECT_EQ(a.evac_deadline_skipped, b.evac_deadline_skipped);
-  EXPECT_EQ(a.promotions, b.promotions);
-  EXPECT_EQ(a.rows_lost, b.rows_lost);
-  EXPECT_TRUE(a.violations.empty());
+  testing_util::ExpectReplaysIdentically("topology_sweep");
 }
 
 TEST(TopologyChaosTest, DifferentSeedsDiverge) {
-  const TopologyOutcome a = RunTopologyChaos(3);
-  const TopologyOutcome b = RunTopologyChaos(4);
-  EXPECT_NE(a.plan, b.plan);
-  EXPECT_NE(a.trace_fingerprint, b.trace_fingerprint);
+  testing_util::ExpectSeedsDiverge("topology_sweep");
 }
 
 }  // namespace

@@ -1,40 +1,19 @@
 #!/usr/bin/env bash
-# Runs the chaos example twice with the same seed and verifies the
-# telemetry artifacts (metrics JSON/CSV, span trace, event stream, fault
-# trace) are byte-identical — the repo's same-seed determinism contract.
-# A second pair of runs repeats the check under --spike (overload
-# control: load spikes, shedding, breakers, retries), a third under
-# --recovery (replication: promotion failover, replica lag, checkpoint +
-# log-replay restarts, re-replication), a fourth under --partition
-# (simulated network: partitions, message loss/duplication/delay,
-# lease fencing, retransmission), a fifth under
-# --spike --trace-sample=0.1 (transaction lifecycle tracing: sampled
-# txn traces and the Chrome trace_event JSON must also be
-# byte-identical across same-seed runs), a sixth under
-# --corruption --trace-sample=0.1 (content-modeled durability: disk
-# corruption, torn writes, disk stalls, scrubbing and repair -- plus
-# sampled traces -- must replay byte-identically too), a seventh
-# under --revocation (topology: spot-revocation notices, graceful
-# drain with deadline evacuation, and a correlated domain outage), and
-# an eighth under --flashcrowd --trace-sample=0.1 (control-plane guard:
-# an unforecast flash crowd under a telemetry dropout, with divergence
-# handoff, mid-flight plan repair and rejoin -- plus sampled traces --
-# must replay byte-identically too).
+# Same-seed determinism over the whole scenario table: for every
+# scenario that `chaos_run --list-scenarios` prints, run chaos_run twice
+# untraced and twice with --trace-sample=0.1 (sampled txn traces and the
+# Chrome trace_event JSON join the artifacts), each with --out, and
+# require each pair's artifacts (metrics JSON/CSV, span trace, event
+# stream, fault trace, plus the trace files when traced) to be
+# byte-identical. A scenario added to the table is covered without
+# touching this script; an empty list or any failing run fails it.
 #
-# The scenario list is cross-checked against the binary's own
-# --list-scenarios output first, so a scenario added to chaos_run
-# without a determinism pair here — or a pair naming a scenario the
-# binary no longer knows — fails loudly instead of silently shrinking
-# coverage.
-#
-# Usage: [CHAOS_RUN=path/to/chaos_run] [SEED=N] [EVENTS=N] \
-#          tools/check_determinism.sh
+# Usage: [CHAOS_RUN=path/to/chaos_run] [SEED=N] tools/check_determinism.sh
 # Exits 0 on byte-identical runs, 1 otherwise.
 set -u
 
 CHAOS_RUN="${CHAOS_RUN:-build/examples/chaos_run}"
 SEED="${SEED:-42}"
-EVENTS="${EVENTS:-10}"
 
 if [ ! -x "$CHAOS_RUN" ]; then
   echo "check_determinism: $CHAOS_RUN not found or not executable" >&2
@@ -45,64 +24,43 @@ fi
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-# Every scenario flag exercised below must be one the binary itself
-# advertises, and every advertised scenario must have a pair below.
-if ! "$CHAOS_RUN" --list-scenarios > "$workdir/scenarios.out" 2>&1; then
-  echo "check_determinism: $CHAOS_RUN --list-scenarios failed:" >&2
-  cat "$workdir/scenarios.out" >&2
+if ! listing=$("$CHAOS_RUN" --list-scenarios); then
+  echo "check_determinism: $CHAOS_RUN --list-scenarios failed" >&2
   exit 1
 fi
-covered="(default) --spike --recovery --partition --corruption --revocation --flashcrowd"
+scenarios=$(printf '%s\n' "$listing" | awk '{print $1}')
+if [ -z "$scenarios" ]; then
+  echo "check_determinism: $CHAOS_RUN --list-scenarios listed nothing" >&2
+  exit 1
+fi
+
 status=0
-for scenario in $covered; do
-  if ! grep -q -- "^  $scenario " "$workdir/scenarios.out"; then
-    echo "check_determinism: scenario '$scenario' has a determinism" \
-         "pair here but $CHAOS_RUN --list-scenarios does not know it" >&2
-    status=1
-  fi
-done
-while read -r name _; do
-  case " $covered " in
-    *" $name "*) ;;
-    *)
-      echo "check_determinism: $CHAOS_RUN --list-scenarios advertises" \
-           "'$name' but no determinism pair covers it — add one" >&2
+for scenario in $scenarios; do
+  for mode in untraced traced; do
+    flags=""
+    [ "$mode" = traced ] && flags="--trace-sample=0.1"
+    for run in 1 2; do
+      out="$workdir/$scenario.$mode.$run"
+      if ! "$CHAOS_RUN" --scenario="$scenario" --seed="$SEED" $flags \
+           --out="$out" > "$out.stdout" 2>&1; then
+        echo "check_determinism: $scenario ($mode) run $run FAILED;" \
+             "tail of output:" >&2
+        tail -20 "$out.stdout" >&2
+        status=1
+      fi
+    done
+    a="$workdir/$scenario.$mode.1"
+    b="$workdir/$scenario.$mode.2"
+    [ -d "$a" ] && [ -d "$b" ] || continue
+    if diff -r "$a" "$b" > "$workdir/diff.out" 2>&1; then
+      echo "check_determinism: OK — $(ls "$a" | wc -l | tr -d ' ')" \
+           "artifacts byte-identical (seed $SEED, $scenario, $mode)"
+    else
+      echo "check_determinism: MISMATCH between same-seed $scenario" \
+           "($mode) runs:" >&2
+      cat "$workdir/diff.out" >&2
       status=1
-      ;;
-  esac
-done < <(sed -n 's/^  \([^ ]*\)  .*/\1/p' "$workdir/scenarios.out")
-[ "$status" -ne 0 ] && exit "$status"
-
-for run in a b c d e f g h i j k l m n o p; do
-  flags=""
-  { [ "$run" = c ] || [ "$run" = d ]; } && flags="--spike"
-  { [ "$run" = e ] || [ "$run" = f ]; } && flags="--recovery"
-  { [ "$run" = g ] || [ "$run" = h ]; } && flags="--partition"
-  { [ "$run" = i ] || [ "$run" = j ]; } && flags="--spike --trace-sample=0.1"
-  { [ "$run" = k ] || [ "$run" = l ]; } && flags="--corruption --trace-sample=0.1"
-  { [ "$run" = m ] || [ "$run" = n ]; } && flags="--revocation"
-  { [ "$run" = o ] || [ "$run" = p ]; } && flags="--flashcrowd --trace-sample=0.1"
-  if ! "$CHAOS_RUN" --seed="$SEED" --events="$EVENTS" $flags \
-       --out="$workdir/$run" > "$workdir/$run.stdout" 2>&1; then
-    echo "check_determinism: run $run FAILED; tail of output:" >&2
-    tail -20 "$workdir/$run.stdout" >&2
-    status=1
-  fi
-done
-[ "$status" -ne 0 ] && exit "$status"
-
-for pair in "a b plain" "c d spike" "e f recovery" "g h partition" \
-            "i j spike+trace" "k l corruption+trace" "m n revocation" \
-            "o p flashcrowd+trace"; do
-  set -- $pair
-  if diff -r "$workdir/$1" "$workdir/$2" > "$workdir/diff.out" 2>&1; then
-    files=$(ls "$workdir/$1" | wc -l | tr -d ' ')
-    echo "check_determinism: OK — $files artifacts byte-identical" \
-         "(seed $SEED, $EVENTS events, $3)"
-  else
-    echo "check_determinism: MISMATCH between same-seed $3 runs:" >&2
-    cat "$workdir/diff.out" >&2
-    status=1
-  fi
+    fi
+  done
 done
 exit "$status"

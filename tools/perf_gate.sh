@@ -1,18 +1,20 @@
 #!/bin/sh
-# Perf regression gate (DESIGN.md §12): run the microbenchmark suite,
-# then diff its JSON output against the committed baseline trajectory.
-# A second stage runs bench_recovery_mttr and gates its deterministic
-# virtual-clock MTTR grid (unit "s") against its own committed
-# trajectory — so recovery-path regressions (slower replay planning,
-# scrubbing overhead) trip the gate the same way hot-path ns/op
-# regressions do. A third stage runs bench_partition_availability and
-# gates both its outage grid (unit "s": dark/recovery seconds per
-# partition x lease cell) and its latency percentiles (unit "us") the
-# same deterministic way. A fourth stage runs bench_overload_degradation
-# and gates its goodput grid (unit "us/txn": inverse goodput, so a
-# goodput collapse raises the value) plus its p99 grid (unit "ms").
-# Exits non-zero when any tracked case regresses past the threshold or
-# vanishes from the suite.
+# Perf regression gate (DESIGN.md §12): run each gated bench, then diff
+# its JSON output against its committed baseline trajectory, one unit at
+# a time. Stages:
+#   micro      bench_micro_perf, ns/op, normalized by the median ratio
+#              so a uniformly slower host cannot trip it.
+#   recovery   bench_recovery_mttr's MTTR grid (s).
+#   partition  bench_partition_availability's outage grid (s) and its
+#              latency percentiles (us).
+#   overload   bench_overload_degradation's inverse goodput (us/txn, so
+#              a goodput collapse raises the value) and p99 (ms); its
+#              baseline was recorded with --seconds=10.
+# The last three are virtual-clock deterministic (same seed, same
+# clock), so they run --no-normalize: any drift is a real behaviour
+# change. Exits 2 when a binary or baseline is missing, 1 when a bench
+# fails, writes no JSON, or any tracked case regresses past the
+# threshold or vanishes from the suite.
 #
 # Environment overrides (defaults assume running from the repo root
 # with the standard ./build tree):
@@ -65,89 +67,43 @@ done
 
 status=0
 
-rm -f "$CURRENT"
-# Each case's value is its median over three repetitions, interleaved
-# with every other case's, so a host slowdown that lasts a moment
-# lands in one repetition of a few cases and is voted out.
-if ! "$BENCH_MICRO_PERF" --benchmark_min_time=0.05 \
-    --benchmark_repetitions=3 --benchmark_enable_random_interleaving=true \
-    --benchmark_display_aggregates_only=true; then
-  echo "perf_gate: bench_micro_perf exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT" ]; then
-  echo "perf_gate: bench_micro_perf wrote no JSON at $CURRENT" >&2
-  exit 1
-fi
-if ! "$BENCH_COMPARE" --baseline="$BASELINE" --current="$CURRENT" \
-    --threshold="$THRESHOLD"; then
-  status=1
-fi
+# stage BENCH "ARGS" BASELINE CURRENT MODE "UNITS": runs BENCH with
+# ARGS (word-split), then compares CURRENT against BASELINE once per
+# unit. MODE is --normalize or --no-normalize.
+stage() {
+  bench=$1 args=$2 baseline=$3 current=$4 mode=$5 units=$6
+  no_normalize=""
+  [ "$mode" = --no-normalize ] && no_normalize=--no-normalize
+  rm -f "$current"
+  # shellcheck disable=SC2086  # ARGS is a flag list, split on purpose.
+  if ! "$bench" $args; then
+    echo "perf_gate: $(basename "$bench") exited non-zero" >&2
+    exit 1
+  fi
+  if [ ! -f "$current" ]; then
+    echo "perf_gate: $(basename "$bench") wrote no JSON at $current" >&2
+    exit 1
+  fi
+  for unit in $units; do
+    if ! "$BENCH_COMPARE" --baseline="$baseline" --current="$current" \
+        --threshold="$THRESHOLD" --unit="$unit" $no_normalize; then
+      status=1
+    fi
+  done
+}
 
-rm -f "$CURRENT_RECOVERY"
-if ! "$BENCH_RECOVERY_MTTR" --seconds=30; then
-  echo "perf_gate: bench_recovery_mttr exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT_RECOVERY" ]; then
-  echo "perf_gate: bench_recovery_mttr wrote no JSON at $CURRENT_RECOVERY" >&2
-  exit 1
-fi
-# The MTTR grid is virtual-clock deterministic (same seed, same clock),
-# so no median normalization: any drift is a real behavior change.
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_RECOVERY" \
-    --current="$CURRENT_RECOVERY" --threshold="$THRESHOLD" \
-    --unit=s --no-normalize; then
-  status=1
-fi
-
-rm -f "$CURRENT_PARTITION"
-if ! "$BENCH_PARTITION_AVAILABILITY"; then
-  echo "perf_gate: bench_partition_availability exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT_PARTITION" ]; then
-  echo "perf_gate: bench_partition_availability wrote no JSON at" \
-       "$CURRENT_PARTITION" >&2
-  exit 1
-fi
-# Also virtual-clock deterministic; the grid records two units — outage
-# seconds per cell and the nominal cell's latency percentiles — so the
-# gate compares each unit separately.
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_PARTITION" \
-    --current="$CURRENT_PARTITION" --threshold="$THRESHOLD" \
-    --unit=s --no-normalize; then
-  status=1
-fi
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_PARTITION" \
-    --current="$CURRENT_PARTITION" --threshold="$THRESHOLD" \
-    --unit=us --no-normalize; then
-  status=1
-fi
-
-rm -f "$CURRENT_OVERLOAD"
-if ! "$BENCH_OVERLOAD_DEGRADATION" --seconds=10; then
-  echo "perf_gate: bench_overload_degradation exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT_OVERLOAD" ]; then
-  echo "perf_gate: bench_overload_degradation wrote no JSON at" \
-       "$CURRENT_OVERLOAD" >&2
-  exit 1
-fi
-# Virtual-clock deterministic like the MTTR grid. Goodput is tracked as
-# us per good transaction (a goodput drop raises the value), p99 in ms;
-# both gated exactly, no machine-speed normalization. The baseline was
-# recorded with --seconds=10, matching the invocation above.
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_OVERLOAD" \
-    --current="$CURRENT_OVERLOAD" --threshold="$THRESHOLD" \
-    --unit=us/txn --no-normalize; then
-  status=1
-fi
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_OVERLOAD" \
-    --current="$CURRENT_OVERLOAD" --threshold="$THRESHOLD" \
-    --unit=ms --no-normalize; then
-  status=1
-fi
+# Each micro case's value is its median over three repetitions,
+# interleaved with every other case's, so a host slowdown that lasts a
+# moment lands in one repetition of a few cases and is voted out.
+stage "$BENCH_MICRO_PERF" "--benchmark_min_time=0.05 \
+--benchmark_repetitions=3 --benchmark_enable_random_interleaving=true \
+--benchmark_display_aggregates_only=true" \
+  "$BASELINE" "$CURRENT" --normalize "ns/op"
+stage "$BENCH_RECOVERY_MTTR" "--seconds=30" \
+  "$BASELINE_RECOVERY" "$CURRENT_RECOVERY" --no-normalize "s"
+stage "$BENCH_PARTITION_AVAILABILITY" "" \
+  "$BASELINE_PARTITION" "$CURRENT_PARTITION" --no-normalize "s us"
+stage "$BENCH_OVERLOAD_DEGRADATION" "--seconds=10" \
+  "$BASELINE_OVERLOAD" "$CURRENT_OVERLOAD" --no-normalize "us/txn ms"
 
 exit "$status"
