@@ -829,7 +829,7 @@ void ClusterEngine::RouteAndRun(std::shared_ptr<PendingTxn> pending) {
       return;
     }
     StorageFragment* frag = fragments_[static_cast<size_t>(p)].get();
-    ExecutionContext ctx(frag);
+    ExecutionContext ctx(frag, &write_set_);
     const ProcedureDef& proc = registry_.Get(pending->req.proc);
     // Procedures can create rows (an upsert of a key lost in a crash)
     // or delete them; the conservation invariant needs the net delta.
@@ -854,7 +854,7 @@ void ClusterEngine::RouteAndRun(std::shared_ptr<PendingTxn> pending) {
     // (the engine has no rollback, so aborted-but-mutating procedures
     // replicate too — backups must match the primary exactly).
     if (replication_ != nullptr && ctx.mutations() > 0) {
-      ReplicateWrite(p, *pending, service);
+      ReplicateWrite(p, *pending, service, ctx.writes());
     }
     --txns_in_flight_;
     if (m_queue_delay_us_ != nullptr) {
@@ -1125,20 +1125,26 @@ void ClusterEngine::InitialReplicaPlacement() {
 
 void ClusterEngine::ReplicateWrite(PartitionId primary,
                                    const PendingTxn& pending,
-                                   SimDuration service) {
+                                   SimDuration service,
+                                   const WriteSet& writes) {
   const BucketId b = pending.bucket;
   replication_->RecordWrite(NodeOfPartition(primary), b, pending.req.key);
-  const ProcedureDef& proc = registry_.Get(pending.req.proc);
   const SimDuration lag =
       replica_lag_hook_ ? replica_lag_hook_(sim_->Now()) : 0;
   int32_t replicas_applied = 0;
   for (PartitionId q : replication_->replicas(b)) {
     // Synchronous apply: the backup's state reflects the write at commit
-    // time (deterministic re-execution of the same procedure body), and
-    // the apply *work* occupies the backup's executor — the write
-    // amplification the capacity model charges for.
-    ExecutionContext rctx(replication_->backup_fragment(q));
-    proc.body(rctx, pending.req);
+    // time (the primary's write-set, applied physically and sharing the
+    // primary's row bodies), and the apply *work* occupies the backup's
+    // executor — the write amplification the capacity model charges for.
+    StorageFragment* backup = replication_->backup_fragment(q);
+    for (const WriteOp& w : writes) {
+      if (w.row.size() > 0) {
+        backup->Upsert(w.table, w.row);
+      } else {
+        backup->Delete(w.table, w.key);  // NotFound: already absent.
+      }
+    }
     replication_->OnApplyStarted();
     if (m_applies_ != nullptr) m_applies_->Increment();
     const SimDuration apply = std::max<SimDuration>(

@@ -154,7 +154,8 @@ class ClusterEngine {
   // rejoins empty for free. Committed data is never lost by fiat.
   //
   // k-safety (replication.enabled == true): every bucket has k backup
-  // replicas kept in sync by re-executing committed writes. A crash
+  // replicas kept in sync by applying each write's write-set (the
+  // primary's row bodies, shared, never a re-run of the body). A crash
   // *promotes* each dead bucket's lowest-id healthy backup to primary
   // (no bulk teleport; a bucket with no surviving replica honestly
   // loses its rows — see rows_lost()), drops the dead node's replicas,
@@ -539,10 +540,13 @@ class ClusterEngine {
   // Replication internals (all no-ops when replication_ is null).
   /// Seeds k replicas per bucket over the initial topology.
   void InitialReplicaPlacement();
-  /// Synchronously applies a committed write to every healthy replica
-  /// and charges apply work to their executors.
+  /// Logs the write to the primary node's command log, synchronously
+  /// applies its write-set (`writes`, the primary execution's successful
+  /// inserts, upserts and deletes) to every healthy replica's backup
+  /// fragment, and charges the modelled apply work to their executors.
+  /// Backups never run the procedure body.
   void ReplicateWrite(PartitionId primary, const PendingTxn& pending,
-                      SimDuration service);
+                      SimDuration service, const WriteSet& writes);
   /// Reconciles replica placement after `bucket` became owned by `to`
   /// (replica colliding with the new primary's node relocates or drops).
   void OnBucketReassigned(BucketId bucket, PartitionId to);
@@ -595,6 +599,9 @@ class ClusterEngine {
 
   std::vector<std::unique_ptr<StorageFragment>> fragments_;
   std::vector<std::unique_ptr<PartitionExecutor>> executors_;
+  /// Write-set buffer every primary execution records into (reused, so
+  /// replicating a write allocates nothing once it has grown).
+  WriteSet write_set_;
   PartitionMap map_;
   int32_t active_nodes_;
   std::vector<uint8_t> node_up_;  ///< Indexed by NodeId, 1 = serving.

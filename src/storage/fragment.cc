@@ -4,6 +4,16 @@
 
 namespace pstore {
 
+namespace {
+
+Status InstallCollision(BucketId bucket, int64_t key) {
+  return Status::Internal("bucket " + std::to_string(bucket) + " key " +
+                          std::to_string(key) +
+                          " already present at destination");
+}
+
+}  // namespace
+
 StorageFragment::StorageFragment(const Catalog* catalog, int32_t num_buckets)
     : catalog_(catalog), num_buckets_(num_buckets) {
   assert(catalog != nullptr);
@@ -153,21 +163,28 @@ std::vector<std::pair<TableId, BucketRows>> StorageFragment::ExtractBucket(
 
 Status StorageFragment::InstallBucket(
     BucketId bucket, std::vector<std::pair<TableId, BucketRows>> data) {
-  int64_t bytes = 0;
+  // All or nothing: refuse before any row moves if a key is present.
+  for (const auto& [table, rows] : data) {
+    const BucketRows* dest = RowsOf(table, bucket);
+    if (dest == nullptr || dest->empty()) continue;
+    for (const auto& [key, row] : rows) {
+      if (dest->find(key) != dest->end()) return InstallCollision(bucket, key);
+    }
+  }
   for (auto& [table, rows] : data) {
     BucketRows& dest = MutableRowsOf(table, bucket);
     for (auto& [key, row] : rows) {
-      bytes += static_cast<int64_t>(row.ByteSize());
+      const int64_t bytes = static_cast<int64_t>(row.ByteSize());
+      // Only a key repeated within `data` itself can collide here; the
+      // rows already installed stay fully accounted.
       if (!dest.try_emplace(key, std::move(row)).second) {
-        return Status::Internal("bucket " + std::to_string(bucket) +
-                                " key " + std::to_string(key) +
-                                " already present at destination");
+        return InstallCollision(bucket, key);
       }
+      bucket_bytes_[static_cast<size_t>(bucket)] += bytes;
+      total_bytes_ += bytes;
       ++row_counts_[static_cast<size_t>(table)];
     }
   }
-  bucket_bytes_[static_cast<size_t>(bucket)] += bytes;
-  total_bytes_ += bytes;
   return Status::OK();
 }
 

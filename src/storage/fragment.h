@@ -67,7 +67,8 @@ class StorageFragment {
   std::vector<std::pair<TableId, BucketRows>> ExtractBucket(BucketId bucket);
 
   /// \brief Installs rows previously extracted from another fragment.
-  /// Keys must not already exist here (buckets are owned exclusively).
+  /// Keys must not already exist here (buckets are owned exclusively);
+  /// if one does, nothing is installed and the call returns Internal.
   Status InstallBucket(BucketId bucket,
                        std::vector<std::pair<TableId, BucketRows>> data);
 

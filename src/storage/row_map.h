@@ -21,10 +21,11 @@ namespace pstore {
 /// Capacity is a power of two, collisions probe linearly, and erase
 /// shifts the rest of the probe run back, so no tombstones accumulate.
 /// A slot whose Row is empty is free: every stored row holds at least
-/// its partitioning-key column, so a slot is just a key and a Row (32
-/// bytes). The home slot comes from the high half of the key's
-/// MurmurHash64A; KeyToBucket reduces the same hash modulo the bucket
-/// count, so the low bits barely vary among the keys of one bucket.
+/// its partitioning-key column, so a slot is just a key and a Row handle
+/// (16 bytes; the values live in the row's shared body). The home slot
+/// comes from the high half of the key's MurmurHash64A; KeyToBucket
+/// reduces the same hash modulo the bucket count, so the low bits barely
+/// vary among the keys of one bucket.
 ///
 /// Iteration visits slots in array order: a pure function of the
 /// operation sequence, unrelated to key order. Any insert or erase
@@ -32,6 +33,7 @@ namespace pstore {
 class RowMap {
  public:
   using Slot = std::pair<int64_t, Row>;
+  static_assert(sizeof(Slot) == 16, "a slot is a key and a Row handle");
 
   template <bool kConst>
   class Iter {

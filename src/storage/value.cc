@@ -33,22 +33,88 @@ std::string Value::ToString() const {
   return "'" + as_string() + "'";
 }
 
+static_assert(sizeof(Value) == 40, "Row::ByteSize models a 40-byte Value");
+
+Row::Row(std::vector<Value> values) {
+  if (values.empty()) return;
+  body_ = Allocate(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    new (body_->slot(i)) Value(std::move(values[i]));
+  }
+}
+
+Row::Body* Row::Allocate(size_t size) {
+  void* mem = ::operator new(sizeof(Body) + size * sizeof(Value));
+  return new (mem) Body{1, static_cast<uint32_t>(size)};
+}
+
+void Row::Release() {
+  if (body_ == nullptr || --body_->refs > 0) return;
+  Value* values = body_->values();
+  for (size_t i = 0; i < body_->size; ++i) values[i].~Value();
+  body_->~Body();
+  ::operator delete(body_);
+  body_ = nullptr;
+}
+
+void Row::MakeUnique() {
+  if (body_ == nullptr || body_->refs == 1) return;
+  Body* copy = Allocate(body_->size);
+  const Value* src = body_->values();
+  for (size_t i = 0; i < body_->size; ++i) new (copy->slot(i)) Value(src[i]);
+  Release();
+  body_ = copy;
+}
+
 void Row::Set(size_t i, Value v) {
-  if (i >= values_.size()) values_.resize(i + 1);
-  values_[i] = std::move(v);
+  const size_t old_size = size();
+  if (i < old_size) {
+    MakeUnique();
+    body_->values()[i] = std::move(v);
+    return;
+  }
+  // Grow into a fresh body: move the values if this handle is their
+  // only owner, copy them if another Row shares them, pad with NULLs.
+  Body* grown = Allocate(i + 1);
+  if (old_size > 0) {
+    Value* src = body_->values();
+    const bool shared = body_->refs > 1;
+    for (size_t j = 0; j < old_size; ++j) {
+      if (shared) {
+        new (grown->slot(j)) Value(src[j]);
+      } else {
+        new (grown->slot(j)) Value(std::move(src[j]));
+      }
+    }
+  }
+  for (size_t j = old_size; j < i; ++j) new (grown->slot(j)) Value();
+  new (grown->slot(i)) Value(std::move(v));
+  Release();
+  body_ = grown;
 }
 
 size_t Row::ByteSize() const {
-  size_t total = sizeof(Row) + values_.size() * sizeof(Value);
-  for (const auto& v : values_) total += v.ByteSize();
+  const size_t n = size();
+  size_t total = kRowHeaderBytes + n * sizeof(Value);
+  for (size_t i = 0; i < n; ++i) total += at(i).ByteSize();
   return total;
+}
+
+bool Row::operator==(const Row& other) const {
+  if (body_ == other.body_) return true;
+  const size_t n = size();
+  if (n != other.size()) return false;
+  for (size_t i = 0; i < n; ++i) {
+    if (!(at(i) == other.at(i))) return false;
+  }
+  return true;
 }
 
 std::string Row::ToString() const {
   std::string out = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (size_t i = 0; i < size(); ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    out += at(i).ToString();
   }
   out += ")";
   return out;

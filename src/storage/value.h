@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -51,27 +54,81 @@ class Value {
 };
 
 /// \brief A tuple: one Value per column of its table's schema.
+///
+/// A Row is a handle to a reference-counted body: one allocation holding
+/// the count, the size and the Values right after them. Copying a Row
+/// shares the body, so a fragment, its backups and a procedure's result
+/// can all hold the same tuple; Set and the non-const at() first clone a
+/// shared body (copy-on-write), so no holder ever sees another's edit.
+/// An empty Row (no columns) holds no body.
+///
+/// The count is not atomic: a Row and every copy of it are confined to
+/// one thread. Give each thread rows of its own.
 class Row {
  public:
   Row() = default;
-  explicit Row(std::vector<Value> values) : values_(std::move(values)) {}
+  explicit Row(std::vector<Value> values);
+  Row(const Row& other) : body_(other.body_) {
+    if (body_ != nullptr) ++body_->refs;
+  }
+  Row(Row&& other) noexcept : body_(std::exchange(other.body_, nullptr)) {}
+  Row& operator=(const Row& other) {
+    Row(other).swap(*this);
+    return *this;
+  }
+  Row& operator=(Row&& other) noexcept {
+    Row(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Row() { Release(); }
 
-  size_t size() const { return values_.size(); }
-  const Value& at(size_t i) const { return values_[i]; }
-  Value& at(size_t i) { return values_[i]; }
+  size_t size() const { return body_ == nullptr ? 0 : body_->size; }
+  const Value& at(size_t i) const { return body_->values()[i]; }
+  /// Mutable access; clones the body first if it is shared.
+  Value& at(size_t i) {
+    MakeUnique();
+    return body_->values()[i];
+  }
+  /// Sets column `i`, growing the row with NULLs if it is shorter.
   void Set(size_t i, Value v);
 
-  const std::vector<Value>& values() const { return values_; }
-
-  /// Approximate in-memory footprint in bytes.
+  /// Modelled in-memory footprint in bytes: kRowHeaderBytes plus, per
+  /// column, sizeof(Value) and Value::ByteSize(). Migration chunking and
+  /// bucket accounting use it, so it does not follow the body's layout.
   size_t ByteSize() const;
 
   std::string ToString() const;
 
-  bool operator==(const Row& other) const { return values_ == other.values_; }
+  bool operator==(const Row& other) const;
+
+  /// Modelled per-row header bytes (what a vector-backed row occupies).
+  static constexpr size_t kRowHeaderBytes = 24;
 
  private:
-  std::vector<Value> values_;
+  void swap(Row& other) noexcept { std::swap(body_, other.body_); }
+
+  struct alignas(Value) Body {
+    uint32_t refs;
+    uint32_t size;
+    /// Raw storage of value `i`, for constructing it in place.
+    void* slot(size_t i) {
+      return reinterpret_cast<char*>(this + 1) + i * sizeof(Value);
+    }
+    /// The constructed values.
+    Value* values() {
+      return std::launder(reinterpret_cast<Value*>(this + 1));
+    }
+  };
+
+  /// A body with room for `size` values and one reference; the caller
+  /// constructs all `size` values in place before the body is used.
+  static Body* Allocate(size_t size);
+  /// Drops this handle's reference, freeing the body on the last one.
+  void Release();
+  /// Clones the body if another Row shares it.
+  void MakeUnique();
+
+  Body* body_ = nullptr;
 };
 
 }  // namespace pstore

@@ -57,16 +57,33 @@ struct TxnResult {
   bool shed = false;
 };
 
+/// \brief One successful write a procedure made: an Insert or Upsert of
+/// `row` (sharing the body the fragment now holds), or, when `row` is
+/// empty, a Delete of `key`.
+struct WriteOp {
+  TableId table = -1;
+  int64_t key = 0;  ///< The deleted key; unused for inserts and upserts.
+  Row row;
+};
+
+/// The writes of one procedure execution, in the order they happened.
+using WriteSet = std::vector<WriteOp>;
+
 /// \brief Storage operations a procedure may perform, bound to the
 /// partition fragment owning the transaction's key.
 ///
 /// All reads and writes go through the context so procedures cannot
 /// accidentally touch data outside their partition (the single-partition
-/// execution model).
+/// execution model). Every successful write is also appended to the
+/// write-set buffer, which the replication layer applies to backups.
 class ExecutionContext {
  public:
-  explicit ExecutionContext(StorageFragment* fragment)
-      : fragment_(fragment) {}
+  /// \param writes the buffer that receives this execution's write-set;
+  /// it is cleared here, so one buffer serves every execution in turn.
+  ExecutionContext(StorageFragment* fragment, WriteSet* writes)
+      : fragment_(fragment), writes_(writes) {
+    writes_->clear();
+  }
 
   Result<Row> Get(TableId table, int64_t key) const {
     return fragment_->Get(table, key);
@@ -76,29 +93,32 @@ class ExecutionContext {
   }
   Status Insert(TableId table, const Row& row) {
     Status s = fragment_->Insert(table, row);
-    if (s.ok()) ++mutations_;
+    if (s.ok()) writes_->push_back(WriteOp{table, 0, row});
     return s;
   }
   Status Upsert(TableId table, const Row& row) {
     Status s = fragment_->Upsert(table, row);
-    if (s.ok()) ++mutations_;
+    if (s.ok()) writes_->push_back(WriteOp{table, 0, row});
     return s;
   }
   Status Delete(TableId table, int64_t key) {
     Status s = fragment_->Delete(table, key);
-    if (s.ok()) ++mutations_;
+    if (s.ok()) writes_->push_back(WriteOp{table, key, Row()});
     return s;
   }
 
-  /// Successful writes performed through this context. The replication
-  /// layer re-executes procedure bodies whose primary execution mutated
-  /// state; read-only transactions (mutations() == 0) are never shipped
-  /// to backups.
-  int64_t mutations() const { return mutations_; }
+  /// Successful writes performed through this context: the size of its
+  /// write-set. The replication layer applies the write-set of every
+  /// execution that mutated the primary to the backups; read-only
+  /// transactions (mutations() == 0) are never shipped.
+  int64_t mutations() const { return static_cast<int64_t>(writes_->size()); }
+
+  /// This execution's write-set.
+  const WriteSet& writes() const { return *writes_; }
 
  private:
   StorageFragment* fragment_;
-  int64_t mutations_ = 0;
+  WriteSet* writes_;
 };
 
 /// Body of a stored procedure.

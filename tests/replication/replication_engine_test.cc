@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "../test_util.h"
@@ -248,6 +250,108 @@ TEST(ReplicationEngineTest, MigratedPrimaryDisplacesCollidingReplica) {
   InvariantChecker checker(&engine, nullptr);
   checker.set_expected_rows(200);
   EXPECT_TRUE(checker.Check().ok());
+}
+
+/// Runs stamped writes at replication factor `k`: every body call
+/// upserts a fresh value from a per-call counter, so backups match the
+/// primary only if they apply its writes rather than re-run the body.
+void ExpectBackupsMirrorNondeterministicBodies(int32_t k) {
+  SCOPED_TRACE("k=" + std::to_string(k));
+  Catalog catalog;
+  const TableId table = *catalog.AddTable(Schema(
+      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
+  auto calls = std::make_shared<int64_t>(0);
+  ProcedureRegistry registry;
+  const ProcedureId stamp = *registry.Register(ProcedureDef{
+      "Stamp",
+      [table, calls](ExecutionContext& ctx, const TxnRequest& req) {
+        TxnResult r;
+        r.status = ctx.Upsert(table, Row({Value(req.key), Value(++*calls)}));
+        return r;
+      },
+      1.0});
+  const ProcedureId stamp_abort = *registry.Register(ProcedureDef{
+      "StampThenAbort",
+      [table, calls](ExecutionContext& ctx, const TxnRequest& req) {
+        TxnResult r;
+        Status s = ctx.Upsert(table, Row({Value(req.key), Value(++*calls)}));
+        r.status = s.ok() ? Status::Aborted("after writing") : s;
+        return r;
+      },
+      1.0});
+  const ProcedureId del = *registry.Register(ProcedureDef{
+      "Del",
+      [table, calls](ExecutionContext& ctx, const TxnRequest& req) {
+        ++*calls;
+        TxnResult r;
+        r.status = ctx.Delete(table, req.key);
+        return r;
+      },
+      1.0});
+
+  Simulator sim;
+  EngineConfig config = ReplicatedConfig(3);
+  config.replication.k = k;
+  ClusterEngine engine(&sim, catalog, registry, config);
+  const int64_t rows = 100;
+  for (int64_t key = 0; key < rows; ++key) {
+    ASSERT_TRUE(engine.LoadRow(table, Row({Value(key), Value(-key)})).ok());
+  }
+  int64_t submitted = 0;
+  int64_t committed = 0;
+  int64_t aborted = 0;
+  const auto submit = [&](ProcedureId proc, int64_t key) {
+    TxnRequest req;
+    req.proc = proc;
+    req.key = key;
+    engine.Submit(std::move(req), [&](const TxnResult& r) {
+      ++(r.status.ok() ? committed : aborted);
+    });
+    ++submitted;
+  };
+  for (int64_t i = 0; i < 60; ++i) submit(stamp, (i * 7) % (rows + 20));
+  submit(stamp_abort, 3);
+  submit(del, 5);
+  sim.RunUntil(30 * kSecond);
+
+  EXPECT_EQ(committed, submitted - 1);
+  EXPECT_EQ(aborted, 1);
+  // One body call per transaction: backups never re-run the body.
+  EXPECT_EQ(*calls, submitted);
+  EXPECT_EQ(engine.replication()->applies(), k * submitted);
+  // Every replica's row-set equals its primary's, value for value.
+  const PartitionMap& map = engine.partition_map();
+  const replication::ReplicaManager* rep = engine.replication();
+  for (BucketId b = 0; b < map.num_buckets(); ++b) {
+    const StorageFragment* primary =
+        engine.fragment(map.PartitionOfBucket(b));
+    ASSERT_EQ(rep->healthy_replicas(b), k);
+    for (PartitionId q : rep->replicas(b)) {
+      const StorageFragment* backup = rep->backup_fragment(q);
+      const std::vector<int64_t> keys = primary->BucketKeys(table, b);
+      EXPECT_EQ(backup->BucketRowCount(b), static_cast<int64_t>(keys.size()))
+          << "bucket " << b << " on partition " << q;
+      for (int64_t key : keys) {
+        Result<Row> want = primary->Get(table, key);
+        Result<Row> got = backup->Get(table, key);
+        ASSERT_TRUE(got.ok()) << "key " << key << " missing on " << q;
+        EXPECT_TRUE(*got == *want) << "key " << key << " on " << q << ": "
+                                   << got->ToString() << " vs primary "
+                                   << want->ToString();
+      }
+    }
+  }
+  EXPECT_FALSE(engine.fragment(map.PartitionOfBucket(
+                                   KeyToBucket(5, map.num_buckets())))
+                   ->Contains(table, 5));
+  InvariantChecker checker(&engine, nullptr);
+  checker.set_expected_rows(rows);
+  EXPECT_TRUE(checker.Check().ok());
+}
+
+TEST(ReplicationEngineTest, BackupsApplyThePrimaryWriteSet) {
+  ExpectBackupsMirrorNondeterministicBodies(1);
+  ExpectBackupsMirrorNondeterministicBodies(2);
 }
 
 }  // namespace

@@ -144,6 +144,29 @@ TEST_F(FragmentTest, InstallCollisionIsInternalError) {
   EXPECT_TRUE(b.InstallBucket(1, std::move(data)).IsInternal());
 }
 
+TEST_F(FragmentTest, FailedInstallLeavesFragmentUnchanged) {
+  // One bucket, so every key lands in it. The destination already holds
+  // U/7; the shipped data is T/5 followed by the colliding U/7.
+  StorageFragment dest(&catalog_, 1);
+  ASSERT_TRUE(dest.Insert(table2_, Row({Value(int64_t{7})})).ok());
+  const int64_t bytes_before = dest.TotalBytes();
+  ASSERT_EQ(bytes_before, 72);  // 24 + 40 + 8: one single-BIGINT row.
+  std::vector<std::pair<TableId, BucketRows>> data(2);
+  data[0].first = table_;
+  data[0].second.try_emplace(5, MakeRow(5));
+  data[1].first = table2_;
+  data[1].second.try_emplace(7, Row({Value(int64_t{7})}));
+  EXPECT_TRUE(dest.InstallBucket(0, std::move(data)).IsInternal());
+  // All or nothing: T/5 was not installed, and the counts and bytes
+  // still describe exactly the one row held.
+  EXPECT_FALSE(dest.Contains(table_, 5));
+  EXPECT_EQ(dest.RowCount(table_), 0);
+  EXPECT_EQ(dest.TotalRowCount(), 1);
+  EXPECT_EQ(dest.BucketRowCount(0), 1);
+  EXPECT_EQ(dest.TotalBytes(), bytes_before);
+  EXPECT_EQ(dest.BucketBytes(0), bytes_before);
+}
+
 TEST_F(FragmentTest, BucketKeysListsBucketContents) {
   StorageFragment frag(&catalog_, 4);
   std::vector<int64_t> expected;

@@ -83,6 +83,61 @@ TEST(RowTest, ByteSizeIncludesValues) {
   EXPECT_GT(big.ByteSize(), small.ByteSize() + 900);
 }
 
+TEST(RowTest, ByteSizeIsTheModelledFootprint) {
+  // 24 header bytes, 40 per Value slot, plus each value's own bytes.
+  EXPECT_EQ(Row({Value(int64_t{1}), Value(int64_t{2})}).ByteSize(), 120u);
+  EXPECT_EQ(Row({Value(0.5), Value("abc")}).ByteSize(), 131u);
+  EXPECT_EQ(Row().ByteSize(), Row::kRowHeaderBytes);
+}
+
+TEST(RowTest, CopySharesUntilSetClones) {
+  const Row original({Value(int64_t{1}), Value("a")});
+  Row copy = original;
+  EXPECT_EQ(copy, original);
+  copy.Set(1, Value("b"));
+  EXPECT_EQ(original.at(1).as_string(), "a");
+  EXPECT_EQ(copy.at(1).as_string(), "b");
+  EXPECT_FALSE(copy == original);
+}
+
+TEST(RowTest, MutableAtClonesSharedBody) {
+  const Row original({Value(int64_t{1}), Value(int64_t{2})});
+  Row copy = original;
+  copy.at(0) = Value(int64_t{10});
+  EXPECT_EQ(original.at(0).as_int64(), 1);
+  EXPECT_EQ(copy.at(0).as_int64(), 10);
+  EXPECT_EQ(copy.at(1).as_int64(), 2);
+}
+
+TEST(RowTest, GrowingSetOfSharedRowPadsWithNulls) {
+  const Row original({Value(int64_t{1}), Value("keep")});
+  Row copy = original;
+  copy.Set(4, Value("x"));
+  ASSERT_EQ(copy.size(), 5u);
+  EXPECT_EQ(copy.at(0).as_int64(), 1);
+  EXPECT_EQ(copy.at(1).as_string(), "keep");
+  EXPECT_TRUE(copy.at(2).is_null());
+  EXPECT_TRUE(copy.at(3).is_null());
+  EXPECT_EQ(copy.at(4).as_string(), "x");
+  // The shared values were copied, not moved out from under `original`.
+  ASSERT_EQ(original.size(), 2u);
+  EXPECT_EQ(original.at(0).as_int64(), 1);
+  EXPECT_EQ(original.at(1).as_string(), "keep");
+}
+
+TEST(RowTest, CopiesOutliveTheOriginal) {
+  Row survivor;
+  {
+    Row original({Value(int64_t{1}), Value(std::string(64, 'z'))});
+    survivor = original;
+    Row moved = std::move(original);
+    moved.Set(0, Value(int64_t{2}));
+  }
+  ASSERT_EQ(survivor.size(), 2u);
+  EXPECT_EQ(survivor.at(0).as_int64(), 1);
+  EXPECT_EQ(survivor.at(1).as_string(), std::string(64, 'z'));
+}
+
 TEST(ColumnTypeTest, Names) {
   EXPECT_STREQ(ColumnTypeToString(ColumnType::kInt64), "BIGINT");
   EXPECT_STREQ(ColumnTypeToString(ColumnType::kDouble), "DOUBLE");

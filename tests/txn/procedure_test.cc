@@ -50,7 +50,8 @@ TEST_F(ProcedureTest, IdByName) {
 
 TEST_F(ProcedureTest, ExecutionContextReadsAndWrites) {
   StorageFragment frag(&catalog_, 8);
-  ExecutionContext ctx(&frag);
+  WriteSet writes;
+  ExecutionContext ctx(&frag, &writes);
   const Row row({Value(int64_t{1}), Value(int64_t{10})});
   ASSERT_TRUE(ctx.Insert(table_, row).ok());
   EXPECT_TRUE(ctx.Contains(table_, 1));
@@ -63,6 +64,28 @@ TEST_F(ProcedureTest, ExecutionContextReadsAndWrites) {
   EXPECT_EQ(ctx.Get(table_, 1)->at(1).as_int64(), 20);
   ASSERT_TRUE(ctx.Delete(table_, 1).ok());
   EXPECT_FALSE(ctx.Contains(table_, 1));
+}
+
+TEST_F(ProcedureTest, ExecutionContextRecordsSuccessfulWrites) {
+  StorageFragment frag(&catalog_, 8);
+  WriteSet writes;
+  writes.push_back(WriteOp{table_, 99, Row()});  // Stale: cleared below.
+  ExecutionContext ctx(&frag, &writes);
+  EXPECT_EQ(ctx.mutations(), 0);
+  const Row row({Value(int64_t{1}), Value(int64_t{10})});
+  ASSERT_TRUE(ctx.Insert(table_, row).ok());
+  EXPECT_TRUE(ctx.Insert(table_, row).IsAlreadyExists());  // Not recorded.
+  const Row updated({Value(int64_t{1}), Value(int64_t{20})});
+  ASSERT_TRUE(ctx.Upsert(table_, updated).ok());
+  EXPECT_TRUE(ctx.Delete(table_, 7).IsNotFound());  // Not recorded.
+  ASSERT_TRUE(ctx.Delete(table_, 1).ok());
+  ASSERT_EQ(ctx.mutations(), 3);
+  ASSERT_EQ(&ctx.writes(), &writes);
+  EXPECT_EQ(writes[0].table, table_);
+  EXPECT_EQ(writes[0].row, row);
+  EXPECT_EQ(writes[1].row, updated);
+  EXPECT_EQ(writes[2].row.size(), 0u);  // A delete...
+  EXPECT_EQ(writes[2].key, 1);          // ...of key 1.
 }
 
 TEST_F(ProcedureTest, ProcedureBodyRunsAgainstContext) {
@@ -88,7 +111,8 @@ TEST_F(ProcedureTest, ProcedureBodyRunsAgainstContext) {
       1.0});
   ASSERT_TRUE(id.ok());
 
-  ExecutionContext ctx(&frag);
+  WriteSet writes;
+  ExecutionContext ctx(&frag, &writes);
   TxnRequest req;
   req.proc = *id;
   req.key = 42;

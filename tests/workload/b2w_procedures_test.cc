@@ -14,7 +14,7 @@ class B2wProceduresTest : public ::testing::Test {
     tables_ = *RegisterB2wTables(&catalog_);
     procs_ = *RegisterB2wProcedures(&registry_, tables_);
     fragment_ = std::make_unique<StorageFragment>(&catalog_, 64);
-    ctx_ = std::make_unique<ExecutionContext>(fragment_.get());
+    ctx_ = std::make_unique<ExecutionContext>(fragment_.get(), &writes_);
   }
 
   TxnResult Run(ProcedureId proc, int64_t key,
@@ -31,6 +31,7 @@ class B2wProceduresTest : public ::testing::Test {
   B2wTables tables_;
   B2wProcedures procs_;
   std::unique_ptr<StorageFragment> fragment_;
+  WriteSet writes_;
   std::unique_ptr<ExecutionContext> ctx_;
 };
 

@@ -48,7 +48,8 @@ TEST_F(WikiWorkloadTest, RegistersTableAndProcedures) {
 
 TEST_F(WikiWorkloadTest, ProcedureSemantics) {
   StorageFragment frag(&catalog_, 128);
-  ExecutionContext ctx(&frag);
+  WriteSet writes;
+  ExecutionContext ctx(&frag, &writes);
   auto run = [&](ProcedureId proc, int64_t key, std::vector<Value> args) {
     TxnRequest req;
     req.proc = proc;
