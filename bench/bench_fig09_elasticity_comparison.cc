@@ -73,14 +73,11 @@ int main(int argc, char** argv) {
     config.strategy = spec.strategy;
     config.static_nodes = spec.static_nodes;
     // Per-run telemetry: controller/migration/cluster metrics sampled
-    // every 10 virtual seconds. Disarmed builds skip it entirely, so
-    // their figure CSVs stay bit-identical to uninstrumented builds.
+    // every 10 virtual seconds.
     obs::TelemetryBundle telemetry;
     obs::TimeseriesExporter exporter(&telemetry.metrics);
-    if (obs::Enabled()) {
-      config.telemetry = telemetry.view();
-      config.telemetry_exporter = &exporter;
-    }
+    config.telemetry = telemetry.view();
+    config.telemetry_exporter = &exporter;
     auto result = RunElasticityExperiment(config);
     if (!result.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", spec.tag,

@@ -40,13 +40,11 @@ int main(int argc, char** argv) {
     // Thread the fallback multiplier through the controller defaults.
     tuned.controller.infeasible_rate_multiplier = multiplier;
     // Per-run telemetry (safety-net trips, forecast error, migration
-    // spans); disarmed builds attach nothing.
+    // spans).
     obs::TelemetryBundle telemetry;
     obs::TimeseriesExporter exporter(&telemetry.metrics);
-    if (obs::Enabled()) {
-      tuned.telemetry = telemetry.view();
-      tuned.telemetry_exporter = &exporter;
-    }
+    tuned.telemetry = telemetry.view();
+    tuned.telemetry_exporter = &exporter;
     // RunElasticityExperiment derives controller settings unless
     // overridden; copy the multiplier by marking a partial override.
     auto result = RunElasticityExperiment(tuned);

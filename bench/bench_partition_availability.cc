@@ -107,7 +107,7 @@ CellResult RunCell(double partition_s, double lease_s,
   config.net.suspicion_timeout = SecondsToDuration(lease_s / 2.0);
   config.net.failover_timeout = SecondsToDuration(lease_s * 2.0);
   ClusterEngine engine(&sim, catalog, registry, config);
-  if (telemetry != nullptr && obs::Enabled()) {
+  if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }
   for (int64_t k = 0; k < kRows; ++k) {

@@ -124,7 +124,7 @@ CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
   config.replication.durability.enabled = dura.enabled;
   config.replication.durability.scrub_rate_kbps = dura.scrub_rate_kbps;
   ClusterEngine engine(&sim, catalog, registry, config);
-  if (telemetry != nullptr && obs::Enabled()) {
+  if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }
   const int64_t rows = 600;

@@ -108,7 +108,7 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   config.topology.num_domains = num_domains;
   config.topology.spot_from_node = 1;
   ClusterEngine engine(&sim, catalog, registry, config);
-  if (telemetry != nullptr && obs::Enabled()) {
+  if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }
   for (int64_t k = 0; k < kRows; ++k) {
@@ -121,7 +121,7 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   migration.wire_kbps = 100000;
   migration.db_size_mb = 10;
   MigrationExecutor migrator(&engine, migration);
-  if (telemetry != nullptr && obs::Enabled()) {
+  if (telemetry != nullptr) {
     migrator.set_telemetry(telemetry->view());
   }
   engine.set_drain_hook([&migrator](NodeId n, SimTime deadline) {

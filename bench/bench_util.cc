@@ -160,7 +160,6 @@ void WriteCsv(const std::string& file,
 void WriteRunTelemetry(const std::string& prefix,
                        obs::TelemetryBundle* telemetry,
                        const obs::TimeseriesExporter* exporter) {
-  if (!obs::Enabled()) return;  // disarmed builds keep bench_out pristine
   const std::string base = "bench_out/" + prefix;
   bool ok = obs::WriteStringToFile(base + "_metrics.json",
                                    telemetry->metrics.DumpJson());

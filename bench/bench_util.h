@@ -31,8 +31,7 @@ void WriteCsv(const std::string& file,
 
 /// Writes one run's telemetry under bench_out/<prefix>_metrics.json,
 /// <prefix>_metrics.csv (when an exporter sampled the run) and
-/// <prefix>_events.txt. No-op in disarmed (PSTORE_OBS=OFF) builds, so
-/// figure CSV output stays bit-identical to uninstrumented builds.
+/// <prefix>_events.txt.
 void WriteRunTelemetry(const std::string& prefix,
                        obs::TelemetryBundle* telemetry,
                        const obs::TimeseriesExporter* exporter = nullptr);

@@ -22,6 +22,13 @@ Status EngineConfig::Validate() const {
     return Status::InvalidArgument("txn_service_us_mean <= 0");
   }
   if (txn_service_cv < 0) return Status::InvalidArgument("txn_service_cv < 0");
+  // Completions divide the virtual clock by both windows.
+  if (latency_window <= 0) {
+    return Status::InvalidArgument("latency_window <= 0");
+  }
+  if (throughput_window <= 0) {
+    return Status::InvalidArgument("throughput_window <= 0");
+  }
   if (num_buckets < max_nodes * partitions_per_node) {
     return Status::InvalidArgument(
         "need at least one bucket per partition at max scale");
@@ -76,7 +83,11 @@ ClusterEngine::ClusterEngine(Simulator* sim, Catalog catalog,
   }
   partition_access_counts_.assign(static_cast<size_t>(total), 0);
   bucket_access_counts_.assign(static_cast<size_t>(config_.num_buckets), 0);
-  node_up_.assign(static_cast<size_t>(config_.max_nodes), 1);
+  // Every node starts with a grace lease; with net on, the first
+  // heartbeat round renews it before it can expire (heartbeat_period <
+  // lease_timeout).
+  nodes_.assign(static_cast<size_t>(config_.max_nodes),
+                NodeState{.lease_until = config_.net.lease_timeout});
   allocation_timeline_.push_back(AllocationEvent{0, active_nodes_});
   if (config_.overload.enabled) {
     for (auto& ex : executors_) {
@@ -91,15 +102,8 @@ ClusterEngine::ClusterEngine(Simulator* sim, Catalog catalog,
     // (domain and class derive from the node index), so toggling it
     // cannot perturb any other subsystem's draw sequence.
     policy_ = std::make_unique<topology::PlacementPolicy>(config_.topology);
-    const size_t mn = static_cast<size_t>(config_.max_nodes);
-    node_draining_.assign(mn, 0);
-    drain_deadline_.assign(mn, 0);
-    drain_gen_.assign(mn, 0);
   }
   if (config_.replication.enabled) {
-    node_recovering_.assign(static_cast<size_t>(config_.max_nodes), 0);
-    recovery_gen_.assign(static_cast<size_t>(config_.max_nodes), 0);
-    recovery_start_.assign(static_cast<size_t>(config_.max_nodes), 0);
     replication_ = std::make_unique<replication::ReplicaManager>(
         &catalog_, config_.replication, config_.num_buckets, total,
         config_.partitions_per_node);
@@ -119,13 +123,6 @@ ClusterEngine::ClusterEngine(Simulator* sim, Catalog catalog,
     // off keeps every other subsystem's sequence byte-identical.
     net_ = std::make_unique<net::NetworkModel>(
         sim_, config_.net, config_.seed ^ 0xd1b54a32d192ed03ULL);
-    const size_t mn = static_cast<size_t>(config_.max_nodes);
-    last_hb_from_.assign(mn, 0);
-    // Every node starts with a grace lease; the first heartbeat round
-    // renews it before it can expire (heartbeat_period < lease_timeout).
-    lease_until_.assign(mn, config_.net.lease_timeout);
-    node_suspected_.assign(mn, 0);
-    node_fenced_.assign(mn, 0);
     for (NodeId n = 0; n < config_.max_nodes; ++n) HeartbeatLoop(n);
     MonitorLoop();
   }
@@ -325,36 +322,9 @@ Status ClusterEngine::ActivateNodes(int32_t n) {
   }
   if (n <= active_nodes_) return Status::OK();
   // Newly provisioned machines always come up healthy, even if a node of
-  // the same index crashed before being released earlier.
-  for (int32_t i = active_nodes_; i < n; ++i) {
-    node_up_[static_cast<size_t>(i)] = 1;
-    if (replication_ != nullptr) {
-      // A node index released mid-recovery must not resume that stale
-      // recovery when reprovisioned.
-      node_recovering_[static_cast<size_t>(i)] = 0;
-      ++recovery_gen_[static_cast<size_t>(i)];
-      replication_->ResetNode(i);
-    }
-    if (net_ != nullptr) ResetLease(i);
-    if (policy_ != nullptr) {
-      // A node index released mid-drain must not inherit that stale
-      // drain (or its deadline kill) when reprovisioned.
-      node_draining_[static_cast<size_t>(i)] = 0;
-      ++drain_gen_[static_cast<size_t>(i)];
-    }
-  }
-  active_nodes_ = n;
-  allocation_timeline_.push_back(AllocationEvent{sim_->Now(), active_nodes_});
-  if (m_active_nodes_ != nullptr) {
-    m_active_nodes_->Set(active_nodes_);
-    m_live_nodes_->Set(live_nodes());
-  }
-  if (telemetry_.events != nullptr) {
-    telemetry_.events->Record(sim_->Now(), "cluster",
-                              "scaled to " + std::to_string(n) + " nodes");
-  }
-  // New capacity may unblock re-replication of degraded buckets.
-  KickRebuilds();
+  // the same index crashed, recovered or drained before its release.
+  for (int32_t i = active_nodes_; i < n; ++i) ResetNodeState(i);
+  SetActiveNodes(n);
   return Status::OK();
 }
 
@@ -369,42 +339,50 @@ Status ClusterEngine::DeactivateNodes(int32_t n) {
           "partition " + std::to_string(p) + " still holds data");
     }
   }
-  if (replication_ != nullptr) {
+  for (NodeId m = n; m < active_nodes_; ++m) {
     // Released nodes take their backup replicas with them; degraded
-    // buckets re-replicate onto the surviving topology below.
-    for (NodeId m = n; m < active_nodes_; ++m) {
+    // buckets re-replicate onto the surviving topology.
+    if (replication_ != nullptr) {
       replication_->DropReplicasOnNode(m);
       replication_->CancelRebuildsTargeting(m);
-      node_recovering_[static_cast<size_t>(m)] = 0;
-      ++recovery_gen_[static_cast<size_t>(m)];
-      replication_->ResetNode(m);
-      if (net_ != nullptr) ResetLease(m);
-      if (policy_ != nullptr) {
-        node_draining_[static_cast<size_t>(m)] = 0;
-        ++drain_gen_[static_cast<size_t>(m)];
-      }
     }
+    ResetNodeState(m);
   }
+  SetActiveNodes(n);
+  return Status::OK();
+}
+
+void ClusterEngine::RecordEvent(const char* category,
+                                const std::string& what) {
+  if (telemetry_.events != nullptr) {
+    telemetry_.events->Record(sim_->Now(), category, what);
+  }
+}
+
+void ClusterEngine::ResetNodeState(NodeId n) {
+  NodeState& s = state(n);
+  s.up = true;
+  s.recovering = false;
+  s.suspected = false;
+  s.fenced = false;
+  s.draining = false;
+  ++s.recovery_gen;
+  ++s.drain_gen;
+  s.last_hb_from = sim_->Now();
+  s.lease_until = sim_->Now() + config_.net.lease_timeout;
+  if (replication_ != nullptr) replication_->ResetNode(n);
+}
+
+void ClusterEngine::SetActiveNodes(int32_t n) {
   active_nodes_ = n;
   allocation_timeline_.push_back(AllocationEvent{sim_->Now(), active_nodes_});
   if (m_active_nodes_ != nullptr) {
     m_active_nodes_->Set(active_nodes_);
     m_live_nodes_->Set(live_nodes());
   }
-  if (telemetry_.events != nullptr) {
-    telemetry_.events->Record(sim_->Now(), "cluster",
-                              "scaled to " + std::to_string(n) + " nodes");
-  }
+  RecordEvent("cluster", "scaled to " + std::to_string(n) + " nodes");
+  // New capacity may unblock re-replication of degraded buckets.
   KickRebuilds();
-  return Status::OK();
-}
-
-int32_t ClusterEngine::live_nodes() const {
-  int32_t live = 0;
-  for (int32_t n = 0; n < active_nodes_; ++n) {
-    if (node_up_[static_cast<size_t>(n)] != 0) ++live;
-  }
-  return live;
 }
 
 Status ClusterEngine::CrashNode(NodeId n) {
@@ -415,109 +393,35 @@ Status ClusterEngine::CrashNode(NodeId n) {
   if (live_nodes() <= 1) {
     return Status::FailedPrecondition("cannot crash the last live node");
   }
-  node_up_[static_cast<size_t>(n)] = 0;
+  NodeState& s = state(n);
+  s.up = false;
   ++fault_epoch_;
-  if (policy_ != nullptr && node_draining_[static_cast<size_t>(n)] != 0) {
-    // A crash supersedes a pending drain; the generation bump voids the
-    // scheduled deadline kill.
-    node_draining_[static_cast<size_t>(n)] = 0;
-    ++drain_gen_[static_cast<size_t>(n)];
-  }
-  if (net_ != nullptr) {
-    // Fail-stop is authoritative: the node is dead, not suspected, and
-    // any fence against it is moot (this failover supersedes it).
-    node_suspected_[static_cast<size_t>(n)] = 0;
-    node_fenced_[static_cast<size_t>(n)] = 0;
-  }
+  // Fail-stop is authoritative: it supersedes a pending drain (the
+  // generation bump voids its deadline kill), and the node is dead, not
+  // suspected; any fence against it is moot.
+  s.draining = false;
+  ++s.drain_gen;
+  s.suspected = false;
+  s.fenced = false;
   if (replication_ != nullptr) {
     // k-safety failover: promote each dead bucket's backup. The dead
     // node's primary rows are discarded (fail-stop); the promoted
     // backup already holds every committed write, so no bulk data
     // moves. Iteration is ascending everywhere for determinism.
-    obs::SpanTracer::SpanId span = 0;
-    if (telemetry_.tracer != nullptr) {
-      span = telemetry_.tracer->BeginAt("failover node " + std::to_string(n),
-                                        sim_->Now());
-    }
     // Drop the dead node's own replicas first so promotion can never
     // pick a backup hosted on the node that just died.
     const int64_t dropped = replication_->DropReplicasOnNode(n);
     replication_->CancelRebuildsTargeting(n);
-    // Parking owner for buckets with no surviving replica: the first
-    // live partition (the bucket rejoins the map empty; its rows are
-    // honestly lost and counted).
-    PartitionId parking = -1;
-    for (int32_t m = 0; m < active_nodes_ && parking < 0; ++m) {
-      if (node_up_[static_cast<size_t>(m)] != 0) {
-        parking = m * config_.partitions_per_node;
-      }
-    }
-    int64_t promoted = 0;
     const int64_t lost_before = rows_lost_;
-    for (int32_t k = 0; k < config_.partitions_per_node; ++k) {
-      const PartitionId dead = n * config_.partitions_per_node + k;
-      for (BucketId bucket : map_.BucketsOfPartition(dead)) {
-        auto dead_rows =
-            fragments_[static_cast<size_t>(dead)]->ExtractBucket(bucket);
-        // With the substrate on, prefer a backup the controller can
-        // reach; if the partition has cut off every replica, still
-        // promote one (data beats reachability — the minority-side new
-        // primary is fenced until heal, never dual-committing).
-        PartitionId q = -1;
-        if (net_ != nullptr) {
-          q = replication_->Promote(bucket, [this](PartitionId r) {
-            const NodeId rn = NodeOfPartition(r);
-            return IsNodeUp(rn) && !IsNodeRecovering(rn) &&
-                   node_fenced_[static_cast<size_t>(rn)] == 0 &&
-                   net_->Reachable(net::NetworkModel::kController, rn);
-          });
-        }
-        if (q < 0) q = replication_->Promote(bucket);
-        if (q >= 0) {
-          auto data = replication_->backup_fragment(q)->ExtractBucket(bucket);
-          Status st = fragments_[static_cast<size_t>(q)]->InstallBucket(
-              bucket, std::move(data));
-          if (!st.ok()) {
-            PSTORE_LOG(Warn) << "promotion install of bucket " << bucket
-                             << " failed: " << st.ToString();
-          }
-          map_.Assign(bucket, q);
-          ++promoted;
-        } else {
-          for (const auto& tr : dead_rows) {
-            rows_lost_ += static_cast<int64_t>(tr.second.size());
-          }
-          map_.Assign(bucket, parking);
-        }
-        // A rebuild targeting the new primary's node would create a
-        // replica co-located with the primary; restart it elsewhere.
-        if (replication_->rebuild_in_flight(bucket) &&
-            replication_->node_of(replication_->rebuild_target(bucket)) ==
-                NodeOfPartition(map_.PartitionOfBucket(bucket))) {
-          replication_->CancelRebuild(bucket);
-        }
-      }
-    }
-    map_.set_version(map_.version() + 1);
-    KickRebuilds();
+    const int64_t promoted = PromoteBucketsOf(n, /*crashed=*/true);
     if (m_live_nodes_ != nullptr) m_live_nodes_->Set(live_nodes());
-    if (m_promotions_ != nullptr) m_promotions_->Add(promoted);
-    if (m_rows_lost_ != nullptr && rows_lost_ > lost_before) {
-      m_rows_lost_->Add(rows_lost_ - lost_before);
+    std::string msg = "node " + std::to_string(n) + " crashed: " +
+                      std::to_string(promoted) + " buckets promoted, " +
+                      std::to_string(dropped) + " replicas dropped";
+    if (rows_lost_ > lost_before) {
+      msg += ", " + std::to_string(rows_lost_ - lost_before) + " rows lost";
     }
-    if (telemetry_.events != nullptr) {
-      std::string msg = "node " + std::to_string(n) + " crashed: " +
-                        std::to_string(promoted) + " buckets promoted, " +
-                        std::to_string(dropped) + " replicas dropped";
-      if (rows_lost_ > lost_before) {
-        msg += ", " + std::to_string(rows_lost_ - lost_before) +
-               " rows lost";
-      }
-      telemetry_.events->Record(sim_->Now(), "replication", msg);
-    }
-    if (telemetry_.tracer != nullptr) {
-      telemetry_.tracer->EndAt(span, sim_->Now());
-    }
+    RecordEvent("replication", msg);
     return Status::OK();
   }
   const int64_t failovers_before = failover_moves_;
@@ -527,7 +431,7 @@ Status ClusterEngine::CrashNode(NodeId n) {
   // Everything iterates in ascending order so failover is deterministic.
   std::vector<PartitionId> live_partitions;
   for (int32_t m = 0; m < active_nodes_; ++m) {
-    if (node_up_[static_cast<size_t>(m)] == 0) continue;
+    if (!state(m).up) continue;
     for (int32_t k = 0; k < config_.partitions_per_node; ++k) {
       live_partitions.push_back(m * config_.partitions_per_node + k);
     }
@@ -550,24 +454,20 @@ Status ClusterEngine::CrashNode(NodeId n) {
     m_live_nodes_->Set(live_nodes());
     m_failovers_->Add(failover_moves_ - failovers_before);
   }
-  if (telemetry_.events != nullptr) {
-    telemetry_.events->Record(
-        sim_->Now(), "cluster",
-        "node " + std::to_string(n) + " crashed, " +
-            std::to_string(failover_moves_ - failovers_before) +
-            " buckets failed over");
-  }
+  RecordEvent("cluster", "node " + std::to_string(n) + " crashed, " +
+                             std::to_string(failover_moves_ -
+                                            failovers_before) +
+                             " buckets failed over");
   return Status::OK();
 }
 
 Status ClusterEngine::RestartNode(NodeId n) {
-  if (n < 0 || n >= active_nodes_ ||
-      node_up_[static_cast<size_t>(n)] != 0) {
+  if (!IsActive(n) || state(n).up) {
     return Status::FailedPrecondition(
         "node " + std::to_string(n) + " is not a crashed, active node");
   }
   if (replication_ != nullptr) {
-    if (node_recovering_[static_cast<size_t>(n)] != 0) {
+    if (state(n).recovering) {
       return Status::FailedPrecondition(
           "node " + std::to_string(n) + " is already recovering");
     }
@@ -577,8 +477,8 @@ Status ClusterEngine::RestartNode(NodeId n) {
     // first: a damaged latest checkpoint degrades to the previous image
     // with a longer replay, and a disk with nothing trustworthy left
     // restores over the wire at the (slower) rebuild rate instead.
-    node_recovering_[static_cast<size_t>(n)] = 1;
-    recovery_start_[static_cast<size_t>(n)] = sim_->Now();
+    state(n).recovering = true;
+    state(n).recovery_start = sim_->Now();
     const durability::RecoveryPlan plan = replication_->PlanRecovery(n);
     SimDuration replay;
     if (plan.mode == durability::RecoveryMode::kRereplicate) {
@@ -595,44 +495,29 @@ Status ClusterEngine::RestartNode(NodeId n) {
       replay = std::max<SimDuration>(
           1, static_cast<SimDuration>(static_cast<double>(replay) * stall));
     }
-    const int64_t gen = ++recovery_gen_[static_cast<size_t>(n)];
+    const int64_t gen = ++state(n).recovery_gen;
     sim_->Schedule(replay, [this, n, gen]() { FinishRecovery(n, gen); });
-    if (telemetry_.events != nullptr) {
-      if (plan.mode == durability::RecoveryMode::kNormal) {
-        telemetry_.events->Record(
-            sim_->Now(), "replication",
-            "node " + std::to_string(n) +
-                " restarting: checkpoint+log replay scheduled (" +
-                std::to_string(replay) + " us)");
-      } else if (plan.mode == durability::RecoveryMode::kFallback) {
-        telemetry_.events->Record(
-            sim_->Now(), "durability",
-            "node " + std::to_string(n) +
-                " restarting: latest checkpoint damaged (" +
-                std::to_string(plan.crc_failures) + " crc, " +
-                std::to_string(plan.torn_segments) +
-                " torn) -- fallback replay from previous image (" +
-                std::to_string(replay) + " us)");
-      } else {
-        telemetry_.events->Record(
-            sim_->Now(), "durability",
-            "node " + std::to_string(n) +
-                " restarting: durable state unrecoverable (" +
-                std::to_string(plan.crc_failures) + " crc, " +
-                std::to_string(plan.torn_segments) +
-                " torn) -- re-replicating over the wire (" +
-                std::to_string(replay) + " us)");
-      }
+    const bool normal = plan.mode == durability::RecoveryMode::kNormal;
+    const bool fallback = plan.mode == durability::RecoveryMode::kFallback;
+    std::string msg = "node " + std::to_string(n) + " restarting: ";
+    if (normal) {
+      msg += "checkpoint+log replay scheduled";
+    } else {
+      msg += std::string(fallback ? "latest checkpoint damaged"
+                                  : "durable state unrecoverable") +
+             " (" + std::to_string(plan.crc_failures) + " crc, " +
+             std::to_string(plan.torn_segments) + " torn) -- " +
+             (fallback ? "fallback replay from previous image"
+                       : "re-replicating over the wire");
     }
+    RecordEvent(normal ? "replication" : "durability",
+                msg + " (" + std::to_string(replay) + " us)");
     return Status::OK();
   }
-  node_up_[static_cast<size_t>(n)] = 1;
+  state(n).up = true;
   ++fault_epoch_;
   if (m_live_nodes_ != nullptr) m_live_nodes_->Set(live_nodes());
-  if (telemetry_.events != nullptr) {
-    telemetry_.events->Record(sim_->Now(), "cluster",
-                              "node " + std::to_string(n) + " restarted");
-  }
+  RecordEvent("cluster", "node " + std::to_string(n) + " restarted");
   return Status::OK();
 }
 
@@ -946,27 +831,9 @@ void ClusterEngine::RouteAndRun(std::shared_ptr<PendingTxn> pending) {
   admission_->RecordAdmitted(node, now);
 }
 
-int32_t ClusterEngine::nodes_recovering() const {
-  if (replication_ == nullptr) return 0;
-  int32_t recovering = 0;
-  for (int32_t n = 0; n < active_nodes_; ++n) {
-    if (node_recovering_[static_cast<size_t>(n)] != 0) ++recovering;
-  }
-  return recovering;
-}
-
 bool ClusterEngine::RecoveryInProgress() const {
   if (replication_ == nullptr) return false;
   return nodes_recovering() > 0 || replication_->degraded_buckets() > 0;
-}
-
-int32_t ClusterEngine::nodes_draining() const {
-  if (policy_ == nullptr) return 0;
-  int32_t draining = 0;
-  for (int32_t n = 0; n < active_nodes_; ++n) {
-    if (node_draining_[static_cast<size_t>(n)] != 0) ++draining;
-  }
-  return draining;
 }
 
 Status ClusterEngine::StartDrain(NodeId n, SimDuration notice) {
@@ -977,7 +844,7 @@ Status ClusterEngine::StartDrain(NodeId n, SimDuration notice) {
     return Status::FailedPrecondition(
         "node " + std::to_string(n) + " is not an up, active node");
   }
-  if (node_draining_[static_cast<size_t>(n)] != 0) {
+  if (state(n).draining) {
     return Status::FailedPrecondition(
         "node " + std::to_string(n) + " is already draining");
   }
@@ -986,32 +853,27 @@ Status ClusterEngine::StartDrain(NodeId n, SimDuration notice) {
   }
   if (notice <= 0) return Status::InvalidArgument("notice must be positive");
   const SimTime deadline = sim_->Now() + notice;
-  node_draining_[static_cast<size_t>(n)] = 1;
-  drain_deadline_[static_cast<size_t>(n)] = deadline;
+  state(n).draining = true;
+  state(n).drain_deadline = deadline;
   ++drains_started_;
-  const int64_t gen = ++drain_gen_[static_cast<size_t>(n)];
+  const int64_t gen = ++state(n).drain_gen;
   sim_->Schedule(notice, [this, n, gen]() { FinishDrainDeadline(n, gen); });
   if (m_drains_ != nullptr) m_drains_->Increment();
-  if (telemetry_.events != nullptr) {
-    telemetry_.events->Record(
-        sim_->Now(), "topology",
-        "node " + std::to_string(n) + " draining (" +
-            topology::NodeClassName(policy_->ClassOf(n)) + ", domain " +
-            std::to_string(policy_->DomainOf(n)) + "): hard kill at " +
-            std::to_string(deadline) + " us");
-  }
+  RecordEvent("topology",
+              "node " + std::to_string(n) + " draining (" +
+                  topology::NodeClassName(policy_->ClassOf(n)) + ", domain " +
+                  std::to_string(policy_->DomainOf(n)) + "): hard kill at " +
+                  std::to_string(deadline) + " us");
   if (drain_hook_) drain_hook_(n, deadline);
   return Status::OK();
 }
 
 void ClusterEngine::FinishDrainDeadline(NodeId n, int64_t gen) {
-  if (policy_ == nullptr || n >= active_nodes_ ||
-      gen != drain_gen_[static_cast<size_t>(n)] ||
-      node_draining_[static_cast<size_t>(n)] == 0) {
+  if (!IsNodeDraining(n) || gen != state(n).drain_gen) {
     return;  // Crashed, released, or reprovisioned while draining.
   }
-  node_draining_[static_cast<size_t>(n)] = 0;
-  ++drain_gen_[static_cast<size_t>(n)];
+  state(n).draining = false;
+  ++state(n).drain_gen;
   ++drain_kills_;
   if (m_drain_kills_ != nullptr) m_drain_kills_->Increment();
   // Feasibility snapshot before the kill: a hosted bucket with no live
@@ -1039,18 +901,14 @@ void ClusterEngine::FinishDrainDeadline(NodeId n, int64_t gen) {
     }
   }
   if (infeasible) ++drain_kills_infeasible_;
-  if (telemetry_.events != nullptr) {
-    std::string msg = "node " + std::to_string(n) +
-                      " revocation deadline reached: hard kill";
-    if (infeasible) msg += " (bucket without live replica: rows at risk)";
-    telemetry_.events->Record(sim_->Now(), "topology", msg);
-  }
+  std::string msg =
+      "node " + std::to_string(n) + " revocation deadline reached: hard kill";
+  if (infeasible) msg += " (bucket without live replica: rows at risk)";
+  RecordEvent("topology", msg);
   Status st = CrashNode(n);
-  if (!st.ok() && telemetry_.events != nullptr) {
-    telemetry_.events->Record(
-        sim_->Now(), "topology",
-        "revocation kill of node " + std::to_string(n) +
-            " rejected: " + st.ToString());
+  if (!st.ok()) {
+    RecordEvent("topology", "revocation kill of node " + std::to_string(n) +
+                                " rejected: " + st.ToString());
   }
 }
 
@@ -1070,18 +928,15 @@ PartitionId ClusterEngine::ChooseBackupPartition(BucketId b) const {
     if (qn == primary_node || qn == pending_node || !IsNodeUp(qn)) continue;
     // Suspected, fenced, or unreachable nodes are not rebuild targets:
     // chunks could not be delivered, and the node may be about to fail.
-    if (net_ != nullptr &&
-        (node_suspected_[static_cast<size_t>(qn)] != 0 ||
-         node_fenced_[static_cast<size_t>(qn)] != 0 ||
+    const NodeState& s = state(qn);
+    if (s.suspected || s.fenced ||
+        (net_ != nullptr &&
          !net_->Reachable(net::NetworkModel::kController, qn))) {
       continue;
     }
     // Draining nodes are minutes from a hard kill; a fresh replica
     // there would just re-degrade the bucket at the deadline.
-    if (policy_ != nullptr &&
-        node_draining_[static_cast<size_t>(qn)] != 0) {
-      continue;
-    }
+    if (s.draining) continue;
     bool node_has_replica = false;
     for (PartitionId r : reps) {
       if (NodeOfPartition(r) == qn) {
@@ -1204,16 +1059,96 @@ void ClusterEngine::OnBucketReassigned(BucketId bucket, PartitionId to) {
       degraded = true;
     }
   }
-  if (replication_->rebuild_in_flight(bucket) &&
-      replication_->node_of(replication_->rebuild_target(bucket)) ==
-          primary_node) {
-    replication_->CancelRebuild(bucket);
-    degraded = true;
-  }
+  if (CancelCollidingRebuild(bucket)) degraded = true;
   // With the topology layer on, a reassignment can break domain
   // diversity without degrading k (the new primary landed in the
   // backups' domain); the sweep restores it.
   if (degraded || policy_ != nullptr) KickRebuilds();
+}
+
+bool ClusterEngine::CancelCollidingRebuild(BucketId bucket) {
+  if (!replication_->rebuild_in_flight(bucket) ||
+      replication_->node_of(replication_->rebuild_target(bucket)) !=
+          NodeOfPartition(map_.PartitionOfBucket(bucket))) {
+    return false;
+  }
+  replication_->CancelRebuild(bucket);
+  return true;
+}
+
+int64_t ClusterEngine::PromoteBucketsOf(NodeId n, bool crashed) {
+  obs::SpanTracer::SpanId span = 0;
+  if (telemetry_.tracer != nullptr) {
+    span = telemetry_.tracer->BeginAt(
+        (crashed ? "failover node " : "fenced failover node ") +
+            std::to_string(n),
+        sim_->Now());
+  }
+  // Parking owner for a crashed node's buckets with no surviving
+  // replica: the first live partition (the bucket rejoins the map empty;
+  // its rows are honestly lost and counted).
+  PartitionId parking = -1;
+  for (int32_t m = 0; m < active_nodes_ && parking < 0; ++m) {
+    if (state(m).up) parking = m * config_.partitions_per_node;
+  }
+  auto reachable = [this](PartitionId r) {
+    const NodeId rn = NodeOfPartition(r);
+    return IsNodeUp(rn) && !IsNodeRecovering(rn) && !state(rn).fenced &&
+           net_->Reachable(net::NetworkModel::kController, rn);
+  };
+  int64_t promoted = 0;
+  const int64_t lost_before = rows_lost_;
+  for (int32_t k = 0; k < config_.partitions_per_node; ++k) {
+    const PartitionId old = n * config_.partitions_per_node + k;
+    for (BucketId bucket : map_.BucketsOfPartition(old)) {
+      // With the substrate on, prefer a backup the controller can reach.
+      // If every replica is cut off, a crash still promotes one (data
+      // beats reachability — the minority-side new primary is fenced
+      // until heal, never dual-committing); a fence defers the bucket:
+      // it stays with the fenced node, unavailable but intact, and
+      // serves again after heal.
+      PartitionId q =
+          net_ != nullptr ? replication_->Promote(bucket, reachable) : -1;
+      if (q < 0 && crashed) q = replication_->Promote(bucket);
+      if (q < 0 && !crashed) {
+        ++buckets_deferred_;
+        continue;
+      }
+      // The old primary's copy is discarded: a crash lost it, and a
+      // fenced node's copy is superseded (every commit it accepted was
+      // replicated before its lease expired), so rows are never
+      // double-counted.
+      auto old_rows =
+          fragments_[static_cast<size_t>(old)]->ExtractBucket(bucket);
+      if (q >= 0) {
+        auto data = replication_->backup_fragment(q)->ExtractBucket(bucket);
+        Status st = fragments_[static_cast<size_t>(q)]->InstallBucket(
+            bucket, std::move(data));
+        if (!st.ok()) {
+          PSTORE_LOG(Warn) << "promotion install of bucket " << bucket
+                           << " failed: " << st.ToString();
+        }
+        map_.Assign(bucket, q);
+        ++promoted;
+      } else {
+        for (const auto& tr : old_rows) {
+          rows_lost_ += static_cast<int64_t>(tr.second.size());
+        }
+        map_.Assign(bucket, parking);
+      }
+      // A rebuild targeting the new primary's node would create a
+      // replica co-located with the primary; restart it elsewhere.
+      CancelCollidingRebuild(bucket);
+    }
+  }
+  map_.set_version(map_.version() + 1);
+  KickRebuilds();
+  if (m_promotions_ != nullptr) m_promotions_->Add(promoted);
+  if (m_rows_lost_ != nullptr && rows_lost_ > lost_before) {
+    m_rows_lost_->Add(rows_lost_ - lost_before);
+  }
+  if (telemetry_.tracer != nullptr) telemetry_.tracer->EndAt(span, sim_->Now());
+  return promoted;
 }
 
 void ClusterEngine::KickRebuilds() {
@@ -1328,31 +1263,24 @@ void ClusterEngine::FinishRebuild(BucketId bucket, int64_t gen) {
     return;
   }
   if (m_rebuilds_ != nullptr) m_rebuilds_->Increment();
-  if (telemetry_.events != nullptr &&
-      replication_->degraded_buckets() == 0) {
-    telemetry_.events->Record(sim_->Now(), "replication",
-                              "k-safety restored (k=" +
-                                  std::to_string(config_.replication.k) +
-                                  ")");
+  // The degraded-bucket scan is only worth paying for the event.
+  if (telemetry_.events != nullptr && replication_->degraded_buckets() == 0) {
+    RecordEvent("replication", "k-safety restored (k=" +
+                                   std::to_string(config_.replication.k) + ")");
   }
   KickRebuilds();
 }
 
 void ClusterEngine::FinishRecovery(NodeId n, int64_t gen) {
-  if (replication_ == nullptr || n >= active_nodes_ ||
-      gen != recovery_gen_[static_cast<size_t>(n)] ||
-      node_recovering_[static_cast<size_t>(n)] == 0) {
+  if (!IsNodeRecovering(n) || gen != state(n).recovery_gen) {
     return;  // Node released or reprovisioned while replaying.
   }
-  node_recovering_[static_cast<size_t>(n)] = 0;
-  node_up_[static_cast<size_t>(n)] = 1;
+  ResetNodeState(n);
   ++fault_epoch_;
   ++recoveries_;
   const SimTime now = sim_->Now();
-  const SimTime started = recovery_start_[static_cast<size_t>(n)];
+  const SimTime started = state(n).recovery_start;
   total_recovery_time_ += now - started;
-  replication_->ResetNode(n);
-  if (net_ != nullptr) ResetLease(n);
   if (m_recoveries_ != nullptr) m_recoveries_->Increment();
   if (m_live_nodes_ != nullptr) m_live_nodes_->Set(live_nodes());
   if (telemetry_.tracer != nullptr) {
@@ -1360,12 +1288,8 @@ void ClusterEngine::FinishRecovery(NodeId n, int64_t gen) {
         "recovery node " + std::to_string(n), started);
     telemetry_.tracer->EndAt(span, now);
   }
-  if (telemetry_.events != nullptr) {
-    telemetry_.events->Record(now, "replication",
-                              "node " + std::to_string(n) +
-                                  " recovered in " +
-                                  std::to_string(now - started) + " us");
-  }
+  RecordEvent("replication", "node " + std::to_string(n) + " recovered in " +
+                                 std::to_string(now - started) + " us");
   KickRebuilds();
 }
 
@@ -1380,7 +1304,7 @@ void ClusterEngine::ScheduleCheckpoint() {
     const double kb = replication_->kb_per_bucket();
     durability::ContentDurableStore* content = replication_->content();
     for (NodeId n = 0; n < active_nodes_; ++n) {
-      if (node_up_[static_cast<size_t>(n)] == 0) continue;
+      if (!state(n).up) continue;
       int64_t buckets = 0;
       std::vector<durability::CheckpointRecord> records;
       for (int32_t i = 0; i < config_.partitions_per_node; ++i) {
@@ -1423,35 +1347,14 @@ void ClusterEngine::ScheduleScrub() {
     const durability::ScrubResult r = content->ScrubStep(
         budget, can_repair,
         [this](NodeId n) { return !IsNodeUp(n) || IsNodeRecovering(n); });
-    if ((r.found > 0 || r.repaired > 0) && telemetry_.events != nullptr) {
-      telemetry_.events->Record(
-          sim_->Now(), "durability",
-          "scrub: " + std::to_string(r.verified) + " verified, " +
-              std::to_string(r.found) + " damaged, " +
-              std::to_string(r.repaired) + " repaired");
+    if (r.found > 0 || r.repaired > 0) {
+      RecordEvent("durability", "scrub: " + std::to_string(r.verified) +
+                                    " verified, " + std::to_string(r.found) +
+                                    " damaged, " + std::to_string(r.repaired) +
+                                    " repaired");
     }
     ScheduleScrub();
   });
-}
-
-int32_t ClusterEngine::nodes_suspected() const {
-  if (net_ == nullptr) return 0;
-  int32_t count = 0;
-  for (int32_t n = 0; n < active_nodes_; ++n) {
-    if (node_suspected_[static_cast<size_t>(n)] != 0 ||
-        node_fenced_[static_cast<size_t>(n)] != 0) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-void ClusterEngine::ResetLease(NodeId n) {
-  const size_t i = static_cast<size_t>(n);
-  last_hb_from_[i] = sim_->Now();
-  lease_until_[i] = sim_->Now() + config_.net.lease_timeout;
-  node_suspected_[i] = 0;
-  node_fenced_[i] = 0;
 }
 
 void ClusterEngine::HeartbeatLoop(NodeId n) {
@@ -1468,39 +1371,31 @@ void ClusterEngine::HeartbeatLoop(NodeId n) {
 void ClusterEngine::OnHeartbeatReceived(NodeId n) {
   // A beat can be in flight when its sender crashes or is released; a
   // stale arrival must not refresh a dead node's liveness.
-  if (n >= active_nodes_ || !IsNodeUp(n)) return;
-  const size_t i = static_cast<size_t>(n);
-  last_hb_from_[i] = sim_->Now();
-  if (node_suspected_[i] != 0) {
-    node_suspected_[i] = 0;
-    if (telemetry_.events != nullptr) {
-      telemetry_.events->Record(
-          sim_->Now(), "net",
-          "node " + std::to_string(n) + " heartbeat resumed: unsuspected");
-    }
+  if (!IsNodeUp(n)) return;
+  NodeState& s = state(n);
+  s.last_hb_from = sim_->Now();
+  if (s.suspected) {
+    s.suspected = false;
+    RecordEvent("net", "node " + std::to_string(n) +
+                           " heartbeat resumed: unsuspected");
   }
-  if (node_fenced_[i] != 0) {
+  if (s.fenced) {
     // Partition healed: the fenced node rejoins at the current epoch.
     // Its deferred buckets (still owned by it in the map) serve again;
     // buckets promoted away stay with their new primaries.
-    node_fenced_[i] = 0;
+    s.fenced = false;
     ++fault_epoch_;
-    if (telemetry_.events != nullptr) {
-      telemetry_.events->Record(
-          sim_->Now(), "net",
-          "node " + std::to_string(n) + " unfenced after heal (epoch " +
-              std::to_string(fault_epoch_) + ")");
-    }
+    RecordEvent("net", "node " + std::to_string(n) +
+                           " unfenced after heal (epoch " +
+                           std::to_string(fault_epoch_) + ")");
     KickRebuilds();
   }
   net_->Send(net::NetworkModel::kController, n,
              net::MessageKind::kHeartbeatAck, /*reliable=*/false,
              [this, n]() {
-               if (n >= active_nodes_ || !IsNodeUp(n)) return;
-               const SimTime renewed =
-                   sim_->Now() + config_.net.lease_timeout;
-               lease_until_[static_cast<size_t>(n)] = std::max(
-                   lease_until_[static_cast<size_t>(n)], renewed);
+               if (!IsNodeUp(n)) return;
+               SimTime& lease = state(n).lease_until;
+               lease = std::max(lease, sim_->Now() + config_.net.lease_timeout);
              });
 }
 
@@ -1508,23 +1403,18 @@ void ClusterEngine::MonitorLoop() {
   sim_->Schedule(config_.net.heartbeat_period, [this]() {
     const SimTime now = sim_->Now();
     for (NodeId n = 0; n < active_nodes_; ++n) {
-      if (!IsNodeUp(n) || IsNodeRecovering(n)) continue;
-      const size_t i = static_cast<size_t>(n);
-      if (node_fenced_[i] != 0) continue;  // Already failed over.
-      const SimTime age = now - last_hb_from_[i];
+      NodeState& s = state(n);
+      // Down, recovering (also down), or already failed over.
+      if (!IsNodeUp(n) || s.fenced) continue;
+      const SimTime age = now - s.last_hb_from;
       if (age > config_.net.failover_timeout) {
         FenceAndFailover(n);
-      } else if (age > config_.net.suspicion_timeout &&
-                 node_suspected_[i] == 0) {
-        node_suspected_[i] = 1;
+      } else if (age > config_.net.suspicion_timeout && !s.suspected) {
+        s.suspected = true;
         ++suspicions_;
         if (m_suspicions_ != nullptr) m_suspicions_->Increment();
-        if (telemetry_.events != nullptr) {
-          telemetry_.events->Record(
-              now, "net",
-              "node " + std::to_string(n) + " suspected (silent " +
-                  std::to_string(age) + " us)");
-        }
+        RecordEvent("net", "node " + std::to_string(n) + " suspected (silent " +
+                               std::to_string(age) + " us)");
       }
     }
     // Rebuild liveness: a degraded bucket can have no legal target at
@@ -1542,69 +1432,18 @@ void ClusterEngine::FenceAndFailover(NodeId n) {
   // expired at most lease_timeout after its last delivered ack, and
   // failover_timeout > lease_timeout measures from the same silence.
   // So promoting a bucket here can never race a commit on `n`.
-  const size_t i = static_cast<size_t>(n);
-  node_fenced_[i] = 1;
-  node_suspected_[i] = 0;  // Escalated past suspicion.
+  state(n).fenced = true;
+  state(n).suspected = false;  // Escalated past suspicion.
   ++fenced_failovers_;
   ++fault_epoch_;  // The fencing epoch: all promotions below carry it.
   if (m_fenced_failovers_ != nullptr) m_fenced_failovers_->Increment();
-  obs::SpanTracer::SpanId span = 0;
-  if (telemetry_.tracer != nullptr) {
-    span = telemetry_.tracer->BeginAt(
-        "fenced failover node " + std::to_string(n), sim_->Now());
-  }
-  auto eligible = [this](PartitionId r) {
-    const NodeId rn = NodeOfPartition(r);
-    return IsNodeUp(rn) && !IsNodeRecovering(rn) &&
-           node_fenced_[static_cast<size_t>(rn)] == 0 &&
-           net_->Reachable(net::NetworkModel::kController, rn);
-  };
-  int64_t promoted = 0;
-  int64_t deferred = 0;
-  for (int32_t k = 0; k < config_.partitions_per_node; ++k) {
-    const PartitionId fenced = n * config_.partitions_per_node + k;
-    for (BucketId bucket : map_.BucketsOfPartition(fenced)) {
-      const PartitionId q = replication_->Promote(bucket, eligible);
-      if (q < 0) {
-        // No reachable replica: defer. The bucket stays with the fenced
-        // node — unavailable but intact — and serves again after heal.
-        ++deferred;
-        continue;
-      }
-      // The fenced node's copy is superseded (every commit it accepted
-      // was replicated before its lease expired); discard it so rows
-      // are never double-counted.
-      fragments_[static_cast<size_t>(fenced)]->ExtractBucket(bucket);
-      auto data = replication_->backup_fragment(q)->ExtractBucket(bucket);
-      Status st = fragments_[static_cast<size_t>(q)]->InstallBucket(
-          bucket, std::move(data));
-      if (!st.ok()) {
-        PSTORE_LOG(Warn) << "fenced promotion install of bucket " << bucket
-                         << " failed: " << st.ToString();
-      }
-      map_.Assign(bucket, q);
-      ++promoted;
-      if (replication_->rebuild_in_flight(bucket) &&
-          replication_->node_of(replication_->rebuild_target(bucket)) ==
-              NodeOfPartition(map_.PartitionOfBucket(bucket))) {
-        replication_->CancelRebuild(bucket);
-      }
-    }
-  }
-  buckets_deferred_ += deferred;
-  map_.set_version(map_.version() + 1);
-  KickRebuilds();
-  if (m_promotions_ != nullptr) m_promotions_->Add(promoted);
-  if (telemetry_.events != nullptr) {
-    telemetry_.events->Record(
-        sim_->Now(), "net",
-        "node " + std::to_string(n) + " fenced (epoch " +
-            std::to_string(fault_epoch_) + "): " + std::to_string(promoted) +
-            " buckets promoted, " + std::to_string(deferred) + " deferred");
-  }
-  if (telemetry_.tracer != nullptr) {
-    telemetry_.tracer->EndAt(span, sim_->Now());
-  }
+  const int64_t deferred_before = buckets_deferred_;
+  const int64_t promoted = PromoteBucketsOf(n, /*crashed=*/false);
+  const int64_t deferred = buckets_deferred_ - deferred_before;
+  RecordEvent("net", "node " + std::to_string(n) + " fenced (epoch " +
+                         std::to_string(fault_epoch_) + "): " +
+                         std::to_string(promoted) + " buckets promoted, " +
+                         std::to_string(deferred) + " deferred");
 }
 
 bool ClusterEngine::NetAdmit(PartitionId p, BucketId bucket) {

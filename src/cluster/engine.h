@@ -165,13 +165,12 @@ class ClusterEngine {
   // consumes capacity.
 
   /// True if `n` is an active node that has not crashed.
-  bool IsNodeUp(NodeId n) const {
-    return n >= 0 && n < active_nodes_ &&
-           node_up_[static_cast<size_t>(n)] != 0;
-  }
+  bool IsNodeUp(NodeId n) const { return IsActive(n) && state(n).up; }
 
   /// Active nodes currently serving (active minus crashed).
-  int32_t live_nodes() const;
+  int32_t live_nodes() const {
+    return CountActive([](const NodeState& s) { return s.up; });
+  }
 
   /// Bumped on every crash and restart. Controllers watch this to reset
   /// fault-sensitive state (e.g. the scale-in confirmation streak).
@@ -203,12 +202,13 @@ class ClusterEngine {
 
   /// True while node `n` is replaying checkpoint + log after a restart.
   bool IsNodeRecovering(NodeId n) const {
-    return replication_ != nullptr && n >= 0 && n < active_nodes_ &&
-           node_recovering_[static_cast<size_t>(n)] != 0;
+    return IsActive(n) && state(n).recovering;
   }
 
   /// Active nodes currently replaying recovery.
-  int32_t nodes_recovering() const;
+  int32_t nodes_recovering() const {
+    return CountActive([](const NodeState& s) { return s.recovering; });
+  }
 
   /// Rows of committed data lost to crashes that found no surviving
   /// replica (always 0 with replication disabled, where failover
@@ -278,30 +278,28 @@ class ClusterEngine {
   /// controller treats it as suspected, not dead). Always false when
   /// net is disabled.
   bool IsNodeSuspected(NodeId n) const {
-    return net_ != nullptr && n >= 0 && n < active_nodes_ &&
-           node_suspected_[static_cast<size_t>(n)] != 0;
+    return IsActive(n) && state(n).suspected;
   }
 
   /// Active nodes currently suspected or fenced. Controllers defer
   /// scale-ins while this is non-zero.
-  int32_t nodes_suspected() const;
+  int32_t nodes_suspected() const {
+    return CountActive(
+        [](const NodeState& s) { return s.suspected || s.fenced; });
+  }
 
   /// True when node `n` holds an unexpired lease (always true when net
   /// is disabled). A node without a lease self-fences: it rejects every
   /// transaction before execution, so it can never commit a write that
   /// a concurrently promoted backup misses.
   bool NodeHasLease(NodeId n) const {
-    return net_ == nullptr ||
-           (n >= 0 && n < static_cast<int32_t>(lease_until_.size()) &&
-            sim_->Now() < lease_until_[static_cast<size_t>(n)]);
+    return net_ == nullptr || (n >= 0 && n < config_.max_nodes &&
+                               sim_->Now() < state(n).lease_until);
   }
 
   /// True when node `n` has been fenced by the controller (failover ran
   /// against it while unreachable) and has not yet resumed heartbeats.
-  bool IsNodeFenced(NodeId n) const {
-    return net_ != nullptr && n >= 0 && n < active_nodes_ &&
-           node_fenced_[static_cast<size_t>(n)] != 0;
-  }
+  bool IsNodeFenced(NodeId n) const { return IsActive(n) && state(n).fenced; }
 
   /// Transactions rejected pre-execution because the executing node had
   /// no valid lease or could not reach its replicas or the controller.
@@ -351,21 +349,20 @@ class ClusterEngine {
 
   /// True while node `n` is draining toward a revocation deadline.
   bool IsNodeDraining(NodeId n) const {
-    return policy_ != nullptr && n >= 0 && n < active_nodes_ &&
-           node_draining_[static_cast<size_t>(n)] != 0;
+    return IsActive(n) && state(n).draining;
   }
 
   /// Active nodes currently draining. Controllers treat these as
   /// impending capacity loss: scale out ahead of the kill and defer
   /// scale-ins. Always 0 when topology is disabled.
-  int32_t nodes_draining() const;
+  int32_t nodes_draining() const {
+    return CountActive([](const NodeState& s) { return s.draining; });
+  }
 
   /// Absolute hard-kill deadline of a draining node (meaningful only
   /// while IsNodeDraining(n)).
   SimTime drain_deadline(NodeId n) const {
-    return policy_ != nullptr && n >= 0 && n < active_nodes_
-               ? drain_deadline_[static_cast<size_t>(n)]
-               : 0;
+    return IsActive(n) ? state(n).drain_deadline : 0;
   }
 
   /// Puts node `n` into the draining state with `notice` of advance
@@ -513,6 +510,47 @@ class ClusterEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
+  /// One node's lifecycle state, indexed by NodeId in `nodes_` (always
+  /// sized to max_nodes). A flag of a disabled subsystem never leaves its
+  /// reset value, so accessors need no per-subsystem null checks.
+  struct NodeState {
+    bool up = true;           ///< Not crashed (meaningful while active).
+    bool recovering = false;  ///< Replaying checkpoint + log (replication).
+    bool suspected = false;   ///< Controller suspicion flag (net).
+    bool fenced = false;      ///< Fenced failover ran against it (net).
+    bool draining = false;    ///< Toward a revocation deadline (topology).
+    int64_t recovery_gen = 0;    ///< Stale-recovery guard.
+    int64_t drain_gen = 0;       ///< Stale-deadline guard.
+    SimTime recovery_start = 0;  ///< For the recovery span.
+    SimTime last_hb_from = 0;    ///< Controller: last beat seen.
+    SimTime lease_until = 0;     ///< Node: lease expiry.
+    SimTime drain_deadline = 0;  ///< Hard-kill deadline.
+  };
+
+  bool IsActive(NodeId n) const { return n >= 0 && n < active_nodes_; }
+  NodeState& state(NodeId n) { return nodes_[static_cast<size_t>(n)]; }
+  const NodeState& state(NodeId n) const {
+    return nodes_[static_cast<size_t>(n)];
+  }
+  /// Active nodes whose state satisfies `pred`.
+  template <typename Pred>
+  int32_t CountActive(Pred pred) const {
+    return static_cast<int32_t>(
+        std::count_if(nodes_.begin(), nodes_.begin() + active_nodes_, pred));
+  }
+  /// Node `n` starts a fresh life (provisioned, released, or recovered):
+  /// up, not recovering, suspected, fenced or draining, a fresh lease,
+  /// its durable state reset, and any pending recovery or deadline kill
+  /// of its previous life voided.
+  void ResetNodeState(NodeId n);
+  /// Appends `what` to the event stream at the current virtual time
+  /// (no-op when no stream is attached).
+  void RecordEvent(const char* category, const std::string& what);
+  /// Shared tail of ActivateNodes/DeactivateNodes: records the new count
+  /// on the allocation timeline, gauges and event stream, then re-kicks
+  /// rebuilds (capacity changed).
+  void SetActiveNodes(int32_t n);
+
   struct PendingTxn {
     TxnRequest req;
     SimTime arrival = 0;
@@ -550,6 +588,17 @@ class ClusterEngine {
   /// Reconciles replica placement after `bucket` became owned by `to`
   /// (replica colliding with the new primary's node relocates or drops).
   void OnBucketReassigned(BucketId bucket, PartitionId to);
+  /// Cancels `bucket`'s in-flight rebuild if it targets the node of the
+  /// bucket's current primary (the replica would co-locate with it).
+  /// Returns true if it cancelled one.
+  bool CancelCollidingRebuild(BucketId bucket);
+  /// Fails every bucket of node `n` over to a backup replica (lowest-id
+  /// eligible first), preferring replicas the controller can reach. A
+  /// bucket with no reachable replica is, for a crash, promoted to any
+  /// replica or else loses its rows and parks on the first live
+  /// partition; for a fence it is deferred (stays with `n`, intact).
+  /// Returns the number of buckets promoted.
+  int64_t PromoteBucketsOf(NodeId n, bool crashed);
   /// Starts rebuilds for every degraded bucket with an eligible target.
   void KickRebuilds();
   /// Paces one re-replication chunk; `gen` guards against staleness.
@@ -584,8 +633,6 @@ class ClusterEngine {
   /// Epoch-fenced failover of an unreachable node: promote each of its
   /// buckets to a reachable backup; defer buckets with none.
   void FenceAndFailover(NodeId n);
-  /// Resets node `n`'s heartbeat/lease state (activation, recovery).
-  void ResetLease(NodeId n);
   /// Pre-execution gate: true when the transaction may run on `p`'s
   /// node (valid lease, and every replica of `bucket` reachable — or
   /// the controller reachable, in which case unreachable replicas are
@@ -604,14 +651,11 @@ class ClusterEngine {
   WriteSet write_set_;
   PartitionMap map_;
   int32_t active_nodes_;
-  std::vector<uint8_t> node_up_;  ///< Indexed by NodeId, 1 = serving.
+  std::vector<NodeState> nodes_;
   int64_t fault_epoch_ = 0;
   int64_t failover_moves_ = 0;
 
   std::unique_ptr<replication::ReplicaManager> replication_;
-  std::vector<uint8_t> node_recovering_;  ///< Indexed by NodeId.
-  std::vector<int64_t> recovery_gen_;     ///< Stale-recovery guard.
-  std::vector<SimTime> recovery_start_;   ///< For the recovery span.
   int64_t rows_lost_ = 0;
   int64_t rows_net_created_ = 0;
   int64_t recoveries_ = 0;
@@ -620,10 +664,6 @@ class ClusterEngine {
   std::function<double(SimTime)> disk_stall_hook_;
 
   std::unique_ptr<net::NetworkModel> net_;
-  std::vector<SimTime> last_hb_from_;      ///< Controller: last beat seen.
-  std::vector<SimTime> lease_until_;       ///< Node: lease expiry.
-  std::vector<uint8_t> node_suspected_;    ///< Controller suspicion flag.
-  std::vector<uint8_t> node_fenced_;       ///< Fenced-failover-ran flag.
   int64_t fenced_rejections_ = 0;
   int64_t fenced_commits_ = 0;
   int64_t suspicions_ = 0;
@@ -632,9 +672,6 @@ class ClusterEngine {
   int64_t replicas_evicted_unreachable_ = 0;
 
   std::unique_ptr<topology::PlacementPolicy> policy_;
-  std::vector<uint8_t> node_draining_;   ///< Indexed by NodeId.
-  std::vector<SimTime> drain_deadline_;  ///< Hard-kill deadline.
-  std::vector<int64_t> drain_gen_;       ///< Stale-deadline guard.
   int64_t drains_started_ = 0;
   int64_t drain_kills_ = 0;
   int64_t drain_kills_infeasible_ = 0;

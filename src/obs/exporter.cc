@@ -27,7 +27,7 @@ bool EnsureParentDir(const std::string& path) {
 }  // namespace
 
 void TimeseriesExporter::Sample(SimTime now) {
-  if (registry_ == nullptr || !registry_->armed()) return;
+  if (registry_ == nullptr) return;
   Sample_ sample;
   sample.at = now;
   sample.values = registry_->Snapshot();

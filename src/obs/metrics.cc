@@ -43,23 +43,19 @@ std::string FormatMetricValue(double v) {
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  if (!armed()) return &null_counter_;
   return GetOrCreate(&counters_, name);
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  if (!armed()) return &null_gauge_;
   return GetOrCreate(&gauges_, name);
 }
 
 HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name) {
-  if (!armed()) return &null_histogram_;
   return GetOrCreate(&histograms_, name);
 }
 
 void MetricsRegistry::RegisterCallbackGauge(const std::string& name,
                                             GaugeFn fn) {
-  if (!armed()) return;
   callback_gauges_[name] = std::move(fn);
 }
 
@@ -73,7 +69,6 @@ void MetricsRegistry::FreezeCallbackGauges() {
 std::vector<std::pair<std::string, double>> MetricsRegistry::Snapshot()
     const {
   std::vector<std::pair<std::string, double>> out;
-  if (!armed()) return out;
   out.reserve(counters_.size() + gauges_.size() + callback_gauges_.size());
   // std::map iteration is sorted; counters, then gauges, then callback
   // gauges — names are namespaced, so cross-kind collisions don't arise.
@@ -92,7 +87,6 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::Snapshot()
 std::vector<std::pair<std::string, const Histogram*>>
 MetricsRegistry::Histograms() const {
   std::vector<std::pair<std::string, const Histogram*>> out;
-  if (!armed()) return out;
   out.reserve(histograms_.size());
   for (const auto& [name, metric] : histograms_) {
     out.emplace_back(name, &metric->histogram());
@@ -103,54 +97,48 @@ MetricsRegistry::Histograms() const {
 std::string MetricsRegistry::DumpJson() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  if (armed()) {
-    for (const auto& [name, counter] : counters_) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    ";
-      AppendJsonString(name, &out);
-      out += ": " + std::to_string(counter->value());
-    }
+  for (const auto& [name, counter] : counters_) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    ";
+    AppendJsonString(name, &out);
+    out += ": " + std::to_string(counter->value());
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"gauges\": {";
   first = true;
-  if (armed()) {
-    for (const auto& [name, gauge] : gauges_) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    ";
-      AppendJsonString(name, &out);
-      out += ": " + FormatMetricValue(gauge->value());
-    }
-    for (const auto& [name, fn] : callback_gauges_) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    ";
-      AppendJsonString(name, &out);
-      out += ": " + FormatMetricValue(fn());
-    }
+  for (const auto& [name, gauge] : gauges_) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    ";
+    AppendJsonString(name, &out);
+    out += ": " + FormatMetricValue(gauge->value());
+  }
+  for (const auto& [name, fn] : callback_gauges_) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    ";
+    AppendJsonString(name, &out);
+    out += ": " + FormatMetricValue(fn());
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"histograms\": {";
   first = true;
-  if (armed()) {
-    for (const auto& [name, metric] : histograms_) {
-      const Histogram& h = metric->histogram();
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    ";
-      AppendJsonString(name, &out);
-      out += ": {\"count\": " + std::to_string(h.count()) +
-             ", \"sum\": " + std::to_string(h.sum()) +
-             ", \"min\": " + std::to_string(h.min()) +
-             ", \"max\": " + std::to_string(h.max()) +
-             ", \"p50\": " + std::to_string(h.Percentile(50)) +
-             ", \"p95\": " + std::to_string(h.Percentile(95)) +
-             ", \"p99\": " + std::to_string(h.Percentile(99)) + "}";
-    }
+  for (const auto& [name, metric] : histograms_) {
+    const Histogram& h = metric->histogram();
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    ";
+    AppendJsonString(name, &out);
+    out += ": {\"count\": " + std::to_string(h.count()) +
+           ", \"sum\": " + std::to_string(h.sum()) +
+           ", \"min\": " + std::to_string(h.min()) +
+           ", \"max\": " + std::to_string(h.max()) +
+           ", \"p50\": " + std::to_string(h.Percentile(50)) +
+           ", \"p95\": " + std::to_string(h.Percentile(95)) +
+           ", \"p99\": " + std::to_string(h.Percentile(99)) + "}";
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";

@@ -19,33 +19,19 @@
 /// byte-identical dumps — the same determinism contract as the fault
 /// layer's EventTrace.
 ///
-/// When the layer is compiled disarmed (-DPSTORE_OBS=OFF, which defines
-/// PSTORE_OBS_ENABLED=0), every recording call is an inline no-op and
-/// dumps are empty, so instrumented hot paths cost nothing and bench
-/// output is bit-identical to an uninstrumented build.
-
-#ifndef PSTORE_OBS_ENABLED
-#define PSTORE_OBS_ENABLED 1
-#endif
+/// Observability is switched off one way: attach no sink. Instrumented
+/// code caches metric pointers from an attached registry and skips
+/// recording when none was attached.
 
 namespace pstore {
 namespace obs {
 
-/// True when the observability layer is compiled armed.
-constexpr bool Enabled() { return PSTORE_OBS_ENABLED != 0; }
-
 /// \brief Monotone int64 counter.
 class Counter {
  public:
-#if PSTORE_OBS_ENABLED
   void Increment() { ++value_; }
   void Add(int64_t delta) { value_ += delta; }
   int64_t value() const { return value_; }
-#else
-  void Increment() {}
-  void Add(int64_t) {}
-  int64_t value() const { return 0; }
-#endif
 
  private:
   int64_t value_ = 0;
@@ -55,15 +41,9 @@ class Counter {
 /// that are naturally fractional, e.g. kB moved).
 class Gauge {
  public:
-#if PSTORE_OBS_ENABLED
   void Set(double v) { value_ = v; }
   void Add(double delta) { value_ += delta; }
   double value() const { return value_; }
-#else
-  void Set(double) {}
-  void Add(double) {}
-  double value() const { return 0; }
-#endif
 
  private:
   double value_ = 0;
@@ -73,15 +53,10 @@ class Gauge {
 /// (log-bucketed, ~2% relative error — fine for latency in us).
 class HistogramMetric {
  public:
-#if PSTORE_OBS_ENABLED
   void Record(int64_t value) { histogram_.Record(value); }
   void MergeFrom(const HistogramMetric& other) {
     histogram_.Merge(other.histogram_);
   }
-#else
-  void Record(int64_t) {}
-  void MergeFrom(const HistogramMetric&) {}
-#endif
   const Histogram& histogram() const { return histogram_; }
 
  private:
@@ -92,9 +67,7 @@ class HistogramMetric {
 ///
 /// Get* registers on first use and returns a stable pointer — callers
 /// cache the pointer and record through it with zero lookups on hot
-/// paths. Disarming at runtime (set_armed(false)) reroutes Get* to
-/// shared throwaway cells, so instrumented code keeps working but
-/// records nothing and dumps stay empty.
+/// paths.
 class MetricsRegistry {
  public:
   /// Callback gauges are evaluated lazily at dump/sample time (e.g.
@@ -114,19 +87,12 @@ class MetricsRegistry {
   /// stack-local) so that dumps taken later cannot call into freed state.
   void FreezeCallbackGauges();
 
-  /// Runtime disarm: subsequent Get* calls return throwaway cells and
-  /// dumps render empty. Already-cached pointers keep recording into
-  /// their (now unreported) cells, which is fine — disarmed runs do not
-  /// report.
-  void set_armed(bool armed) { armed_ = armed; }
-  bool armed() const { return armed_ && Enabled(); }
-
   /// Sorted snapshot of every counter/gauge value (callback gauges
   /// included), as (name, value) pairs — the exporter's raw material.
   std::vector<std::pair<std::string, double>> Snapshot() const;
 
   /// Sorted (name, histogram) views of every registered histogram —
-  /// percentile-readout tooling's raw material. Empty while disarmed.
+  /// percentile-readout tooling's raw material.
   std::vector<std::pair<std::string, const Histogram*>> Histograms() const;
 
   /// End-of-run JSON dump: {"counters":{...},"gauges":{...},
@@ -140,15 +106,10 @@ class MetricsRegistry {
   void Clear();
 
  private:
-  bool armed_ = true;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
   std::map<std::string, GaugeFn> callback_gauges_;
-  // Shared sinks handed out while disarmed.
-  Counter null_counter_;
-  Gauge null_gauge_;
-  HistogramMetric null_histogram_;
 };
 
 /// Formats a double deterministically for dumps ("%.10g", integral

@@ -14,7 +14,6 @@ SpanTracer::SpanId SpanTracer::Begin(const std::string& name) {
 }
 
 SpanTracer::SpanId SpanTracer::BeginAt(const std::string& name, SimTime at) {
-#if PSTORE_OBS_ENABLED
   Span span;
   span.name = name;
   span.start = at;
@@ -26,11 +25,6 @@ SpanTracer::SpanId SpanTracer::BeginAt(const std::string& name, SimTime at) {
   stack_.push_back(id);
   Trim();
   return id;
-#else
-  (void)name;
-  (void)at;
-  return 0;
-#endif
 }
 
 void SpanTracer::End(SpanId id) {
@@ -39,7 +33,6 @@ void SpanTracer::End(SpanId id) {
 }
 
 void SpanTracer::EndAt(SpanId id, SimTime at) {
-#if PSTORE_OBS_ENABLED
   const auto it = std::find(stack_.begin(), stack_.end(), id);
   if (it == stack_.end()) {
     // Unknown, already closed, or never opened: record the violation.
@@ -57,10 +50,6 @@ void SpanTracer::EndAt(SpanId id, SimTime at) {
   Find(id)->end = at;
   stack_.pop_back();
   Trim();
-#else
-  (void)id;
-  (void)at;
-#endif
 }
 
 SpanTracer::Span* SpanTracer::Find(SpanId id) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/sim_time.h"
-#include "obs/metrics.h"  // for PSTORE_OBS_ENABLED / Enabled()
 
 /// \file span_tracer.h
 /// Nested begin/end span tracing stamped on the simulator's virtual
@@ -40,8 +39,7 @@ class SpanTracer {
   /// set before the first clocked call; BeginAt/EndAt need no clock.
   void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
 
-  /// Opens a span nested under the innermost open span. Returns its id
-  /// (0 when the layer is compiled out).
+  /// Opens a span nested under the innermost open span. Returns its id.
   SpanId Begin(const std::string& name);
   SpanId BeginAt(const std::string& name, SimTime at);
 

@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "obs/metrics.h"  // for PSTORE_OBS_ENABLED / Enabled()
 
 /// \file txn_trace.h
 /// End-to-end transaction lifecycle tracing. A sampled transaction
@@ -85,8 +84,8 @@ std::vector<TxnPhaseInterval> PhaseIntervals(const TxnTraceRecord& record);
 /// Deterministic: the sampling decision is one Bernoulli draw per
 /// submitted transaction from a private Rng stream, and every timestamp
 /// is virtual, so two same-seed runs produce byte-identical traces
-/// (Fingerprint() equality). When disabled (rate 0, the default, or the
-/// obs layer compiled out) no Rng is drawn and nothing is stored.
+/// (Fingerprint() equality). When disabled (rate 0, the default) no Rng
+/// is drawn and nothing is stored.
 class TxnTraceRecorder {
  public:
   struct Config {
@@ -106,7 +105,7 @@ class TxnTraceRecorder {
   }
 
   /// True when tracing can record anything at all.
-  bool enabled() const { return Enabled() && config_.sample_rate > 0.0; }
+  bool enabled() const { return config_.sample_rate > 0.0; }
 
   /// Rolls the sampling dice for one submitted transaction. Returns a
   /// trace handle (>= 0) if sampled — the kSubmitted event is recorded

@@ -34,6 +34,13 @@ TEST_F(EngineTest, ConfigValidation) {
   c = SmallEngineConfig();
   c.txn_service_us_mean = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
+  // A zero window would divide by zero on the first completion.
+  c = SmallEngineConfig();
+  c.latency_window = 0;
+  EXPECT_TRUE(c.Validate().IsInvalidArgument());
+  c = SmallEngineConfig();
+  c.throughput_window = 0;
+  EXPECT_TRUE(c.Validate().IsInvalidArgument());
 }
 
 TEST_F(EngineTest, TopologyAccessors) {

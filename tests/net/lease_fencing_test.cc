@@ -137,6 +137,90 @@ TEST(LeaseFencingTest, FencedNodeRejectsInsteadOfCommitting) {
   EXPECT_EQ(engine.fenced_commits(), 0);
 }
 
+/// Lowest key whose bucket has its primary on `primary` and its only
+/// replica on `replica` (k = 1), or -1 when no loaded key fits.
+int64_t KeyOwnedBy(const ClusterEngine& engine, int64_t rows, NodeId primary,
+                   NodeId replica) {
+  for (int64_t k = 0; k < rows; ++k) {
+    const BucketId b = KeyToBucket(k, engine.config().num_buckets);
+    const auto& reps = engine.replication()->replicas(b);
+    if (engine.NodeOfPartition(engine.partition_map().PartitionOfBucket(b)) ==
+            primary &&
+        reps.size() == 1 && engine.NodeOfPartition(reps[0]) == replica) {
+      return k;
+    }
+  }
+  return -1;
+}
+
+TEST(LeaseFencingTest, FencedFailoverDefersBucketWithNoReachableReplica) {
+  auto db = MakeKvDatabase();
+  Simulator sim;
+  const EngineConfig config = NetEngineConfig();
+  ClusterEngine engine(&sim, db.catalog, db.registry, config);
+  const int64_t rows = 200;
+  for (int64_t k = 0; k < rows; ++k) {
+    ASSERT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
+  }
+  sim.RunUntil(2 * kSecond);
+  // Nodes 1 and 2 are cut off together: a bucket of node 2 whose only
+  // replica sits on node 1 has no replica the controller can reach.
+  const int64_t key = KeyOwnedBy(engine, rows, 2, 1);
+  ASSERT_GE(key, 0);
+  const BucketId bucket = KeyToBucket(key, config.num_buckets);
+  engine.net()->OpenPartition({1, 2}, 10 * kSecond);
+
+  sim.RunUntil(2 * kSecond + config.net.failover_timeout + kSecond);
+  ASSERT_TRUE(engine.IsNodeFenced(2));
+  EXPECT_GT(engine.buckets_deferred(), 0);
+  EXPECT_EQ(engine.NodeOfPartition(
+                engine.partition_map().PartitionOfBucket(bucket)),
+            2)
+      << "a deferred bucket stays with the fenced node";
+  EXPECT_EQ(engine.TotalRowCount(), rows) << "deferral must not lose rows";
+  EXPECT_EQ(engine.rows_lost(), 0);
+
+  // After the heal the deferred bucket serves again where it stayed.
+  sim.RunUntil(60 * kSecond);
+  ASSERT_FALSE(engine.IsNodeFenced(2));
+  Status status = Status::Internal("not completed");
+  TxnRequest req;
+  req.proc = db.put;
+  req.key = key;
+  req.args.push_back(Value(key + 1000));
+  engine.Submit(std::move(req),
+                [&status](const TxnResult& r) { status = r.status; });
+  sim.RunUntil(61 * kSecond);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(engine.TotalRowCount(), rows);
+  EXPECT_EQ(engine.fenced_commits(), 0);
+}
+
+TEST(LeaseFencingTest, CrashPromotesUnreachableReplicaOverLosingRows) {
+  auto db = MakeKvDatabase();
+  Simulator sim;
+  const EngineConfig config = NetEngineConfig();
+  ClusterEngine engine(&sim, db.catalog, db.registry, config);
+  const int64_t rows = 200;
+  for (int64_t k = 0; k < rows; ++k) {
+    ASSERT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
+  }
+  sim.RunUntil(2 * kSecond);
+  // Node 1 is cut off from the controller, so for a bucket of node 2
+  // whose only replica is on node 1 every replica is unreachable. The
+  // crash still promotes it: data beats reachability.
+  const int64_t key = KeyOwnedBy(engine, rows, 2, 1);
+  ASSERT_GE(key, 0);
+  const BucketId bucket = KeyToBucket(key, config.num_buckets);
+  engine.net()->OpenPartition({1}, 10 * kSecond);
+  ASSERT_TRUE(engine.CrashNode(2).ok());
+  EXPECT_EQ(engine.rows_lost(), 0);
+  EXPECT_EQ(engine.NodeOfPartition(
+                engine.partition_map().PartitionOfBucket(bucket)),
+            1);
+  EXPECT_EQ(engine.TotalRowCount(), rows);
+}
+
 TEST(LeaseFencingTest, ReactiveScaleInDeferredWhileSuspected) {
   auto run = [](bool flap_partition) {
     auto db = MakeKvDatabase();

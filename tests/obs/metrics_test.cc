@@ -19,10 +19,8 @@ TEST(MetricsRegistryTest, GetReturnsStablePointers) {
   HistogramMetric* h1 = registry.GetHistogram("cluster.txn_latency_us");
   HistogramMetric* h2 = registry.GetHistogram("cluster.txn_latency_us");
   EXPECT_EQ(h1, h2);
-  if (Enabled()) {
-    EXPECT_NE(static_cast<void*>(a),
-              static_cast<void*>(registry.GetCounter("other")));
-  }
+  EXPECT_NE(static_cast<void*>(a),
+            static_cast<void*>(registry.GetCounter("other")));
 }
 
 TEST(MetricsRegistryTest, CounterAndGaugeRecord) {
@@ -33,17 +31,11 @@ TEST(MetricsRegistryTest, CounterAndGaugeRecord) {
   Gauge* g = registry.GetGauge("x.level");
   g->Set(2.5);
   g->Add(0.5);
-  if (!Enabled()) {
-    EXPECT_EQ(c->value(), 0);
-    EXPECT_EQ(g->value(), 0.0);
-    return;
-  }
   EXPECT_EQ(c->value(), 5);
   EXPECT_DOUBLE_EQ(g->value(), 3.0);
 }
 
 TEST(MetricsRegistryTest, HistogramRecordsAndMerges) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
   HistogramMetric* h = registry.GetHistogram("x.latency_us");
   for (int64_t v = 1; v <= 100; ++v) h->Record(v);
@@ -57,7 +49,6 @@ TEST(MetricsRegistryTest, HistogramRecordsAndMerges) {
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedAndIncludesCallbacks) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
   registry.GetCounter("b.count")->Add(2);
   registry.GetGauge("a.level")->Set(7);
@@ -76,7 +67,6 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndIncludesCallbacks) {
 }
 
 TEST(MetricsRegistryTest, FreezeCallbackGaugesDropsTheClosures) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
   double depth = 11;
   registry.RegisterCallbackGauge("c.depth", [&depth]() { return depth; });
@@ -90,7 +80,6 @@ TEST(MetricsRegistryTest, FreezeCallbackGaugesDropsTheClosures) {
 }
 
 TEST(MetricsRegistryTest, DumpJsonGolden) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
   registry.GetCounter("m.count")->Add(3);
   registry.GetGauge("m.level")->Set(1.5);
@@ -118,21 +107,8 @@ TEST(MetricsRegistryTest, FingerprintTracksContent) {
   a.GetCounter("x")->Add(1);
   b.GetCounter("x")->Add(1);
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  if (!Enabled()) return;
   b.GetCounter("x")->Add(1);
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
-}
-
-TEST(MetricsRegistryTest, DisarmedRegistryRecordsNothing) {
-  MetricsRegistry registry;
-  registry.set_armed(false);
-  Counter* c = registry.GetCounter("hidden.count");
-  c->Add(42);
-  registry.RegisterCallbackGauge("hidden.depth", []() { return 1.0; });
-  EXPECT_TRUE(registry.Snapshot().empty());
-  registry.set_armed(true);
-  // The metric never registered; the dump stays empty.
-  EXPECT_EQ(registry.Snapshot().size(), 0u);
 }
 
 TEST(FormatMetricValueTest, IntegralAndFractional) {

@@ -145,7 +145,6 @@ TEST(ObsDeterminismTest, SameSeedSameDumps) {
 }
 
 TEST(ObsDeterminismTest, InstrumentedRunRecordsTheRun) {
-  if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";
   const TelemetryDump dump = RunInstrumented(11);
   EXPECT_GT(dump.committed, 0);
   // The ramp overloads one node, so the reactive controller must have
@@ -162,7 +161,6 @@ TEST(ObsDeterminismTest, InstrumentedRunRecordsTheRun) {
 }
 
 TEST(ObsDeterminismTest, DifferentSeedsDiverge) {
-  if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";
   const TelemetryDump a = RunInstrumented(7);
   const TelemetryDump b = RunInstrumented(8);
   // Service-time jitter differs, so latency histograms must differ.

@@ -20,13 +20,11 @@ TEST(EventStreamRingTest, UnboundedByDefault) {
   EventStream stream;
   EXPECT_EQ(stream.capacity(), 0u);
   for (int i = 0; i < 100; ++i) stream.Record(i, "line");
-  if (!Enabled()) return;
   EXPECT_EQ(stream.size(), 100u);
   EXPECT_EQ(stream.dropped(), 0);
 }
 
 TEST(EventStreamRingTest, CapacityEvictsOldestAndCounts) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   EventStream stream;
   stream.set_capacity(3);
   for (int i = 0; i < 5; ++i) {
@@ -41,7 +39,6 @@ TEST(EventStreamRingTest, CapacityEvictsOldestAndCounts) {
 }
 
 TEST(EventStreamRingTest, ShrinkingCapacityTrimsImmediately) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   EventStream stream;
   for (int i = 0; i < 10; ++i) stream.Record(i, "line");
   stream.set_capacity(4);
@@ -53,7 +50,6 @@ TEST(EventStreamRingTest, ShrinkingCapacityTrimsImmediately) {
 }
 
 TEST(SpanTracerRingTest, ClosedSpansAgeOutAndIdsStayValid) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   SpanTracer tracer;
   tracer.set_capacity(2);
   for (int i = 0; i < 5; ++i) {
@@ -69,7 +65,6 @@ TEST(SpanTracerRingTest, ClosedSpansAgeOutAndIdsStayValid) {
 }
 
 TEST(SpanTracerRingTest, OpenSpansArePinned) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   SpanTracer tracer;
   tracer.set_capacity(1);
   const auto outer = tracer.BeginAt("outer", 0);
@@ -93,7 +88,6 @@ TEST(SpanTracerRingTest, OpenSpansArePinned) {
 }
 
 TEST(SpanTracerRingTest, EvictionKeepsFingerprintOfSurvivors) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   // Two tracers that end up with the same surviving spans must agree.
   SpanTracer a;
   a.set_capacity(2);

@@ -48,7 +48,6 @@ TEST(TxnTraceRecorderTest, DisabledRecorderDrawsAndStoresNothing) {
 }
 
 TEST(TxnTraceRecorderTest, PhaseIntervalsSumToEndToEndLatency) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   TxnTraceRecorder recorder = MakeRecorder(1.0);
   const int64_t h = recorder.Sample(42, "Put", 3, 100);
   ASSERT_GE(h, 0);
@@ -76,7 +75,6 @@ TEST(TxnTraceRecorderTest, PhaseIntervalsSumToEndToEndLatency) {
 }
 
 TEST(TxnTraceRecorderTest, MigrationOverlapIsAWindowUnion) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   TxnTraceRecorder recorder = MakeRecorder(1.0);
   // Two overlapping moves ([100, 300] and [200, 400]) and one open move
   // from 450: a txn alive over [0, 500] overlaps 100..400 and 450..500,
@@ -94,7 +92,6 @@ TEST(TxnTraceRecorderTest, MigrationOverlapIsAWindowUnion) {
 }
 
 TEST(TxnTraceRecorderTest, RetransmitsScopedToTheTxnLifetime) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   TxnTraceRecorder recorder = MakeRecorder(1.0);
   recorder.NoteRetransmit();  // before the txn exists: not attributed
   const int64_t h = recorder.Sample(1, "Get", 0, 10);
@@ -106,7 +103,6 @@ TEST(TxnTraceRecorderTest, RetransmitsScopedToTheTxnLifetime) {
 }
 
 TEST(TxnTraceRecorderTest, RecordCapCountsDrops) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   TxnTraceRecorder recorder = MakeRecorder(1.0, 7, 2);
   int64_t kept = 0;
   for (int64_t i = 0; i < 5; ++i) {
@@ -119,7 +115,6 @@ TEST(TxnTraceRecorderTest, RecordCapCountsDrops) {
 }
 
 TEST(TxnTraceRecorderTest, SamplingIsDeterministicPerSeed) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   TxnTraceRecorder a = MakeRecorder(0.5, 11);
   TxnTraceRecorder b = MakeRecorder(0.5, 11);
   TxnTraceRecorder c = MakeRecorder(0.5, 12);
@@ -241,7 +236,6 @@ TEST(TxnTraceEngineTest, SameSeedSameTraceBytes) {
 }
 
 TEST(TxnTraceEngineTest, EveryFinalizedTraceSumsToItsLatency) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   const TracedRun run = RunTraced(7, 1.0, true);
   ASSERT_GT(run.sampled, 0);
   int64_t committed = 0, shed = 0;
@@ -264,7 +258,6 @@ TEST(TxnTraceEngineTest, EveryFinalizedTraceSumsToItsLatency) {
 }
 
 TEST(TxnTraceEngineTest, ChromeTraceJsonIsStructurallyValid) {
-  if (!Enabled()) GTEST_SKIP() << "observability compiled out";
   const TracedRun run = RunTraced(7, 0.5, true);
   auto doc = JsonValue::Parse(run.chrome_json);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();

@@ -65,13 +65,5 @@ TEST(OverloadChaosTest, SweepExercisesOverloadMachinery) {
   EXPECT_GT(total_scale_outs, 2);
 }
 
-TEST(OverloadChaosTest, SameSeedReplaysIdentically) {
-  testing_util::ExpectReplaysIdentically("overload_sweep");
-}
-
-TEST(OverloadChaosTest, DifferentSeedsDiverge) {
-  testing_util::ExpectSeedsDiverge("overload_sweep");
-}
-
 }  // namespace
 }  // namespace pstore

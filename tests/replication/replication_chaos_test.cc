@@ -71,13 +71,5 @@ TEST(ReplicationChaosTest, SweepExercisesReplicationMachinery) {
   EXPECT_GT(total_scale_outs, 2);
 }
 
-TEST(ReplicationChaosTest, SameSeedReplaysIdentically) {
-  testing_util::ExpectReplaysIdentically("replication_sweep");
-}
-
-TEST(ReplicationChaosTest, DifferentSeedsDiverge) {
-  testing_util::ExpectSeedsDiverge("replication_sweep");
-}
-
 }  // namespace
 }  // namespace pstore

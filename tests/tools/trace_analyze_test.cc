@@ -43,7 +43,6 @@ void AddTxn(TxnTraceRecorder* recorder, int64_t id, SimTime t0) {
 }
 
 TEST(TraceAnalyzeTest, RoundTripAttributionSumsToLatency) {
-  if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";
   TxnTraceRecorder recorder = MakeRecorder();
   AddTxn(&recorder, 1, 0);
   AddTxn(&recorder, 2, 1000);
@@ -93,7 +92,6 @@ TEST(TraceAnalyzeTest, RoundTripAttributionSumsToLatency) {
 }
 
 TEST(TraceAnalyzeTest, MigrationCriticalPathFromSpans) {
-  if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";
   SpanTracer tracer;
   const auto move = tracer.BeginAt("migration.move 2->3", 1000);
   const auto r0 = tracer.BeginAt("migration.round 0", 1100);
