@@ -13,8 +13,10 @@
 /// probability x scrub rate — the scrubber repairs residual damage from
 /// the surviving replica after the node is back.
 ///
-/// Both grids are virtual-clock deterministic; their MTTR cells are
-/// recorded with unit "s" and gated by perf_gate.sh stage 2 against
+/// Both grids are virtual-clock deterministic. The first grid's MTTR
+/// cells and the second grid's slowest degraded restart
+/// (mttr_corruption/degraded_replay_s) are recorded with unit "s" and
+/// gated by perf_gate.sh stage 2 against
 /// bench/baselines/BENCH_recovery_mttr.json (--unit=s --no-normalize).
 ///
 /// Output: MTTR tables + bench_out CSVs (recovery_mttr.csv,
@@ -342,6 +344,11 @@ int main(int argc, char** argv) {
       fb_col, rr_col, fix_col;
   const std::vector<double> corruption_ps = {0.05, 0.2, 0.5};
   const std::vector<double> scrub_rates = {0.0, 256.0};
+  // MTTR is flat across this grid (promotion restores k without the
+  // damaged disk) and already gated by mttr/db20_rate10240; what the
+  // damage changes is the restart itself: a wire-limited degraded
+  // replay instead of a checkpoint + log one. Gate its slowest cell.
+  double degraded_replay_s = 0;
   for (const double p : corruption_ps) {
     for (const double scrub : scrub_rates) {
       DurabilitySetup dura;
@@ -366,10 +373,7 @@ int main(int argc, char** argv) {
       fb_col.push_back(static_cast<double>(cell.fallbacks));
       rr_col.push_back(static_cast<double>(cell.rereplicates));
       fix_col.push_back(static_cast<double>(cell.scrub_repairs));
-      char name[64];
-      std::snprintf(name, sizeof(name), "mttr_corruption/p%.2f_scrub%.0f",
-                    p, scrub);
-      bench::RecordBenchCase({name, cell.mttr_s, "s", 0.0, 0});
+      degraded_replay_s = std::max(degraded_replay_s, cell.replay_s);
       // Acceptance: damage is always *detected* (never silently
       // replayed — the tripwire stays zero), recovery degrades instead
       // of losing data (the surviving replica keeps every committed
@@ -422,6 +426,8 @@ int main(int argc, char** argv) {
       }
     }
   }
+  bench::RecordBenchCase(
+      {"mttr_corruption/degraded_replay_s", degraded_replay_s, "s", 0.0, 0});
   ctable.Print(std::cout);
   std::cout << "\nExpected shape: every damaged restart is *detected* and "
                "degrades (wire-limited re-replication, so replay time "

@@ -1159,8 +1159,21 @@ void ClusterEngine::KickRebuilds() {
     }
     const PartitionId target = ChooseBackupPartition(b);
     if (target < 0) continue;  // Retried on the next topology change.
-    const int64_t gen = replication_->BeginRebuild(b, target);
-    ScheduleRebuildChunk(b, 0, gen);
+    replication_->BeginRebuild(b, target);
+    auto stream = std::make_shared<PipelinedStream>();
+    stream->epoch = &replication_->rebuild_gen(b);
+    stream->bucket = b;
+    stream->dst = target;
+    stream->chunks = replication_->chunks_per_rebuild();
+    stream->timing = ChunkTiming::Truncated(
+        config_.replication.rebuild_chunk_kb, config_.replication.wire_kbps,
+        config_.replication.rebuild_rate_kbps);
+    stream->on_sent = [this]() {
+      replication_->OnRebuildChunk();
+      if (m_rebuild_chunks_ != nullptr) m_rebuild_chunks_->Increment();
+    };
+    stream->on_landed = [this, b]() { FinishRebuild(b); };
+    transfer_.Pipeline(stream, 0);
   }
   if (policy_ == nullptr) return;
   // Diversity repair: a full-k bucket whose primary and every backup
@@ -1189,61 +1202,8 @@ void ClusterEngine::KickRebuilds() {
   }
 }
 
-void ClusterEngine::ScheduleRebuildChunk(BucketId bucket,
-                                         int32_t chunk_index, int64_t gen) {
-  // Pacing: each chunk takes chunk_kb / rate to stream (Squall-style
-  // throttling), then occupies donor and target executors for the wire
-  // time. The generation guard voids chunks of cancelled rebuilds.
-  const double period_us = config_.replication.rebuild_chunk_kb /
-                           config_.replication.rebuild_rate_kbps * 1e6;
-  sim_->Schedule(
-      std::max<SimDuration>(1, static_cast<SimDuration>(period_us)),
-      [this, bucket, chunk_index, gen]() {
-        if (replication_ == nullptr ||
-            replication_->rebuild_gen(bucket) != gen) {
-          return;  // Cancelled or superseded while queued.
-        }
-        const PartitionId src = map_.PartitionOfBucket(bucket);
-        const PartitionId dst = replication_->rebuild_target(bucket);
-        if (net_ != nullptr &&
-            !net_->Reachable(NodeOfPartition(src), NodeOfPartition(dst))) {
-          // Partitioned: retry this chunk after another pacing period
-          // instead of aborting the rebuild; it resumes after heal.
-          ScheduleRebuildChunk(bucket, chunk_index, gen);
-          return;
-        }
-        replication_->OnRebuildChunk();
-        if (m_rebuild_chunks_ != nullptr) m_rebuild_chunks_->Increment();
-        const SimDuration busy = std::max<SimDuration>(
-            1, static_cast<SimDuration>(config_.replication.rebuild_chunk_kb /
-                                        config_.replication.wire_kbps * 1e6));
-        const bool last =
-            chunk_index + 1 >= replication_->chunks_per_rebuild();
-        auto land = [this, src, dst, busy, bucket, gen, last]() {
-          executors_[static_cast<size_t>(src)]->Enqueue(
-              busy, [](SimTime, SimTime) {});
-          executors_[static_cast<size_t>(dst)]->Enqueue(
-              busy, [this, bucket, gen, last](SimTime, SimTime) {
-                if (last) FinishRebuild(bucket, gen);
-              });
-        };
-        if (net_ != nullptr) {
-          net_->Send(NodeOfPartition(src), NodeOfPartition(dst),
-                     net::MessageKind::kRebuildChunk, /*reliable=*/true,
-                     std::move(land));
-        } else {
-          land();
-        }
-        if (!last) ScheduleRebuildChunk(bucket, chunk_index + 1, gen);
-      });
-}
-
-void ClusterEngine::FinishRebuild(BucketId bucket, int64_t gen) {
-  if (replication_ == nullptr || replication_->rebuild_gen(bucket) != gen) {
-    return;
-  }
+void ClusterEngine::FinishRebuild(BucketId bucket) {
   const PartitionId dst = replication_->rebuild_target(bucket);
-  if (dst < 0) return;
   const PartitionId src = map_.PartitionOfBucket(bucket);
   // The target may have become illegal while chunks were in flight: its
   // node died or was released, or the bucket's primary moved onto it

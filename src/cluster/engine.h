@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/chunk_transfer.h"
 #include "cluster/partition_executor.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -109,6 +110,9 @@ class ClusterEngine {
   /// \param registry stored procedures (copied)
   ClusterEngine(Simulator* sim, Catalog catalog, ProcedureRegistry registry,
                 EngineConfig config);
+  // Scheduled events and `transfer_` hold the engine's address.
+  ClusterEngine(const ClusterEngine&) = delete;
+  ClusterEngine& operator=(const ClusterEngine&) = delete;
 
   // --- Topology --------------------------------------------------------
 
@@ -599,13 +603,12 @@ class ClusterEngine {
   /// partition; for a fence it is deferred (stays with `n`, intact).
   /// Returns the number of buckets promoted.
   int64_t PromoteBucketsOf(NodeId n, bool crashed);
-  /// Starts rebuilds for every degraded bucket with an eligible target.
+  /// Starts rebuilds for every degraded bucket with an eligible target:
+  /// each is a pipelined chunk stream from the bucket's primary.
   void KickRebuilds();
-  /// Paces one re-replication chunk; `gen` guards against staleness.
-  void ScheduleRebuildChunk(BucketId bucket, int32_t chunk_index,
-                            int64_t gen);
-  /// Last chunk landed: snapshot rows, record the replica, continue.
-  void FinishRebuild(BucketId bucket, int64_t gen);
+  /// Last chunk of the bucket's current rebuild landed: snapshot rows,
+  /// record the replica, continue.
+  void FinishRebuild(BucketId bucket);
   /// Recovery replay done: node rejoins, fault epoch bumps.
   void FinishRecovery(NodeId n, int64_t gen);
   /// Revocation deadline reached: clears the draining state, snapshots
@@ -656,6 +659,8 @@ class ClusterEngine {
   int64_t failover_moves_ = 0;
 
   std::unique_ptr<replication::ReplicaManager> replication_;
+  /// Paces and gates rebuild chunks.
+  ChunkTransfer transfer_{this};
   int64_t rows_lost_ = 0;
   int64_t rows_net_created_ = 0;
   int64_t recoveries_ = 0;

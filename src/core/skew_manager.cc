@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 
+#include "cluster/chunk_transfer.h"
 #include "common/logging.h"
 
 namespace pstore {
@@ -120,9 +121,7 @@ void SkewManager::ExecuteRelocation(const BucketMove& move) {
   // flip ownership when the later side finishes.
   const SimDuration busy =
       SecondsToDuration(config_.kb_per_bucket / config_.wire_kbps);
-  auto joins = std::make_shared<int32_t>(2);
-  auto on_done = [this, move, joins](SimTime, SimTime) {
-    if (--*joins > 0) return;
+  auto on_done = ChunkTransfer::BothSides([this, move]() {
     Status st = engine_->ApplyBucketMove(move);
     if (st.ok()) {
       ++buckets_moved_;
@@ -131,7 +130,7 @@ void SkewManager::ExecuteRelocation(const BucketMove& move) {
       // between planning and transfer completion; that is benign.
       PSTORE_LOG(Info) << "skew relocation skipped: " << st.ToString();
     }
-  };
+  });
   engine_->executor(move.from)->Enqueue(busy, on_done);
   engine_->executor(move.to)->Enqueue(busy, on_done);
 }

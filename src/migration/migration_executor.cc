@@ -30,7 +30,9 @@ Status MigrationOptions::Validate() const {
   return Status::OK();
 }
 
-/// One partition-pair bucket stream within the current round.
+/// One paced partition-to-partition chunk stream: a move round's
+/// partition pair, or the evacuation's current bucket (a one-bucket
+/// stream).
 struct MigrationExecutor::Stream {
   PartitionId src = -1;
   PartitionId dst = -1;
@@ -39,19 +41,23 @@ struct MigrationExecutor::Stream {
   double remaining_kb = 0;   ///< Virtual kB left in the current bucket.
   SimTime earliest_next = 0; ///< Rate-limit gate for the next chunk.
   int32_t attempts = 0;      ///< Retries consumed by the current chunk.
-  /// Attempt generation: bumped when a chunk lands or is retried, so a
-  /// stale timeout or stalled transfer for a superseded attempt no-ops.
+  /// Attempt generation: bumped when a chunk lands, is retried or is
+  /// deferred, so a stale timeout or transfer for a superseded attempt
+  /// no-ops.
   int64_t gen = 0;
   /// Net-path sequencing and dedup (idle when the substrate is off).
   net::Channel channel;
   /// Tripwire watermark, independent of `channel`: the highest sequence
   /// number whose payload was applied.
   int64_t last_applied_seq = 0;
+
+  std::string Name() const {
+    return "stream " + std::to_string(src) + "->" + std::to_string(dst);
+  }
 };
 
 struct MigrationExecutor::ActiveMove {
   MoveSchedule schedule;
-  double kb_per_bucket = 0;
   double rate_kbps = 0;  ///< Sustained rate including the multiplier.
   size_t round_idx = 0;
   int32_t streams_remaining = 0;
@@ -71,17 +77,17 @@ struct MigrationExecutor::Evacuation {
   SimTime deadline = 0;            ///< Absolute hard-kill time.
   std::vector<BucketId> queue;     ///< Hottest-first evacuation order.
   size_t idx = 0;                  ///< Next queue entry to ship.
-  double remaining_kb = 0;         ///< Virtual kB left in current bucket.
-  double kb_per_bucket = 0;
   double rate_kbps = 0;            ///< Sustained rate incl. multiplier.
-  PartitionId src = -1;            ///< Current bucket's source partition.
-  PartitionId dst = -1;            ///< Current bucket's destination.
-  SimTime earliest_next = 0;       ///< Rate-limit gate for next chunk.
+  Stream stream;                   ///< The bucket in flight.
 };
 
 MigrationExecutor::MigrationExecutor(ClusterEngine* engine,
                                      MigrationOptions options)
-    : engine_(engine), options_(options) {
+    : engine_(engine),
+      options_(options),
+      transfer_(engine),
+      kb_per_bucket_(options.db_size_mb * 1024.0 /
+                     engine->config().num_buckets) {
   assert(engine != nullptr);
   assert(options_.Validate().ok());
 }
@@ -149,8 +155,6 @@ Status MigrationExecutor::StartMove(int32_t target_nodes,
 
   auto move = std::make_unique<ActiveMove>();
   move->schedule = std::move(schedule).MoveValueUnsafe();
-  move->kb_per_bucket = options_.db_size_mb * 1024.0 /
-                        engine_->config().num_buckets;
   const double multiplier = rate_multiplier_override > 0
                                 ? rate_multiplier_override
                                 : options_.rate_multiplier;
@@ -279,56 +283,40 @@ Status MigrationExecutor::StartMove(int32_t target_nodes,
 }
 
 void MigrationExecutor::Abort(const std::string& reason) {
-  if (!in_progress_) return;
-  PSTORE_LOG(Warn) << "migration aborted: " << reason;
-  Emit("migration aborted: " + reason);
-  history_.back().end = engine_->simulator()->Now();
-  history_.back().aborted = true;
-  ++moves_aborted_;
-  ++move_epoch_;  // cancels every event still scheduled for this move
-  move_.reset();
-  in_progress_ = false;
-  on_complete_ = nullptr;  // aborted moves do not report completion
-  if (m_moves_aborted_ != nullptr) {
-    m_moves_aborted_->Add(1);
-    m_in_progress_->Set(0);
-    m_move_duration_ms_->Record(
-        static_cast<double>(history_.back().end - history_.back().start) /
-        1000.0);
-  }
-  if (telemetry_.tracer != nullptr) {
-    if (round_span_ != 0) telemetry_.tracer->End(round_span_);
-    if (move_span_ != 0) telemetry_.tracer->End(move_span_);
-    round_span_ = 0;
-    move_span_ = 0;
-  }
-  if (telemetry_.txn_traces != nullptr) {
-    telemetry_.txn_traces->OnMoveEnded(engine_->simulator()->Now());
-  }
+  if (in_progress_) EndMoveEarly(reason, /*truncated=*/false);
 }
 
 Status MigrationExecutor::TruncateMove(const std::string& reason) {
   if (!in_progress_) {
     return Status::FailedPrecondition("no move in flight to truncate");
   }
-  PSTORE_LOG(Warn) << "migration truncated: " << reason;
-  Emit("migration truncated: " + reason);
-  history_.back().end = engine_->simulator()->Now();
+  EndMoveEarly(reason, /*truncated=*/true);
+  return Status::OK();
+}
+
+void MigrationExecutor::EndMoveEarly(const std::string& reason,
+                                     bool truncated) {
+  const std::string what =
+      std::string(truncated ? "migration truncated: " : "migration aborted: ") +
+      reason;
+  PSTORE_LOG(Warn) << what;
+  Emit(what);
   history_.back().aborted = true;
-  history_.back().truncated = true;
+  history_.back().truncated = truncated;
   ++moves_aborted_;
-  ++moves_truncated_;
-  // The epoch bump is the chunk-boundary fence: every event still
-  // scheduled for this move captured the old epoch and now no-ops, so
-  // an in-flight chunk's ownership flip (which only happens in its
-  // epoch-checked completion handler) never lands. Buckets whose last
-  // chunk already landed keep their new owners.
-  ++move_epoch_;
+  if (truncated) ++moves_truncated_;
+  on_complete_ = nullptr;  // moves that end early do not report completion
+  EndMove(/*completed=*/false);  // its epoch bump is the chunk fence
+}
+
+void MigrationExecutor::EndMove(bool completed) {
+  const SimTime now = engine_->simulator()->Now();
+  history_.back().end = now;
+  ++move_epoch_;  // retire every event still scheduled for this move
   move_.reset();
   in_progress_ = false;
-  on_complete_ = nullptr;  // truncated moves do not report completion
-  if (m_moves_aborted_ != nullptr) {
-    m_moves_aborted_->Add(1);
+  if (m_moves_completed_ != nullptr) {
+    (completed ? m_moves_completed_ : m_moves_aborted_)->Add(1);
     m_in_progress_->Set(0);
     m_move_duration_ms_->Record(
         static_cast<double>(history_.back().end - history_.back().start) /
@@ -341,9 +329,8 @@ Status MigrationExecutor::TruncateMove(const std::string& reason) {
     move_span_ = 0;
   }
   if (telemetry_.txn_traces != nullptr) {
-    telemetry_.txn_traces->OnMoveEnded(engine_->simulator()->Now());
+    telemetry_.txn_traces->OnMoveEnded(now);
   }
-  return Status::OK();
 }
 
 void MigrationExecutor::Emit(const std::string& what) {
@@ -353,11 +340,6 @@ void MigrationExecutor::Emit(const std::string& what) {
   if (telemetry_.events != nullptr) {
     telemetry_.events->Record(engine_->simulator()->Now(), "migration", what);
   }
-}
-
-bool MigrationExecutor::EndpointsUp(const Stream& stream) const {
-  return engine_->IsNodeUp(engine_->NodeOfPartition(stream.src)) &&
-         engine_->IsNodeUp(engine_->NodeOfPartition(stream.dst));
 }
 
 void MigrationExecutor::StartRound() {
@@ -393,214 +375,155 @@ void MigrationExecutor::StartStream(const std::shared_ptr<Stream>& stream) {
     return;
   }
   stream->bucket_idx = 0;
-  stream->remaining_kb = move_->kb_per_bucket;
+  stream->remaining_kb = kb_per_bucket_;
   stream->earliest_next = engine_->simulator()->Now();
   NextChunk(stream);
 }
 
 void MigrationExecutor::NextChunk(const std::shared_ptr<Stream>& stream) {
-  ActiveMove& move = *move_;
-  Simulator* sim = engine_->simulator();
-  const int64_t epoch = move_epoch_;
-
   const double chunk_kb = std::min(options_.chunk_kb, stream->remaining_kb);
-  const SimDuration busy =
-      SecondsToDuration(chunk_kb / options_.wire_kbps);
-  const SimDuration period =
-      SecondsToDuration(chunk_kb / move.rate_kbps);
-  const SimTime gate_open = stream->earliest_next;
-  const SimDuration gate_delay = std::max<SimDuration>(
-      0, gate_open - sim->Now());
-
-  // After the rate-limit gate opens, consult the fault layer (if any),
-  // then ship the chunk.
-  sim->Schedule(gate_delay, [this, stream, busy, period, chunk_kb, epoch]() {
-    if (epoch != move_epoch_) return;  // move finished/aborted meanwhile
+  const ChunkTiming timing =
+      ChunkTiming::Rounded(chunk_kb, options_.wire_kbps, move_->rate_kbps);
+  // After the rate-limit gate opens, check the endpoints, consult the
+  // fault layer (if any), then ship the chunk.
+  auto go = [this, stream, timing, chunk_kb]() {
     Simulator* sim = engine_->simulator();
-    // A dead endpoint cannot make progress: abort rather than flip
-    // ownership of unlanded buckets or hang forever.
-    if (!EndpointsUp(*stream)) {
-      Abort("stream " + std::to_string(stream->src) + "->" +
-            std::to_string(stream->dst) + " endpoint node is down");
+    const ChunkGate gate = transfer_.Check(stream->src, stream->dst);
+    if (gate == ChunkGate::kEndpointDown) {
+      // A dead endpoint cannot make progress: abort rather than flip
+      // ownership of unlanded buckets or hang forever.
+      Abort(stream->Name() + " " + Describe(gate));
       return;
     }
-    // Migration yields to foreground load: a full queue on either side
-    // defers the chunk by one pacing period instead of deepening it.
-    if (engine_->config().overload.enabled &&
-        (engine_->executor(stream->src)->AtLimit() ||
-         engine_->executor(stream->dst)->AtLimit())) {
-      BackpressureChunk(stream, period, epoch, "partition queue at limit");
+    if (gate != ChunkGate::kOpen) {
+      // Migration yields to foreground load rather than deepen a full
+      // queue, and waits out a cut link (no DATA or ACK could cross).
+      DeferChunk(*stream, move_epoch_, timing.period, gate, Describe(gate),
+                 [this, stream]() { NextChunk(stream); });
       return;
     }
-    // A partitioned link cannot deliver DATA or ACKs; pause the stream
-    // (no retry budget consumed) and resume after heal.
-    if (engine_->net() != nullptr &&
-        !engine_->net()->Reachable(engine_->NodeOfPartition(stream->src),
-                                   engine_->NodeOfPartition(stream->dst))) {
-      DeferChunkNet(stream, period, epoch);
-      return;
-    }
+    const bool via_net = engine_->net() != nullptr;
     if (fault_hook_) {
       const ChunkFault fault = fault_hook_(stream->src, stream->dst,
                                            sim->Now());
       if (fault.kind == ChunkFault::Kind::kFail) {
-        Emit("chunk transfer failed on stream " +
-             std::to_string(stream->src) + "->" +
-             std::to_string(stream->dst));
+        Emit("chunk transfer failed on " + stream->Name());
         RetryChunk(stream, "chunk transfer failed");
         return;
       }
       if (fault.kind == ChunkFault::Kind::kStall) {
         // The stream hangs: the transfer restarts after the stall unless
         // the timeout fires first and supersedes this attempt.
-        Emit("stream " + std::to_string(stream->src) + "->" +
-             std::to_string(stream->dst) + " stalled");
-        const int64_t gen = stream->gen;
-        const bool via_net = engine_->net() != nullptr;
-        sim->Schedule(
-            fault.stall,
-            [this, stream, busy, period, chunk_kb, epoch, gen, via_net]() {
-              if (epoch != move_epoch_ || gen != stream->gen) {
-                return;
-              }
-              if (via_net) {
-                SendChunkNet(stream, busy, period, chunk_kb, epoch);
-              } else {
-                SendChunk(stream, busy, period, chunk_kb, epoch);
-              }
-            });
-        if (engine_->net() == nullptr) {
-          ArmChunkTimeout(stream, busy, period, epoch);
-        }
+        Emit(stream->Name() + " stalled");
+        const ChunkGuard guard(move_epoch_, &stream->gen);
+        sim->Schedule(fault.stall, [this, stream, timing, chunk_kb, guard,
+                                    via_net]() {
+          if (!guard.live()) return;
+          if (via_net) {
+            SendChunkNet(stream, timing, chunk_kb);
+          } else {
+            SendChunk(stream, timing, chunk_kb);
+          }
+        });
+        if (!via_net) ArmChunkTimeout(stream, timing);
         return;
       }
     }
-    if (engine_->net() != nullptr) {
+    if (via_net) {
       // Seq-numbered DATA/ACK transfer with its own retransmit timer;
       // the legacy chunk timeout is superseded by the ACK timeout.
-      SendChunkNet(stream, busy, period, chunk_kb, epoch);
+      SendChunkNet(stream, timing, chunk_kb);
       return;
     }
     const int64_t gen_before = stream->gen;
-    SendChunk(stream, busy, period, chunk_kb, epoch);
+    SendChunk(stream, timing, chunk_kb);
     // SendChunk may have superseded the attempt via backpressure; a
     // timeout armed for the superseded generation would misfire later.
     if (fault_hook_ && stream->gen == gen_before) {
-      ArmChunkTimeout(stream, busy, period, epoch);
+      ArmChunkTimeout(stream, timing);
     }
-  });
+  };
+  transfer_.AtGate(stream->earliest_next, ChunkGuard(move_epoch_),
+                   std::move(go));
 }
 
 void MigrationExecutor::SendChunk(const std::shared_ptr<Stream>& stream,
-                                  SimDuration busy, SimDuration period,
-                                  double chunk_kb, int64_t epoch) {
-  Simulator* sim = engine_->simulator();
-  stream->earliest_next = sim->Now() + period;
-  const int64_t gen = stream->gen;
-  // Occupy both partition executors for the burst; the chunk lands when
-  // the later of the two finishes.
-  auto joins = std::make_shared<int32_t>(2);
-  auto on_side_done = [this, stream, joins, chunk_kb, epoch,
-                       gen](SimTime, SimTime) {
-    if (epoch != move_epoch_ || gen != stream->gen) return;
-    if (--*joins > 0) return;
-    if (!EndpointsUp(*stream)) {
+                                  ChunkTiming timing, double chunk_kb) {
+  stream->earliest_next = engine_->simulator()->Now() + timing.period;
+  const ChunkGuard guard(move_epoch_, &stream->gen);
+  auto landed = ChunkTransfer::BothSides([this, stream, chunk_kb, guard]() {
+    if (!guard.live()) return;
+    if (!transfer_.EndpointsUp(stream->src, stream->dst)) {
       // The receiver (or sender) died while the chunk was in flight:
       // the chunk is lost, ownership must not flip to a dead node.
-      Abort("stream " + std::to_string(stream->src) + "->" +
-            std::to_string(stream->dst) + " endpoint died mid-chunk");
+      Abort(stream->Name() + " endpoint died mid-chunk");
       return;
     }
-    // Chunk landed on both sides; supersede any armed timeout.
-    ++stream->gen;
-    stream->attempts = 0;
-    total_kb_moved_ += chunk_kb;
-    if (m_chunks_landed_ != nullptr) {
-      m_chunks_landed_->Add(1);
-      m_kb_moved_->Set(total_kb_moved_);
-    }
-    stream->remaining_kb -= chunk_kb;
-    if (stream->remaining_kb <= 1e-9) {
-      // Bucket complete: flip ownership atomically. A concurrent
-      // skew-manager relocation may have already moved this bucket;
-      // in that case the transfer is simply wasted work.
-      const BucketId bucket = stream->buckets[stream->bucket_idx];
-      Status st = engine_->ApplyBucketMove(
-          BucketMove{bucket, stream->src, stream->dst});
-      if (!st.ok()) {
-        PSTORE_LOG(Info) << "bucket " << bucket
-                         << " relocated concurrently: " << st.ToString();
-      } else if (m_buckets_flipped_ != nullptr) {
-        m_buckets_flipped_->Add(1);
-      }
-      ++stream->bucket_idx;
-      if (stream->bucket_idx >= stream->buckets.size()) {
-        // Stream complete.
-        if (--move_->streams_remaining == 0) FinishRound();
-        return;
-      }
-      stream->remaining_kb = move_->kb_per_bucket;
-    }
-    NextChunk(stream);
-  };
-  if (!engine_->config().overload.enabled) {
-    engine_->executor(stream->src)->Enqueue(busy, on_side_done);
-    engine_->executor(stream->dst)->Enqueue(busy, on_side_done);
-    return;
+    LandChunk(*stream, chunk_kb);
+    ChunkDone(stream);
+  });
+  transfer_.Burst(stream->src, stream->dst, timing.busy, guard, landed,
+                  landed, [this, stream, timing](const char* why) {
+                    DeferChunk(*stream, move_epoch_, timing.period,
+                               ChunkGate::kQueueFull, why,
+                               [this, stream]() { NextChunk(stream); });
+                  });
+}
+
+bool MigrationExecutor::LandChunk(Stream& stream, double chunk_kb) {
+  total_kb_moved_ += chunk_kb;
+  if (m_chunks_landed_ != nullptr) {
+    m_chunks_landed_->Add(1);
+    m_kb_moved_->Set(total_kb_moved_);
   }
-  // Bounded-queue path: chunk work rides at background priority, so the
-  // priority-shed policy evicts it first when foreground load arrives.
-  auto shed_handler = [this, stream, period, epoch,
-                       gen](SimTime, PartitionExecutor::ShedCause) {
-    if (epoch != move_epoch_ || gen != stream->gen) return;  // stale
-    BackpressureChunk(stream, period, epoch, "chunk work evicted");
-  };
-  auto make_item = [&]() {
-    PartitionExecutor::WorkItem item;
-    item.service = busy;
-    item.done = on_side_done;
-    item.priority = kPriorityBackground;
-    item.on_shed = shed_handler;
-    return item;
-  };
-  if (!engine_->executor(stream->src)->TryEnqueue(make_item())) {
-    BackpressureChunk(stream, period, epoch, "source queue full");
-    return;
+  stream.remaining_kb -= chunk_kb;
+  if (stream.remaining_kb > 1e-9 ||
+      stream.bucket_idx >= stream.buckets.size()) {
+    return false;
   }
-  if (!engine_->executor(stream->dst)->TryEnqueue(make_item())) {
-    // The source-side item stays queued as wasted work; the generation
-    // bump inside BackpressureChunk makes its completion a no-op.
-    BackpressureChunk(stream, period, epoch, "destination queue full");
-    return;
+  // Bucket complete: flip ownership atomically. A concurrent relocation
+  // (skew manager, a reconfiguration round) may have already moved this
+  // bucket; in that case the transfer is simply wasted work.
+  const BucketId bucket = stream.buckets[stream.bucket_idx];
+  Status st =
+      engine_->ApplyBucketMove(BucketMove{bucket, stream.src, stream.dst});
+  if (!st.ok()) {
+    PSTORE_LOG(Info) << "bucket " << bucket
+                     << " relocated concurrently: " << st.ToString();
+  } else if (m_buckets_flipped_ != nullptr) {
+    m_buckets_flipped_->Add(1);
   }
+  if (++stream.bucket_idx < stream.buckets.size()) {
+    stream.remaining_kb = kb_per_bucket_;
+  }
+  return st.ok();
 }
 
 void MigrationExecutor::SendChunkNet(const std::shared_ptr<Stream>& stream,
-                                     SimDuration busy, SimDuration period,
-                                     double chunk_kb, int64_t epoch) {
-  stream->earliest_next = engine_->simulator()->Now() + period;
+                                     ChunkTiming timing, double chunk_kb) {
+  stream->earliest_next = engine_->simulator()->Now() + timing.period;
   const int64_t seq = stream->channel.NextSeq();
-  TransmitChunk(stream, busy, chunk_kb, epoch, seq);
-  ArmRetransmit(stream, busy, period, chunk_kb, epoch, seq);
+  TransmitChunk(stream, timing.busy, chunk_kb, seq);
+  ArmRetransmit(stream, timing, chunk_kb, seq);
 }
 
 void MigrationExecutor::TransmitChunk(const std::shared_ptr<Stream>& stream,
                                       SimDuration busy, double chunk_kb,
-                                      int64_t epoch, int64_t seq) {
+                                      int64_t seq) {
   // The serialization burst occupies the sender for every transmission
   // attempt — retransmits re-serialize and are charged again.
   engine_->executor(stream->src)->Enqueue(busy, [](SimTime, SimTime) {});
+  const ChunkGuard guard(move_epoch_);
   engine_->net()->Send(
       engine_->NodeOfPartition(stream->src),
       engine_->NodeOfPartition(stream->dst), net::MessageKind::kChunkData,
-      /*reliable=*/false, [this, stream, busy, chunk_kb, epoch, seq]() {
-        OnChunkData(stream, busy, chunk_kb, epoch, seq);
+      /*reliable=*/false, [this, stream, busy, chunk_kb, guard, seq]() {
+        if (guard.live()) OnChunkData(stream, busy, chunk_kb, seq);
       });
 }
 
 void MigrationExecutor::ArmRetransmit(const std::shared_ptr<Stream>& stream,
-                                      SimDuration busy, SimDuration period,
-                                      double chunk_kb, int64_t epoch,
+                                      ChunkTiming timing, double chunk_kb,
                                       int64_t seq) {
   // ACK timeout: burst + round trip, scaled by the configured factor.
   // The pacing period is excluded — it gates the *next* chunk, not this
@@ -609,16 +532,14 @@ void MigrationExecutor::ArmRetransmit(const std::shared_ptr<Stream>& stream,
       2.0 * engine_->config().net.mean_latency_us);
   const SimDuration rto = std::max<SimDuration>(
       1, static_cast<SimDuration>(
-             static_cast<double>(busy + rtt) *
+             static_cast<double>(timing.busy + rtt) *
              engine_->config().net.retransmit_timeout_factor));
-  const int64_t gen = stream->gen;
+  const ChunkGuard guard(move_epoch_, &stream->gen);
   engine_->simulator()->Schedule(
-      rto, [this, stream, busy, period, chunk_kb, epoch, seq, gen]() {
-        if (epoch != move_epoch_ || gen != stream->gen) return;  // Acked.
-        if (!EndpointsUp(*stream)) {
-          Abort("stream " + std::to_string(stream->src) + "->" +
-                std::to_string(stream->dst) +
-                " endpoint died awaiting chunk ack");
+      rto, [this, stream, timing, chunk_kb, seq, guard]() {
+        if (!guard.live()) return;  // Acked.
+        if (!transfer_.EndpointsUp(stream->src, stream->dst)) {
+          Abort(stream->Name() + " endpoint died awaiting chunk ack");
           return;
         }
         if (!engine_->net()->Reachable(
@@ -627,13 +548,12 @@ void MigrationExecutor::ArmRetransmit(const std::shared_ptr<Stream>& stream,
           // Partitioned: re-arm without transmitting or consuming
           // budget; the transfer resumes when the window closes.
           ++net_chunks_deferred_;
-          ArmRetransmit(stream, busy, period, chunk_kb, epoch, seq);
+          ArmRetransmit(stream, timing, chunk_kb, seq);
           return;
         }
         if (stream->attempts >= options_.max_chunk_retries) {
-          Abort("chunk ack timeout on stream " +
-                std::to_string(stream->src) + "->" +
-                std::to_string(stream->dst) + ": retry budget (" +
+          Abort("chunk ack timeout on " + stream->Name() +
+                ": retry budget (" +
                 std::to_string(options_.max_chunk_retries) + ") exhausted");
           return;
         }
@@ -644,20 +564,20 @@ void MigrationExecutor::ArmRetransmit(const std::shared_ptr<Stream>& stream,
           telemetry_.txn_traces->NoteRetransmit();
         }
         if (m_chunk_retries_ != nullptr) m_chunk_retries_->Add(1);
-        Emit("retransmitting chunk seq " + std::to_string(seq) +
-             " on stream " + std::to_string(stream->src) + "->" +
-             std::to_string(stream->dst) + " (attempt " +
+        Emit("retransmitting chunk seq " + std::to_string(seq) + " on " +
+             stream->Name() + " (attempt " +
              std::to_string(stream->attempts) + ")");
-        TransmitChunk(stream, busy, chunk_kb, epoch, seq);
-        ArmRetransmit(stream, busy, period, chunk_kb, epoch, seq);
+        TransmitChunk(stream, timing.busy, chunk_kb, seq);
+        ArmRetransmit(stream, timing, chunk_kb, seq);
       });
 }
 
 void MigrationExecutor::OnChunkData(const std::shared_ptr<Stream>& stream,
                                     SimDuration busy, double chunk_kb,
-                                    int64_t epoch, int64_t seq) {
-  if (epoch != move_epoch_) return;
-  if (!EndpointsUp(*stream)) return;  // Sender's timer handles it.
+                                    int64_t seq) {
+  if (!transfer_.EndpointsUp(stream->src, stream->dst)) {
+    return;  // Sender's timer handles it.
+  }
   if (!stream->channel.Accept(seq)) {
     // Retransmission or network duplication of an already-accepted
     // chunk: suppress the payload. Re-ack only once the apply path has
@@ -665,117 +585,87 @@ void MigrationExecutor::OnChunkData(const std::shared_ptr<Stream>& stream,
     // let the sender advance past stop-and-wait while the original
     // copy's apply is still queued behind the deserialization burst.
     ++net_duplicate_data_;
-    if (seq <= stream->last_applied_seq) SendAckNet(stream, epoch, seq);
+    if (seq <= stream->last_applied_seq) SendAckNet(stream, seq);
     return;
   }
   // Deserialization burst on the receiver, then exactly-once apply.
+  const ChunkGuard guard(move_epoch_);
   engine_->executor(stream->dst)->Enqueue(
-      busy, [this, stream, chunk_kb, epoch, seq](SimTime, SimTime) {
-        ApplyChunk(stream, chunk_kb, epoch, seq);
+      busy, [this, stream, chunk_kb, guard, seq](SimTime, SimTime) {
+        if (guard.live()) ApplyChunk(stream, chunk_kb, seq);
       });
 }
 
 void MigrationExecutor::ApplyChunk(const std::shared_ptr<Stream>& stream,
-                                   double chunk_kb, int64_t epoch,
-                                   int64_t seq) {
-  if (epoch != move_epoch_) return;
+                                   double chunk_kb, int64_t seq) {
   if (seq <= stream->last_applied_seq) {
     ++net_double_applies_;  // Tripwire; Accept() makes this unreachable.
     return;
   }
   stream->last_applied_seq = seq;
-  total_kb_moved_ += chunk_kb;
-  if (m_chunks_landed_ != nullptr) {
-    m_chunks_landed_->Add(1);
-    m_kb_moved_->Set(total_kb_moved_);
-  }
-  stream->remaining_kb -= chunk_kb;
-  if (stream->remaining_kb <= 1e-9 &&
-      stream->bucket_idx < stream->buckets.size()) {
-    const BucketId bucket = stream->buckets[stream->bucket_idx];
-    Status st = engine_->ApplyBucketMove(
-        BucketMove{bucket, stream->src, stream->dst});
-    if (!st.ok()) {
-      PSTORE_LOG(Info) << "bucket " << bucket
-                       << " relocated concurrently: " << st.ToString();
-    } else if (m_buckets_flipped_ != nullptr) {
-      m_buckets_flipped_->Add(1);
-    }
-    ++stream->bucket_idx;
-    if (stream->bucket_idx < stream->buckets.size()) {
-      stream->remaining_kb = move_->kb_per_bucket;
-    }
-  }
-  SendAckNet(stream, epoch, seq);
+  LandChunk(*stream, chunk_kb);
+  SendAckNet(stream, seq);
 }
 
 void MigrationExecutor::SendAckNet(const std::shared_ptr<Stream>& stream,
-                                   int64_t epoch, int64_t seq) {
-  engine_->net()->Send(
-      engine_->NodeOfPartition(stream->dst),
-      engine_->NodeOfPartition(stream->src), net::MessageKind::kChunkAck,
-      /*reliable=*/false,
-      [this, stream, epoch, seq]() { OnChunkAck(stream, epoch, seq); });
+                                   int64_t seq) {
+  const ChunkGuard guard(move_epoch_);
+  engine_->net()->Send(engine_->NodeOfPartition(stream->dst),
+                       engine_->NodeOfPartition(stream->src),
+                       net::MessageKind::kChunkAck, /*reliable=*/false,
+                       [this, stream, guard, seq]() {
+                         if (guard.live()) OnChunkAck(stream, seq);
+                       });
 }
 
 void MigrationExecutor::OnChunkAck(const std::shared_ptr<Stream>& stream,
-                                   int64_t epoch, int64_t seq) {
-  if (epoch != move_epoch_) return;
+                                   int64_t seq) {
   if (!stream->channel.AckReceived(seq)) {
     ++net_duplicate_acks_;  // Re-ack for a retransmitted DATA; ignore.
     return;
   }
-  ++stream->gen;  // Cancels this chunk's retransmit timer.
+  ChunkDone(stream);
+}
+
+void MigrationExecutor::ChunkDone(const std::shared_ptr<Stream>& stream) {
+  ++stream->gen;  // Supersedes the chunk's timeout or retransmit timer.
   stream->attempts = 0;
-  if (stream->bucket_idx >= stream->buckets.size()) {
-    // Receiver applied the stream's last bucket; the ACK closes it.
-    if (--move_->streams_remaining == 0) FinishRound();
-    return;
+  if (stream->bucket_idx < stream->buckets.size()) {
+    NextChunk(stream);
+  } else if (--move_->streams_remaining == 0) {
+    FinishRound();  // The stream's last bucket flipped.
   }
-  NextChunk(stream);
 }
 
-void MigrationExecutor::DeferChunkNet(const std::shared_ptr<Stream>& stream,
-                                      SimDuration period, int64_t epoch) {
-  ++stream->gen;  // Supersede this attempt.
-  ++net_chunks_deferred_;
-  Emit("chunk deferred on stream " + std::to_string(stream->src) + "->" +
-       std::to_string(stream->dst) + ": link partitioned");
-  Simulator* sim = engine_->simulator();
-  stream->earliest_next = sim->Now() + period;
-  sim->Schedule(period, [this, stream, epoch]() {
-    if (epoch != move_epoch_) return;
-    NextChunk(stream);
-  });
-}
-
-void MigrationExecutor::BackpressureChunk(
-    const std::shared_ptr<Stream>& stream, SimDuration period, int64_t epoch,
-    const char* why) {
-  ++stream->gen;  // supersede this attempt and any armed timeout
-  ++chunks_backpressured_;
-  if (m_chunk_backpressure_ != nullptr) m_chunk_backpressure_->Increment();
-  Emit("chunk backpressured on stream " + std::to_string(stream->src) +
-       "->" + std::to_string(stream->dst) + ": " + why);
-  Simulator* sim = engine_->simulator();
-  stream->earliest_next = sim->Now() + period;
-  sim->Schedule(period, [this, stream, epoch]() {
-    if (epoch != move_epoch_) return;
-    NextChunk(stream);
-  });
+template <typename Resume>
+void MigrationExecutor::DeferChunk(Stream& stream, const int64_t& epoch,
+                                   SimDuration period, ChunkGate gate,
+                                   const char* why, Resume resume) {
+  ++stream.gen;  // supersede this attempt and any armed timeout
+  const bool cut = gate == ChunkGate::kUnreachable;
+  if (cut) {
+    ++net_chunks_deferred_;
+  } else {
+    ++chunks_backpressured_;
+    if (m_chunk_backpressure_ != nullptr) m_chunk_backpressure_->Increment();
+  }
+  Emit(std::string(cut ? "chunk deferred on " : "chunk backpressured on ") +
+       stream.Name() + ": " + why);
+  stream.earliest_next = engine_->simulator()->Now() + period;
+  transfer_.AtGate(stream.earliest_next, ChunkGuard(epoch),
+                   std::move(resume));
 }
 
 void MigrationExecutor::ArmChunkTimeout(const std::shared_ptr<Stream>& stream,
-                                        SimDuration busy, SimDuration period,
-                                        int64_t epoch) {
-  const SimDuration nominal = std::max<SimDuration>(1, busy + period);
+                                        ChunkTiming timing) {
+  const SimDuration nominal =
+      std::max<SimDuration>(1, timing.busy + timing.period);
   const SimDuration timeout = static_cast<SimDuration>(
       static_cast<double>(nominal) * options_.chunk_timeout_factor);
-  const int64_t gen = stream->gen;
-  engine_->simulator()->Schedule(timeout, [this, stream, epoch, gen]() {
-    if (epoch != move_epoch_ || gen != stream->gen) return;  // landed
-    Emit("chunk timeout on stream " + std::to_string(stream->src) + "->" +
-         std::to_string(stream->dst));
+  const ChunkGuard guard(move_epoch_, &stream->gen);
+  engine_->simulator()->Schedule(timeout, [this, stream, guard]() {
+    if (!guard.live()) return;  // landed
+    Emit("chunk timeout on " + stream->Name());
     RetryChunk(stream, "chunk timed out");
   });
 }
@@ -784,8 +674,7 @@ void MigrationExecutor::RetryChunk(const std::shared_ptr<Stream>& stream,
                                    const char* why) {
   ++stream->gen;  // supersede the failed/stalled attempt and its timeout
   if (stream->attempts >= options_.max_chunk_retries) {
-    Abort(std::string(why) + " on stream " + std::to_string(stream->src) +
-          "->" + std::to_string(stream->dst) + ": retry budget (" +
+    Abort(std::string(why) + " on " + stream->Name() + ": retry budget (" +
           std::to_string(options_.max_chunk_retries) + ") exhausted");
     return;
   }
@@ -797,13 +686,12 @@ void MigrationExecutor::RetryChunk(const std::shared_ptr<Stream>& stream,
   ++stream->attempts;
   ++chunk_retries_;
   if (m_chunk_retries_ != nullptr) m_chunk_retries_->Add(1);
-  Emit("retrying chunk on stream " + std::to_string(stream->src) + "->" +
-       std::to_string(stream->dst) + " (attempt " +
+  Emit("retrying chunk on " + stream->Name() + " (attempt " +
        std::to_string(stream->attempts) + ")");
-  const int64_t epoch = move_epoch_;
-  engine_->simulator()->Schedule(backoff, [this, stream, epoch]() {
-    if (epoch != move_epoch_) return;
-    if (!EndpointsUp(*stream)) {
+  const ChunkGuard guard(move_epoch_);
+  engine_->simulator()->Schedule(backoff, [this, stream, guard]() {
+    if (!guard.live()) return;
+    if (!transfer_.EndpointsUp(stream->src, stream->dst)) {
       Abort("retry target node is down");
       return;
     }
@@ -846,10 +734,8 @@ Status MigrationExecutor::StartEvacuation(NodeId node, SimTime deadline) {
   evac->node = node;
   evac->deadline = deadline;
   evac->queue = std::move(queue);
-  evac->kb_per_bucket =
-      options_.db_size_mb * 1024.0 / engine_->config().num_buckets;
   evac->rate_kbps = options_.rate_kbps * options_.rate_multiplier;
-  evac->earliest_next = now;
+  evac->stream.earliest_next = now;
   evac_ = std::move(evac);
   ++evac_epoch_;
   Emit("evacuation of node " + std::to_string(node) + " started: " +
@@ -876,8 +762,8 @@ void MigrationExecutor::NextEvacBucket() {
   // hard kill the stream stops — shipping half a bucket helps nobody,
   // and replica promotion covers whatever stays behind.
   const SimDuration bucket_time =
-      SecondsToDuration(evac.kb_per_bucket / evac.rate_kbps) +
-      SecondsToDuration(std::min(options_.chunk_kb, evac.kb_per_bucket) /
+      SecondsToDuration(kb_per_bucket_ / evac.rate_kbps) +
+      SecondsToDuration(std::min(options_.chunk_kb, kb_per_bucket_) /
                         options_.wire_kbps);
   if (sim->Now() + bucket_time > evac.deadline) {
     const int64_t left = static_cast<int64_t>(evac.queue.size() - evac.idx);
@@ -891,8 +777,9 @@ void MigrationExecutor::NextEvacBucket() {
   // (skew manager, a reconfiguration round): skip without shipping.
   const BucketId bucket = evac.queue[evac.idx];
   const PartitionMap& map = engine_->partition_map();
-  evac.src = map.PartitionOfBucket(bucket);
-  if (engine_->NodeOfPartition(evac.src) != evac.node) {
+  Stream& s = evac.stream;
+  s.src = map.PartitionOfBucket(bucket);
+  if (engine_->NodeOfPartition(s.src) != evac.node) {
     ++evac.idx;
     NextEvacBucket();
     return;
@@ -921,79 +808,70 @@ void MigrationExecutor::NextEvacBucket() {
     FinishEvacuation("no live non-draining destination node");
     return;
   }
-  evac.dst = best_node * p;
-  size_t dst_count = map.BucketsOfPartition(evac.dst).size();
+  s.dst = best_node * p;
+  size_t dst_count = map.BucketsOfPartition(s.dst).size();
   for (int32_t k = 1; k < p; ++k) {
     const PartitionId cand = best_node * p + k;
     const size_t count = map.BucketsOfPartition(cand).size();
     if (count < dst_count) {
-      evac.dst = cand;
+      s.dst = cand;
       dst_count = count;
     }
   }
-  evac.remaining_kb = evac.kb_per_bucket;
+  s.buckets.assign(1, bucket);
+  s.bucket_idx = 0;
+  s.remaining_kb = kb_per_bucket_;
   EvacChunk();
 }
 
 void MigrationExecutor::EvacChunk() {
-  Evacuation& evac = *evac_;
-  Simulator* sim = engine_->simulator();
-  const int64_t epoch = evac_epoch_;
-  const double chunk_kb = std::min(options_.chunk_kb, evac.remaining_kb);
-  const SimDuration busy = SecondsToDuration(chunk_kb / options_.wire_kbps);
-  const SimDuration period = SecondsToDuration(chunk_kb / evac.rate_kbps);
-  const SimDuration gate_delay =
-      std::max<SimDuration>(0, evac.earliest_next - sim->Now());
-  sim->Schedule(gate_delay, [this, busy, period, chunk_kb, epoch]() {
-    if (epoch != evac_epoch_) return;  // evacuation ended meanwhile
-    Evacuation& evac = *evac_;
-    // The hard kill (or an unrelated crash) beats the chunk: the stream
-    // cannot make progress, and ownership must not flip to a dead node.
-    if (!engine_->IsNodeUp(evac.node) ||
-        !engine_->IsNodeUp(engine_->NodeOfPartition(evac.dst))) {
+  const double chunk_kb =
+      std::min(options_.chunk_kb, evac_->stream.remaining_kb);
+  const ChunkTiming timing =
+      ChunkTiming::Rounded(chunk_kb, options_.wire_kbps, evac_->rate_kbps);
+  auto go = [this, timing, chunk_kb]() {
+    Stream& s = evac_->stream;
+    auto resume = [this]() { EvacChunk(); };
+    const ChunkGate gate = transfer_.Check(s.src, s.dst);
+    if (gate == ChunkGate::kEndpointDown) {
+      // The hard kill (or an unrelated crash) beats the chunk: the stream
+      // cannot make progress, and ownership must not flip to a dead node.
       FinishEvacuation("endpoint node went down");
       return;
     }
-    evac.earliest_next = engine_->simulator()->Now() + period;
-    // Occupy both partition executors for the burst, like a regular
-    // migration chunk; the chunk lands when the later side finishes.
-    auto joins = std::make_shared<int32_t>(2);
-    auto on_side_done = [this, joins, chunk_kb, epoch](SimTime, SimTime) {
-      if (epoch != evac_epoch_) return;
-      if (--*joins > 0) return;
+    if (gate != ChunkGate::kOpen) {
+      // Like a move: yield to a full queue, wait out a cut link.
+      DeferChunk(s, evac_epoch_, timing.period, gate, Describe(gate), resume);
+      return;
+    }
+    s.earliest_next = engine_->simulator()->Now() + timing.period;
+    const ChunkGuard guard(evac_epoch_, &s.gen);
+    auto landed = ChunkTransfer::BothSides([this, chunk_kb, guard]() {
+      if (!guard.live()) return;
       Evacuation& evac = *evac_;
-      if (!engine_->IsNodeUp(evac.node) ||
-          !engine_->IsNodeUp(engine_->NodeOfPartition(evac.dst))) {
+      if (!transfer_.EndpointsUp(evac.stream.src, evac.stream.dst)) {
         FinishEvacuation("endpoint died mid-chunk");
         return;
       }
-      total_kb_moved_ += chunk_kb;
-      if (m_chunks_landed_ != nullptr) {
-        m_chunks_landed_->Add(1);
-        m_kb_moved_->Set(total_kb_moved_);
-      }
-      evac.remaining_kb -= chunk_kb;
-      if (evac.remaining_kb > 1e-9) {
-        EvacChunk();
-        return;
-      }
-      const BucketId bucket = evac.queue[evac.idx];
-      Status st = engine_->ApplyBucketMove(
-          BucketMove{bucket, evac.src, evac.dst});
-      if (st.ok()) {
+      if (LandChunk(evac.stream, chunk_kb)) {
         ++buckets_evacuated_;
         if (m_buckets_evacuated_ != nullptr) m_buckets_evacuated_->Add(1);
-        if (m_buckets_flipped_ != nullptr) m_buckets_flipped_->Add(1);
-      } else {
-        PSTORE_LOG(Info) << "evacuated bucket " << bucket
-                         << " relocated concurrently: " << st.ToString();
+      }
+      if (evac.stream.bucket_idx == 0) {
+        EvacChunk();  // The bucket has chunks left.
+        return;
       }
       ++evac.idx;
       NextEvacBucket();
-    };
-    engine_->executor(evac.src)->Enqueue(busy, on_side_done);
-    engine_->executor(evac.dst)->Enqueue(busy, on_side_done);
-  });
+    });
+    transfer_.Burst(s.src, s.dst, timing.busy, guard, landed, landed,
+                    [this, timing, resume](const char* why) {
+                      DeferChunk(evac_->stream, evac_epoch_, timing.period,
+                                 ChunkGate::kQueueFull, why, resume);
+                    });
+  };
+  transfer_.AtGate(evac_->stream.earliest_next, ChunkGuard(evac_epoch_),
+                   std::move(go));
 }
 
 void MigrationExecutor::FinishEvacuation(const std::string& why) {
@@ -1055,24 +933,7 @@ void MigrationExecutor::FinishRound() {
 }
 
 void MigrationExecutor::FinishMove() {
-  history_.back().end = engine_->simulator()->Now();
-  ++move_epoch_;  // retire any stray events still scheduled for this move
-  move_.reset();
-  in_progress_ = false;
-  if (m_moves_completed_ != nullptr) {
-    m_moves_completed_->Add(1);
-    m_in_progress_->Set(0);
-    m_move_duration_ms_->Record(
-        static_cast<double>(history_.back().end - history_.back().start) /
-        1000.0);
-  }
-  if (telemetry_.tracer != nullptr && move_span_ != 0) {
-    telemetry_.tracer->End(move_span_);
-    move_span_ = 0;
-  }
-  if (telemetry_.txn_traces != nullptr) {
-    telemetry_.txn_traces->OnMoveEnded(engine_->simulator()->Now());
-  }
+  EndMove(/*completed=*/true);
   if (telemetry_.events != nullptr) {
     telemetry_.events->Record(
         engine_->simulator()->Now(), "migration",

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/chunk_transfer.h"
 #include "cluster/engine.h"
 #include "common/status.h"
 #include "migration/parallel_schedule.h"
@@ -12,19 +13,21 @@
 #include "storage/partition_map.h"
 
 /// \file migration_executor.h
-/// The Squall stand-in: executes a reconfiguration as a sequence of
-/// parallel, chunked, throttled bucket transfers on the discrete-event
-/// simulator, following the three-phase MoveSchedule.
-///
-/// Mechanics per (sender node, receiver node) unit transfer: the P
-/// partition pairs of the two nodes stream their assigned buckets
-/// chunk-by-chunk. Each chunk occupies *both* partition executors for
-/// chunk_kb / wire_kbps (the serialization/deserialization burst that
-/// Figure 8 shows hurting tail latency for big chunks), and consecutive
-/// chunks on a stream are spaced so the sustained rate is
-/// rate_kbps * rate_multiplier (R, or R x 8 for the reactive fallback of
-/// Figure 11). A bucket's ownership flips atomically in the partition
-/// map when its last chunk lands; queued transactions forward.
+/// The Squall stand-in: executes a reconfiguration as parallel, chunked,
+/// throttled bucket transfers following the three-phase MoveSchedule,
+/// and a draining node's deadline-aware evacuation, on the discrete-event
+/// simulator. Both ride the one paced-chunk transfer of
+/// cluster/chunk_transfer.h (which also carries re-replication): a chunk
+/// occupies *both* partition executors for chunk_kb / wire_kbps (the
+/// burst Figure 8 shows hurting tail latency for big chunks), a stream's
+/// next chunk goes one period, chunk_kb / (rate_kbps * rate_multiplier),
+/// after the last (R, or R x 8 for Figure 11's reactive fallback), and a
+/// full queue or cut link defers a chunk one period. What stays here is
+/// policy: which bucket each partition-pair stream ships next, the fault
+/// hook's retries and the net DATA/ACK protocol for moves, the
+/// evacuation's hottest-first queue and deadline, and the atomic
+/// ownership flip when a bucket's last chunk lands (queued transactions
+/// then forward).
 ///
 /// Timing uses a configured *virtual* database size (1106 MB in
 /// Section 8.1) so migration duration matches the paper's D even though
@@ -222,52 +225,55 @@ class MigrationExecutor {
   const MigrationOptions& options() const { return options_; }
 
  private:
-  struct Stream;          // one partition-pair bucket stream
+  struct Stream;          // one paced partition-to-partition chunk stream
   struct ActiveMove;      // state of the in-flight reconfiguration
   struct Evacuation;      // state of the in-flight drain evacuation
 
   void StartRound();
   void StartStream(const std::shared_ptr<Stream>& stream);
+  /// Gates the stream's next chunk, consults the fault hook, ships it.
   void NextChunk(const std::shared_ptr<Stream>& stream);
-  void SendChunk(const std::shared_ptr<Stream>& stream, SimDuration busy,
-                 SimDuration period, double chunk_kb, int64_t epoch);
+  /// Local path: the two-sided burst; lands when both sides finish.
+  void SendChunk(const std::shared_ptr<Stream>& stream, ChunkTiming timing,
+                 double chunk_kb);
   void ArmChunkTimeout(const std::shared_ptr<Stream>& stream,
-                       SimDuration busy, SimDuration period, int64_t epoch);
+                       ChunkTiming timing);
   void RetryChunk(const std::shared_ptr<Stream>& stream, const char* why);
   // Net chunk protocol (used only when the engine's substrate is on).
   /// Allocates the next sequence number, transmits the DATA message and
   /// arms the retransmit timer.
-  void SendChunkNet(const std::shared_ptr<Stream>& stream, SimDuration busy,
-                    SimDuration period, double chunk_kb, int64_t epoch);
+  void SendChunkNet(const std::shared_ptr<Stream>& stream, ChunkTiming timing,
+                    double chunk_kb);
   /// One DATA transmission attempt (initial send or retransmit).
   void TransmitChunk(const std::shared_ptr<Stream>& stream, SimDuration busy,
-                     double chunk_kb, int64_t epoch, int64_t seq);
+                     double chunk_kb, int64_t seq);
   /// ACK-timeout timer; retransmits the same sequence number, waiting
   /// out partitions without consuming retry budget.
-  void ArmRetransmit(const std::shared_ptr<Stream>& stream, SimDuration busy,
-                     SimDuration period, double chunk_kb, int64_t epoch,
-                     int64_t seq);
+  void ArmRetransmit(const std::shared_ptr<Stream>& stream, ChunkTiming timing,
+                     double chunk_kb, int64_t seq);
   /// Receiver: DATA arrived; dedup, deserialize, apply, ack.
   void OnChunkData(const std::shared_ptr<Stream>& stream, SimDuration busy,
-                   double chunk_kb, int64_t epoch, int64_t seq);
+                   double chunk_kb, int64_t seq);
   /// Receiver: exactly-once chunk application (bytes, bucket flips).
   void ApplyChunk(const std::shared_ptr<Stream>& stream, double chunk_kb,
-                  int64_t epoch, int64_t seq);
+                  int64_t seq);
   /// Receiver -> sender acknowledgement.
-  void SendAckNet(const std::shared_ptr<Stream>& stream, int64_t epoch,
-                  int64_t seq);
+  void SendAckNet(const std::shared_ptr<Stream>& stream, int64_t seq);
   /// Sender: ACK arrived; dedup, cancel retransmit, advance the stream.
-  void OnChunkAck(const std::shared_ptr<Stream>& stream, int64_t epoch,
-                  int64_t seq);
-  /// Pauses the stream one pacing period (link partitioned).
-  void DeferChunkNet(const std::shared_ptr<Stream>& stream,
-                     SimDuration period, int64_t epoch);
-  /// Supersedes the current chunk attempt and re-runs NextChunk one
-  /// pacing period later (migration yields to foreground load).
-  void BackpressureChunk(const std::shared_ptr<Stream>& stream,
-                         SimDuration period, int64_t epoch,
-                         const char* why);
-  bool EndpointsUp(const Stream& stream) const;
+  void OnChunkAck(const std::shared_ptr<Stream>& stream, int64_t seq);
+  /// Counts a landed chunk; flips the bucket it completes (local and net
+  /// paths, evacuation). True if a flip applied.
+  bool LandChunk(Stream& stream, double chunk_kb);
+  /// The chunk landed (local) or was acked (net): next chunk or stream end.
+  void ChunkDone(const std::shared_ptr<Stream>& stream);
+  /// Supersedes the attempt and runs `resume` one period later while
+  /// `epoch` holds: yields to a full queue, waits out a cut link.
+  template <typename Resume>
+  void DeferChunk(Stream& stream, const int64_t& epoch, SimDuration period,
+                  ChunkGate gate, const char* why, Resume resume);
+  /// Abort / TruncateMove; EndMove is the teardown all move ends share.
+  void EndMoveEarly(const std::string& reason, bool truncated);
+  void EndMove(bool completed);
   void FinishRound();
   void FinishMove();
   // Drain evacuation stream (sequential, deadline-gated).
@@ -275,14 +281,17 @@ class MigrationExecutor {
   /// starts its chunk pacing; finishes the evacuation when the queue is
   /// exhausted, the deadline is too close, or an endpoint died.
   void NextEvacBucket();
-  /// Ships one evacuation chunk (pacing gate, dual-executor burst) and
-  /// advances the stream when it lands.
+  /// Gates and ships one evacuation chunk and advances the stream when
+  /// it lands.
   void EvacChunk();
   void FinishEvacuation(const std::string& why);
   void Emit(const std::string& what);
 
   ClusterEngine* engine_;
   MigrationOptions options_;
+  ChunkTransfer transfer_;
+  /// Virtual kB per bucket (db_size_mb over the bucket universe).
+  double kb_per_bucket_;
   obs::Telemetry telemetry_;
   // Cached metric handles (null until set_telemetry).
   obs::Counter* m_moves_started_ = nullptr;

@@ -140,9 +140,10 @@ class ReplicaManager {
 
   // --- Re-replication bookkeeping --------------------------------------
   //
-  // The engine paces rebuild chunks on the simulator; the manager holds
-  // the per-bucket in-flight target and a generation counter that stale
-  // chunk events check, exactly like MigrationExecutor's move_epoch_.
+  // The engine ships each rebuild as a pipelined chunk stream
+  // (cluster/chunk_transfer.h); the manager holds the per-bucket
+  // in-flight target and the generation counter that stream's guard
+  // reads by reference (the vector is sized once, at construction).
   // One rebuild per bucket runs at a time; k > 1 deficits are filled
   // sequentially by the engine's next KickRebuilds pass.
 
@@ -157,7 +158,7 @@ class ReplicaManager {
   bool rebuild_in_flight(BucketId b) const {
     return rebuild_target_[static_cast<size_t>(b)] >= 0;
   }
-  int64_t rebuild_gen(BucketId b) const {
+  const int64_t& rebuild_gen(BucketId b) const {
     return rebuild_gen_[static_cast<size_t>(b)];
   }
   int64_t rebuilds_in_flight() const { return rebuilds_in_flight_; }

@@ -81,13 +81,5 @@ TEST(DurabilityChaosTest, SweepExercisesDurabilityMachinery) {
   EXPECT_GT(recoveries, 1);
 }
 
-TEST(DurabilityChaosTest, SameSeedReplaysIdenticallyDownToTheStore) {
-  testing_util::ExpectReplaysIdentically("durability_sweep");
-}
-
-TEST(DurabilityChaosTest, DifferentSeedsDiverge) {
-  testing_util::ExpectSeedsDiverge("durability_sweep");
-}
-
 }  // namespace
 }  // namespace pstore

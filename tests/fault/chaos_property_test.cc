@@ -54,13 +54,5 @@ TEST(ChaosPropertyTest, SweepExercisesFaultMachinery) {
   EXPECT_GT(runs_with_migration, 10);
 }
 
-TEST(ChaosPropertyTest, GoldenSameSeedIdenticalReplay) {
-  testing_util::ExpectReplaysIdentically("fault_sweep");
-}
-
-TEST(ChaosPropertyTest, DifferentSeedsDifferentRuns) {
-  testing_util::ExpectSeedsDiverge("fault_sweep", 1, 2);
-}
-
 }  // namespace
 }  // namespace pstore

@@ -89,14 +89,6 @@ TEST(NetChaosTest, SweepExercisesNetworkMachinery) {
   EXPECT_GT(total_dropped, 200);
 }
 
-TEST(NetChaosTest, SameSeedReplaysIdentically) {
-  testing_util::ExpectReplaysIdentically("net_sweep");
-}
-
-TEST(NetChaosTest, DifferentSeedsDiverge) {
-  testing_util::ExpectSeedsDiverge("net_sweep");
-}
-
 // ---- The opt-in contract (Rng stream audit regressions) -------------
 
 /// A baseline (net-off) run, parameterized by a NetConfig whose

@@ -199,6 +199,39 @@ TEST(ReplicationEngineTest, RestartRecoveryTakesSimulatedTime) {
   EXPECT_FALSE(engine.RecoveryInProgress());
 }
 
+TEST(ReplicationEngineTest, RebuildChunkYieldsToFullQueue) {
+  auto db = MakeKvDatabase();
+  Simulator sim;
+  EngineConfig config = ReplicatedConfig(3);
+  config.overload.enabled = true;
+  config.overload.max_queue_depth = 4;
+  ClusterEngine engine(&sim, db.catalog, db.registry, config);
+  for (int64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
+  }
+  ASSERT_TRUE(engine.CrashNode(2).ok());
+  ASSERT_GT(engine.replication()->rebuilds_in_flight(), 0);
+  // Every surviving partition's queue sits at its limit for 500 ms: one
+  // 100 ms item in service, four waiting.
+  for (PartitionId q = 0; q < 2 * config.partitions_per_node; ++q) {
+    for (int i = 0; i <= config.overload.max_queue_depth; ++i) {
+      engine.executor(q)->Enqueue(100 * kMillisecond,
+                                  [](SimTime, SimTime) {});
+    }
+    ASSERT_TRUE(engine.executor(q)->AtLimit());
+  }
+  // Chunks are due every 10 ms; each defers one period instead of going.
+  sim.RunUntil(90 * kMillisecond);
+  EXPECT_EQ(engine.replication()->rebuild_chunks_landed(), 0);
+  sim.RunUntil(60 * kSecond);
+  EXPECT_EQ(engine.replication()->degraded_buckets(), 0);
+  for (PartitionId q = 0; q < engine.active_partitions(); ++q) {
+    EXPECT_LE(engine.executor(q)->max_queue_depth(),
+              engine.executor(q)->queue_limit())
+        << "partition " << q << " was enqueued past its bound";
+  }
+}
+
 TEST(ReplicationEngineTest, ChooseBackupPartitionAvoidsPrimaryAndDead) {
   auto db = MakeKvDatabase();
   Simulator sim;

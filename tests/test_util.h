@@ -80,11 +80,10 @@ inline void ExpectReplaysIdentically(std::string_view name) {
 /// Only for rows whose plan is drawn from the seed: a scripted row runs
 /// the same plan at every seed, and most scripted rows draw nothing else
 /// from it either.
-inline void ExpectSeedsDiverge(std::string_view name, uint64_t seed_a = 3,
-                               uint64_t seed_b = 4) {
+inline void ExpectSeedsDiverge(std::string_view name) {
   ASSERT_TRUE(scenario::FindScenario(name)->script.empty()) << name;
-  const scenario::ScenarioResult a = RunRow(name, seed_a);
-  const scenario::ScenarioResult b = RunRow(name, seed_b);
+  const scenario::ScenarioResult a = RunRow(name, 3);
+  const scenario::ScenarioResult b = RunRow(name, 4);
   EXPECT_NE(a.plan, b.plan) << name;
   EXPECT_NE(a.fingerprint, b.fingerprint) << name;
 }
