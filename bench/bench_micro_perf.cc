@@ -1,8 +1,8 @@
 /// Micro-benchmarks (google-benchmark) for the hot components: the DP
 /// planner (runs every control interval online), SPAR fit/predict/refit,
 /// the migration schedule generator, partition-map assignment and
-/// rebalancing, the storage row index and B2W line-item codec that
-/// procedure bodies spend their time in, and the engine's transaction
+/// rebalancing, the storage row index, row lifecycle and B2W line-item
+/// codec that procedure bodies spend their time in, and the engine's transaction
 /// path on the virtual clock.
 ///
 /// Unlike the figure harnesses, this binary measures *wall-clock* cost,
@@ -265,6 +265,27 @@ void BM_B2wLineCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_B2wLineCodec);
+
+// One cart row's life on the write path: build a B2W-cart-shaped row
+// (two BIGINTs, an inline and a heap string, a DOUBLE), share its body
+// the way a fragment and its backups do, clone it through Set
+// (copy-on-write), then release both.
+void BM_RowLifecycle(benchmark::State& state) {
+  const std::string lines =
+      EncodeLines({{1234567, 2, 19.99}, {98765432, 1, 5.5}});
+  int64_t id = 0;
+  for (auto _ : state) {
+    ++id;
+    Row row({Value(id), Value(id * 7), Value("ACTIVE"), Value(45.48),
+             Value(lines)});
+    Row shared = row;
+    shared.Set(b2w_cols::kCartTotal, Value(50.0));
+    benchmark::DoNotOptimize(row);
+    benchmark::DoNotOptimize(shared);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RowLifecycle);
 
 struct EngineFixture {
   Simulator sim;

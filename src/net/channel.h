@@ -33,6 +33,12 @@ class Channel {
     return true;
   }
 
+  /// Receiver side: the payload of `seq`, the last accepted, was lost
+  /// before it was applied; its next copy is accepted again.
+  void Forget(int64_t seq) {
+    if (seq == accepted_) accepted_ = seq - 1;
+  }
+
   /// Sender side: true exactly once per acknowledged sequence number;
   /// duplicate ACKs (from receiver re-acks) return false.
   bool AckReceived(int64_t seq) {

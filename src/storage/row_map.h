@@ -94,23 +94,31 @@ class RowMap {
 
   /// Inserts Row(args...) under `key` unless the key is present; either
   /// way returns the key's slot and whether it was inserted. The row must
-  /// not be empty.
+  /// not be empty. A present key returns without growing the array, and
+  /// the row is built before any rehash, so `args` may name a slot of
+  /// this map.
   template <typename... Args>
   std::pair<iterator, bool> try_emplace(int64_t key, Args&&... args) {
+    size_t i = 0;
+    if (slots_ != nullptr) {
+      for (i = Home(key); !IsFree(slots_[i]); i = (i + 1) & mask_) {
+        if (slots_[i].first == key) {
+          return {iterator(&slots_[i], slots_end()), false};
+        }
+      }
+    }
+    Row row(std::forward<Args>(args)...);
+    assert(row.size() > 0);
     if (size_ + 1 > capacity() / 4 * 3) {
       Rehash(capacity() == 0 ? kMinCapacity : capacity() * 2);
-    }
-    for (size_t i = Home(key);; i = (i + 1) & mask_) {
-      Slot& slot = slots_[i];
-      if (IsFree(slot)) {
-        slot.first = key;
-        slot.second = Row(std::forward<Args>(args)...);
-        assert(!IsFree(slot));
-        ++size_;
-        return {iterator(&slot, slots_end()), true};
+      for (i = Home(key); !IsFree(slots_[i]); i = (i + 1) & mask_) {
       }
-      if (slot.first == key) return {iterator(&slot, slots_end()), false};
     }
+    Slot& slot = slots_[i];
+    slot.first = key;
+    slot.second = std::move(row);
+    ++size_;
+    return {iterator(&slot, slots_end()), true};
   }
 
   /// Removes the slot `it` points at, shifting later members of its

@@ -1,6 +1,8 @@
 #include "storage/value.h"
 
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 
 namespace pstore {
 
@@ -14,6 +16,24 @@ const char* ColumnTypeToString(ColumnType type) {
       return "VARCHAR";
   }
   return "?";
+}
+
+void Value::InitString(std::string_view s) {
+  if (s.size() <= kInlineChars) {
+    std::memcpy(bytes_, s.data(), s.size());
+    bytes_[kShortSizeAt] = static_cast<char>(s.size());
+    set_tag(Tag::kShortString);
+    return;
+  }
+  if (s.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("Value: string longer than 4 GiB");
+  }
+  char* data = static_cast<char*>(::operator new(s.size()));
+  std::memcpy(data, s.data(), s.size());
+  const auto size = static_cast<uint32_t>(s.size());
+  std::memcpy(bytes_, &data, sizeof(data));
+  std::memcpy(bytes_ + kLongSizeAt, &size, sizeof(size));
+  set_tag(Tag::kLongString);
 }
 
 size_t Value::ByteSize() const {
@@ -30,10 +50,26 @@ std::string Value::ToString() const {
     std::snprintf(buf, sizeof(buf), "%g", as_double());
     return buf;
   }
-  return "'" + as_string() + "'";
+  std::string out = "'";
+  out += as_string();
+  out += "'";
+  return out;
 }
 
-static_assert(sizeof(Value) == 40, "Row::ByteSize models a 40-byte Value");
+bool Value::operator==(const Value& other) const {
+  switch (tag()) {
+    case Tag::kNull:
+      return other.is_null();
+    case Tag::kInt64:
+      return other.is_int64() && as_int64() == other.as_int64();
+    case Tag::kDouble:
+      return other.is_double() && as_double() == other.as_double();
+    case Tag::kShortString:
+    case Tag::kLongString:
+      return other.is_string() && as_string() == other.as_string();
+  }
+  return false;
+}
 
 Row::Row(std::vector<Value> values) {
   if (values.empty()) return;
@@ -95,7 +131,7 @@ void Row::Set(size_t i, Value v) {
 
 size_t Row::ByteSize() const {
   const size_t n = size();
-  size_t total = kRowHeaderBytes + n * sizeof(Value);
+  size_t total = kRowHeaderBytes + n * kModelledValueBytes;
   for (size_t i = 0; i < n; ++i) total += at(i).ByteSize();
   return total;
 }

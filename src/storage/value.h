@@ -1,11 +1,13 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <string>
+#include <string_view>
 #include <utility>
-#include <variant>
 #include <vector>
 
 /// \file value.h
@@ -21,24 +23,73 @@ enum class ColumnType { kInt64, kDouble, kString };
 /// Returns a readable name, e.g. "BIGINT".
 const char* ColumnTypeToString(ColumnType type);
 
-/// \brief A single typed value; monostate represents SQL NULL.
+/// \brief A single typed value: SQL NULL, BIGINT, DOUBLE or VARCHAR.
+///
+/// Sixteen bytes, with the type tag in the last one. BIGINT and DOUBLE
+/// keep their 8 bytes at offset 0. A string of up to kInlineChars bytes
+/// lives inline: its bytes at offset 0, its length in byte 14. A longer
+/// string lives in one heap block of exactly its length: the pointer at
+/// offset 0, a 32-bit length at offset 8. Copying a long string copies
+/// its block, moving one steals it, and a moved-from Value is NULL.
 class Value {
  public:
-  Value() = default;  ///< NULL
-  Value(int64_t v) : repr_(v) {}             // NOLINT(runtime/explicit)
-  Value(double v) : repr_(v) {}              // NOLINT(runtime/explicit)
-  Value(std::string v) : repr_(std::move(v)) {}  // NOLINT(runtime/explicit)
-  Value(const char* v) : repr_(std::string(v)) {}  // NOLINT(runtime/explicit)
+  /// Longest string stored without a heap block.
+  static constexpr size_t kInlineChars = 14;
 
-  bool is_null() const { return std::holds_alternative<std::monostate>(repr_); }
-  bool is_int64() const { return std::holds_alternative<int64_t>(repr_); }
-  bool is_double() const { return std::holds_alternative<double>(repr_); }
-  bool is_string() const { return std::holds_alternative<std::string>(repr_); }
+  Value() { set_tag(Tag::kNull); }  ///< NULL
+  Value(int64_t v) { Store(v, Tag::kInt64); }  // NOLINT(runtime/explicit)
+  Value(double v) { Store(v, Tag::kDouble); }  // NOLINT(runtime/explicit)
+  Value(std::string_view v) { InitString(v); }  // NOLINT(runtime/explicit)
+  Value(const std::string& v)  // NOLINT(runtime/explicit)
+      : Value(std::string_view(v)) {}
+  Value(const char* v)  // NOLINT(runtime/explicit)
+      : Value(std::string_view(v)) {}
+
+  Value(const Value& other) {
+    if (other.tag() == Tag::kLongString) {
+      InitString(other.as_string());
+    } else {
+      std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    }
+  }
+  Value(Value&& other) noexcept {
+    std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    other.set_tag(Tag::kNull);
+  }
+  Value& operator=(const Value& other) {
+    Value(other).swap(*this);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    Value(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Value() {
+    if (tag() == Tag::kLongString) ::operator delete(heap_data(), heap_size());
+  }
+
+  bool is_null() const { return tag() == Tag::kNull; }
+  bool is_int64() const { return tag() == Tag::kInt64; }
+  bool is_double() const { return tag() == Tag::kDouble; }
+  bool is_string() const { return tag() >= Tag::kShortString; }
 
   /// Accessors; preconditions: matching type.
-  int64_t as_int64() const { return std::get<int64_t>(repr_); }
-  double as_double() const { return std::get<double>(repr_); }
-  const std::string& as_string() const { return std::get<std::string>(repr_); }
+  int64_t as_int64() const {
+    assert(is_int64());
+    return Load<int64_t>(0);
+  }
+  double as_double() const {
+    assert(is_double());
+    return Load<double>(0);
+  }
+  /// The string's bytes; valid while this Value lives unchanged.
+  std::string_view as_string() const {
+    assert(is_string());
+    if (tag() == Tag::kShortString) {
+      return {bytes_, static_cast<unsigned char>(bytes_[kShortSizeAt])};
+    }
+    return {heap_data(), heap_size()};
+  }
 
   /// Approximate in-memory footprint in bytes (used to size migration
   /// chunks the way Squall reasons about kilobytes moved).
@@ -47,11 +98,51 @@ class Value {
   /// Debug rendering; NULL renders as "NULL".
   std::string ToString() const;
 
-  bool operator==(const Value& other) const { return repr_ == other.repr_; }
+  /// Same type and equal value. Doubles compare as IEEE numbers: NaN
+  /// equals nothing and -0.0 equals 0.0.
+  bool operator==(const Value& other) const;
 
  private:
-  std::variant<std::monostate, int64_t, double, std::string> repr_;
+  enum class Tag : unsigned char {
+    kNull,
+    kInt64,
+    kDouble,
+    kShortString,  ///< Inline, up to kInlineChars bytes.
+    kLongString,   ///< One exact-size heap block.
+  };
+  static constexpr size_t kShortSizeAt = 14;  ///< Inline string length.
+  static constexpr size_t kLongSizeAt = 8;    ///< Heap string length.
+  static constexpr size_t kTagAt = 15;
+
+  Tag tag() const { return static_cast<Tag>(bytes_[kTagAt]); }
+  void set_tag(Tag tag) { bytes_[kTagAt] = static_cast<char>(tag); }
+
+  template <typename T>
+  T Load(size_t at) const {
+    T v{};
+    std::memcpy(&v, bytes_ + at, sizeof(T));
+    return v;
+  }
+  template <typename T>
+  void Store(T v, Tag tag) {
+    std::memcpy(bytes_, &v, sizeof(T));
+    set_tag(tag);
+  }
+  char* heap_data() const { return Load<char*>(0); }
+  uint32_t heap_size() const { return Load<uint32_t>(kLongSizeAt); }
+
+  void InitString(std::string_view s);
+  void swap(Value& other) noexcept {
+    char tmp[sizeof(bytes_)];
+    std::memcpy(tmp, bytes_, sizeof(bytes_));
+    std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    std::memcpy(other.bytes_, tmp, sizeof(bytes_));
+  }
+
+  alignas(8) char bytes_[16] = {};
 };
+
+static_assert(sizeof(Value) == 16, "a Value is a payload and a tag byte");
 
 /// \brief A tuple: one Value per column of its table's schema.
 ///
@@ -93,8 +184,9 @@ class Row {
   void Set(size_t i, Value v);
 
   /// Modelled in-memory footprint in bytes: kRowHeaderBytes plus, per
-  /// column, sizeof(Value) and Value::ByteSize(). Migration chunking and
-  /// bucket accounting use it, so it does not follow the body's layout.
+  /// column, kModelledValueBytes and Value::ByteSize(). Migration
+  /// chunking, bucket accounting and move durations use it, so it follows
+  /// neither the body's layout nor sizeof(Value).
   size_t ByteSize() const;
 
   std::string ToString() const;
@@ -103,6 +195,8 @@ class Row {
 
   /// Modelled per-row header bytes (what a vector-backed row occupies).
   static constexpr size_t kRowHeaderBytes = 24;
+  /// Modelled bytes of one column slot (a 40-byte tagged union).
+  static constexpr size_t kModelledValueBytes = 40;
 
  private:
   void swap(Row& other) noexcept { std::swap(body_, other.body_); }

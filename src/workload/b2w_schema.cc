@@ -94,7 +94,7 @@ std::string EncodeLines(const std::vector<LineItem>& lines) {
   return out;
 }
 
-Result<std::vector<LineItem>> DecodeLines(const std::string& encoded) {
+Result<std::vector<LineItem>> DecodeLines(std::string_view encoded) {
   std::vector<LineItem> lines;
   const char* item = encoded.data();
   const char* const end = item + encoded.size();

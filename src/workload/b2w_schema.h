@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -74,7 +75,7 @@ std::string EncodeLines(const std::vector<LineItem>& lines);
 
 /// Parses the embedded representation; malformed input yields
 /// InvalidArgument.
-Result<std::vector<LineItem>> DecodeLines(const std::string& encoded);
+Result<std::vector<LineItem>> DecodeLines(std::string_view encoded);
 
 /// Sum of quantity * unit_price over the lines.
 double LinesTotal(const std::vector<LineItem>& lines);

@@ -25,8 +25,12 @@ class MigrationRetransmitTest : public ::testing::Test {
  protected:
   MigrationRetransmitTest() : db_(MakeKvDatabase()) {}
 
-  void BuildEngine(int64_t rows = 500) {
+  void BuildEngine(int64_t rows = 500, bool overload = false) {
     EngineConfig config = SmallEngineConfig();
+    if (overload) {
+      config.overload.enabled = true;
+      config.overload.max_queue_depth = 4;
+    }
     config.replication.enabled = true;
     config.replication.k = 1;
     config.replication.db_size_mb = 10.0;
@@ -143,6 +147,48 @@ TEST_F(MigrationRetransmitTest, LostAckTriggersRetransmitNotDoubleApply) {
   EXPECT_GT(migrator.net_duplicate_data(), 0);  // suppressed + re-acked
   EXPECT_EQ(migrator.net_double_applies(), 0);
   EXPECT_EQ(engine_->TotalRowCount(), rows_before);
+}
+
+// With overload and net both on, a chunk that passed its gate can find
+// its destination's queue full when the DATA arrives. The receiver's
+// deserialization burst is then refused like a lost message instead of
+// queueing past the bound, and the retransmission lands once the queue
+// drains.
+TEST_F(MigrationRetransmitTest, FullDestinationQueueLosesTheChunkNotTheBound) {
+  BuildEngine(/*rows=*/500, /*overload=*/true);
+  MigrationExecutor migrator(engine_.get(), FastOptions());
+  const int64_t rows_before = engine_->TotalRowCount();
+  const int32_t ppn = engine_->config().partitions_per_node;
+  ClusterEngine* engine = engine_.get();
+  engine_->net()->set_message_fault_hook(
+      [engine, ppn](net::NodeId, net::NodeId dst, net::MessageKind kind,
+                    int64_t kind_index) {
+        // As the first DATA leaves, fill its destination node's queues
+        // to their limit with 2 ms items (one in service, four waiting):
+        // full when the DATA lands, drained well inside the retry budget
+        // (five retransmit timeouts of 5.6 ms).
+        if (kind == net::MessageKind::kChunkData && kind_index == 0) {
+          for (PartitionId q = dst * ppn; q < (dst + 1) * ppn; ++q) {
+            while (!engine->executor(q)->AtLimit()) {
+              engine->executor(q)->Enqueue(2 * kMillisecond,
+                                           [](SimTime, SimTime) {});
+            }
+          }
+        }
+        return net::MessageFault{};
+      });
+  bool completed = false;
+  ASSERT_TRUE(migrator.StartMove(4, [&]() { completed = true; }).ok());
+  sim_.RunUntil(60 * kSecond);
+  EXPECT_TRUE(completed);
+  EXPECT_GE(migrator.net_retransmits(), 1);
+  EXPECT_EQ(migrator.net_double_applies(), 0);
+  EXPECT_EQ(engine_->TotalRowCount(), rows_before);
+  for (PartitionId q = 0; q < engine_->config().max_nodes * ppn; ++q) {
+    EXPECT_LE(engine_->executor(q)->max_queue_depth(),
+              engine_->executor(q)->queue_limit())
+        << "partition " << q << " was enqueued past its bound";
+  }
 }
 
 TEST(MigrationRetransmitReplayTest, SameSeedSameRetransmissionSchedule) {

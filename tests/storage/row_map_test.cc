@@ -44,6 +44,31 @@ TEST(RowMapTest, EraseInWrappedProbeRun) {
   }
 }
 
+// A row argument naming a slot of the same map must be read before the
+// insert that fills the last free slot under the load bound rehashes
+// the array out from under it.
+TEST(RowMapTest, TryEmplaceFromOwnSlotAcrossRehash) {
+  RowMap map;
+  for (int64_t k = 0; k < 6; ++k) {
+    ASSERT_TRUE(map.try_emplace(k, Row({Value(k), Value(k * 10)})).second);
+  }
+  // Size 6 of capacity 8: the next insert grows the array.
+  auto [it, inserted] = map.try_emplace(100, map.find(3)->second);
+  ASSERT_TRUE(inserted);
+  EXPECT_EQ(it->first, 100);
+  EXPECT_EQ(it->second, Row({Value(int64_t{3}), Value(int64_t{30})}));
+  EXPECT_EQ(map.size(), 7u);
+  for (int64_t k = 0; k < 6; ++k) {
+    auto found = map.find(k);
+    ASSERT_NE(found, map.end()) << "key " << k;
+    EXPECT_EQ(found->second.at(1).as_int64(), k * 10);
+  }
+  // A present key returns its slot without building a row.
+  auto [again, fresh] = map.try_emplace(100, map.find(5)->second);
+  EXPECT_FALSE(fresh);
+  EXPECT_EQ(again->second.at(0).as_int64(), 3);
+}
+
 // Differential test: two fragments driven by random Insert / Upsert /
 // Delete / Get / Contains and bucket moves between them, against a
 // std::map reference per (fragment, table, bucket). A small bucket
