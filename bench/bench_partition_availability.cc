@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
           RunCell(cut, lease, nominal ? &telemetry : nullptr);
       {
         // Tracked by tools/perf_gate.sh (virtual-clock seconds, gated
-        // with --unit=s --no-normalize). recovery_s is -1 when goodput
+        // in exact mode, --tolerance=1e-9). recovery_s is -1 when goodput
         // never crossed 90% of baseline; clamp so ratios stay sane.
         char prefix[64];
         std::snprintf(prefix, sizeof(prefix), "avail/cut%.0f_lease%.0f",

@@ -17,7 +17,8 @@
 /// cells and the second grid's slowest degraded restart
 /// (mttr_corruption/degraded_replay_s) are recorded with unit "s" and
 /// gated by perf_gate.sh stage 2 against
-/// bench/baselines/BENCH_recovery_mttr.json (--unit=s --no-normalize).
+/// bench/baselines/BENCH_recovery_mttr.json in exact mode (--unit=s
+/// --tolerance=1e-9).
 ///
 /// Output: MTTR tables + bench_out CSVs (recovery_mttr.csv,
 /// recovery_mttr_corruption.csv) + one nominal cell's telemetry dump
