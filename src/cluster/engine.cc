@@ -89,6 +89,18 @@ ClusterEngine::ClusterEngine(Simulator* sim, Catalog catalog,
   nodes_.assign(static_cast<size_t>(config_.max_nodes),
                 NodeState{.lease_until = config_.net.lease_timeout});
   allocation_timeline_.push_back(AllocationEvent{0, active_nodes_});
+  // Lognormal with each procedure's mean and the configured coefficient
+  // of variation; the same doubles a per-call computation would give.
+  const double cv2 = config_.txn_service_cv * config_.txn_service_cv;
+  const double sigma2 = std::log1p(cv2);
+  for (size_t id = 0; id < registry_.size(); ++id) {
+    ServiceDist dist;
+    dist.mean = config_.txn_service_us_mean *
+                registry_.Get(static_cast<ProcedureId>(id)).service_weight;
+    dist.mu = std::log(dist.mean) - sigma2 / 2.0;
+    dist.sigma = std::sqrt(sigma2);
+    service_dists_.push_back(dist);
+  }
   if (config_.overload.enabled) {
     for (auto& ex : executors_) {
       ex->set_queue_limit(
@@ -573,16 +585,12 @@ int64_t ClusterEngine::TotalRowCount() const {
   return total;
 }
 
-SimDuration ClusterEngine::DrawServiceTime(double weight) {
-  const double mean = config_.txn_service_us_mean * weight;
+SimDuration ClusterEngine::DrawServiceTime(ProcedureId proc) {
+  const ServiceDist& dist = service_dists_[static_cast<size_t>(proc)];
   if (config_.txn_service_cv <= 0) {
-    return static_cast<SimDuration>(mean);
+    return static_cast<SimDuration>(dist.mean);
   }
-  // Lognormal with the requested mean and coefficient of variation.
-  const double cv2 = config_.txn_service_cv * config_.txn_service_cv;
-  const double sigma2 = std::log1p(cv2);
-  const double mu = std::log(mean) - sigma2 / 2.0;
-  const double sample = std::exp(mu + std::sqrt(sigma2) * rng_.NextGaussian());
+  const double sample = std::exp(dist.mu + dist.sigma * rng_.NextGaussian());
   return std::max<SimDuration>(1, static_cast<SimDuration>(sample));
 }
 
@@ -597,178 +605,97 @@ void ClusterEngine::RecordCompletion(SimTime arrival, SimTime finished) {
   ++throughput_[window];
 }
 
-void ClusterEngine::InitPending(PendingTxn& pending) {
-  pending.req.txn_id = ++next_txn_seq_;
+ClusterEngine::PendingTxn* ClusterEngine::AcquireTxn(
+    TxnRequest req, std::function<void(const TxnResult&)> on_done) {
+  if (free_txns_.empty()) {
+    txn_pool_.push_back(std::make_unique<PendingTxn>());
+    free_txns_.push_back(txn_pool_.back().get());
+  }
+  PendingTxn* txn = free_txns_.back();
+  free_txns_.pop_back();
+  txn->req = std::move(req);
+  txn->arrival = sim_->Now();
+  txn->on_done = std::move(on_done);
+  txn->req.txn_id = ++next_txn_seq_;
   // Negative request priority inherits the procedure's default.
-  pending.priority = pending.req.priority >= 0
-                         ? pending.req.priority
-                         : registry_.Get(pending.req.proc).priority;
-  pending.bucket = KeyToBucket(pending.req.key, config_.num_buckets);
+  txn->priority = txn->req.priority >= 0
+                      ? txn->req.priority
+                      : registry_.Get(txn->req.proc).priority;
+  txn->bucket = KeyToBucket(txn->req.key, config_.num_buckets);
+  txn->deadline = -1;
   if (config_.overload.enabled && config_.overload.queue_deadline > 0) {
-    pending.deadline = pending.arrival + config_.overload.queue_deadline;
+    txn->deadline = txn->arrival + config_.overload.queue_deadline;
   }
+  txn->trace = -1;
   if (traces_ != nullptr) {
-    pending.trace =
-        traces_->Sample(pending.req.txn_id, registry_.Get(pending.req.proc).name,
-                        pending.bucket, pending.arrival);
+    txn->trace =
+        traces_->Sample(txn->req.txn_id, registry_.Get(txn->req.proc).name,
+                        txn->bucket, txn->arrival);
   }
+  return txn;
+}
+
+void ClusterEngine::ReleaseTxn(PendingTxn* txn) {
+  txn->on_done = nullptr;
+  txn->req.args.clear();
+  free_txns_.push_back(txn);
 }
 
 void ClusterEngine::Submit(TxnRequest req,
                            std::function<void(const TxnResult&)> on_done) {
-  auto pending = std::make_shared<PendingTxn>(
-      PendingTxn{std::move(req), sim_->Now(), std::move(on_done)});
-  InitPending(*pending);
+  PendingTxn* txn = AcquireTxn(std::move(req), std::move(on_done));
   ++txns_in_flight_;
-  RouteAndRun(std::move(pending));
+  RouteAndRun(txn);
 }
 
 void ClusterEngine::SubmitBatch(
     std::vector<TxnRequest> reqs,
     std::function<void(size_t, const TxnResult&)> on_done) {
-  if (reqs.empty()) return;
-  // One block allocation for the whole batch; each txn's lifetime is
-  // still managed individually through aliasing shared_ptrs into the
-  // block. Ids, service-time draws, and enqueue order are identical to
-  // submitting the requests one at a time (the equivalence suite holds
-  // the traces byte-for-byte equal).
-  auto block = std::make_shared<std::vector<PendingTxn>>();
-  block->reserve(reqs.size());
-  const SimTime now = sim_->Now();
+  // Submit per request, in order: with recycled txns there is no
+  // per-request allocation left for a batch to amortize.
   for (size_t i = 0; i < reqs.size(); ++i) {
     std::function<void(const TxnResult&)> done;
     if (on_done) {
       done = [on_done, i](const TxnResult& r) { on_done(i, r); };
     }
-    block->push_back(PendingTxn{std::move(reqs[i]), now, std::move(done)});
-    InitPending(block->back());
-  }
-  txns_in_flight_ += static_cast<int64_t>(block->size());
-  for (size_t i = 0; i < block->size(); ++i) {
-    RouteAndRun(std::shared_ptr<PendingTxn>(block, &(*block)[i]));
+    Submit(std::move(reqs[i]), std::move(done));
   }
 }
 
-void ClusterEngine::FinishShed(const std::shared_ptr<PendingTxn>& pending,
-                               NodeId node, bool feed_breaker) {
+void ClusterEngine::FinishShed(PendingTxn* txn, NodeId node,
+                               bool feed_breaker) {
   ++txns_shed_;
   --txns_in_flight_;
   if (feed_breaker && admission_ != nullptr) {
     admission_->RecordShed(node, sim_->Now());
   }
   if (m_shed_ != nullptr) m_shed_->Increment();
-  if (pending->on_done) {
+  if (txn->on_done) {
     TxnResult result;
     result.status =
         Status::Unavailable("transaction shed by overload control");
     result.shed = true;
-    pending->on_done(result);
+    txn->on_done(result);
   }
+  ReleaseTxn(txn);
 }
 
-void ClusterEngine::RouteAndRun(std::shared_ptr<PendingTxn> pending) {
+void ClusterEngine::RouteAndRun(PendingTxn* txn) {
   // Route (and re-route after mid-queue bucket moves, like Squall's
   // transaction forwarding) until the executing partition owns the key.
   // The bucket was hashed once at Submit; routing is an array lookup.
-  const PartitionId p = map_.PartitionOfBucket(pending->bucket);
-  const ProcedureDef& def = registry_.Get(pending->req.proc);
-  const SimDuration service = DrawServiceTime(def.service_weight);
+  const PartitionId p = map_.PartitionOfBucket(txn->bucket);
+  txn->partition = p;
+  txn->service = DrawServiceTime(txn->req.proc);
   PartitionExecutor* ex = executors_[static_cast<size_t>(p)].get();
-  auto completion = [this, pending, p,
-                     service](SimTime started, SimTime finished) {
-    if (traces_ != nullptr) {
-      traces_->Record(pending->trace, obs::TxnPhase::kExecuting, started, p);
-    }
-    // If the bucket moved while we were queued, forward (the txn stays
-    // in flight through the hop).
-    const PartitionId owner = map_.PartitionOfBucket(pending->bucket);
-    if (owner != p) {
-      if (m_forwarded_ != nullptr) m_forwarded_->Increment();
-      if (traces_ != nullptr) {
-        traces_->Record(pending->trace, obs::TxnPhase::kForwarded, finished,
-                        owner);
-      }
-      RouteAndRun(pending);
-      return;
-    }
-    if (net_ != nullptr && !NetAdmit(p, pending->bucket)) {
-      // Fenced: the node has no valid lease (or cannot guarantee its
-      // backups will see the write). Rejecting *before* execution is
-      // what makes a concurrent promotion safe.
-      ++fenced_rejections_;
-      if (m_fenced_rejections_ != nullptr) m_fenced_rejections_->Increment();
-      ++txns_aborted_;
-      if (m_aborted_ != nullptr) m_aborted_->Increment();
-      --txns_in_flight_;
-      RecordCompletion(pending->arrival, finished);
-      if (traces_ != nullptr) {
-        traces_->Record(pending->trace, obs::TxnPhase::kFenced, finished);
-        traces_->Finalize(pending->trace, finished);
-      }
-      if (pending->on_done) {
-        TxnResult result;
-        result.status = Status::Unavailable(
-            "rejected: node fenced or replicas unreachable");
-        pending->on_done(result);
-      }
-      return;
-    }
-    StorageFragment* frag = fragments_[static_cast<size_t>(p)].get();
-    ExecutionContext ctx(frag, &write_set_);
-    const ProcedureDef& proc = registry_.Get(pending->req.proc);
-    // Procedures can create rows (an upsert of a key lost in a crash)
-    // or delete them; the conservation invariant needs the net delta.
-    const int64_t frag_rows_before = frag->TotalRowCount();
-    TxnResult result = proc.body(ctx, pending->req);
-    rows_net_created_ += frag->TotalRowCount() - frag_rows_before;
-    ++partition_access_counts_[static_cast<size_t>(p)];
-    ++bucket_access_counts_[static_cast<size_t>(pending->bucket)];
-    if (result.status.ok()) {
-      ++txns_committed_;
-      if (m_committed_ != nullptr) m_committed_->Increment();
-      // Tripwire (audited by the invariant checker): the gate above
-      // ran at this same virtual instant, so this can never fire.
-      if (net_ != nullptr && !NodeHasLease(NodeOfPartition(p))) {
-        ++fenced_commits_;
-      }
-    } else {
-      ++txns_aborted_;
-      if (m_aborted_ != nullptr) m_aborted_->Increment();
-    }
-    // Any execution that mutated the primary is mirrored on the backups
-    // (the engine has no rollback, so aborted-but-mutating procedures
-    // replicate too — backups must match the primary exactly).
-    if (replication_ != nullptr && ctx.mutations() > 0) {
-      ReplicateWrite(p, *pending, service, ctx.writes());
-    }
-    --txns_in_flight_;
-    if (m_queue_delay_us_ != nullptr) {
-      m_queue_delay_us_->Record(started - pending->arrival);
-      m_node_txns_[static_cast<size_t>(NodeOfPartition(p))]->Increment();
-    }
-    RecordCompletion(pending->arrival, finished);
-    if (traces_ != nullptr) {
-      const int64_t latency_us = finished - pending->arrival;
-      // Registered only when a metrics registry was attached too.
-      if (!m_proc_latency_.empty()) {
-        m_proc_latency_[static_cast<size_t>(pending->req.proc)]->Record(
-            latency_us);
-        m_part_latency_[static_cast<size_t>(p)]->Record(latency_us);
-      }
-      traces_->Record(pending->trace,
-                      result.status.ok() ? obs::TxnPhase::kCommitted
-                                         : obs::TxnPhase::kAborted,
-                      finished);
-      traces_->Finalize(pending->trace, finished);
-    }
-    if (pending->on_done) pending->on_done(result);
+  auto completion = [this, txn](SimTime started, SimTime finished) {
+    Execute(txn, started, finished);
   };
   if (admission_ == nullptr) {
     if (traces_ != nullptr) {
-      traces_->Record(pending->trace, obs::TxnPhase::kAdmitted, sim_->Now(),
-                      p);
+      traces_->Record(txn->trace, obs::TxnPhase::kAdmitted, sim_->Now(), p);
     }
-    ex->Enqueue(service, std::move(completion));
+    ex->Enqueue(txn->service, completion);
     return;
   }
   const NodeId node = NodeOfPartition(p);
@@ -780,7 +707,7 @@ void ClusterEngine::RouteAndRun(std::shared_ptr<PendingTxn> pending) {
     return ex->EvictLowestBelow(pr);
   };
   const overload::AdmissionDecision decision =
-      admission_->Admit(ops, node, pending->priority, now);
+      admission_->Admit(ops, node, txn->priority, now);
   if (decision != overload::AdmissionDecision::kAdmit) {
     if (decision == overload::AdmissionDecision::kRejectQueueFull) {
       if (m_rejected_queue_full_ != nullptr) {
@@ -792,43 +719,139 @@ void ClusterEngine::RouteAndRun(std::shared_ptr<PendingTxn> pending) {
     if (traces_ != nullptr) {
       const bool breaker =
           decision == overload::AdmissionDecision::kRejectBreakerOpen;
-      traces_->Record(pending->trace, obs::TxnPhase::kShed, now,
+      traces_->Record(txn->trace, obs::TxnPhase::kShed, now,
                       breaker ? 1 : 0);
-      traces_->Finalize(pending->trace, now);
+      traces_->Finalize(txn->trace, now);
     }
     // Breaker-open rejections must not feed the breaker, or it would
     // count its own rejections as sheds and never close again.
-    FinishShed(pending, node,
+    FinishShed(txn, node,
                decision != overload::AdmissionDecision::kRejectBreakerOpen);
     return;
   }
   PartitionExecutor::WorkItem item;
-  item.service = service;
-  item.done = std::move(completion);
-  item.deadline = pending->deadline;
-  item.priority = pending->priority;
-  item.on_shed = [this, pending, node](SimTime at,
-                                       PartitionExecutor::ShedCause cause) {
-    const bool deadline = cause == PartitionExecutor::ShedCause::kDeadline;
-    if (deadline) {
-      if (m_shed_deadline_ != nullptr) m_shed_deadline_->Increment();
-    } else if (m_shed_evicted_ != nullptr) {
-      m_shed_evicted_->Increment();
-    }
-    if (traces_ != nullptr) {
-      traces_->Record(pending->trace, obs::TxnPhase::kShed, at,
-                      deadline ? 2 : 3);
-      traces_->Finalize(pending->trace, at);
-    }
-    FinishShed(pending, node, true);
+  item.service = txn->service;
+  item.done = completion;
+  item.deadline = txn->deadline;
+  item.priority = txn->priority;
+  item.on_shed = [this, txn](SimTime at, PartitionExecutor::ShedCause cause) {
+    OnShed(txn, at, cause);
   };
   if (traces_ != nullptr) {
-    traces_->Record(pending->trace, obs::TxnPhase::kAdmitted, now, p);
+    traces_->Record(txn->trace, obs::TxnPhase::kAdmitted, now, p);
   }
   const bool enqueued = ex->TryEnqueue(std::move(item));
   assert(enqueued);  // Admit() made room or rejected.
   (void)enqueued;
   admission_->RecordAdmitted(node, now);
+}
+
+void ClusterEngine::OnShed(PendingTxn* txn, SimTime at,
+                           PartitionExecutor::ShedCause cause) {
+  const bool deadline = cause == PartitionExecutor::ShedCause::kDeadline;
+  if (deadline) {
+    if (m_shed_deadline_ != nullptr) m_shed_deadline_->Increment();
+  } else if (m_shed_evicted_ != nullptr) {
+    m_shed_evicted_->Increment();
+  }
+  if (traces_ != nullptr) {
+    traces_->Record(txn->trace, obs::TxnPhase::kShed, at, deadline ? 2 : 3);
+    traces_->Finalize(txn->trace, at);
+  }
+  FinishShed(txn, NodeOfPartition(txn->partition), true);
+}
+
+void ClusterEngine::Execute(PendingTxn* txn, SimTime started,
+                            SimTime finished) {
+  const PartitionId p = txn->partition;
+  if (traces_ != nullptr) {
+    traces_->Record(txn->trace, obs::TxnPhase::kExecuting, started, p);
+  }
+  // If the bucket moved while we were queued, forward (the txn stays
+  // in flight through the hop).
+  const PartitionId owner = map_.PartitionOfBucket(txn->bucket);
+  if (owner != p) {
+    if (m_forwarded_ != nullptr) m_forwarded_->Increment();
+    if (traces_ != nullptr) {
+      traces_->Record(txn->trace, obs::TxnPhase::kForwarded, finished,
+                      owner);
+    }
+    RouteAndRun(txn);
+    return;
+  }
+  if (net_ != nullptr && !NetAdmit(p, txn->bucket)) {
+    // Fenced: the node has no valid lease (or cannot guarantee its
+    // backups will see the write). Rejecting *before* execution is
+    // what makes a concurrent promotion safe.
+    ++fenced_rejections_;
+    if (m_fenced_rejections_ != nullptr) m_fenced_rejections_->Increment();
+    ++txns_aborted_;
+    if (m_aborted_ != nullptr) m_aborted_->Increment();
+    --txns_in_flight_;
+    RecordCompletion(txn->arrival, finished);
+    if (traces_ != nullptr) {
+      traces_->Record(txn->trace, obs::TxnPhase::kFenced, finished);
+      traces_->Finalize(txn->trace, finished);
+    }
+    if (txn->on_done) {
+      TxnResult result;
+      result.status = Status::Unavailable(
+          "rejected: node fenced or replicas unreachable");
+      txn->on_done(result);
+    }
+    ReleaseTxn(txn);
+    return;
+  }
+  StorageFragment* frag = fragments_[static_cast<size_t>(p)].get();
+  ExecutionContext ctx(frag, &write_set_);
+  const ProcedureDef& proc = registry_.Get(txn->req.proc);
+  // Procedures can create rows (an upsert of a key lost in a crash)
+  // or delete them; the conservation invariant needs the net delta.
+  const int64_t frag_rows_before = frag->TotalRowCount();
+  TxnResult result = proc.body(ctx, txn->req);
+  rows_net_created_ += frag->TotalRowCount() - frag_rows_before;
+  ++partition_access_counts_[static_cast<size_t>(p)];
+  ++bucket_access_counts_[static_cast<size_t>(txn->bucket)];
+  if (result.status.ok()) {
+    ++txns_committed_;
+    if (m_committed_ != nullptr) m_committed_->Increment();
+    // Tripwire (audited by the invariant checker): the gate above
+    // ran at this same virtual instant, so this can never fire.
+    if (net_ != nullptr && !NodeHasLease(NodeOfPartition(p))) {
+      ++fenced_commits_;
+    }
+  } else {
+    ++txns_aborted_;
+    if (m_aborted_ != nullptr) m_aborted_->Increment();
+  }
+  // Any execution that mutated the primary is mirrored on the backups
+  // (the engine has no rollback, so aborted-but-mutating procedures
+  // replicate too — backups must match the primary exactly).
+  if (replication_ != nullptr && ctx.mutations() > 0) {
+    ReplicateWrite(p, *txn, ctx.writes());
+  }
+  --txns_in_flight_;
+  if (m_queue_delay_us_ != nullptr) {
+    m_queue_delay_us_->Record(started - txn->arrival);
+    m_node_txns_[static_cast<size_t>(NodeOfPartition(p))]->Increment();
+  }
+  RecordCompletion(txn->arrival, finished);
+  if (traces_ != nullptr) {
+    const int64_t latency_us = finished - txn->arrival;
+    // Registered only when a metrics registry was attached too.
+    if (!m_proc_latency_.empty()) {
+      m_proc_latency_[static_cast<size_t>(txn->req.proc)]->Record(
+          latency_us);
+      m_part_latency_[static_cast<size_t>(p)]->Record(latency_us);
+    }
+    traces_->Record(txn->trace,
+                    result.status.ok() ? obs::TxnPhase::kCommitted
+                                       : obs::TxnPhase::kAborted,
+                    finished);
+    traces_->Finalize(txn->trace, finished);
+  }
+  if (txn->on_done) txn->on_done(result);
+  ReleaseTxn(txn);
 }
 
 bool ClusterEngine::RecoveryInProgress() const {
@@ -980,7 +1003,6 @@ void ClusterEngine::InitialReplicaPlacement() {
 
 void ClusterEngine::ReplicateWrite(PartitionId primary,
                                    const PendingTxn& pending,
-                                   SimDuration service,
                                    const WriteSet& writes) {
   const BucketId b = pending.bucket;
   replication_->RecordWrite(NodeOfPartition(primary), b, pending.req.key);
@@ -1003,7 +1025,7 @@ void ClusterEngine::ReplicateWrite(PartitionId primary,
     replication_->OnApplyStarted();
     if (m_applies_ != nullptr) m_applies_->Increment();
     const SimDuration apply = std::max<SimDuration>(
-        1, static_cast<SimDuration>(static_cast<double>(service) *
+        1, static_cast<SimDuration>(static_cast<double>(pending.service) *
                                     config_.replication.apply_weight) +
                lag);
     if (net_ != nullptr) {

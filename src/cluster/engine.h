@@ -439,9 +439,8 @@ class ClusterEngine {
               std::function<void(const TxnResult&)> on_done = nullptr);
 
   /// Submits a batch of transactions arriving at the same virtual
-  /// instant. Equivalent to calling Submit(req) for each request in
-  /// order (identical routing, Rng draws, and completion sequence) but
-  /// amortizes allocation over the batch on the wall clock — the
+  /// instant: exactly Submit(req) for each request in order (identical
+  /// ids, routing, Rng draws, and completion sequence) — the
   /// client/engine boundary of a real system's group commit intake.
   /// `on_done` (optional) fires per completed request with its index
   /// into `reqs`.
@@ -555,6 +554,11 @@ class ClusterEngine {
   /// rebuilds (capacity changed).
   void SetActiveNodes(int32_t n);
 
+  /// One submitted transaction, from Submit until it commits, aborts or
+  /// is shed. The engine owns every PendingTxn it ever made and recycles
+  /// finished ones (AcquireTxn / ReleaseTxn), so the closures that carry
+  /// a txn through the executor and the simulator hold only `this` and
+  /// the txn pointer and fit std::function's inline buffer.
   struct PendingTxn {
     TxnRequest req;
     SimTime arrival = 0;
@@ -563,21 +567,38 @@ class ClusterEngine {
     SimTime deadline = -1;  ///< Absolute service-start deadline; -1 = none.
     BucketId bucket = 0;    ///< KeyToBucket(req.key), hashed once.
     int64_t trace = -1;     ///< TxnTraceRecorder handle; -1 = unsampled.
+    PartitionId partition = 0;  ///< Where RouteAndRun last queued it.
+    SimDuration service = 0;    ///< Its service time there.
   };
 
-  /// Stamps the txn id, resolved priority, cached bucket, and deadline
-  /// (shared by Submit and SubmitBatch; ids follow call order).
-  void InitPending(PendingTxn& pending);
+  /// A PendingTxn for `req` arriving now: recycled from the free list
+  /// (allocated only while the list is empty), with the txn id, resolved
+  /// priority, cached bucket, deadline and trace handle stamped (ids
+  /// follow call order).
+  PendingTxn* AcquireTxn(TxnRequest req,
+                         std::function<void(const TxnResult&)> on_done);
+  /// Returns a finished txn to the free list, dropping its callback and
+  /// arguments.
+  void ReleaseTxn(PendingTxn* txn);
 
-  SimDuration DrawServiceTime(double weight);
+  /// Lognormal service time of one call of `proc` (parameters computed
+  /// once per procedure in the constructor).
+  SimDuration DrawServiceTime(ProcedureId proc);
   void RecordCompletion(SimTime arrival, SimTime finished);
-  void RouteAndRun(std::shared_ptr<PendingTxn> pending);
-  /// Completes `pending` as shed: bumps shed counters, feeds the node's
-  /// breaker (unless the shed was *caused by* the breaker being open,
-  /// which must not re-trigger it), and fires on_done with a retryable
-  /// kUnavailable result.
-  void FinishShed(const std::shared_ptr<PendingTxn>& pending, NodeId node,
-                  bool feed_breaker);
+  /// Draws the service time and queues `txn` on the partition owning its
+  /// bucket (through admission control when it is on).
+  void RouteAndRun(PendingTxn* txn);
+  /// `txn`'s service on its partition ended: forwards it if its bucket
+  /// moved meanwhile, else runs the body (or rejects it when fenced),
+  /// replicates the write, records the completion and releases it.
+  void Execute(PendingTxn* txn, SimTime started, SimTime finished);
+  /// The executor shed `txn` from its queue.
+  void OnShed(PendingTxn* txn, SimTime at, PartitionExecutor::ShedCause cause);
+  /// Completes `txn` as shed and releases it: bumps shed counters, feeds
+  /// the node's breaker (unless the shed was *caused by* the breaker
+  /// being open, which must not re-trigger it), and fires on_done with a
+  /// retryable kUnavailable result.
+  void FinishShed(PendingTxn* txn, NodeId node, bool feed_breaker);
 
   // Replication internals (all no-ops when replication_ is null).
   /// Seeds k replicas per bucket over the initial topology.
@@ -588,7 +609,7 @@ class ClusterEngine {
   /// fragment, and charges the modelled apply work to their executors.
   /// Backups never run the procedure body.
   void ReplicateWrite(PartitionId primary, const PendingTxn& pending,
-                      SimDuration service, const WriteSet& writes);
+                      const WriteSet& writes);
   /// Reconciles replica placement after `bucket` became owned by `to`
   /// (replica colliding with the new primary's node relocates or drops).
   void OnBucketReassigned(BucketId bucket, PartitionId to);
@@ -717,6 +738,18 @@ class ClusterEngine {
   /// when tracing is on so pre-existing metric dumps stay byte-identical.
   std::vector<obs::HistogramMetric*> m_proc_latency_;   ///< By ProcedureId.
   std::vector<obs::HistogramMetric*> m_part_latency_;   ///< By PartitionId.
+
+  /// Every PendingTxn the engine made, and the finished ones to reuse.
+  std::vector<std::unique_ptr<PendingTxn>> txn_pool_;
+  std::vector<PendingTxn*> free_txns_;
+
+  /// Service-time distribution of each procedure (by ProcedureId).
+  struct ServiceDist {
+    double mean = 0;   ///< txn_service_us_mean x service_weight.
+    double mu = 0;     ///< Lognormal location for that mean and cv.
+    double sigma = 0;  ///< Lognormal scale: sqrt(log1p(cv^2)).
+  };
+  std::vector<ServiceDist> service_dists_;
 
   Rng rng_;
   WindowedPercentiles latencies_;

@@ -21,8 +21,41 @@ bool PartitionExecutor::TryEnqueue(WorkItem item) {
   return true;
 }
 
+void PartitionExecutor::Queue::PushBack(WorkItem item) {
+  if (size_ == slots_.size()) {
+    // Full: unroll into a doubled array, oldest first.
+    std::vector<WorkItem> grown(std::max<size_t>(8, 2 * slots_.size()));
+    for (size_t i = 0; i < size_; ++i) grown[i] = std::move((*this)[i]);
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(item);
+  ++size_;
+}
+
+PartitionExecutor::WorkItem PartitionExecutor::Queue::Take(size_t i) {
+  assert(i < size_);
+  const size_t mask = slots_.size() - 1;
+  WorkItem item = std::move((*this)[i]);
+  size_t vacated = head_;
+  if (i == 0) {
+    head_ = (head_ + 1) & mask;
+  } else {
+    for (size_t j = i; j + 1 < size_; ++j) {
+      (*this)[j] = std::move((*this)[j + 1]);
+    }
+    vacated = (head_ + size_ - 1) & mask;
+  }
+  --size_;
+  // A moved-from std::function is valid but unspecified: drop whatever
+  // the vacated slot still holds.
+  slots_[vacated].done = nullptr;
+  slots_[vacated].on_shed = nullptr;
+  return item;
+}
+
 void PartitionExecutor::Push(WorkItem item) {
-  queue_.push_back(std::move(item));
+  queue_.PushBack(std::move(item));
   max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   if (!busy_) StartNext();
 }
@@ -39,9 +72,7 @@ void PartitionExecutor::ShedItem(WorkItem item, ShedCause cause) {
 
 bool PartitionExecutor::EvictNewest() {
   if (queue_.empty()) return false;
-  WorkItem victim = std::move(queue_.back());
-  queue_.pop_back();
-  ShedItem(std::move(victim), ShedCause::kEvicted);
+  ShedItem(queue_.Take(queue_.size() - 1), ShedCause::kEvicted);
   return true;
 }
 
@@ -57,9 +88,7 @@ bool PartitionExecutor::EvictLowestBelow(int8_t priority) {
     }
   }
   if (best == queue_.size()) return false;
-  WorkItem victim = std::move(queue_[best]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-  ShedItem(std::move(victim), ShedCause::kEvicted);
+  ShedItem(queue_.Take(best), ShedCause::kEvicted);
   return true;
 }
 
@@ -71,29 +100,30 @@ void PartitionExecutor::StartNext() {
   // Shed expired work instead of serving it — a response after the
   // deadline is worthless, and serving it would delay live work behind
   // it (dequeue-time deadline check).
-  while (!queue_.empty() && queue_.front().deadline >= 0 &&
-         now > queue_.front().deadline) {
-    WorkItem expired = std::move(queue_.front());
-    queue_.pop_front();
-    ShedItem(std::move(expired), ShedCause::kDeadline);
+  while (!queue_.empty() && queue_[0].deadline >= 0 &&
+         now > queue_[0].deadline) {
+    ShedItem(queue_.Take(0), ShedCause::kDeadline);
   }
   if (queue_.empty()) {
     busy_ = false;
     return;
   }
-  WorkItem item = std::move(queue_.front());
-  queue_.pop_front();
-  const SimTime started = sim_->Now();
-  const SimDuration service = item.service;
-  busy_time_ += service;
-  // Capture the completion by value; `this` outlives the simulator run.
-  sim_->Schedule(service, [this, started,
-                           done = std::move(item.done)]() mutable {
-    ++completed_;
-    const SimTime finished = sim_->Now();
-    if (done) done(started, finished);
-    StartNext();
-  });
+  WorkItem item = queue_.Take(0);
+  in_service_ = std::move(item.done);
+  in_service_started_ = sim_->Now();
+  busy_time_ += item.service;
+  // `this` outlives the simulator run.
+  sim_->Schedule(item.service, [this]() { Finish(); });
+}
+
+void PartitionExecutor::Finish() {
+  ++completed_;
+  // Moved out first: the completion may enqueue onto this executor, and
+  // its captures should not outlive the call.
+  const Completion done = std::move(in_service_);
+  in_service_ = nullptr;
+  if (done) done(in_service_started_, sim_->Now());
+  StartNext();
 }
 
 }  // namespace pstore

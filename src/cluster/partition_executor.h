@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/sim_time.h"
 #include "sim/simulator.h"
@@ -111,12 +111,40 @@ class PartitionExecutor {
   size_t max_queue_depth() const { return max_queue_depth_; }
 
  private:
+  /// The waiting items, oldest first: a ring over a power-of-two slot
+  /// array that only grows, so a queue that stays within its high-water
+  /// mark allocates nothing (a std::deque frees and allocates a block
+  /// every few items).
+  class Queue {
+   public:
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /// Item `i` (0 = oldest).
+    WorkItem& operator[](size_t i) {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    void PushBack(WorkItem item);
+    /// Removes and returns item `i`; the newer items close the gap.
+    WorkItem Take(size_t i);
+
+   private:
+    std::vector<WorkItem> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   void Push(WorkItem item);
   void ShedItem(WorkItem item, ShedCause cause);
   void StartNext();
+  /// The in-service item's service time elapsed.
+  void Finish();
 
   Simulator* sim_;
-  std::deque<WorkItem> queue_;
+  Queue queue_;
+  /// The in-service item's completion and start time, held here so the
+  /// completion event captures only `this`.
+  Completion in_service_;
+  SimTime in_service_started_ = 0;
   size_t queue_limit_ = 0;
   bool busy_ = false;
   SimDuration busy_time_ = 0;

@@ -27,7 +27,10 @@ Status SkewManagerConfig::Validate() const {
 
 SkewManager::SkewManager(ClusterEngine* engine, MigrationExecutor* migrator,
                          SkewManagerConfig config)
-    : engine_(engine), migrator_(migrator), config_(config) {
+    : engine_(engine),
+      migrator_(migrator),
+      config_(config),
+      transfer_(engine) {
   assert(engine != nullptr);
   assert(config_.Validate().ok());
 }
@@ -118,10 +121,12 @@ bool SkewManager::PlanRelocations(std::vector<BucketMove>* moves) const {
 
 void SkewManager::ExecuteRelocation(const BucketMove& move) {
   // One bucket = one chunk: occupy both executors for the burst, then
-  // flip ownership when the later side finishes.
+  // flip ownership when the later side finishes. With overload on each
+  // side is background work in the bounded queue; a side refused or
+  // evicted never finishes, so the bucket stays put.
   const SimDuration busy =
       SecondsToDuration(config_.kb_per_bucket / config_.wire_kbps);
-  auto on_done = ChunkTransfer::BothSides([this, move]() {
+  auto landed = ChunkTransfer::BothSides([this, move]() {
     Status st = engine_->ApplyBucketMove(move);
     if (st.ok()) {
       ++buckets_moved_;
@@ -131,8 +136,11 @@ void SkewManager::ExecuteRelocation(const BucketMove& move) {
       PSTORE_LOG(Info) << "skew relocation skipped: " << st.ToString();
     }
   });
-  engine_->executor(move.from)->Enqueue(busy, on_done);
-  engine_->executor(move.to)->Enqueue(busy, on_done);
+  transfer_.Burst(move.from, move.to, busy, ChunkGuard(epoch_), landed,
+                  landed, [move](const char* why) {
+                    PSTORE_LOG(Info) << "skew relocation of bucket "
+                                     << move.bucket << " skipped: " << why;
+                  });
 }
 
 void SkewManager::Tick() {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/chunk_transfer.h"
 #include "cluster/engine.h"
 #include "common/status.h"
 #include "migration/migration_executor.h"
@@ -57,7 +58,12 @@ class SkewManager {
               SkewManagerConfig config);
 
   void Start();
-  void Stop() { running_ = false; }
+  /// Stops monitoring. Relocations in flight still land; a refusal or
+  /// eviction of one of them is no longer logged.
+  void Stop() {
+    running_ = false;
+    ++epoch_;
+  }
 
   /// Balancing cycles that actually moved buckets.
   int64_t rebalances() const { return rebalances_; }
@@ -76,6 +82,11 @@ class SkewManager {
   ClusterEngine* engine_;
   MigrationExecutor* migrator_;
   SkewManagerConfig config_;
+  /// Charges each relocation's burst to both executors (bounded, at
+  /// background priority, when overload control is on).
+  ChunkTransfer transfer_;
+  /// Guards relocation refusal callbacks; bumped by Stop().
+  int64_t epoch_ = 0;
   bool running_ = false;
   int64_t rebalances_ = 0;
   int64_t buckets_moved_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <cassert>
 #include <utility>
 
 namespace pstore {
@@ -12,6 +13,18 @@ void Simulator::Schedule(SimDuration delay, Callback fn) {
 void Simulator::ScheduleAt(SimTime at, Callback fn) {
   if (at < now_) at = now_;
   queue_.push(Event{at, next_seq_++, std::move(fn)});
+}
+
+int64_t Simulator::ReserveSeqs(int64_t n) {
+  assert(n >= 0);
+  const int64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+void Simulator::ScheduleReserved(SimTime at, int64_t seq, Callback fn) {
+  assert(at >= now_ && seq < next_seq_);
+  queue_.push(Event{at, seq, std::move(fn)});
 }
 
 void Simulator::RunUntil(SimTime until) {

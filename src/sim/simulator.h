@@ -33,6 +33,20 @@ class Simulator {
   /// Schedules `fn` at an absolute time (clamped to Now()).
   void ScheduleAt(SimTime at, Callback fn);
 
+  /// Takes the next `n` sequence numbers, as `n` ScheduleAt calls would,
+  /// without scheduling anything; returns the first. A client that draws
+  /// a burst of arrivals at once can reserve their numbers here and arm
+  /// them one at a time with ScheduleReserved: every event keeps the
+  /// (time, seq) key eager scheduling would have given it, so firing
+  /// order and events_scheduled() are unchanged while the queue holds
+  /// one pending arrival instead of the burst.
+  int64_t ReserveSeqs(int64_t n);
+
+  /// Schedules `fn` at `at` under `seq`, a number from ReserveSeqs not
+  /// used before. `at` must not be in the past, and the event must be
+  /// armed before any event ordered after it fires.
+  void ScheduleReserved(SimTime at, int64_t seq, Callback fn);
+
   /// Runs events until the queue empties or virtual time would pass
   /// `until`; Now() afterwards is min(until, last event time). Events
   /// exactly at `until` are executed.

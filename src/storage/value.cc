@@ -105,8 +105,23 @@ void Row::MakeUnique() {
 void Row::Set(size_t i, Value v) {
   const size_t old_size = size();
   if (i < old_size) {
-    MakeUnique();
-    body_->values()[i] = std::move(v);
+    if (body_->refs == 1) {
+      body_->values()[i] = std::move(v);
+      return;
+    }
+    // Shared: clone every column but the replaced one, which would be
+    // overwritten at once (a long string would be copied for nothing).
+    Body* copy = Allocate(old_size);
+    const Value* src = body_->values();
+    for (size_t j = 0; j < old_size; ++j) {
+      if (j == i) {
+        new (copy->slot(j)) Value(std::move(v));
+      } else {
+        new (copy->slot(j)) Value(src[j]);
+      }
+    }
+    Release();
+    body_ = copy;
     return;
   }
   // Grow into a fresh body: move the values if this handle is their

@@ -180,7 +180,8 @@ class Row {
     MakeUnique();
     return body_->values()[i];
   }
-  /// Sets column `i`, growing the row with NULLs if it is shorter.
+  /// Sets column `i`, growing the row with NULLs if it is shorter. A
+  /// shared body is cloned first, minus column `i`'s old value.
   void Set(size_t i, Value v);
 
   /// Modelled in-memory footprint in bytes: kRowHeaderBytes plus, per

@@ -26,7 +26,8 @@ B2wClient::B2wClient(ClusterEngine* engine, const B2wTables& tables,
       config_(config),
       rng_(config.seed),
       retry_rng_(config.seed ^ 0xda3e39cb94b95bdbULL),
-      budget_(config.retry) {
+      budget_(config.retry),
+      arrivals_(engine->simulator(), [this]() { SubmitOne(); }) {
   assert(config_.Validate().ok());
   assert(!trace_.empty());
   slot_duration_ = SecondsToDuration(60.0 / config_.speedup);
@@ -117,12 +118,7 @@ void B2wClient::ScheduleSlot(int64_t slot, int64_t end_slot,
   Simulator* sim = engine_->simulator();
   const double rate = SlotRate(slot);  // txn/s of virtual time
   const double slot_seconds = DurationToSeconds(slot_duration_);
-  const int64_t arrivals = rng_.NextPoisson(rate * slot_seconds);
-  for (int64_t i = 0; i < arrivals; ++i) {
-    const SimDuration offset = static_cast<SimDuration>(
-        rng_.NextDouble() * static_cast<double>(slot_duration_));
-    sim->ScheduleAt(slot_start + offset, [this]() { SubmitOne(); });
-  }
+  arrivals_.Draw(&rng_, rate * slot_seconds, slot_start, slot_duration_);
   if (slot + 1 < end_slot) {
     sim->ScheduleAt(slot_start + slot_duration_,
                     [this, slot, end_slot, slot_start]() {

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "overload/retry_budget.h"
+#include "sim/slot_arrivals.h"
 #include "workload/b2w_procedures.h"
 #include "workload/b2w_schema.h"
 
@@ -117,6 +118,8 @@ class B2wClient {
   /// never perturbs the workload's own draw sequence.
   Rng retry_rng_;
   overload::RetryBudget budget_;
+  /// Each slot's arrivals, armed one at a time (SubmitOne each).
+  SlotArrivals arrivals_;
   std::deque<int64_t> carts_;
   std::deque<int64_t> checkouts_;
   std::vector<int64_t> stock_;

@@ -1,6 +1,9 @@
 #include "workload/b2w_procedures.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace pstore {
 
@@ -32,6 +35,42 @@ TxnResult OkWith(Row row) {
 }
 
 TxnResult OkEmpty() { return TxnResult{}; }
+
+/// BIGINT column `i` of `row`. Reads take the row const: the non-const
+/// Row::at clones a shared body, long strings included, before anything
+/// is written.
+int64_t IntAt(const Row& row, size_t i) { return row.at(i).as_int64(); }
+
+/// Rewrites the line items in column `lines_col` of `row` through `edit`
+/// and stores their total in `total_col`. `edit` gets the decoded items
+/// and returns a Status; non-OK leaves the row untouched. The items and
+/// their encoding live in reused per-thread buffers (not static: runs on
+/// separate threads each get their own), so past the row's own clone the
+/// edit allocates only the new `lines` value.
+template <typename EditFn>
+Status EditLines(Row* row, size_t lines_col, size_t total_col,
+                 const EditFn& edit) {
+  thread_local std::vector<LineItem> items;
+  thread_local std::string encoded;
+  PSTORE_RETURN_NOT_OK(
+      DecodeLinesTo(std::as_const(*row).at(lines_col).as_string(), &items));
+  PSTORE_RETURN_NOT_OK(edit(&items));
+  EncodeLinesTo(items, &encoded);
+  row->Set(lines_col, Value(encoded));
+  row->Set(total_col, Value(LinesTotal(items)));
+  return Status::OK();
+}
+
+/// Removes the line with `sku` from `items`; NotFound(`not_found`) if it
+/// has none.
+Status EraseSku(std::vector<LineItem>* items, int64_t sku,
+                const char* not_found) {
+  auto it = std::find_if(items->begin(), items->end(),
+                         [&](const LineItem& item) { return item.sku == sku; });
+  if (it == items->end()) return Status::NotFound(not_found);
+  items->erase(it);
+  return Status::OK();
+}
 
 /// Fetches, mutates via `edit`, and writes back a row. `edit` returns a
 /// Status; non-OK aborts the transaction without writing.
@@ -85,13 +124,13 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
             return OkWith(std::move(row));
           }
           Row row = std::move(existing).MoveValueUnsafe();
-          auto lines = DecodeLines(row.at(kCartLines).as_string());
-          if (!lines.ok()) return Fail(lines.status());
-          auto items = std::move(lines).MoveValueUnsafe();
-          items.push_back(line);
-          row.Set(kCartLines, Value(EncodeLines(items)));
-          row.Set(kCartTotal, Value(LinesTotal(items)));
-          Status st = ctx.Upsert(tables.cart, row);
+          Status st = EditLines(&row, kCartLines, kCartTotal,
+                                [&](std::vector<LineItem>* items) {
+                                  items->push_back(line);
+                                  return Status::OK();
+                                });
+          if (!st.ok()) return Fail(std::move(st));
+          st = ctx.Upsert(tables.cart, row);
           if (!st.ok()) return Fail(std::move(st));
           return OkWith(std::move(row));
         });
@@ -108,19 +147,10 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
           }
           const int64_t sku = req.args[0].as_int64();
           return Update(ctx, tables.cart, req.key, [&](Row* row) {
-            auto lines = DecodeLines(row->at(kCartLines).as_string());
-            if (!lines.ok()) return lines.status();
-            auto items = std::move(lines).MoveValueUnsafe();
-            auto it = std::find_if(
-                items.begin(), items.end(),
-                [&](const LineItem& item) { return item.sku == sku; });
-            if (it == items.end()) {
-              return Status::NotFound("sku not in cart");
-            }
-            items.erase(it);
-            row->Set(kCartLines, Value(EncodeLines(items)));
-            row->Set(kCartTotal, Value(LinesTotal(items)));
-            return Status::OK();
+            return EditLines(row, kCartLines, kCartTotal,
+                             [&](std::vector<LineItem>* items) {
+                               return EraseSku(items, sku, "sku not in cart");
+                             });
           });
         });
     if (!id.ok()) return id.status();
@@ -183,7 +213,7 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
           if (!row.ok()) return Fail(row.status());
           TxnResult result;
           result.rows.push_back(
-              Row({Value(req.key), row->at(kStockAvailable)}));
+              Row({Value(req.key), std::as_const(*row).at(kStockAvailable)}));
           return result;
         },
         kPriorityLow);
@@ -199,13 +229,12 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
           }
           const int64_t qty = req.args[0].as_int64();
           return Update(ctx, tables.stock, req.key, [&](Row* row) {
-            const int64_t available = row->at(kStockAvailable).as_int64();
+            const int64_t available = IntAt(*row, kStockAvailable);
             if (available < qty) {
               return Status::FailedPrecondition("insufficient stock");
             }
             row->Set(kStockAvailable, Value(available - qty));
-            row->Set(kStockReserved,
-                     Value(row->at(kStockReserved).as_int64() + qty));
+            row->Set(kStockReserved, Value(IntAt(*row, kStockReserved) + qty));
             return Status::OK();
           });
         },
@@ -222,13 +251,13 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
           }
           const int64_t qty = req.args[0].as_int64();
           return Update(ctx, tables.stock, req.key, [&](Row* row) {
-            const int64_t reserved = row->at(kStockReserved).as_int64();
+            const int64_t reserved = IntAt(*row, kStockReserved);
             if (reserved < qty) {
               return Status::FailedPrecondition("not reserved");
             }
             row->Set(kStockReserved, Value(reserved - qty));
             row->Set(kStockPurchased,
-                     Value(row->at(kStockPurchased).as_int64() + qty));
+                     Value(IntAt(*row, kStockPurchased) + qty));
             return Status::OK();
           });
         });
@@ -245,13 +274,13 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
           }
           const int64_t qty = req.args[0].as_int64();
           return Update(ctx, tables.stock, req.key, [&](Row* row) {
-            const int64_t reserved = row->at(kStockReserved).as_int64();
+            const int64_t reserved = IntAt(*row, kStockReserved);
             if (reserved < qty) {
               return Status::FailedPrecondition("not reserved");
             }
             row->Set(kStockReserved, Value(reserved - qty));
             row->Set(kStockAvailable,
-                     Value(row->at(kStockAvailable).as_int64() + qty));
+                     Value(IntAt(*row, kStockAvailable) + qty));
             return Status::OK();
           });
         });
@@ -355,13 +384,11 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
           LineItem line{req.args[0].as_int64(), req.args[1].as_int64(),
                         req.args[2].as_double()};
           return Update(ctx, tables.checkout, req.key, [&](Row* row) {
-            auto lines = DecodeLines(row->at(kCheckoutLines).as_string());
-            if (!lines.ok()) return lines.status();
-            auto items = std::move(lines).MoveValueUnsafe();
-            items.push_back(line);
-            row->Set(kCheckoutLines, Value(EncodeLines(items)));
-            row->Set(kCheckoutAmountDue, Value(LinesTotal(items)));
-            return Status::OK();
+            return EditLines(row, kCheckoutLines, kCheckoutAmountDue,
+                             [&](std::vector<LineItem>* items) {
+                               items->push_back(line);
+                               return Status::OK();
+                             });
           });
         },
         kPriorityCritical);
@@ -378,19 +405,11 @@ Result<B2wProcedures> RegisterB2wProcedures(ProcedureRegistry* registry,
           }
           const int64_t sku = req.args[0].as_int64();
           return Update(ctx, tables.checkout, req.key, [&](Row* row) {
-            auto lines = DecodeLines(row->at(kCheckoutLines).as_string());
-            if (!lines.ok()) return lines.status();
-            auto items = std::move(lines).MoveValueUnsafe();
-            auto it = std::find_if(
-                items.begin(), items.end(),
-                [&](const LineItem& item) { return item.sku == sku; });
-            if (it == items.end()) {
-              return Status::NotFound("sku not in checkout");
-            }
-            items.erase(it);
-            row->Set(kCheckoutLines, Value(EncodeLines(items)));
-            row->Set(kCheckoutAmountDue, Value(LinesTotal(items)));
-            return Status::OK();
+            return EditLines(row, kCheckoutLines, kCheckoutAmountDue,
+                             [&](std::vector<LineItem>* items) {
+                               return EraseSku(items, sku,
+                                               "sku not in checkout");
+                             });
           });
         });
     if (!id.ok()) return id.status();

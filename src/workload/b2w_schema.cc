@@ -74,28 +74,40 @@ Result<B2wTables> RegisterB2wTables(Catalog* catalog) {
 }
 
 std::string EncodeLines(const std::vector<LineItem>& lines) {
+  std::string out;
+  EncodeLinesTo(lines, &out);
+  return out;
+}
+
+void EncodeLinesTo(const std::vector<LineItem>& lines, std::string* out) {
   // "%lld:%lld:%.2f;" without printf: std::to_chars in fixed format with
   // precision 2 prints exactly what printf's %.2f does.
-  std::string out;
+  out->clear();
   char buf[std::numeric_limits<double>::max_exponent10 + 8];
-  const auto append = [&out, &buf](auto... value_and_format) {
-    out.append(buf, std::to_chars(std::begin(buf), std::end(buf),
-                                  value_and_format...)
-                        .ptr);
+  const auto append = [out, &buf](auto... value_and_format) {
+    out->append(buf, std::to_chars(std::begin(buf), std::end(buf),
+                                   value_and_format...)
+                         .ptr);
   };
   for (const auto& line : lines) {
     append(line.sku);
-    out += ':';
+    *out += ':';
     append(line.quantity);
-    out += ':';
+    *out += ':';
     append(line.unit_price, std::chars_format::fixed, 2);
-    out += ';';
+    *out += ';';
   }
-  return out;
 }
 
 Result<std::vector<LineItem>> DecodeLines(std::string_view encoded) {
   std::vector<LineItem> lines;
+  PSTORE_RETURN_NOT_OK(DecodeLinesTo(encoded, &lines));
+  return lines;
+}
+
+Status DecodeLinesTo(std::string_view encoded, std::vector<LineItem>* out) {
+  std::vector<LineItem>& lines = *out;
+  lines.clear();
   const char* item = encoded.data();
   const char* const end = item + encoded.size();
   while (item < end) {
@@ -115,7 +127,7 @@ Result<std::vector<LineItem>> DecodeLines(std::string_view encoded) {
     lines.push_back(line);
     item = pos;
   }
-  return lines;
+  return Status::OK();
 }
 
 double LinesTotal(const std::vector<LineItem>& lines) {

@@ -73,9 +73,18 @@ struct LineItem {
 /// `lines` column.
 std::string EncodeLines(const std::vector<LineItem>& lines);
 
+/// EncodeLines into `*out`, replacing its contents and reusing its
+/// capacity.
+void EncodeLinesTo(const std::vector<LineItem>& lines, std::string* out);
+
 /// Parses the embedded representation; malformed input yields
 /// InvalidArgument.
 Result<std::vector<LineItem>> DecodeLines(std::string_view encoded);
+
+/// DecodeLines into `*out`, replacing its contents and reusing its
+/// capacity. On malformed input returns InvalidArgument, and `*out`
+/// holds the items parsed before the bad one.
+Status DecodeLinesTo(std::string_view encoded, std::vector<LineItem>* out);
 
 /// Sum of quantity * unit_price over the lines.
 double LinesTotal(const std::vector<LineItem>& lines);

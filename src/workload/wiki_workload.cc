@@ -131,7 +131,8 @@ WikiClient::WikiClient(ClusterEngine* engine, const WikiWorkload& workload,
       config_(config),
       rng_(config.seed),
       zipf_(static_cast<uint64_t>(config.num_pages), config.zipf_s),
-      slot_duration_(SecondsToDuration(config.seconds_per_slot)) {
+      slot_duration_(SecondsToDuration(config.seconds_per_slot)),
+      arrivals_(engine->simulator(), [this]() { SubmitOne(); }) {
   assert(config_.Validate().ok());
   assert(!trace_.empty());
 }
@@ -175,13 +176,7 @@ void WikiClient::ScheduleSlot(int64_t slot, int64_t end_slot, SimTime at,
                               double scale) {
   Simulator* sim = engine_->simulator();
   const double rate = trace_[static_cast<size_t>(slot)] * scale;
-  const int64_t arrivals =
-      rng_.NextPoisson(rate * config_.seconds_per_slot);
-  for (int64_t i = 0; i < arrivals; ++i) {
-    const SimDuration offset = static_cast<SimDuration>(
-        rng_.NextDouble() * static_cast<double>(slot_duration_));
-    sim->ScheduleAt(at + offset, [this]() { SubmitOne(); });
-  }
+  arrivals_.Draw(&rng_, rate * config_.seconds_per_slot, at, slot_duration_);
   if (slot + 1 < end_slot) {
     sim->ScheduleAt(at + slot_duration_, [this, slot, end_slot, at,
                                           scale]() {

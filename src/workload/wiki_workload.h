@@ -6,6 +6,7 @@
 #include "cluster/engine.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "sim/slot_arrivals.h"
 #include "txn/procedure.h"
 
 /// \file wiki_workload.h
@@ -92,6 +93,8 @@ class WikiClient {
   Rng rng_;
   ZipfGenerator zipf_;
   SimDuration slot_duration_;
+  /// Each slot's arrivals, armed one at a time (SubmitOne each).
+  SlotArrivals arrivals_;
   int64_t submitted_ = 0;
 };
 

@@ -1,9 +1,11 @@
 #include "cluster/partition_executor.h"
 
+#include <deque>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace pstore {
@@ -208,6 +210,116 @@ TEST(PartitionExecutorTest, MaxQueueDepthIsHighWater) {
   sim.RunAll();
   EXPECT_EQ(exec.queue_length(), 0u);
   EXPECT_EQ(exec.max_queue_depth(), 3u);  // high-water survives the drain
+}
+
+TEST(PartitionExecutorTest, CallbacksThatEnqueueKeepFifoOrder) {
+  Simulator sim;
+  PartitionExecutor exec(&sim);
+  std::vector<char> order;
+  auto run = [&](char id) {
+    return [&order, id](SimTime, SimTime) { order.push_back(id); };
+  };
+  // A's completion enqueues D onto its own executor: D queues behind B
+  // and C rather than jumping them.
+  exec.Enqueue(10, [&](SimTime, SimTime) {
+    order.push_back('A');
+    exec.Enqueue(10, run('D'));
+  });
+  // E expires in the queue; its shed callback submits F, which queues
+  // behind C, the item served in its place.
+  auto expiring = Item(10, /*deadline=*/5, 2,
+                       [&](SimTime, PartitionExecutor::ShedCause) {
+                         order.push_back('e');
+                         exec.Enqueue(10, run('F'));
+                       });
+  exec.Enqueue(10, run('B'));
+  ASSERT_TRUE(exec.TryEnqueue(std::move(expiring)));
+  exec.Enqueue(10, run('C'));
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'e', 'C', 'D', 'F'}));
+  EXPECT_EQ(exec.completed(), 5);
+  EXPECT_EQ(exec.deadline_shed(), 1);
+  EXPECT_EQ(sim.Now(), 50);
+}
+
+// The waiting queue is a ring that wraps and grows: random enqueues,
+// evictions and service against a std::deque model of the same queue,
+// checking which item each completion and shed callback belongs to.
+TEST(PartitionExecutorTest, QueueMatchesDequeModelAcrossWraps) {
+  Simulator sim;
+  PartitionExecutor exec(&sim);
+  Rng rng(5);
+  struct Queued {
+    int id;
+    int8_t priority;
+  };
+  std::deque<Queued> model;  // waiting items, oldest first
+  int in_service = -1;
+  std::vector<int> served, shed, want_served, want_shed;
+  int next_id = 0;
+  auto enqueue = [&]() {
+    const int id = next_id++;
+    const auto priority = static_cast<int8_t>(rng.NextBounded(4));
+    PartitionExecutor::WorkItem item = Item(
+        1 + static_cast<SimDuration>(rng.NextBounded(20)), -1, priority,
+        [&shed, id](SimTime, PartitionExecutor::ShedCause) {
+          shed.push_back(id);
+        });
+    item.done = [&served, id](SimTime, SimTime) { served.push_back(id); };
+    const bool idle = !exec.busy();
+    ASSERT_TRUE(exec.TryEnqueue(std::move(item)));
+    if (idle) {
+      in_service = id;
+    } else {
+      model.push_back({id, priority});
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.NextBounded(10);
+    if (op < 5) {
+      enqueue();
+    } else if (op == 5) {
+      ASSERT_EQ(exec.EvictNewest(), !model.empty());
+      if (!model.empty()) {
+        want_shed.push_back(model.back().id);
+        model.pop_back();
+      }
+    } else if (op == 6) {
+      const auto below = static_cast<int8_t>(rng.NextBounded(4));
+      auto victim = model.end();
+      for (auto it = model.begin(); it != model.end(); ++it) {
+        if (it->priority < below &&
+            (victim == model.end() || it->priority <= victim->priority)) {
+          victim = it;
+        }
+      }
+      ASSERT_EQ(exec.EvictLowestBelow(below), victim != model.end());
+      if (victim != model.end()) {
+        want_shed.push_back(victim->id);
+        model.erase(victim);
+      }
+    } else if (exec.busy()) {
+      // Finish the item in service; the oldest waiting one starts.
+      want_served.push_back(in_service);
+      sim.RunUntil(sim.Now() + 1);
+      while (static_cast<int64_t>(served.size()) <
+             static_cast<int64_t>(want_served.size())) {
+        sim.RunUntil(sim.Now() + 1);
+      }
+      in_service = -1;
+      if (!model.empty()) {
+        in_service = model.front().id;
+        model.pop_front();
+      }
+    }
+    ASSERT_EQ(exec.queue_length(), model.size());
+  }
+  sim.RunAll();
+  if (in_service >= 0) want_served.push_back(in_service);
+  for (const Queued& q : model) want_served.push_back(q.id);
+  EXPECT_EQ(served, want_served);
+  EXPECT_EQ(shed, want_shed);
+  EXPECT_GT(exec.max_queue_depth(), 16u);  // the ring grew at least once
 }
 
 }  // namespace

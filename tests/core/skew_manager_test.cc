@@ -15,10 +15,15 @@ class SkewManagerTest : public ::testing::Test {
  protected:
   SkewManagerTest() : db_(MakeKvDatabase()) {}
 
-  void Build() {
+  /// \param queue_limit with > 0, overload control on with this bound
+  void Build(int32_t queue_limit = 0) {
     EngineConfig config = testing_util::SmallEngineConfig();
     config.initial_nodes = 2;  // 4 partitions
     config.txn_service_us_mean = 1000.0;
+    if (queue_limit > 0) {
+      config.overload.enabled = true;
+      config.overload.max_queue_depth = queue_limit;
+    }
     engine_ = std::make_unique<ClusterEngine>(&sim_, db_.catalog,
                                               db_.registry, config);
     for (int64_t k = 0; k < 400; ++k) {
@@ -181,6 +186,26 @@ TEST_F(SkewManagerTest, DefersToInFlightReconfiguration) {
   sim_.RunUntil(6 * kSecond);
   EXPECT_TRUE(slow_migrator.InProgress());
   EXPECT_EQ(deferring.rebalances(), 0);
+}
+
+TEST_F(SkewManagerTest, RelocationRespectsQueueLimitUnderOverload) {
+  constexpr int32_t kLimit = 4;
+  Build(kLimit);
+  SkewManager manager(engine_.get(), migrator_.get(), Config());
+  manager.Start();
+  // Two Gets per ms on one key against ~1 ms of service each: the hot
+  // partition's queue sits at its limit when the manager acts.
+  HammerKey(7, 6000, 0);
+  HammerKey(7, 6000, kMillisecond / 2);
+  BackgroundLoad(600, 0);
+  sim_.RunUntil(7 * kSecond);
+  EXPECT_GT(manager.rebalances(), 0);
+  for (PartitionId p = 0; p < engine_->active_partitions(); ++p) {
+    EXPECT_LE(engine_->executor(p)->max_queue_depth(),
+              static_cast<size_t>(kLimit))
+        << "partition " << p;
+  }
+  EXPECT_EQ(engine_->TotalRowCount(), 400);
 }
 
 TEST_F(SkewManagerTest, StopHaltsMonitoring) {

@@ -165,5 +165,46 @@ TEST(LineItemsTest, CodecMatchesPrintfAndStrtodReference) {
   }
 }
 
+// The buffer-reusing codec, one string and one vector carried across
+// every list (so each call starts from the previous, longer or shorter,
+// contents), against the returning codec and the printf/strtod
+// references; malformed input fails the same way.
+TEST(LineItemsTest, ReusedBuffersMatchTheReturningCodec) {
+  Rng rng(13);
+  std::string encoded = "left over from an earlier call;";
+  std::vector<LineItem> decoded(7, LineItem{9, 9, 9.0});
+  int items = 0;
+  while (items < 10000) {
+    std::vector<LineItem> lines(1 + rng.NextBounded(5));
+    for (auto& line : lines) {
+      line = RandomLineItem(rng, items++ % 4);
+    }
+    EncodeLinesTo(lines, &encoded);
+    ASSERT_EQ(encoded, EncodeLines(lines));
+    ASSERT_EQ(encoded, PrintfEncode(lines));
+    ASSERT_TRUE(DecodeLinesTo(encoded, &decoded).ok()) << encoded;
+    const std::vector<LineItem> want = StrtodDecode(encoded);
+    ASSERT_EQ(decoded.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(decoded[i].sku, want[i].sku);
+      EXPECT_EQ(decoded[i].quantity, want[i].quantity);
+      EXPECT_EQ(decoded[i].unit_price, want[i].unit_price) << encoded;
+    }
+  }
+  EncodeLinesTo({}, &encoded);
+  EXPECT_EQ(encoded, "");
+  ASSERT_TRUE(DecodeLinesTo("", &decoded).ok());
+  EXPECT_TRUE(decoded.empty());
+  for (const char* bad :
+       {"1:2:3", "1-2-3;", "abc;", "1:2:abc;", "1:2:3.5x;", "1:2:3;4:5"}) {
+    const Status status = DecodeLinesTo(bad, &decoded);
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad;
+    EXPECT_EQ(status.ToString(), DecodeLines(bad).status().ToString()) << bad;
+  }
+  // A failed decode leaves the buffer reusable.
+  ASSERT_TRUE(DecodeLinesTo("4:5:6.00;", &decoded).ok());
+  EXPECT_EQ(decoded, (std::vector<LineItem>{{4, 5, 6.0}}));
+}
+
 }  // namespace
 }  // namespace pstore
