@@ -2,6 +2,8 @@
 /// allocation strategies simulated over two 4-day periods" — a regular
 /// week (left) where even the Simple strategy looks fine, and the Black
 /// Friday window (right) where only P-Store keeps capacity above load.
+/// The deficit minutes are checked as rows; main returns 1 when one
+/// fails.
 
 #include <algorithm>
 #include <cmath>
@@ -140,6 +142,8 @@ int main() {
     const char* name;
     int64_t begin;
   };
+  using scenario::Op;
+  std::vector<bench::PaperRow> rows;
   for (const Panel panel : {Panel{"normal_week", normal_begin},
                             Panel{"black_friday", bf_begin}}) {
     std::printf("\n--- %s (4 days) ---\n", panel.name);
@@ -163,12 +167,28 @@ int main() {
       }
       return n;
     };
+    const int64_t pstore_deficit = deficit_minutes(pstore_cap);
+    const int64_t simple_deficit = deficit_minutes(simple_cap);
+    const int64_t static_deficit = deficit_minutes(static_cap);
     std::printf(
         "  minutes with insufficient capacity: P-Store=%lld Simple=%lld "
         "Static=%lld\n",
-        static_cast<long long>(deficit_minutes(pstore_cap)),
-        static_cast<long long>(deficit_minutes(simple_cap)),
-        static_cast<long long>(deficit_minutes(static_cap)));
+        static_cast<long long>(pstore_deficit),
+        static_cast<long long>(simple_deficit),
+        static_cast<long long>(static_deficit));
+    const std::string prefix =
+        std::string("Fig. 13 ") + panel.name + " deficit minutes: ";
+    const auto d = [](int64_t v) { return static_cast<double>(v); };
+    if (panel.begin == normal_begin) {
+      rows.push_back({prefix + "P-Store == 0", d(pstore_deficit), Op::kEq, 0});
+      rows.push_back({prefix + "Simple == 0", d(simple_deficit), Op::kEq, 0});
+      rows.push_back({prefix + "Static == 0", d(static_deficit), Op::kEq, 0});
+    } else {
+      rows.push_back({prefix + "P-Store < Static", d(static_deficit),
+                      Op::kGt, d(pstore_deficit)});
+      rows.push_back({prefix + "Static < Simple", d(simple_deficit),
+                      Op::kGt, d(static_deficit)});
+    }
     bench::WriteCsv(std::string("fig13_") + panel.name + ".csv",
                     {"load", "pstore_cap", "simple_cap", "static_cap"},
                     {demand, pstore_cap, simple_cap, static_cap});
@@ -177,5 +197,5 @@ int main() {
                "capacity above load (Simple looks fine); on Black Friday "
                "only P-Store ramps far enough, Simple and Static fall "
                "below the surge.\n";
-  return 0;
+  return bench::CheckPaperRows(rows) ? 0 : 1;
 }

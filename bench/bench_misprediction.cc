@@ -36,9 +36,8 @@
 #include "core/reactive_controller.h"
 #include "migration/migration_executor.h"
 #include "prediction/spar.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
-#include "storage/schema.h"
-#include "txn/procedure.h"
 
 using namespace pstore;
 
@@ -81,23 +80,10 @@ struct CellResult {
 /// One (mode, surge) cell: seasonal load for kRunSeconds with a
 /// multiplicative surge in [kSurgeStart, kSurgeEnd), then a drain.
 CellResult RunCell(Mode mode, double surge) {
-  Catalog catalog;
-  const TableId table = *catalog.AddTable(Schema(
-      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
-  ProcedureRegistry registry;
-  const ProcedureId get = *registry.Register(ProcedureDef{
-      "Get",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        auto row = ctx.Get(table, req.key);
-        if (!row.ok()) {
-          r.status = row.status();
-        } else {
-          r.rows.push_back(std::move(row).MoveValueUnsafe());
-        }
-        return r;
-      },
-      1.0});
+  const scenario::KvDatabase db =
+      scenario::MakeKvDatabase(scenario::KvProcs::kGetPut);
+  const TableId table = db.table;
+  const ProcedureId get = db.get;
 
   Simulator sim;
   EngineConfig config;
@@ -110,7 +96,7 @@ CellResult RunCell(Mode mode, double surge) {
   // cells genuinely queue and violate the SLO.
   config.txn_service_us_mean = 16000.0;
   config.txn_service_cv = 0.0;
-  ClusterEngine engine(&sim, catalog, registry, config);
+  ClusterEngine engine(&sim, db.catalog, db.registry, config);
   const int64_t rows = 200;
   for (int64_t k = 0; k < rows; ++k) {
     if (!engine.LoadRow(table, Row({Value(k), Value(k)})).ok()) return {};

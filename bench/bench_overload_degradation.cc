@@ -19,10 +19,9 @@
 
 #include "bench_util.h"
 #include "common/table_writer.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "cluster/engine.h"
-#include "storage/schema.h"
-#include "txn/procedure.h"
 
 using namespace pstore;
 
@@ -40,23 +39,10 @@ struct CellResult {
 /// driven for `seconds` at `offered_tps`, then drained to completion.
 CellResult RunCell(double offered_tps, bool limits, double seconds,
                    SimDuration slo) {
-  Catalog catalog;
-  const TableId table = *catalog.AddTable(Schema(
-      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
-  ProcedureRegistry registry;
-  const ProcedureId get = *registry.Register(ProcedureDef{
-      "Get",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        auto row = ctx.Get(table, req.key);
-        if (!row.ok()) {
-          r.status = row.status();
-        } else {
-          r.rows.push_back(std::move(row).MoveValueUnsafe());
-        }
-        return r;
-      },
-      1.0});
+  const scenario::KvDatabase db =
+      scenario::MakeKvDatabase(scenario::KvProcs::kGetPut);
+  const TableId table = db.table;
+  const ProcedureId get = db.get;
 
   Simulator sim;
   EngineConfig config;
@@ -78,7 +64,7 @@ CellResult RunCell(double offered_tps, bool limits, double seconds,
     config.overload.breaker.min_samples =
         std::numeric_limits<int64_t>::max();
   }
-  ClusterEngine engine(&sim, catalog, registry, config);
+  ClusterEngine engine(&sim, db.catalog, db.registry, config);
   const int64_t rows = 500;
   for (int64_t k = 0; k < rows; ++k) {
     if (!engine.LoadRow(table, Row({Value(k), Value(k)})).ok()) return {};

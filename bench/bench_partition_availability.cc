@@ -21,9 +21,8 @@
 #include "bench_util.h"
 #include "cluster/engine.h"
 #include "common/table_writer.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
-#include "storage/schema.h"
-#include "txn/procedure.h"
 
 using namespace pstore;
 
@@ -58,34 +57,11 @@ struct CellResult {
 /// heartbeat 250ms < lease/2 (suspicion) < lease < 2*lease (failover).
 CellResult RunCell(double partition_s, double lease_s,
                    obs::TelemetryBundle* telemetry) {
-  Catalog catalog;
-  const TableId table = *catalog.AddTable(Schema(
-      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
-  ProcedureRegistry registry;
-  const ProcedureId get = *registry.Register(ProcedureDef{
-      "Get",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        auto row = ctx.Get(table, req.key);
-        if (!row.ok()) {
-          r.status = row.status();
-        } else {
-          r.rows.push_back(std::move(row).MoveValueUnsafe());
-        }
-        return r;
-      },
-      1.0});
-  const ProcedureId put = *registry.Register(ProcedureDef{
-      "Put",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        r.status = ctx.Upsert(
-            table, Row({Value(req.key), req.args.empty()
-                                            ? Value(int64_t{0})
-                                            : req.args[0]}));
-        return r;
-      },
-      1.0});
+  const scenario::KvDatabase db =
+      scenario::MakeKvDatabase(scenario::KvProcs::kGetPut);
+  const TableId table = db.table;
+  const ProcedureId get = db.get;
+  const ProcedureId put = db.put;
 
   Simulator sim;
   EngineConfig config;
@@ -106,7 +82,7 @@ CellResult RunCell(double partition_s, double lease_s,
   config.net.lease_timeout = SecondsToDuration(lease_s);
   config.net.suspicion_timeout = SecondsToDuration(lease_s / 2.0);
   config.net.failover_timeout = SecondsToDuration(lease_s * 2.0);
-  ClusterEngine engine(&sim, catalog, registry, config);
+  ClusterEngine engine(&sim, db.catalog, db.registry, config);
   if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }

@@ -36,9 +36,8 @@
 #include "common/rng.h"
 #include "common/table_writer.h"
 #include "durability/content_store.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
-#include "storage/schema.h"
-#include "txn/procedure.h"
 
 using namespace pstore;
 
@@ -80,34 +79,11 @@ struct DurabilitySetup {
 CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
                    double seconds, const DurabilitySetup& dura,
                    obs::TelemetryBundle* telemetry) {
-  Catalog catalog;
-  const TableId table = *catalog.AddTable(Schema(
-      "KV", {{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}}, 0));
-  ProcedureRegistry registry;
-  const ProcedureId get = *registry.Register(ProcedureDef{
-      "Get",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        auto row = ctx.Get(table, req.key);
-        if (!row.ok()) {
-          r.status = row.status();
-        } else {
-          r.rows.push_back(std::move(row).MoveValueUnsafe());
-        }
-        return r;
-      },
-      1.0});
-  const ProcedureId put = *registry.Register(ProcedureDef{
-      "Put",
-      [table](ExecutionContext& ctx, const TxnRequest& req) {
-        TxnResult r;
-        r.status = ctx.Upsert(
-            table, Row({Value(req.key), req.args.empty()
-                                            ? Value(int64_t{0})
-                                            : req.args[0]}));
-        return r;
-      },
-      1.0});
+  const scenario::KvDatabase db =
+      scenario::MakeKvDatabase(scenario::KvProcs::kGetPut);
+  const TableId table = db.table;
+  const ProcedureId get = db.get;
+  const ProcedureId put = db.put;
 
   Simulator sim;
   EngineConfig config;
@@ -126,7 +102,7 @@ CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
   config.replication.checkpoint_period = 5 * kSecond;
   config.replication.durability.enabled = dura.enabled;
   config.replication.durability.scrub_rate_kbps = dura.scrub_rate_kbps;
-  ClusterEngine engine(&sim, catalog, registry, config);
+  ClusterEngine engine(&sim, db.catalog, db.registry, config);
   if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }

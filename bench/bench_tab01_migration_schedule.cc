@@ -1,7 +1,8 @@
 /// Table 1: "Schedule of parallel migrations when scaling from 3
 /// machines to 14 machines." Prints our generated three-phase schedule
 /// (11 rounds; a naive block-only schedule needs 12) with the same
-/// sender -> receiver notation as the paper.
+/// sender -> receiver notation as the paper. The round counts are
+/// checked as rows; main returns 1 when one fails.
 
 #include <cstdio>
 #include <iostream>
@@ -40,5 +41,11 @@ int main(int argc, char** argv) {
       schedule->rounds.size(), naive_rounds);
   std::printf("Average machines allocated during move: %.3f\n",
               schedule->AverageMachines());
-  return 0;
+  using scenario::Op;
+  const bool ok = bench::CheckPaperRows(
+      {{"Tab. 1 three-phase rounds == 11",
+        static_cast<double>(schedule->rounds.size()), Op::kEq, 11},
+       {"Tab. 1 naive rounds == 12", static_cast<double>(naive_rounds),
+        Op::kEq, 12}});
+  return ok ? 0 : 1;
 }

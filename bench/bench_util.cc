@@ -188,6 +188,29 @@ void WriteRunTelemetry(const std::string& prefix,
   }
 }
 
+bool Holds(const PaperRow& row) {
+  switch (row.op) {
+    case scenario::Op::kEq: return row.lhs == row.rhs;
+    case scenario::Op::kGt: return row.lhs > row.rhs;
+    case scenario::Op::kGe: return row.lhs >= row.rhs;
+  }
+  return false;
+}
+
+bool CheckPaperRows(const std::vector<PaperRow>& rows) {
+  std::cout << "\nPaper rows:\n";
+  bool all = true;
+  for (const PaperRow& row : rows) {
+    const bool ok = Holds(row);
+    all = all && ok;
+    std::printf("  %-7s %s  (%g %s %g)\n", ok ? "ok" : "FAILED",
+                row.name.c_str(), row.lhs, scenario::OpName(row.op),
+                row.rhs);
+    RecordBenchCase({"paper/" + Slugify(row.name), row.lhs, "", 0.0, 0});
+  }
+  return all;
+}
+
 namespace {
 std::string FlagValue(int argc, char** argv, const std::string& key) {
   const std::string prefix = "--" + key + "=";

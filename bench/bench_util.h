@@ -6,6 +6,7 @@
 #include "core/experiment.h"
 #include "obs/exporter.h"
 #include "obs/telemetry.h"
+#include "scenario/scenario.h"
 
 /// \file bench_util.h
 /// Shared output helpers for the figure/table reproduction harnesses.
@@ -65,6 +66,23 @@ bool WriteBenchJson(const std::string& bench, const std::string& kind,
 /// and PrintSeries contributes min/mean/max metric cases. Harnesses
 /// that want extra cases call RecordBenchCase directly.
 void RecordBenchCase(const BenchCaseResult& result);
+
+/// One claim of the paper checked against a run: `lhs op rhs`. Write
+/// "a < b" as {name, b, Op::kGt, a} and "a <= b" as {name, b, Op::kGe, a}.
+struct PaperRow {
+  std::string name;
+  double lhs = 0;
+  scenario::Op op = scenario::Op::kEq;
+  double rhs = 0;
+};
+
+/// Whether `row` holds.
+bool Holds(const PaperRow& row);
+
+/// Prints each row as ok or FAILED, records each row's lhs as the case
+/// "paper/<slug of name>" and returns whether every row holds. A bench
+/// returns non-zero from main when it does not.
+bool CheckPaperRows(const std::vector<PaperRow>& rows);
 
 /// Parses "--key=value" integer flags (returns fallback when absent).
 int64_t IntFlag(int argc, char** argv, const std::string& key,

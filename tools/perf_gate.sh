@@ -17,38 +17,26 @@
 # tracked case regresses past the threshold (micro), moves past the
 # tolerance (the rest) or vanishes from the suite.
 #
-# Environment overrides (defaults assume running from the repo root
-# with the standard ./build tree):
-#   BENCH_MICRO_PERF     path to the bench_micro_perf binary
-#   BENCH_RECOVERY_MTTR  path to the bench_recovery_mttr binary
-#   BENCH_COMPARE        path to the bench_compare binary
-#   BASELINE             committed micro-perf trajectory JSON
-#   CURRENT              where bench_micro_perf writes its JSON
-#   BASELINE_RECOVERY    committed recovery-MTTR trajectory JSON
-#   CURRENT_RECOVERY     where bench_recovery_mttr writes its JSON
-#   BENCH_PARTITION_AVAILABILITY  path to that bench binary
-#   BASELINE_PARTITION   committed partition-availability trajectory JSON
-#   CURRENT_PARTITION    where bench_partition_availability writes JSON
-#   BENCH_OVERLOAD_DEGRADATION  path to that bench binary
-#   BASELINE_OVERLOAD    committed overload-degradation trajectory JSON
-#   CURRENT_OVERLOAD     where bench_overload_degradation writes JSON
-#   THRESHOLD            tolerated normalized micro slowdown (default 0.5 = +50%)
+# BUILD_DIR (default build) is the build tree holding the binaries.
+# Paths are relative to the repo root, which it runs from.
 set -u
 
-BENCH_MICRO_PERF="${BENCH_MICRO_PERF:-build/bench/bench_micro_perf}"
-BENCH_RECOVERY_MTTR="${BENCH_RECOVERY_MTTR:-build/bench/bench_recovery_mttr}"
-BENCH_COMPARE="${BENCH_COMPARE:-build/tools/bench_compare}"
-BASELINE="${BASELINE:-bench/baselines/BENCH_micro_perf.json}"
-CURRENT="${CURRENT:-bench_out/BENCH_micro_perf.json}"
-BASELINE_RECOVERY="${BASELINE_RECOVERY:-bench/baselines/BENCH_recovery_mttr.json}"
-CURRENT_RECOVERY="${CURRENT_RECOVERY:-bench_out/BENCH_recovery_mttr.json}"
-BENCH_PARTITION_AVAILABILITY="${BENCH_PARTITION_AVAILABILITY:-build/bench/bench_partition_availability}"
-BASELINE_PARTITION="${BASELINE_PARTITION:-bench/baselines/BENCH_partition_availability.json}"
-CURRENT_PARTITION="${CURRENT_PARTITION:-bench_out/BENCH_partition_availability.json}"
-BENCH_OVERLOAD_DEGRADATION="${BENCH_OVERLOAD_DEGRADATION:-build/bench/bench_overload_degradation}"
-BASELINE_OVERLOAD="${BASELINE_OVERLOAD:-bench/baselines/BENCH_overload_degradation.json}"
-CURRENT_OVERLOAD="${CURRENT_OVERLOAD:-bench_out/BENCH_overload_degradation.json}"
-THRESHOLD="${THRESHOLD:-0.5}"
+BUILD_DIR="${BUILD_DIR:-build}"
+BENCH_MICRO_PERF="$BUILD_DIR/bench/bench_micro_perf"
+BENCH_RECOVERY_MTTR="$BUILD_DIR/bench/bench_recovery_mttr"
+BENCH_PARTITION_AVAILABILITY="$BUILD_DIR/bench/bench_partition_availability"
+BENCH_OVERLOAD_DEGRADATION="$BUILD_DIR/bench/bench_overload_degradation"
+BENCH_COMPARE="$BUILD_DIR/tools/bench_compare"
+BASELINE=bench/baselines/BENCH_micro_perf.json
+CURRENT=bench_out/BENCH_micro_perf.json
+BASELINE_RECOVERY=bench/baselines/BENCH_recovery_mttr.json
+CURRENT_RECOVERY=bench_out/BENCH_recovery_mttr.json
+BASELINE_PARTITION=bench/baselines/BENCH_partition_availability.json
+CURRENT_PARTITION=bench_out/BENCH_partition_availability.json
+BASELINE_OVERLOAD=bench/baselines/BENCH_overload_degradation.json
+CURRENT_OVERLOAD=bench_out/BENCH_overload_degradation.json
+# Tolerated normalized micro slowdown (0.5 = +50%).
+THRESHOLD=0.5
 
 for f in "$BENCH_MICRO_PERF" "$BENCH_RECOVERY_MTTR" \
     "$BENCH_PARTITION_AVAILABILITY" "$BENCH_OVERLOAD_DEGRADATION" \
