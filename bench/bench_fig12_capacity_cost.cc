@@ -81,7 +81,7 @@ struct Point {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   bench::PrintBanner(
       "Figure 12",
       "Capacity-cost curves over 4.5 months (August-December, with Black "
@@ -204,7 +204,8 @@ int main(int argc, char** argv) {
     CapacitySimulator sim(SimConfig(kSaturation * 0.65));
     auto result = sim.Run(load, &strategy, train_minutes, end_minute, n);
     if (!result.ok()) return 1;
-    points.push_back(Point{"Static", n, result->total_machine_minutes,
+    points.push_back(Point{"Static", static_cast<double>(n),
+                           result->total_machine_minutes,
                            result->pct_time_insufficient});
   }
 

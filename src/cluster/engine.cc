@@ -687,6 +687,16 @@ void ClusterEngine::RouteAndRun(PendingTxn* txn) {
   const PartitionId p = map_.PartitionOfBucket(txn->bucket);
   txn->partition = p;
   txn->service = DrawServiceTime(txn->req.proc);
+  // Start the body's row fetch now, as a two-stage pipeline: this key's
+  // home slots, then the previous admission's row bodies (whose slots
+  // have landed by now). Hints only: no output may depend on them.
+  fragments_[static_cast<size_t>(p)]->PrefetchSlots(txn->bucket,
+                                                    txn->req.key);
+  if (prefetch_prev_.partition >= 0) {
+    fragments_[static_cast<size_t>(prefetch_prev_.partition)]->PrefetchRows(
+        prefetch_prev_.bucket, prefetch_prev_.key);
+  }
+  prefetch_prev_ = {p, txn->bucket, txn->req.key};
   PartitionExecutor* ex = executors_[static_cast<size_t>(p)].get();
   auto completion = [this, txn](SimTime started, SimTime finished) {
     Execute(txn, started, finished);

@@ -743,6 +743,15 @@ class ClusterEngine {
   std::vector<std::unique_ptr<PendingTxn>> txn_pool_;
   std::vector<PendingTxn*> free_txns_;
 
+  /// The last admission's row fetch, awaiting its second prefetch stage
+  /// (a copy: the PendingTxn itself may be recycled by then).
+  struct PrefetchStage {
+    PartitionId partition = -1;  ///< -1 = none yet.
+    BucketId bucket = 0;
+    int64_t key = 0;
+  };
+  PrefetchStage prefetch_prev_;
+
   /// Service-time distribution of each procedure (by ProcedureId).
   struct ServiceDist {
     double mean = 0;   ///< txn_service_us_mean x service_weight.

@@ -15,34 +15,35 @@ Status InstallCollision(BucketId bucket, int64_t key) {
 }  // namespace
 
 StorageFragment::StorageFragment(const Catalog* catalog, int32_t num_buckets)
-    : catalog_(catalog), num_buckets_(num_buckets) {
+    : catalog_(catalog),
+      num_buckets_(num_buckets),
+      num_tables_(catalog->num_tables()) {
   assert(catalog != nullptr);
   assert(num_buckets > 0);
   held_index_.assign(static_cast<size_t>(num_buckets), -1);
-  row_counts_.assign(catalog->num_tables(), 0);
+  row_counts_.assign(num_tables_, 0);
   bucket_bytes_.assign(static_cast<size_t>(num_buckets), 0);
 }
 
 const BucketRows* StorageFragment::RowsOf(TableId table,
                                           BucketId bucket) const {
   const int32_t h = held_index_[static_cast<size_t>(bucket)];
-  if (h < 0 || table < 0) return nullptr;
-  const std::vector<BucketRows>& tables = held_[static_cast<size_t>(h)].tables;
   const auto t = static_cast<size_t>(table);
-  return t < tables.size() ? &tables[t] : nullptr;
+  if (h < 0 || table < 0 || t >= num_tables_) return nullptr;
+  return MapsOf(h) + t;
 }
 
 BucketRows& StorageFragment::MutableRowsOf(TableId table, BucketId bucket) {
   const auto t = static_cast<size_t>(table);
-  if (t >= row_counts_.size()) row_counts_.resize(t + 1, 0);
+  // A table registered after construction has no maps here.
+  assert(t < num_tables_);
   int32_t& h = held_index_[static_cast<size_t>(bucket)];
   if (h < 0) {
-    h = static_cast<int32_t>(held_.size());
-    held_.push_back(HeldBucket{bucket, {}});
+    h = static_cast<int32_t>(held_bucket_.size());
+    held_bucket_.push_back(bucket);
+    maps_.resize(maps_.size() + num_tables_);
   }
-  std::vector<BucketRows>& tables = held_[static_cast<size_t>(h)].tables;
-  if (t >= tables.size()) tables.resize(row_counts_.size());
-  return tables[t];
+  return maps_[static_cast<size_t>(h) * num_tables_ + t];
 }
 
 Status StorageFragment::Insert(TableId table, const Row& row) {
@@ -60,6 +61,7 @@ Status StorageFragment::Insert(TableId table, const Row& row) {
   bucket_bytes_[static_cast<size_t>(bucket)] += bytes;
   total_bytes_ += bytes;
   ++row_counts_[static_cast<size_t>(table)];
+  ++total_rows_;
   return Status::OK();
 }
 
@@ -72,6 +74,7 @@ Status StorageFragment::Upsert(TableId table, const Row& row) {
   int64_t delta = static_cast<int64_t>(row.ByteSize());
   if (inserted) {
     ++row_counts_[static_cast<size_t>(table)];
+    ++total_rows_;
   } else {
     delta -= static_cast<int64_t>(it->second.ByteSize());
     it->second = row;
@@ -106,6 +109,7 @@ Status StorageFragment::Delete(TableId table, int64_t key) {
       bucket_bytes_[static_cast<size_t>(bucket)] -= bytes;
       total_bytes_ -= bytes;
       --row_counts_[static_cast<size_t>(table)];
+      --total_rows_;
       return Status::OK();
     }
   }
@@ -117,18 +121,13 @@ int64_t StorageFragment::RowCount(TableId table) const {
   return table < 0 || t >= row_counts_.size() ? 0 : row_counts_[t];
 }
 
-int64_t StorageFragment::TotalRowCount() const {
-  int64_t total = 0;
-  for (int64_t count : row_counts_) total += count;
-  return total;
-}
-
 int64_t StorageFragment::BucketRowCount(BucketId bucket) const {
   const int32_t h = held_index_[static_cast<size_t>(bucket)];
   if (h < 0) return 0;
+  const BucketRows* maps = MapsOf(h);
   int64_t rows = 0;
-  for (const BucketRows& t : held_[static_cast<size_t>(h)].tables) {
-    rows += static_cast<int64_t>(t.size());
+  for (size_t t = 0; t < num_tables_; ++t) {
+    rows += static_cast<int64_t>(maps[t].size());
   }
   return rows;
 }
@@ -144,19 +143,28 @@ std::vector<std::pair<TableId, BucketRows>> StorageFragment::ExtractBucket(
   bucket_bytes_[static_cast<size_t>(bucket)] = 0;
   int32_t& h = held_index_[static_cast<size_t>(bucket)];
   if (h < 0) return out;
-  std::vector<BucketRows>& tables = held_[static_cast<size_t>(h)].tables;
-  for (size_t t = 0; t < tables.size(); ++t) {
-    if (tables[t].empty()) continue;
-    row_counts_[t] -= static_cast<int64_t>(tables[t].size());
-    out.emplace_back(static_cast<TableId>(t), std::move(tables[t]));
+  const size_t base = static_cast<size_t>(h) * num_tables_;
+  for (size_t t = 0; t < num_tables_; ++t) {
+    BucketRows& rows = maps_[base + t];
+    if (rows.empty()) continue;
+    const auto n = static_cast<int64_t>(rows.size());
+    row_counts_[t] -= n;
+    total_rows_ -= n;
+    out.emplace_back(static_cast<TableId>(t), std::move(rows));
   }
-  // Drop the entry: the last one takes its place in held_.
-  if (static_cast<size_t>(h) + 1 != held_.size()) {
-    HeldBucket& moved = held_[static_cast<size_t>(h)];
-    moved = std::move(held_.back());
-    held_index_[static_cast<size_t>(moved.bucket)] = h;
+  // Drop the entry: the last one's maps move (never rehash) into its
+  // place.
+  const size_t last = held_bucket_.size() - 1;
+  if (static_cast<size_t>(h) != last) {
+    for (size_t t = 0; t < num_tables_; ++t) {
+      maps_[base + t] = std::move(maps_[last * num_tables_ + t]);
+    }
+    const BucketId moved = held_bucket_[last];
+    held_bucket_[static_cast<size_t>(h)] = moved;
+    held_index_[static_cast<size_t>(moved)] = h;
   }
-  held_.pop_back();
+  held_bucket_.pop_back();
+  maps_.resize(last * num_tables_);
   h = -1;
   return out;
 }
@@ -183,6 +191,7 @@ Status StorageFragment::InstallBucket(
       bucket_bytes_[static_cast<size_t>(bucket)] += bytes;
       total_bytes_ += bytes;
       ++row_counts_[static_cast<size_t>(table)];
+      ++total_rows_;
     }
   }
   return Status::OK();
@@ -196,6 +205,20 @@ std::vector<int64_t> StorageFragment::BucketKeys(TableId table,
   keys.reserve(rows->size());
   for (const auto& [key, row] : *rows) keys.push_back(key);
   return keys;
+}
+
+void StorageFragment::PrefetchSlots(BucketId bucket, int64_t key) const {
+  const int32_t h = held_index_[static_cast<size_t>(bucket)];
+  if (h < 0) return;
+  const BucketRows* maps = MapsOf(h);
+  for (size_t t = 0; t < num_tables_; ++t) maps[t].PrefetchHome(key);
+}
+
+void StorageFragment::PrefetchRows(BucketId bucket, int64_t key) const {
+  const int32_t h = held_index_[static_cast<size_t>(bucket)];
+  if (h < 0) return;
+  const BucketRows* maps = MapsOf(h);
+  for (size_t t = 0; t < num_tables_; ++t) maps[t].PrefetchRow(key);
 }
 
 }  // namespace pstore

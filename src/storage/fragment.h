@@ -48,8 +48,8 @@ class StorageFragment {
   /// Number of rows stored for a table across all buckets.
   int64_t RowCount(TableId table) const;
 
-  /// Total rows across tables.
-  int64_t TotalRowCount() const;
+  /// Total rows across tables (a running count, O(1)).
+  int64_t TotalRowCount() const { return total_rows_; }
 
   /// Approximate bytes held for one bucket across all tables.
   int64_t BucketBytes(BucketId bucket) const;
@@ -79,27 +79,42 @@ class StorageFragment {
 
   int32_t num_buckets() const { return num_buckets_; }
 
- private:
-  /// Rows of one held bucket, indexed by table.
-  struct HeldBucket {
-    BucketId bucket;
-    std::vector<BucketRows> tables;
-  };
+  /// \brief Hints the CPU to load `key`'s home slot in every table map
+  /// held for `bucket`. Changes no state and is safe for any pair; it
+  /// helps when `bucket` is KeyToBucket(key). A no-op for an unheld
+  /// bucket or an empty map.
+  void PrefetchSlots(BucketId bucket, int64_t key) const;
 
+  /// \brief Probes `key` in every table map held for `bucket` and hints
+  /// the CPU to load each matching row's body. Changes no state; pays
+  /// off once PrefetchSlots(bucket, key) has had time to land.
+  void PrefetchRows(BucketId bucket, int64_t key) const;
+
+ private:
   /// The rows of (table, bucket), or nullptr if no map is held for them.
   const BucketRows* RowsOf(TableId table, BucketId bucket) const;
-  /// The rows of (table, bucket), creating an empty map if needed.
+  /// The rows of (table, bucket), creating the bucket's maps if needed.
   BucketRows& MutableRowsOf(TableId table, BucketId bucket);
+  /// The num_tables_ maps of held entry `h`.
+  const BucketRows* MapsOf(int32_t h) const {
+    return maps_.data() + static_cast<size_t>(h) * num_tables_;
+  }
 
   const Catalog* catalog_;
   int32_t num_buckets_;
-  /// bucket -> index into held_, or -1. Dense, so finding a bucket's
-  /// rows is one load; held_ has an entry only for buckets that got rows
-  /// here since they last left (ExtractBucket drops it).
+  size_t num_tables_;  ///< The catalog's table count at construction.
+  /// bucket -> held entry h, or -1. Dense, so finding a bucket's rows is
+  /// one load. Only buckets that got rows here since they last left have
+  /// an entry (ExtractBucket drops it, moving the last entry into its
+  /// place).
   std::vector<int32_t> held_index_;
-  std::vector<HeldBucket> held_;
+  std::vector<BucketId> held_bucket_;  ///< h -> bucket.
+  /// The row directory: the map of (held entry h, table t) at
+  /// h * num_tables_ + t, one flat array for every held bucket.
+  std::vector<BucketRows> maps_;
   std::vector<int64_t> row_counts_;    ///< Per table.
   std::vector<int64_t> bucket_bytes_;  ///< Per bucket.
+  int64_t total_rows_ = 0;
   int64_t total_bytes_ = 0;
 };
 

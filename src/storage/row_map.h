@@ -20,10 +20,11 @@ namespace pstore {
 ///
 /// Capacity is a power of two, collisions probe linearly, and erase
 /// shifts the rest of the probe run back, so no tombstones accumulate.
-/// A slot whose Row is empty is free: every stored row holds at least
-/// its partitioning-key column, so a slot is just a key and a Row handle
-/// (16 bytes; the values live in the row's shared body). The home slot
-/// comes from the high half of the key's MurmurHash64A; KeyToBucket
+/// A slot whose Row handle is null (Row::empty()) is free: every stored
+/// row holds at least its partitioning-key column, so a slot is just a
+/// key and a Row handle (16 bytes; the values live in the row's shared
+/// body), and a probe reads only the slot array, never a body. The home
+/// slot comes from the high half of the key's MurmurHash64A; KeyToBucket
 /// reduces the same hash modulo the bucket count, so the low bits barely
 /// vary among the keys of one bucket.
 ///
@@ -138,10 +139,21 @@ class RowMap {
     --size_;
   }
 
+  /// Hints the CPU to load the cache line of `key`'s home slot. Changes
+  /// nothing; a no-op on an empty map.
+  void PrefetchHome(int64_t key) const {
+    if (size_ != 0) __builtin_prefetch(&slots_[Home(key)]);
+  }
+  /// Probes for `key` and hints the CPU to load its row's body. Changes
+  /// nothing; worth it once PrefetchHome has pulled the probe's slots.
+  void PrefetchRow(int64_t key) const {
+    if (const Slot* slot = FindSlot(key)) slot->second.Prefetch();
+  }
+
  private:
   static constexpr size_t kMinCapacity = 8;
 
-  static bool IsFree(const Slot& slot) { return slot.second.size() == 0; }
+  static bool IsFree(const Slot& slot) { return slot.second.empty(); }
 
   size_t capacity() const { return slots_ == nullptr ? 0 : size_t{mask_} + 1; }
   Slot* slots_end() const { return slots_.get() + capacity(); }

@@ -80,6 +80,7 @@ Row::Row(std::vector<Value> values) {
 }
 
 Row::Body* Row::Allocate(size_t size) {
+  assert(size > 0);  // empty() tells a row from a free RowMap slot.
   void* mem = ::operator new(sizeof(Body) + size * sizeof(Value));
   return new (mem) Body{1, static_cast<uint32_t>(size)};
 }

@@ -174,6 +174,13 @@ class Row {
   ~Row() { Release(); }
 
   size_t size() const { return body_ == nullptr ? 0 : body_->size; }
+  /// True if this handle holds no body (no columns). Reads only the
+  /// handle, never the body: RowMap probes use it to spot free slots.
+  bool empty() const { return body_ == nullptr; }
+  /// Hints the CPU to start loading the body into cache. Changes nothing.
+  void Prefetch() const {
+    if (body_ != nullptr) __builtin_prefetch(body_);
+  }
   const Value& at(size_t i) const { return body_->values()[i]; }
   /// Mutable access; clones the body first if it is shared.
   Value& at(size_t i) {

@@ -136,7 +136,9 @@ TEST(HistogramTest, BucketGeometryAtOctaveBoundaries) {
     EXPECT_LT(v, lower + width) << "v=" << v;
     EXPECT_EQ(Histogram::BucketLowerBound(index + 1), lower + width)
         << "v=" << v;
-    if (v >= 32) EXPECT_LE(width, lower / 16) << "v=" << v;
+    if (v >= 32) {
+      EXPECT_LE(width, lower / 16) << "v=" << v;
+    }
   }
 }
 

@@ -64,7 +64,9 @@ TEST(FaultPlanTest, RandomPlanIsSortedValidAndWithinHorizon) {
   for (size_t i = 0; i < plan.events.size(); ++i) {
     EXPECT_GE(plan.events[i].at, 0);
     EXPECT_LT(plan.events[i].at, config.horizon);
-    if (i > 0) EXPECT_LE(plan.events[i - 1].at, plan.events[i].at);
+    if (i > 0) {
+      EXPECT_LE(plan.events[i - 1].at, plan.events[i].at);
+    }
   }
 }
 

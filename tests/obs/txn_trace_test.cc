@@ -68,7 +68,9 @@ TEST(TxnTraceRecorderTest, PhaseIntervalsSumToEndToEndLatency) {
   SimDuration sum = 0;
   for (size_t i = 0; i < intervals.size(); ++i) {
     EXPECT_LE(intervals[i].start, intervals[i].end);
-    if (i > 0) EXPECT_EQ(intervals[i].start, intervals[i - 1].end);
+    if (i > 0) {
+      EXPECT_EQ(intervals[i].start, intervals[i - 1].end);
+    }
     sum += intervals[i].end - intervals[i].start;
   }
   EXPECT_EQ(sum, 900 - 100);  // attribution == end-to-end latency

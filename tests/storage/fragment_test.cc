@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace pstore {
 namespace {
 
@@ -176,6 +180,110 @@ TEST_F(FragmentTest, BucketKeysListsBucketContents) {
   }
   auto keys = frag.BucketKeys(table_, 0);
   EXPECT_EQ(keys.size(), expected.size());
+}
+
+// Extracting a held bucket that is not the directory's last entry moves
+// the last entry's maps into its place; the moved bucket must still
+// answer every lookup, and the extracted one must install back.
+TEST_F(FragmentTest, ExtractMiddleEntryKeepsMovedBucketWhole) {
+  constexpr int32_t kBuckets = 8;
+  StorageFragment frag(&catalog_, kBuckets);
+  // Three keys per bucket for buckets 0, 1 and 2, inserted bucket by
+  // bucket so the entries are held in that order. Table U gets only the
+  // first key of each bucket, so each U map holds one row.
+  std::vector<std::vector<int64_t>> keys(3);
+  for (int64_t k = 0; keys[0].size() < 3 || keys[1].size() < 3 ||
+                      keys[2].size() < 3;
+       ++k) {
+    const BucketId b = KeyToBucket(k, kBuckets);
+    if (b < 3 && keys[static_cast<size_t>(b)].size() < 3) {
+      keys[static_cast<size_t>(b)].push_back(k);
+    }
+  }
+  for (BucketId b = 0; b < 3; ++b) {
+    const std::vector<int64_t>& in_b = keys[static_cast<size_t>(b)];
+    for (int64_t k : in_b) {
+      ASSERT_TRUE(frag.Insert(table_, MakeRow(k, "b" + std::to_string(b)))
+                      .ok());
+    }
+    ASSERT_TRUE(frag.Insert(table2_, Row({Value(in_b[0])})).ok());
+  }
+  const int64_t bytes0 = frag.BucketBytes(0);
+  const int64_t bytes2 = frag.BucketBytes(2);
+
+  auto data = frag.ExtractBucket(0);
+  ASSERT_EQ(data.size(), 2u);
+  EXPECT_EQ(frag.TotalRowCount(), 8);
+  EXPECT_EQ(frag.BucketRowCount(0), 0);
+  EXPECT_EQ(frag.BucketBytes(0), 0);
+  // Bucket 2 (the last entry) now sits where bucket 0 was.
+  for (BucketId b : {1, 2}) {
+    const std::vector<int64_t>& want = keys[static_cast<size_t>(b)];
+    EXPECT_EQ(frag.BucketRowCount(b), 4) << "bucket " << b;
+    std::vector<int64_t> got = frag.BucketKeys(table_, b);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "bucket " << b;
+    EXPECT_EQ(frag.BucketKeys(table2_, b),
+              std::vector<int64_t>{want[0]}) << "bucket " << b;
+    for (int64_t k : want) {
+      auto row = frag.Get(table_, k);
+      ASSERT_TRUE(row.ok()) << "key " << k;
+      EXPECT_EQ(row->at(1).as_string(), "b" + std::to_string(b));
+      EXPECT_TRUE(frag.Contains(table_, k));
+      EXPECT_EQ(frag.Contains(table2_, k), k == want[0]);
+    }
+  }
+  EXPECT_EQ(frag.BucketBytes(2), bytes2);
+  for (int64_t k : keys[0]) EXPECT_FALSE(frag.Contains(table_, k));
+
+  ASSERT_TRUE(frag.InstallBucket(0, std::move(data)).ok());
+  EXPECT_EQ(frag.TotalRowCount(), 12);
+  EXPECT_EQ(frag.RowCount(table_), 9);
+  EXPECT_EQ(frag.RowCount(table2_), 3);
+  EXPECT_EQ(frag.BucketRowCount(0), 4);
+  EXPECT_EQ(frag.BucketBytes(0), bytes0);
+  for (int64_t k : keys[0]) {
+    ASSERT_TRUE(frag.Get(table_, k).ok()) << "key " << k;
+    EXPECT_EQ(frag.Get(table_, k)->at(1).as_string(), "b0");
+  }
+  EXPECT_TRUE(frag.Contains(table2_, keys[0][0]));
+}
+
+// The prefetch hints read and change nothing a lookup can see, whatever
+// the bucket holds: rows, an emptied map, a never-touched table map, no
+// entry at all, or an entry just extracted.
+TEST_F(FragmentTest, PrefetchHintsChangeNothing) {
+  StorageFragment frag(&catalog_, 4);
+  int64_t key = 0;
+  while (KeyToBucket(key, 4) != 1) ++key;
+  int64_t other = key + 1;
+  while (KeyToBucket(other, 4) != 1) ++other;
+  auto hint_all = [&frag](int64_t k) {
+    for (BucketId b = 0; b < 4; ++b) {
+      frag.PrefetchSlots(b, k);
+      frag.PrefetchRows(b, k);
+    }
+  };
+  hint_all(key);  // Nothing held.
+  ASSERT_TRUE(frag.Insert(table_, MakeRow(key, "v")).ok());
+  ASSERT_TRUE(frag.Insert(table_, MakeRow(other, "w")).ok());
+  ASSERT_TRUE(frag.Delete(table_, other).ok());
+  const int64_t bytes = frag.TotalBytes();
+  hint_all(key);    // Present in T; U's map was never allocated.
+  hint_all(other);  // Absent, in a held bucket.
+  EXPECT_EQ(frag.TotalRowCount(), 1);
+  EXPECT_EQ(frag.TotalBytes(), bytes);
+  EXPECT_EQ(frag.Get(table_, key)->at(1).as_string(), "v");
+  EXPECT_FALSE(frag.Contains(table_, other));
+  ASSERT_TRUE(frag.Delete(table_, key).ok());
+  hint_all(key);  // Held, every map empty.
+  ASSERT_TRUE(frag.Insert(table_, MakeRow(key, "x")).ok());
+  auto data = frag.ExtractBucket(1);
+  hint_all(key);  // Just extracted.
+  EXPECT_EQ(frag.TotalRowCount(), 0);
+  EXPECT_EQ(frag.TotalBytes(), 0);
+  ASSERT_TRUE(frag.InstallBucket(1, std::move(data)).ok());
+  EXPECT_EQ(frag.Get(table_, key)->at(1).as_string(), "x");
 }
 
 }  // namespace

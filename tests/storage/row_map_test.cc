@@ -199,13 +199,31 @@ class FragmentDifferentialTest : public ::testing::Test {
 TEST_F(FragmentDifferentialTest, MatchesOrderedMapReference) {
   int moves = 0;
   int deletes = 0;
+  int hinted_present = 0;  // Prefetch hints on a key the fragment holds,
+  int hinted_absent = 0;   // on one it lacks,
+  int hinted_bare = 0;     // and on a bucket holding no rows there.
   for (int op = 0; op < kOps; ++op) {
     const int f = static_cast<int>(rng_.NextBounded(2));
     StorageFragment& frag = *frags_[static_cast<size_t>(f)];
     const size_t t = rng_.NextBounded(tables_.size());
     const TableId table = tables_[t];
     const int64_t key = static_cast<int64_t>(rng_.NextBounded(kKeys));
-    Rows& rows = ref_[f][t][static_cast<size_t>(KeyToBucket(key, kBuckets))];
+    const BucketId bucket = KeyToBucket(key, kBuckets);
+    Rows& rows = ref_[f][t][static_cast<size_t>(bucket)];
+    // Hints between operations, on both fragments, draw nothing from
+    // rng_ and must change nothing the reference comparison sees.
+    for (int g = 0; g < 2; ++g) {
+      const StorageFragment& hinted = *frags_[static_cast<size_t>(g)];
+      hinted.PrefetchSlots(bucket, key);
+      hinted.PrefetchRows(bucket, key);
+      if (hinted.BucketRowCount(bucket) == 0) {
+        ++hinted_bare;
+      } else if (hinted.Contains(table, key)) {
+        ++hinted_present;
+      } else {
+        ++hinted_absent;
+      }
+    }
     const uint64_t kind = rng_.NextBounded(100);
     if (kind < 25) {  // Insert
       Row row = RandomRow(t, key);
@@ -232,8 +250,11 @@ TEST_F(FragmentDifferentialTest, MatchesOrderedMapReference) {
     } else if (kind < 95) {  // Contains
       EXPECT_EQ(frag.Contains(table, key), rows.count(key) > 0);
     } else {  // Move a bucket to the other fragment.
-      MoveBucket(f, static_cast<BucketId>(rng_.NextBounded(kBuckets)));
+      const auto moved = static_cast<BucketId>(rng_.NextBounded(kBuckets));
+      MoveBucket(f, moved);
       ++moves;
+      frag.PrefetchSlots(moved, key);  // Just extracted here.
+      frag.PrefetchRows(moved, key);
       ExpectCountersMatch(0);
       ExpectCountersMatch(1);
     }
@@ -251,6 +272,9 @@ TEST_F(FragmentDifferentialTest, MatchesOrderedMapReference) {
   }
   EXPECT_GT(moves, 100);
   EXPECT_GT(deletes, 5000);
+  EXPECT_GT(hinted_present, 1000);
+  EXPECT_GT(hinted_absent, 1000);
+  EXPECT_GT(hinted_bare, 1000);
 }
 
 }  // namespace

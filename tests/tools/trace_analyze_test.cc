@@ -64,9 +64,15 @@ TEST(TraceAnalyzeTest, RoundTripAttributionSumsToLatency) {
   for (const PhaseStat& p : analysis->attribution) total += p.total_us;
   EXPECT_EQ(total, 210 + 210 + 610);
   for (const PhaseStat& p : analysis->attribution) {
-    if (p.phase == "admission") EXPECT_EQ(p.total_us, 30);
-    if (p.phase == "queued") EXPECT_EQ(p.total_us, 700);
-    if (p.phase == "executing") EXPECT_EQ(p.total_us, 300);
+    if (p.phase == "admission") {
+      EXPECT_EQ(p.total_us, 30);
+    }
+    if (p.phase == "queued") {
+      EXPECT_EQ(p.total_us, 700);
+    }
+    if (p.phase == "executing") {
+      EXPECT_EQ(p.total_us, 300);
+    }
     EXPECT_EQ(p.count, 3);
   }
   // Attribution is sorted by total: queued dominates.
