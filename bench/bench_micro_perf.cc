@@ -338,12 +338,12 @@ void BM_EngineTxnPathBatch(benchmark::State& state) {
   EngineFixture fx;
   int64_t key = 0;
   for (auto _ : state) {
-    std::vector<TxnRequest> reqs(kBatch);
-    for (TxnRequest& req : reqs) {
+    for (int64_t i = 0; i < kBatch; ++i) {
+      TxnRequest req;
       req.proc = fx.put;
       req.key = ++key;
+      fx.engine->Submit(std::move(req));
     }
-    fx.engine->SubmitBatch(std::move(reqs));
     fx.sim.RunUntil(fx.sim.Now() + kBatch * 200);
   }
   state.SetItemsProcessed(state.iterations() * kBatch);

@@ -183,7 +183,7 @@ CellResult RunCell(double partition_s, double lease_s,
   cell.rows_lost = engine.rows_lost();
   cell.rows_at_end = engine.TotalRowCount();
   cell.degraded_at_end = engine.replication()->degraded_buckets();
-  if (telemetry != nullptr) telemetry->metrics.FreezeCallbackGauges();
+  if (telemetry != nullptr) telemetry->metrics.Freeze();
   return cell;
 }
 

@@ -220,9 +220,10 @@ CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
     cell.scrub_repairs = store->scrub_repairs();
     cell.corrupt_served = store->corrupt_records_served();
   }
-  // Callback gauges capture the stack-local engine; evaluate them into
-  // plain gauges now so the dump in main() cannot call freed state.
-  if (telemetry != nullptr) telemetry->metrics.FreezeCallbackGauges();
+  // Callback gauges and bound counters read the stack-local engine;
+  // freeze them to plain values now so the dump in main() cannot read
+  // freed state.
+  if (telemetry != nullptr) telemetry->metrics.Freeze();
   return cell;
 }
 

@@ -180,7 +180,7 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   cell.rows_lost = engine.rows_lost();
   cell.rows_at_end = engine.TotalRowCount();
   cell.degraded_at_end = engine.replication()->degraded_buckets();
-  if (telemetry != nullptr) telemetry->metrics.FreezeCallbackGauges();
+  if (telemetry != nullptr) telemetry->metrics.Freeze();
   return cell;
 }
 

@@ -150,10 +150,10 @@ void ClusterEngine::set_telemetry(const obs::Telemetry& telemetry) {
                 : nullptr;
   obs::MetricsRegistry* metrics = telemetry_.metrics;
   if (metrics == nullptr) return;
-  m_committed_ = metrics->GetCounter("cluster.txn_committed");
-  m_aborted_ = metrics->GetCounter("cluster.txn_aborted");
+  metrics->BindCounter("cluster.txn_committed", &txns_committed_);
+  metrics->BindCounter("cluster.txn_aborted", &txns_aborted_);
   m_forwarded_ = metrics->GetCounter("cluster.txn_forwarded");
-  m_failovers_ = metrics->GetCounter("cluster.failover_moves");
+  metrics->BindCounter("cluster.failover_moves", &failover_moves_);
   m_active_nodes_ = metrics->GetGauge("cluster.active_nodes");
   m_live_nodes_ = metrics->GetGauge("cluster.live_nodes");
   m_active_nodes_->Set(active_nodes_);
@@ -186,7 +186,7 @@ void ClusterEngine::set_telemetry(const obs::Telemetry& telemetry) {
   // Overload metrics are registered only when overload control is on, so
   // pre-existing metric dumps stay byte-identical in the default build.
   if (admission_ != nullptr) {
-    m_shed_ = metrics->GetCounter("cluster.txn_shed");
+    metrics->BindCounter("cluster.txn_shed", &txns_shed_);
     m_shed_deadline_ = metrics->GetCounter("cluster.txn_shed_deadline");
     m_shed_evicted_ = metrics->GetCounter("cluster.txn_shed_evicted");
     m_rejected_queue_full_ =
@@ -208,8 +208,7 @@ void ClusterEngine::set_telemetry(const obs::Telemetry& telemetry) {
       admission_->breaker(n)->set_on_state_change(
           [this, n](SimTime at, overload::BreakerState from,
                     overload::BreakerState to) {
-            if (to == overload::BreakerState::kOpen &&
-                m_breaker_trips_ != nullptr) {
+            if (to == overload::BreakerState::kOpen) {
               m_breaker_trips_->Increment();
             }
             if (telemetry_.events != nullptr) {
@@ -225,12 +224,15 @@ void ClusterEngine::set_telemetry(const obs::Telemetry& telemetry) {
   // Replication metrics exist only when k-safety is on, keeping the
   // default build's metric dumps byte-identical.
   if (replication_ != nullptr) {
-    m_promotions_ = metrics->GetCounter("replication.promotions");
-    m_applies_ = metrics->GetCounter("replication.applies");
-    m_rebuild_chunks_ = metrics->GetCounter("replication.rebuild_chunks");
-    m_rebuilds_ = metrics->GetCounter("replication.rebuilds_completed");
-    m_recoveries_ = metrics->GetCounter("replication.recoveries");
-    m_rows_lost_ = metrics->GetCounter("replication.rows_lost");
+    metrics->BindCounter("replication.promotions",
+                         &replication_->promotions());
+    metrics->BindCounter("replication.applies", &replication_->applies());
+    metrics->BindCounter("replication.rebuild_chunks",
+                         &replication_->rebuild_chunks_landed());
+    metrics->BindCounter("replication.rebuilds_completed",
+                         &replication_->rebuilds_completed());
+    metrics->BindCounter("replication.recoveries", &recoveries_);
+    metrics->BindCounter("replication.rows_lost", &rows_lost_);
     metrics->RegisterCallbackGauge("replication.lag", [this]() {
       return static_cast<double>(replication_->outstanding_applies());
     });
@@ -276,9 +278,9 @@ void ClusterEngine::set_telemetry(const obs::Telemetry& telemetry) {
   // Net metrics exist only when the simulated substrate is on, keeping
   // the default build's metric dumps byte-identical.
   if (net_ != nullptr) {
-    m_suspicions_ = metrics->GetCounter("net.suspicions");
-    m_fenced_failovers_ = metrics->GetCounter("net.fenced_failovers");
-    m_fenced_rejections_ = metrics->GetCounter("net.fenced_rejections");
+    metrics->BindCounter("net.suspicions", &suspicions_);
+    metrics->BindCounter("net.fenced_failovers", &fenced_failovers_);
+    metrics->BindCounter("net.fenced_rejections", &fenced_rejections_);
     metrics->RegisterCallbackGauge("net.messages_sent", [this]() {
       return static_cast<double>(net_->messages_sent());
     });
@@ -301,8 +303,8 @@ void ClusterEngine::set_telemetry(const obs::Telemetry& telemetry) {
   // Topology metrics exist only when the topology layer is on, keeping
   // the default build's metric dumps byte-identical.
   if (policy_ != nullptr) {
-    m_drains_ = metrics->GetCounter("topology.drains_started");
-    m_drain_kills_ = metrics->GetCounter("topology.drain_kills");
+    metrics->BindCounter("topology.drains_started", &drains_started_);
+    metrics->BindCounter("topology.drain_kills", &drain_kills_);
     metrics->RegisterCallbackGauge("topology.nodes_draining", [this]() {
       return static_cast<double>(nodes_draining());
     });
@@ -462,10 +464,7 @@ Status ClusterEngine::CrashNode(NodeId n) {
       ++failover_moves_;
     }
   }
-  if (m_live_nodes_ != nullptr) {
-    m_live_nodes_->Set(live_nodes());
-    m_failovers_->Add(failover_moves_ - failovers_before);
-  }
+  if (m_live_nodes_ != nullptr) m_live_nodes_->Set(live_nodes());
   RecordEvent("cluster", "node " + std::to_string(n) + " crashed, " +
                              std::to_string(failover_moves_ -
                                             failovers_before) +
@@ -648,36 +647,36 @@ void ClusterEngine::Submit(TxnRequest req,
   RouteAndRun(txn);
 }
 
-void ClusterEngine::SubmitBatch(
-    std::vector<TxnRequest> reqs,
-    std::function<void(size_t, const TxnResult&)> on_done) {
-  // Submit per request, in order: with recycled txns there is no
-  // per-request allocation left for a batch to amortize.
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    std::function<void(const TxnResult&)> done;
-    if (on_done) {
-      done = [on_done, i](const TxnResult& r) { on_done(i, r); };
-    }
-    Submit(std::move(reqs[i]), std::move(done));
+void ClusterEngine::EndTxn(PendingTxn* txn, obs::TxnPhase phase, SimTime at,
+                           int32_t detail, const TxnResult* result) {
+  --txns_in_flight_;
+  if (traces_ != nullptr) {
+    traces_->Record(txn->trace, phase, at, detail);
+    traces_->Finalize(txn->trace, at);
   }
+  if (txn->on_done) {
+    if (result != nullptr) {
+      txn->on_done(*result);
+    } else {
+      TxnResult rejected;
+      rejected.shed = phase == obs::TxnPhase::kShed;
+      rejected.status = Status::Unavailable(
+          rejected.shed ? "transaction shed by overload control"
+                        : "rejected: node fenced or replicas unreachable");
+      txn->on_done(rejected);
+    }
+  }
+  ReleaseTxn(txn);
 }
 
 void ClusterEngine::FinishShed(PendingTxn* txn, NodeId node,
-                               bool feed_breaker) {
+                               bool feed_breaker, SimTime at,
+                               int32_t detail) {
   ++txns_shed_;
-  --txns_in_flight_;
   if (feed_breaker && admission_ != nullptr) {
     admission_->RecordShed(node, sim_->Now());
   }
-  if (m_shed_ != nullptr) m_shed_->Increment();
-  if (txn->on_done) {
-    TxnResult result;
-    result.status =
-        Status::Unavailable("transaction shed by overload control");
-    result.shed = true;
-    txn->on_done(result);
-  }
-  ReleaseTxn(txn);
+  EndTxn(txn, obs::TxnPhase::kShed, at, detail, nullptr);
 }
 
 void ClusterEngine::RouteAndRun(PendingTxn* txn) {
@@ -719,24 +718,14 @@ void ClusterEngine::RouteAndRun(PendingTxn* txn) {
   const overload::AdmissionDecision decision =
       admission_->Admit(ops, node, txn->priority, now);
   if (decision != overload::AdmissionDecision::kAdmit) {
-    if (decision == overload::AdmissionDecision::kRejectQueueFull) {
-      if (m_rejected_queue_full_ != nullptr) {
-        m_rejected_queue_full_->Increment();
-      }
-    } else if (m_rejected_breaker_ != nullptr) {
-      m_rejected_breaker_->Increment();
-    }
-    if (traces_ != nullptr) {
-      const bool breaker =
-          decision == overload::AdmissionDecision::kRejectBreakerOpen;
-      traces_->Record(txn->trace, obs::TxnPhase::kShed, now,
-                      breaker ? 1 : 0);
-      traces_->Finalize(txn->trace, now);
+    const bool breaker =
+        decision == overload::AdmissionDecision::kRejectBreakerOpen;
+    if (m_rejected_breaker_ != nullptr) {
+      (breaker ? m_rejected_breaker_ : m_rejected_queue_full_)->Increment();
     }
     // Breaker-open rejections must not feed the breaker, or it would
     // count its own rejections as sheds and never close again.
-    FinishShed(txn, node,
-               decision != overload::AdmissionDecision::kRejectBreakerOpen);
+    FinishShed(txn, node, /*feed_breaker=*/!breaker, now, breaker ? 1 : 0);
     return;
   }
   PartitionExecutor::WorkItem item;
@@ -759,16 +748,11 @@ void ClusterEngine::RouteAndRun(PendingTxn* txn) {
 void ClusterEngine::OnShed(PendingTxn* txn, SimTime at,
                            PartitionExecutor::ShedCause cause) {
   const bool deadline = cause == PartitionExecutor::ShedCause::kDeadline;
-  if (deadline) {
-    if (m_shed_deadline_ != nullptr) m_shed_deadline_->Increment();
-  } else if (m_shed_evicted_ != nullptr) {
-    m_shed_evicted_->Increment();
+  if (m_shed_deadline_ != nullptr) {
+    (deadline ? m_shed_deadline_ : m_shed_evicted_)->Increment();
   }
-  if (traces_ != nullptr) {
-    traces_->Record(txn->trace, obs::TxnPhase::kShed, at, deadline ? 2 : 3);
-    traces_->Finalize(txn->trace, at);
-  }
-  FinishShed(txn, NodeOfPartition(txn->partition), true);
+  FinishShed(txn, NodeOfPartition(txn->partition), /*feed_breaker=*/true, at,
+             deadline ? 2 : 3);
 }
 
 void ClusterEngine::Execute(PendingTxn* txn, SimTime started,
@@ -794,22 +778,9 @@ void ClusterEngine::Execute(PendingTxn* txn, SimTime started,
     // backups will see the write). Rejecting *before* execution is
     // what makes a concurrent promotion safe.
     ++fenced_rejections_;
-    if (m_fenced_rejections_ != nullptr) m_fenced_rejections_->Increment();
     ++txns_aborted_;
-    if (m_aborted_ != nullptr) m_aborted_->Increment();
-    --txns_in_flight_;
     RecordCompletion(txn->arrival, finished);
-    if (traces_ != nullptr) {
-      traces_->Record(txn->trace, obs::TxnPhase::kFenced, finished);
-      traces_->Finalize(txn->trace, finished);
-    }
-    if (txn->on_done) {
-      TxnResult result;
-      result.status = Status::Unavailable(
-          "rejected: node fenced or replicas unreachable");
-      txn->on_done(result);
-    }
-    ReleaseTxn(txn);
+    EndTxn(txn, obs::TxnPhase::kFenced, finished, 0, nullptr);
     return;
   }
   StorageFragment* frag = fragments_[static_cast<size_t>(p)].get();
@@ -824,7 +795,6 @@ void ClusterEngine::Execute(PendingTxn* txn, SimTime started,
   ++bucket_access_counts_[static_cast<size_t>(txn->bucket)];
   if (result.status.ok()) {
     ++txns_committed_;
-    if (m_committed_ != nullptr) m_committed_->Increment();
     // Tripwire (audited by the invariant checker): the gate above
     // ran at this same virtual instant, so this can never fire.
     if (net_ != nullptr && !NodeHasLease(NodeOfPartition(p))) {
@@ -832,7 +802,6 @@ void ClusterEngine::Execute(PendingTxn* txn, SimTime started,
     }
   } else {
     ++txns_aborted_;
-    if (m_aborted_ != nullptr) m_aborted_->Increment();
   }
   // Any execution that mutated the primary is mirrored on the backups
   // (the engine has no rollback, so aborted-but-mutating procedures
@@ -840,28 +809,21 @@ void ClusterEngine::Execute(PendingTxn* txn, SimTime started,
   if (replication_ != nullptr && ctx.mutations() > 0) {
     ReplicateWrite(p, *txn, ctx.writes());
   }
-  --txns_in_flight_;
   if (m_queue_delay_us_ != nullptr) {
     m_queue_delay_us_->Record(started - txn->arrival);
     m_node_txns_[static_cast<size_t>(NodeOfPartition(p))]->Increment();
   }
   RecordCompletion(txn->arrival, finished);
-  if (traces_ != nullptr) {
+  // Registered only when both tracing and a metrics registry are on.
+  if (!m_proc_latency_.empty()) {
     const int64_t latency_us = finished - txn->arrival;
-    // Registered only when a metrics registry was attached too.
-    if (!m_proc_latency_.empty()) {
-      m_proc_latency_[static_cast<size_t>(txn->req.proc)]->Record(
-          latency_us);
-      m_part_latency_[static_cast<size_t>(p)]->Record(latency_us);
-    }
-    traces_->Record(txn->trace,
-                    result.status.ok() ? obs::TxnPhase::kCommitted
-                                       : obs::TxnPhase::kAborted,
-                    finished);
-    traces_->Finalize(txn->trace, finished);
+    m_proc_latency_[static_cast<size_t>(txn->req.proc)]->Record(latency_us);
+    m_part_latency_[static_cast<size_t>(p)]->Record(latency_us);
   }
-  if (txn->on_done) txn->on_done(result);
-  ReleaseTxn(txn);
+  EndTxn(txn,
+         result.status.ok() ? obs::TxnPhase::kCommitted
+                            : obs::TxnPhase::kAborted,
+         finished, 0, &result);
 }
 
 bool ClusterEngine::RecoveryInProgress() const {
@@ -891,7 +853,6 @@ Status ClusterEngine::StartDrain(NodeId n, SimDuration notice) {
   ++drains_started_;
   const int64_t gen = ++state(n).drain_gen;
   sim_->Schedule(notice, [this, n, gen]() { FinishDrainDeadline(n, gen); });
-  if (m_drains_ != nullptr) m_drains_->Increment();
   RecordEvent("topology",
               "node " + std::to_string(n) + " draining (" +
                   topology::NodeClassName(policy_->ClassOf(n)) + ", domain " +
@@ -908,7 +869,6 @@ void ClusterEngine::FinishDrainDeadline(NodeId n, int64_t gen) {
   state(n).draining = false;
   ++state(n).drain_gen;
   ++drain_kills_;
-  if (m_drain_kills_ != nullptr) m_drain_kills_->Increment();
   // Feasibility snapshot before the kill: a hosted bucket with no live
   // replica off this node cannot be promoted — its rows are about to
   // be honestly lost, and zero-loss assertions must exclude this kill.
@@ -1033,7 +993,6 @@ void ClusterEngine::ReplicateWrite(PartitionId primary,
       }
     }
     replication_->OnApplyStarted();
-    if (m_applies_ != nullptr) m_applies_->Increment();
     const SimDuration apply = std::max<SimDuration>(
         1, static_cast<SimDuration>(static_cast<double>(pending.service) *
                                     config_.replication.apply_weight) +
@@ -1129,7 +1088,6 @@ int64_t ClusterEngine::PromoteBucketsOf(NodeId n, bool crashed) {
            net_->Reachable(net::NetworkModel::kController, rn);
   };
   int64_t promoted = 0;
-  const int64_t lost_before = rows_lost_;
   for (int32_t k = 0; k < config_.partitions_per_node; ++k) {
     const PartitionId old = n * config_.partitions_per_node + k;
     for (BucketId bucket : map_.BucketsOfPartition(old)) {
@@ -1175,10 +1133,6 @@ int64_t ClusterEngine::PromoteBucketsOf(NodeId n, bool crashed) {
   }
   map_.set_version(map_.version() + 1);
   KickRebuilds();
-  if (m_promotions_ != nullptr) m_promotions_->Add(promoted);
-  if (m_rows_lost_ != nullptr && rows_lost_ > lost_before) {
-    m_rows_lost_->Add(rows_lost_ - lost_before);
-  }
   if (telemetry_.tracer != nullptr) telemetry_.tracer->EndAt(span, sim_->Now());
   return promoted;
 }
@@ -1200,10 +1154,7 @@ void ClusterEngine::KickRebuilds() {
     stream->timing = ChunkTiming::Truncated(
         config_.replication.rebuild_chunk_kb, config_.replication.wire_kbps,
         config_.replication.rebuild_rate_kbps);
-    stream->on_sent = [this]() {
-      replication_->OnRebuildChunk();
-      if (m_rebuild_chunks_ != nullptr) m_rebuild_chunks_->Increment();
-    };
+    stream->on_sent = [this]() { replication_->OnRebuildChunk(); };
     stream->on_landed = [this, b]() { FinishRebuild(b); };
     transfer_.Pipeline(stream, 0);
   }
@@ -1254,7 +1205,6 @@ void ClusterEngine::FinishRebuild(BucketId bucket) {
                      << " failed: " << s.ToString();
     return;
   }
-  if (m_rebuilds_ != nullptr) m_rebuilds_->Increment();
   // The degraded-bucket scan is only worth paying for the event.
   if (telemetry_.events != nullptr && replication_->degraded_buckets() == 0) {
     RecordEvent("replication", "k-safety restored (k=" +
@@ -1273,7 +1223,6 @@ void ClusterEngine::FinishRecovery(NodeId n, int64_t gen) {
   const SimTime now = sim_->Now();
   const SimTime started = state(n).recovery_start;
   total_recovery_time_ += now - started;
-  if (m_recoveries_ != nullptr) m_recoveries_->Increment();
   if (m_live_nodes_ != nullptr) m_live_nodes_->Set(live_nodes());
   if (telemetry_.tracer != nullptr) {
     const obs::SpanTracer::SpanId span = telemetry_.tracer->BeginAt(
@@ -1404,7 +1353,6 @@ void ClusterEngine::MonitorLoop() {
       } else if (age > config_.net.suspicion_timeout && !s.suspected) {
         s.suspected = true;
         ++suspicions_;
-        if (m_suspicions_ != nullptr) m_suspicions_->Increment();
         RecordEvent("net", "node " + std::to_string(n) + " suspected (silent " +
                                std::to_string(age) + " us)");
       }
@@ -1428,7 +1376,6 @@ void ClusterEngine::FenceAndFailover(NodeId n) {
   state(n).suspected = false;  // Escalated past suspicion.
   ++fenced_failovers_;
   ++fault_epoch_;  // The fencing epoch: all promotions below carry it.
-  if (m_fenced_failovers_ != nullptr) m_fenced_failovers_->Increment();
   const int64_t deferred_before = buckets_deferred_;
   const int64_t promoted = PromoteBucketsOf(n, /*crashed=*/false);
   const int64_t deferred = buckets_deferred_ - deferred_before;

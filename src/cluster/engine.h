@@ -438,22 +438,13 @@ class ClusterEngine {
   void Submit(TxnRequest req,
               std::function<void(const TxnResult&)> on_done = nullptr);
 
-  /// Submits a batch of transactions arriving at the same virtual
-  /// instant: exactly Submit(req) for each request in order (identical
-  /// ids, routing, Rng draws, and completion sequence) — the
-  /// client/engine boundary of a real system's group commit intake.
-  /// `on_done` (optional) fires per completed request with its index
-  /// into `reqs`.
-  void SubmitBatch(
-      std::vector<TxnRequest> reqs,
-      std::function<void(size_t, const TxnResult&)> on_done = nullptr);
-
   // --- Metrics ---------------------------------------------------------
 
   /// Attaches observability sinks ("cluster.*" metrics: per-node txn
   /// counts, latency/queue-delay histograms, abort counts, node
-  /// lifecycle gauges). Counter handles are cached here, so the hot
-  /// path performs no name lookups. Call before submitting load.
+  /// lifecycle gauges). Counts the engine keeps anyway are bound into
+  /// the registry; the other handles are cached here, so the hot path
+  /// performs no name lookups. Call once, before submitting load.
   void set_telemetry(const obs::Telemetry& telemetry);
 
   const WindowedPercentiles& latencies() const { return latencies_; }
@@ -594,11 +585,19 @@ class ClusterEngine {
   void Execute(PendingTxn* txn, SimTime started, SimTime finished);
   /// The executor shed `txn` from its queue.
   void OnShed(PendingTxn* txn, SimTime at, PartitionExecutor::ShedCause cause);
-  /// Completes `txn` as shed and releases it: bumps shed counters, feeds
-  /// the node's breaker (unless the shed was *caused by* the breaker
-  /// being open, which must not re-trigger it), and fires on_done with a
-  /// retryable kUnavailable result.
-  void FinishShed(PendingTxn* txn, NodeId node, bool feed_breaker);
+  /// Completes `txn` as shed at `at` (trace detail `detail`): counts the
+  /// shed, feeds the node's breaker (unless the shed was *caused by* the
+  /// breaker being open, which must not re-trigger it), and ends it with
+  /// a retryable kUnavailable result.
+  void FinishShed(PendingTxn* txn, NodeId node, bool feed_breaker, SimTime at,
+                  int32_t detail);
+  /// The one way a transaction ends (committed, aborted, shed or fenced
+  /// in `phase` at `at`): leaves the in-flight count, records and
+  /// finalizes its trace, fires on_done with `result` (or, when null,
+  /// with the kUnavailable result of a shed or fenced txn, built only if
+  /// there is an on_done) and releases it.
+  void EndTxn(PendingTxn* txn, obs::TxnPhase phase, SimTime at, int32_t detail,
+              const TxnResult* result);
 
   // Replication internals (all no-ops when replication_ is null).
   /// Seeds k replicas per bucket over the initial topology.
@@ -704,28 +703,14 @@ class ClusterEngine {
   std::function<void(NodeId, SimTime)> drain_hook_;
 
   obs::Telemetry telemetry_;
-  // Cached metric handles (null until set_telemetry).
-  obs::Counter* m_committed_ = nullptr;
-  obs::Counter* m_aborted_ = nullptr;
+  // Handles of the metrics the engine keeps no count of itself (null
+  // until set_telemetry).
   obs::Counter* m_forwarded_ = nullptr;
-  obs::Counter* m_failovers_ = nullptr;
-  obs::Counter* m_shed_ = nullptr;
   obs::Counter* m_shed_deadline_ = nullptr;
   obs::Counter* m_shed_evicted_ = nullptr;
   obs::Counter* m_rejected_queue_full_ = nullptr;
   obs::Counter* m_rejected_breaker_ = nullptr;
   obs::Counter* m_breaker_trips_ = nullptr;
-  obs::Counter* m_promotions_ = nullptr;
-  obs::Counter* m_applies_ = nullptr;
-  obs::Counter* m_rebuild_chunks_ = nullptr;
-  obs::Counter* m_rebuilds_ = nullptr;
-  obs::Counter* m_recoveries_ = nullptr;
-  obs::Counter* m_rows_lost_ = nullptr;
-  obs::Counter* m_suspicions_ = nullptr;
-  obs::Counter* m_fenced_failovers_ = nullptr;
-  obs::Counter* m_fenced_rejections_ = nullptr;
-  obs::Counter* m_drains_ = nullptr;
-  obs::Counter* m_drain_kills_ = nullptr;
   obs::Gauge* m_active_nodes_ = nullptr;
   obs::Gauge* m_live_nodes_ = nullptr;
   obs::HistogramMetric* m_latency_us_ = nullptr;

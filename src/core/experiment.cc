@@ -16,6 +16,8 @@ namespace {
 /// Trace minutes per control interval (the paper plans at 5-minute
 /// granularity).
 constexpr int32_t kTraceMinutesPerControlSlot = 5;
+/// Virtual time between telemetry exporter samples.
+constexpr SimDuration kTelemetrySamplePeriod = 10 * kSecond;
 }  // namespace
 
 namespace {
@@ -249,16 +251,14 @@ Result<ExperimentResult> RunElasticityExperiment(
   // and reschedules itself, never touching engine state, so the
   // simulated schedule is unchanged whether or not an exporter is set.
   std::shared_ptr<std::function<void()>> sample_tick;
-  if (config.telemetry_exporter != nullptr &&
-      config.telemetry_sample_period > 0) {
+  if (config.telemetry_exporter != nullptr) {
     obs::TimeseriesExporter* exporter = config.telemetry_exporter;
-    const SimDuration period = config.telemetry_sample_period;
     sample_tick = std::make_shared<std::function<void()>>();
     // Capture the function by raw pointer: sample_tick outlives the run,
     // and a shared_ptr capture would keep the closure alive forever.
-    *sample_tick = [&sim, exporter, period, tick = sample_tick.get()]() {
+    *sample_tick = [&sim, exporter, tick = sample_tick.get()]() {
       exporter->Sample(sim.Now());
-      sim.Schedule(period, *tick);
+      sim.Schedule(kTelemetrySamplePeriod, *tick);
     };
     sim.Schedule(0, *sample_tick);
   }
@@ -276,13 +276,14 @@ Result<ExperimentResult> RunElasticityExperiment(
   engine.mutable_latencies().Flush(sim.Now());
   // The tracer's clock closure captures the (stack-local) simulator:
   // unbind it before returning so late Begin() calls cannot dangle. The
-  // engine's callback gauges capture the (equally stack-local) engine:
-  // freeze them to plain gauges so later dumps cannot call into it.
+  // callback gauges and bound counters read the (equally stack-local)
+  // engine, migrator and controllers: freeze them to plain values so
+  // later dumps cannot read freed state.
   if (config.telemetry.tracer != nullptr) {
     config.telemetry.tracer->set_clock(nullptr);
   }
   if (config.telemetry.metrics != nullptr) {
-    config.telemetry.metrics->FreezeCallbackGauges();
+    config.telemetry.metrics->Freeze();
   }
 
   // --- Collect -------------------------------------------------------------

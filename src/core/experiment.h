@@ -73,11 +73,10 @@ struct ExperimentConfig {
   /// migrator, controllers). Borrowed; all-null = uninstrumented. The
   /// tracer's clock is bound to the run's simulator for its duration.
   obs::Telemetry telemetry;
-  /// When set, sampled every `telemetry_sample_period` of virtual time
-  /// while the run progresses (a read-only event: it never perturbs the
-  /// simulated schedule). Borrowed.
+  /// When set, sampled every 10 s of virtual time while the run
+  /// progresses (a read-only event: it never perturbs the simulated
+  /// schedule). Borrowed.
   obs::TimeseriesExporter* telemetry_exporter = nullptr;
-  SimDuration telemetry_sample_period = 10 * kSecond;
 
   Status Validate() const;
 };

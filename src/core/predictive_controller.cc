@@ -62,10 +62,10 @@ void PredictiveController::set_telemetry(const obs::Telemetry& telemetry) {
   obs::MetricsRegistry& m = *telemetry_.metrics;
   m_ticks_ = m.GetCounter("controller.ticks");
   m_plans_ = m.GetCounter("controller.plans");
-  m_plans_infeasible_ = m.GetCounter("controller.plans_infeasible");
-  m_moves_started_ = m.GetCounter("controller.moves_started");
-  m_safety_net_trips_ = m.GetCounter("controller.safety_net_trips");
-  m_refits_ = m.GetCounter("controller.refits");
+  m.BindCounter("controller.plans_infeasible", &infeasible_cycles_);
+  m.BindCounter("controller.moves_started", &moves_started_);
+  m.BindCounter("controller.safety_net_trips", &safety_net_activations_);
+  m.BindCounter("controller.refits", &refits_);
   m_dp_cells_ = m.GetCounter("planner.dp_cells_evaluated");
   m_measured_rate_ = m.GetGauge("controller.measured_rate");
   m_forecast_next_ = m.GetGauge("controller.forecast_next");
@@ -76,8 +76,8 @@ void PredictiveController::set_telemetry(const obs::Telemetry& telemetry) {
   // must leave every pre-existing metric dump byte-identical.
   if (monitor_ != nullptr) {
     monitor_->set_telemetry(telemetry_);
-    m_guard_vetoes_ = m.GetCounter("guard.vetoes");
-    m_plan_repairs_ = m.GetCounter("guard.plan_repairs");
+    m.BindCounter("guard.vetoes", &guard_vetoes_);
+    m.BindCounter("guard.plan_repairs", &plan_repairs_);
   }
 }
 
@@ -138,7 +138,6 @@ bool PredictiveController::SafetyNet(double current_rate) {
   // sized for the observed load plus headroom, plus one extra machine
   // per dead node (dead nodes hold an allocation but serve nothing).
   ++safety_net_activations_;
-  if (m_safety_net_trips_ != nullptr) m_safety_net_trips_->Add(1);
   const int32_t target = std::min(
       engine_->max_nodes(),
       std::max(n + 1,
@@ -153,10 +152,7 @@ bool PredictiveController::SafetyNet(double current_rate) {
   if (target > n) {
     Status st = migrator_->StartMove(target, nullptr,
                                      config_.infeasible_rate_multiplier);
-    if (st.ok()) {
-      ++moves_started_;
-      if (m_moves_started_ != nullptr) m_moves_started_->Add(1);
-    }
+    if (st.ok()) ++moves_started_;
   }
   scale_in_streak_ = 0;
   return true;
@@ -217,7 +213,6 @@ void PredictiveController::Tick() {
     Status st = predictor_->Refit(series_, config_.horizon_intervals);
     if (st.ok()) {
       ++refits_;
-      if (m_refits_ != nullptr) m_refits_->Add(1);
     } else {
       PSTORE_LOG(Warn) << "online refit failed: " << st.ToString();
     }
@@ -267,7 +262,6 @@ bool PredictiveController::GuardStep(double rate) {
     return false;
   }
   ++guard_vetoes_;
-  if (m_guard_vetoes_ != nullptr) m_guard_vetoes_->Add(1);
   scale_in_streak_ = 0;
   if (ruling.action == guard::ArbiterAction::kRepairInFlight) {
     // The in-flight schedule was planned from a forecast the guard has
@@ -279,7 +273,6 @@ bool PredictiveController::GuardStep(double rate) {
         std::to_string(ruling.reactive_target) + " nodes");
     if (st.ok()) {
       ++plan_repairs_;
-      if (m_plan_repairs_ != nullptr) m_plan_repairs_->Add(1);
       if (telemetry_.events != nullptr) {
         telemetry_.events->Record(
             engine_->simulator()->Now(), "guard",
@@ -302,7 +295,6 @@ bool PredictiveController::GuardStep(double rate) {
                                      config_.infeasible_rate_multiplier);
     if (st.ok()) {
       ++moves_started_;
-      if (m_moves_started_ != nullptr) m_moves_started_->Add(1);
     } else {
       PSTORE_LOG(Warn) << "guard StartMove failed: " << st.ToString();
     }
@@ -345,7 +337,6 @@ void PredictiveController::PlanAndAct(double current_rate) {
     // No feasible plan: scale out toward the needed capacity right away,
     // at rate R (ride out the spike) or R x 8 (Section 4.3.1).
     ++infeasible_cycles_;
-    if (m_plans_infeasible_ != nullptr) m_plans_infeasible_->Add(1);
     const double peak = *std::max_element(load.begin(), load.end());
     const int32_t target =
         std::min(engine_->max_nodes(), planner_.NodesForLoad(peak));
@@ -358,10 +349,7 @@ void PredictiveController::PlanAndAct(double current_rate) {
     if (target > n0) {
       Status st = migrator_->StartMove(target, nullptr,
                                        config_.infeasible_rate_multiplier);
-      if (st.ok()) {
-        ++moves_started_;
-        if (m_moves_started_ != nullptr) m_moves_started_->Add(1);
-      }
+      if (st.ok()) ++moves_started_;
     }
     scale_in_streak_ = 0;
     return;
@@ -455,7 +443,6 @@ void PredictiveController::PlanAndAct(double current_rate) {
   Status st = migrator_->StartMove(to_nodes, nullptr);
   if (st.ok()) {
     ++moves_started_;
-    if (m_moves_started_ != nullptr) m_moves_started_->Add(1);
     if (telemetry_.events != nullptr) {
       telemetry_.events->Record(
           engine_->simulator()->Now(), "controller",

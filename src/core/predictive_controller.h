@@ -188,21 +188,16 @@ class PredictiveController {
   DpPlanner planner_;
   SimDuration interval_;
   obs::Telemetry telemetry_;
-  // Cached metric handles (null until set_telemetry).
+  // Handles of the metrics the controller keeps no count of itself (null
+  // until set_telemetry).
   obs::Counter* m_ticks_ = nullptr;
   obs::Counter* m_plans_ = nullptr;
-  obs::Counter* m_plans_infeasible_ = nullptr;
-  obs::Counter* m_moves_started_ = nullptr;
-  obs::Counter* m_safety_net_trips_ = nullptr;
-  obs::Counter* m_refits_ = nullptr;
   obs::Counter* m_dp_cells_ = nullptr;
   obs::Gauge* m_measured_rate_ = nullptr;
   obs::Gauge* m_forecast_next_ = nullptr;
   obs::Gauge* m_forecast_error_ = nullptr;
   obs::Gauge* m_plan_cost_ = nullptr;
   obs::HistogramMetric* m_forecast_abs_error_ = nullptr;
-  obs::Counter* m_guard_vetoes_ = nullptr;
-  obs::Counter* m_plan_repairs_ = nullptr;
   /// One-step-ahead forecast made on the previous tick (uninflated),
   /// compared against the rate measured this tick; < 0 = none pending.
   double last_forecast_next_ = -1.0;

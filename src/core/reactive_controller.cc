@@ -41,8 +41,8 @@ void ReactiveController::set_telemetry(const obs::Telemetry& telemetry) {
   if (telemetry_.metrics == nullptr) return;
   obs::MetricsRegistry& m = *telemetry_.metrics;
   m_ticks_ = m.GetCounter("reactive.ticks");
-  m_scale_outs_ = m.GetCounter("reactive.scale_outs");
-  m_scale_ins_ = m.GetCounter("reactive.scale_ins");
+  m.BindCounter("reactive.scale_outs", &scale_outs_);
+  m.BindCounter("reactive.scale_ins", &scale_ins_);
   m_smoothed_rate_ = m.GetGauge("reactive.smoothed_rate");
 }
 
@@ -134,7 +134,6 @@ void ReactiveController::Tick() {
           if (recovery_overload) recovery_scale_epoch_ = epoch;
           if (drain_overload) drains_seen_ = engine_->drains_started();
           ++scale_outs_;
-          if (m_scale_outs_ != nullptr) m_scale_outs_->Add(1);
           if (telemetry_.events != nullptr) {
             const char* cause =
                 breaker_overload
@@ -175,7 +174,6 @@ void ReactiveController::Tick() {
                                          config_.rate_multiplier);
         if (st.ok()) {
           ++scale_ins_;
-          if (m_scale_ins_ != nullptr) m_scale_ins_->Add(1);
           if (telemetry_.events != nullptr) {
             telemetry_.events->Record(
                 engine_->simulator()->Now(), "reactive",

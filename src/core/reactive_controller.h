@@ -82,10 +82,9 @@ class ReactiveController {
   ReactiveConfig config_;
   overload::AdmissionController* admission_ = nullptr;
   obs::Telemetry telemetry_;
-  // Cached metric handles (null until set_telemetry).
+  // Handles of the metrics the controller keeps no count of itself (null
+  // until set_telemetry).
   obs::Counter* m_ticks_ = nullptr;
-  obs::Counter* m_scale_outs_ = nullptr;
-  obs::Counter* m_scale_ins_ = nullptr;
   obs::Gauge* m_smoothed_rate_ = nullptr;
   bool running_ = false;
   int64_t last_submitted_ = 0;

@@ -26,9 +26,9 @@ ForecastMonitor::ForecastMonitor(GuardConfig config) : config_(config) {
 void ForecastMonitor::set_telemetry(const obs::Telemetry& telemetry) {
   if (telemetry.metrics == nullptr) return;
   obs::MetricsRegistry& m = *telemetry.metrics;
-  m_windows_ = m.GetCounter("guard.windows");
-  m_divergences_ = m.GetCounter("guard.divergences");
-  m_rejoins_ = m.GetCounter("guard.rejoins");
+  m.BindCounter("guard.windows", &windows_observed_);
+  m.BindCounter("guard.divergences", &divergences_);
+  m.BindCounter("guard.rejoins", &rejoins_);
   m_state_ = m.GetGauge("guard.state");
   m_residual_ = m.GetGauge("guard.residual");
   m_ewma_ = m.GetGauge("guard.ewma_abs_residual");
@@ -73,7 +73,6 @@ GuardState ForecastMonitor::Observe(double observed, double predicted) {
         if (++suspect_streak_ >= config_.diverge_windows) {
           state_ = GuardState::kDiverged;
           ++divergences_;
-          if (m_divergences_ != nullptr) m_divergences_->Add(1);
           settle_streak_ = 0;
         }
       } else {
@@ -94,7 +93,6 @@ GuardState ForecastMonitor::Observe(double observed, double predicted) {
           cusum_high_ = 0.0;
           cusum_low_ = 0.0;
           ++rejoins_;
-          if (m_rejoins_ != nullptr) m_rejoins_->Add(1);
         }
       } else {
         settle_streak_ = 0;
@@ -102,8 +100,7 @@ GuardState ForecastMonitor::Observe(double observed, double predicted) {
       break;
   }
 
-  if (m_windows_ != nullptr) {
-    m_windows_->Add(1);
+  if (m_state_ != nullptr) {
     m_state_->Set(static_cast<double>(state_));
     m_residual_->Set(residual);
     m_ewma_->Set(ewma_);

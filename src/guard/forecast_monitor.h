@@ -76,10 +76,8 @@ class ForecastMonitor {
   int64_t windows_observed_ = 0;
   int64_t divergences_ = 0;
   int64_t rejoins_ = 0;
-  // Cached metric handles (null until set_telemetry).
-  obs::Counter* m_windows_ = nullptr;
-  obs::Counter* m_divergences_ = nullptr;
-  obs::Counter* m_rejoins_ = nullptr;
+  // Gauge handles (null until set_telemetry); the counts above are
+  // bound into the registry.
   obs::Gauge* m_state_ = nullptr;
   obs::Gauge* m_residual_ = nullptr;
   obs::Gauge* m_ewma_ = nullptr;

@@ -10,6 +10,14 @@
 
 namespace pstore {
 
+namespace {
+/// A chunk that has not landed after this multiple of its nominal
+/// transfer time (burst + pacing period) is considered stalled and
+/// retried. Timeouts are armed only while a fault hook is installed, so
+/// fault-free runs schedule exactly the pre-fault event sequence.
+constexpr double kChunkTimeoutFactor = 4.0;
+}  // namespace
+
 Status MigrationOptions::Validate() const {
   if (chunk_kb <= 0) return Status::InvalidArgument("chunk_kb <= 0");
   if (rate_kbps <= 0) return Status::InvalidArgument("rate_kbps <= 0");
@@ -23,9 +31,6 @@ Status MigrationOptions::Validate() const {
   }
   if (retry_backoff_ms < 0) {
     return Status::InvalidArgument("retry_backoff_ms < 0");
-  }
-  if (chunk_timeout_factor <= 1.0) {
-    return Status::InvalidArgument("chunk_timeout_factor must be > 1");
   }
   return Status::OK();
 }
@@ -100,9 +105,9 @@ void MigrationExecutor::set_telemetry(const obs::Telemetry& telemetry) {
   obs::MetricsRegistry& m = *telemetry_.metrics;
   m_moves_started_ = m.GetCounter("migration.moves_started");
   m_moves_completed_ = m.GetCounter("migration.moves_completed");
-  m_moves_aborted_ = m.GetCounter("migration.moves_aborted");
+  m.BindCounter("migration.moves_aborted", &moves_aborted_);
   m_chunks_landed_ = m.GetCounter("migration.chunks_landed");
-  m_chunk_retries_ = m.GetCounter("migration.chunk_retries");
+  m.BindCounter("migration.chunk_retries", &chunk_retries_);
   m_buckets_flipped_ = m.GetCounter("migration.buckets_flipped");
   m_kb_moved_ = m.GetGauge("migration.kb_moved");
   m_in_progress_ = m.GetGauge("migration.in_progress");
@@ -113,12 +118,12 @@ void MigrationExecutor::set_telemetry(const obs::Telemetry& telemetry) {
   // Registered only when the engine runs overload control, so default
   // builds' metric dumps stay byte-identical.
   if (engine_->config().overload.enabled) {
-    m_chunk_backpressure_ = m.GetCounter("migration.chunk_backpressure");
+    m.BindCounter("migration.chunk_backpressure", &chunks_backpressured_);
   }
   // Evacuations exist only with the topology layer; gating the metric on
   // it keeps non-topology metric dumps byte-identical.
   if (engine_->config().topology.enabled) {
-    m_buckets_evacuated_ = m.GetCounter("migration.buckets_evacuated");
+    m.BindCounter("migration.buckets_evacuated", &buckets_evacuated_);
   }
 }
 
@@ -316,7 +321,7 @@ void MigrationExecutor::EndMove(bool completed) {
   move_.reset();
   in_progress_ = false;
   if (m_moves_completed_ != nullptr) {
-    (completed ? m_moves_completed_ : m_moves_aborted_)->Add(1);
+    if (completed) m_moves_completed_->Add(1);
     m_in_progress_->Set(0);
     m_move_duration_ms_->Record(
         static_cast<double>(history_.back().end - history_.back().start) /
@@ -575,7 +580,6 @@ void MigrationExecutor::ArmRetransmit(const std::shared_ptr<Stream>& stream,
         if (telemetry_.txn_traces != nullptr) {
           telemetry_.txn_traces->NoteRetransmit();
         }
-        if (m_chunk_retries_ != nullptr) m_chunk_retries_->Add(1);
         Emit("retransmitting chunk seq " + std::to_string(seq) + " on " +
              stream->Name() + " (attempt " +
              std::to_string(stream->attempts) + ")");
@@ -665,7 +669,6 @@ void MigrationExecutor::DeferChunk(Stream& stream, const int64_t& epoch,
     ++net_chunks_deferred_;
   } else {
     ++chunks_backpressured_;
-    if (m_chunk_backpressure_ != nullptr) m_chunk_backpressure_->Increment();
   }
   Emit(std::string(cut ? "chunk deferred on " : "chunk backpressured on ") +
        stream.Name() + ": " + why);
@@ -679,7 +682,7 @@ void MigrationExecutor::ArmChunkTimeout(const std::shared_ptr<Stream>& stream,
   const SimDuration nominal =
       std::max<SimDuration>(1, timing.busy + timing.period);
   const SimDuration timeout = static_cast<SimDuration>(
-      static_cast<double>(nominal) * options_.chunk_timeout_factor);
+      static_cast<double>(nominal) * kChunkTimeoutFactor);
   const ChunkGuard guard(move_epoch_, &stream->gen);
   engine_->simulator()->Schedule(timeout, [this, stream, guard]() {
     if (!guard.live()) return;  // landed
@@ -703,7 +706,6 @@ void MigrationExecutor::RetryChunk(const std::shared_ptr<Stream>& stream,
       std::pow(2.0, static_cast<double>(stream->attempts)));
   ++stream->attempts;
   ++chunk_retries_;
-  if (m_chunk_retries_ != nullptr) m_chunk_retries_->Add(1);
   Emit("retrying chunk on " + stream->Name() + " (attempt " +
        std::to_string(stream->attempts) + ")");
   const ChunkGuard guard(move_epoch_);
@@ -871,10 +873,7 @@ void MigrationExecutor::EvacChunk() {
         FinishEvacuation("endpoint died mid-chunk");
         return;
       }
-      if (LandChunk(evac.stream, chunk_kb)) {
-        ++buckets_evacuated_;
-        if (m_buckets_evacuated_ != nullptr) m_buckets_evacuated_->Add(1);
-      }
+      if (LandChunk(evac.stream, chunk_kb)) ++buckets_evacuated_;
       if (evac.stream.bucket_idx == 0) {
         EvacChunk();  // The bucket has chunks left.
         return;

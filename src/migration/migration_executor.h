@@ -48,11 +48,6 @@ struct MigrationOptions {
   int32_t max_chunk_retries = 5;
   /// Base retry backoff; doubles on every consecutive retry of a chunk.
   double retry_backoff_ms = 50.0;
-  /// A chunk that has not landed after this multiple of its nominal
-  /// transfer time (burst + pacing period) is considered stalled and
-  /// retried. Timeouts are armed only while a fault hook is installed,
-  /// so fault-free runs schedule exactly the pre-fault event sequence.
-  double chunk_timeout_factor = 4.0;
 
   Status Validate() const;
 };
@@ -160,8 +155,9 @@ class MigrationExecutor {
   }
 
   /// Attaches observability sinks ("migration.*" metrics, per-move and
-  /// per-round spans, move lifecycle events). Counter handles are
-  /// cached here; call before starting moves.
+  /// per-round spans, move lifecycle events). Counts the executor keeps
+  /// anyway are bound into the registry, the other handles cached here;
+  /// call once, before starting moves.
   void set_telemetry(const obs::Telemetry& telemetry);
 
   const std::vector<MoveRecord>& history() const { return history_; }
@@ -293,13 +289,11 @@ class MigrationExecutor {
   /// Virtual kB per bucket (db_size_mb over the bucket universe).
   double kb_per_bucket_;
   obs::Telemetry telemetry_;
-  // Cached metric handles (null until set_telemetry).
+  // Handles of the metrics the executor keeps no count of itself (null
+  // until set_telemetry).
   obs::Counter* m_moves_started_ = nullptr;
   obs::Counter* m_moves_completed_ = nullptr;
-  obs::Counter* m_moves_aborted_ = nullptr;
   obs::Counter* m_chunks_landed_ = nullptr;
-  obs::Counter* m_chunk_retries_ = nullptr;
-  obs::Counter* m_chunk_backpressure_ = nullptr;
   obs::Counter* m_buckets_flipped_ = nullptr;
   obs::Gauge* m_kb_moved_ = nullptr;
   obs::Gauge* m_in_progress_ = nullptr;
@@ -330,7 +324,6 @@ class MigrationExecutor {
   /// Bumped on every evacuation start/finish; scheduled evacuation
   /// events capture it and become no-ops once their stream is gone.
   int64_t evac_epoch_ = 0;
-  obs::Counter* m_buckets_evacuated_ = nullptr;
   std::function<void()> on_complete_;
   ChunkFaultHook fault_hook_;
   std::function<void(const std::string&)> event_sink_;

@@ -1,12 +1,18 @@
 #include "obs/event_stream.h"
 
+#include <utility>
+
 #include "common/murmur.h"
 
 namespace pstore {
 namespace obs {
 
 void EventStream::Record(SimTime at, const std::string& what) {
-  lines_.push_back("[" + FormatSimTime(at) + "] " + what);
+  std::string line = "[";
+  line += FormatSimTime(at);
+  line += "] ";
+  line += what;
+  lines_.push_back(std::move(line));
   Trim();
 }
 

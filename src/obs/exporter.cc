@@ -51,7 +51,10 @@ std::string TimeseriesExporter::ToCsv() const {
   names.erase(std::unique(names.begin(), names.end()), names.end());
 
   std::string out = "time_s";
-  for (const std::string& name : names) out += "," + name;
+  for (const std::string& name : names) {
+    out += ',';
+    out += name;
+  }
   out += '\n';
   for (const Sample_& s : samples_) {
     out += FormatMetricValue(DurationToSeconds(s.at));
@@ -61,7 +64,8 @@ std::string TimeseriesExporter::ToCsv() const {
           [](const auto& kv, const std::string& n) { return kv.first < n; });
       const double v =
           (it != s.values.end() && it->first == name) ? it->second : 0.0;
-      out += "," + FormatMetricValue(v);
+      out += ',';
+      out += FormatMetricValue(v);
     }
     out += '\n';
   }

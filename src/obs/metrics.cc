@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/murmur.h"
 
@@ -46,6 +47,18 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return GetOrCreate(&counters_, name);
 }
 
+Counter* MetricsRegistry::BindCounter(const std::string& name,
+                                      const int64_t* source) {
+  auto [it, inserted] = counters_.emplace(name, std::make_unique<Counter>());
+  if (!inserted) {
+    std::fprintf(stderr, "MetricsRegistry: counter %s is already registered\n",
+                 name.c_str());
+    std::abort();
+  }
+  it->second->source_ = source;
+  return it->second.get();
+}
+
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return GetOrCreate(&gauges_, name);
 }
@@ -59,11 +72,15 @@ void MetricsRegistry::RegisterCallbackGauge(const std::string& name,
   callback_gauges_[name] = std::move(fn);
 }
 
-void MetricsRegistry::FreezeCallbackGauges() {
+void MetricsRegistry::Freeze() {
   for (const auto& [name, fn] : callback_gauges_) {
     GetOrCreate(&gauges_, name)->Set(fn());
   }
   callback_gauges_.clear();
+  for (auto& [name, counter] : counters_) {
+    counter->value_ = counter->value();
+    counter->source_ = nullptr;
+  }
 }
 
 std::vector<std::pair<std::string, double>> MetricsRegistry::Snapshot()

@@ -19,22 +19,27 @@
 /// byte-identical dumps — the same determinism contract as the fault
 /// layer's EventTrace.
 ///
-/// Observability is switched off one way: attach no sink. Instrumented
-/// code caches metric pointers from an attached registry and skips
-/// recording when none was attached.
+/// Observability is switched off one way: attach no sink. A component
+/// counts each event once, in an int64_t member, and binds that member
+/// to the registry by name (BindCounter); it caches a metric pointer
+/// only for a count, gauge or histogram it does not otherwise keep, and
+/// skips recording through it when no registry was attached.
 
 namespace pstore {
 namespace obs {
 
-/// \brief Monotone int64 counter.
+/// \brief Monotone int64 counter: owned (recorded through Increment/Add)
+/// or bound (reads a component's own count; see BindCounter).
 class Counter {
  public:
   void Increment() { ++value_; }
   void Add(int64_t delta) { value_ += delta; }
-  int64_t value() const { return value_; }
+  int64_t value() const { return source_ != nullptr ? *source_ : value_; }
 
  private:
+  friend class MetricsRegistry;
   int64_t value_ = 0;
+  const int64_t* source_ = nullptr;  ///< Bound count; null once frozen.
 };
 
 /// \brief Last-value-wins double gauge (also supports Add for totals
@@ -75,6 +80,11 @@ class MetricsRegistry {
   using GaugeFn = std::function<double()>;
 
   Counter* GetCounter(const std::string& name);
+  /// Registers `name` as a counter that reads `*source`, a count its
+  /// component already keeps, so the event is counted in one place.
+  /// `source` must stay alive until Freeze() or Clear(). Binding a name
+  /// that is already registered is a program bug and aborts.
+  Counter* BindCounter(const std::string& name, const int64_t* source);
   Gauge* GetGauge(const std::string& name);
   HistogramMetric* GetHistogram(const std::string& name);
 
@@ -82,10 +92,12 @@ class MetricsRegistry {
   void RegisterCallbackGauge(const std::string& name, GaugeFn fn);
 
   /// Evaluates every callback gauge once into a plain gauge of the same
-  /// name and drops the callbacks. Call while the objects the callbacks
-  /// capture are still alive (e.g. end of RunExperiment, whose engine is
-  /// stack-local) so that dumps taken later cannot call into freed state.
-  void FreezeCallbackGauges();
+  /// name and drops the callbacks, and copies every bound counter's
+  /// source into the counter and drops the source. Call while the
+  /// objects the callbacks and sources belong to are still alive (e.g.
+  /// end of RunExperiment, whose engine is stack-local) so that dumps
+  /// taken later cannot read freed state.
+  void Freeze();
 
   /// Sorted snapshot of every counter/gauge value (callback gauges
   /// included), as (name, value) pairs — the exporter's raw material.

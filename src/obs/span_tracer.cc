@@ -69,9 +69,11 @@ void SpanTracer::Trim() {
 std::string SpanTracer::ToString() const {
   std::string out;
   for (const Span& span : spans_) {
-    out += "[" + FormatSimTime(span.start) + " .. " +
-           (span.end >= 0 ? FormatSimTime(span.end) : std::string("..")) +
-           "] ";
+    out += '[';
+    out += FormatSimTime(span.start);
+    out += " .. ";
+    out += span.end >= 0 ? FormatSimTime(span.end) : std::string("..");
+    out += "] ";
     out.append(static_cast<size_t>(span.depth) * 2, ' ');
     out += span.name;
     out += '\n';

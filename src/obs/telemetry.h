@@ -8,10 +8,11 @@
 /// \file telemetry.h
 /// The non-owning bundle each subsystem accepts via set_telemetry():
 /// metrics registry, span tracer, event stream, and txn-trace recorder.
-/// Any pointer may be null — call sites guard on the pointer, so
-/// un-instrumented runs pay nothing. TelemetryBundle is the owning
-/// convenience for harnesses (benches, examples, tests) that want all
-/// of them.
+/// Any pointer may be null. A component binds the counts it keeps
+/// anyway into the registry (MetricsRegistry::BindCounter) and guards
+/// only the handles and sinks it records through, so un-instrumented
+/// runs pay nothing. TelemetryBundle is the owning convenience for
+/// harnesses (benches, examples, tests) that want all of them.
 
 namespace pstore {
 namespace obs {

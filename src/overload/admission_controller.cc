@@ -5,6 +5,12 @@
 namespace pstore {
 namespace overload {
 
+namespace {
+/// Work at or above this priority is admitted even while a breaker is
+/// open (TxnPriority::kPriorityCritical).
+constexpr int8_t kCriticalPriority = 3;
+}  // namespace
+
 const char* AdmissionDecisionName(AdmissionDecision decision) {
   switch (decision) {
     case AdmissionDecision::kAdmit:
@@ -31,7 +37,7 @@ AdmissionDecision AdmissionController::Admit(const QueueOps& ops,
                                              SimTime now) {
   CircuitBreaker& breaker = breakers_[static_cast<size_t>(node)];
   if (breaker.state(now) == BreakerState::kOpen &&
-      priority < config_.critical_priority) {
+      priority < kCriticalPriority) {
     return AdmissionDecision::kRejectBreakerOpen;
   }
   const size_t limit = static_cast<size_t>(config_.max_queue_depth);

@@ -22,9 +22,6 @@ Status OverloadConfig::Validate() const {
   if (queue_deadline < 0) {
     return Status::InvalidArgument("queue_deadline < 0");
   }
-  if (critical_priority < 0) {
-    return Status::InvalidArgument("critical_priority < 0");
-  }
   return breaker.Validate();
 }
 

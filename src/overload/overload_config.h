@@ -51,10 +51,6 @@ struct OverloadConfig {
   /// Policy applied when a partition queue is at max_queue_depth.
   AdmissionPolicy policy = AdmissionPolicy::kPriorityShed;
 
-  /// Work at or above this priority is admitted even while a breaker is
-  /// open (matches TxnPriority::kPriorityCritical).
-  int8_t critical_priority = 3;
-
   /// Per-node breaker tuning.
   BreakerConfig breaker;
 

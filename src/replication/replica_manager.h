@@ -185,7 +185,7 @@ class ReplicaManager {
 
   void OnApplyStarted() { ++applies_; ++outstanding_applies_; }
   void OnApplyFinished() { --outstanding_applies_; }
-  int64_t applies() const { return applies_; }
+  const int64_t& applies() const { return applies_; }
   /// Backup apply work items enqueued but not yet executed — the
   /// replication-lag gauge.
   int64_t outstanding_applies() const { return outstanding_applies_; }
@@ -251,13 +251,18 @@ class ReplicaManager {
   }
 
   // --- Counters --------------------------------------------------------
+  //
+  // The counts the engine binds into the metrics registry are returned
+  // by reference: the registry reads them live.
 
-  int64_t promotions() const { return promotions_; }
+  const int64_t& promotions() const { return promotions_; }
   int64_t replicas_dropped() const { return replicas_dropped_; }
   int64_t replica_relocations() const { return replica_relocations_; }
   int64_t rebuilds_started() const { return rebuilds_started_; }
-  int64_t rebuilds_completed() const { return rebuilds_completed_; }
-  int64_t rebuild_chunks_landed() const { return rebuild_chunks_landed_; }
+  const int64_t& rebuilds_completed() const { return rebuilds_completed_; }
+  const int64_t& rebuild_chunks_landed() const {
+    return rebuild_chunks_landed_;
+  }
 
  private:
   const Catalog* catalog_;

@@ -8,15 +8,18 @@
 
 namespace pstore {
 
+namespace {
+/// Minutes between strategy decisions (the paper plans at 5-minute
+/// granularity).
+constexpr int32_t kControlSlotMinutes = 5;
+}  // namespace
+
 Status CapacitySimConfig::Validate() const {
   PSTORE_RETURN_NOT_OK(move_model.Validate());
   if (q_hat < move_model.q) {
     return Status::InvalidArgument("q_hat must be >= q");
   }
   if (max_machines < 1) return Status::InvalidArgument("max_machines < 1");
-  if (control_slot_minutes < 1) {
-    return Status::InvalidArgument("control_slot_minutes < 1");
-  }
   return Status::OK();
 }
 
@@ -85,7 +88,7 @@ Result<CapacitySimResult> CapacitySimulator::Run(
   for (int64_t minute = begin_minute; minute < end_minute; ++minute) {
     // Strategy decisions at control-slot boundaries, when idle.
     if (move == nullptr &&
-        (minute - begin_minute) % config_.control_slot_minutes == 0) {
+        (minute - begin_minute) % kControlSlotMinutes == 0) {
       AllocationDecision decision = strategy->Decide(load, minute, machines);
       int32_t target = std::clamp(decision.target_machines, 1,
                                   config_.max_machines);

@@ -47,7 +47,6 @@ struct CapacitySimConfig {
   MoveModelConfig move_model;     ///< Q, P, D, 5-minute intervals.
   double q_hat = 350.0;           ///< Max per-node rate (capacity basis).
   int32_t max_machines = 40;
-  int32_t control_slot_minutes = 5;
   bool record_series = false;     ///< Keep per-minute series (Figure 13).
 
   Status Validate() const;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace pstore {
 namespace obs {
@@ -70,13 +73,66 @@ TEST(MetricsRegistryTest, FreezeCallbackGaugesDropsTheClosures) {
   MetricsRegistry registry;
   double depth = 11;
   registry.RegisterCallbackGauge("c.depth", [&depth]() { return depth; });
-  registry.FreezeCallbackGauges();
+  registry.Freeze();
   depth = 99;  // must not be read again: the closure is gone
   auto snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].first, "c.depth");
   EXPECT_DOUBLE_EQ(snapshot[0].second, 11.0);
   EXPECT_NE(registry.DumpJson().find("\"c.depth\": 11"), std::string::npos);
+}
+
+TEST(MetricsRegistryTest, BoundCounterReadsItsSourceLive) {
+  MetricsRegistry registry;
+  int64_t committed = 4;
+  Counter* c = registry.BindCounter("cluster.txn_committed", &committed);
+  EXPECT_EQ(c->value(), 4);
+  ++committed;
+  EXPECT_EQ(c->value(), 5);
+  EXPECT_EQ(registry.GetCounter("cluster.txn_committed"), c);
+  EXPECT_EQ(registry.GetCounter("cluster.txn_committed")->value(), 5);
+}
+
+TEST(MetricsRegistryTest, BoundAndOwnedCountersInterleaveByName) {
+  MetricsRegistry registry;
+  int64_t b = 2, d = 4;
+  registry.GetCounter("c.count")->Add(3);
+  registry.BindCounter("d.count", &d);
+  registry.GetCounter("a.count")->Add(1);
+  registry.BindCounter("b.count", &b);
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"a.count", 1}, {"b.count", 2}, {"c.count", 3}, {"d.count", 4}};
+  EXPECT_EQ(registry.Snapshot(), expected);
+  const std::string json = registry.DumpJson();
+  EXPECT_NE(json.find("\"a.count\": 1,\n    \"b.count\": 2,\n    "
+                      "\"c.count\": 3,\n    \"d.count\": 4\n"),
+            std::string::npos)
+      << json;
+}
+
+TEST(MetricsRegistryTest, FreezeSnapshotsABoundCounterAndDropsItsSource) {
+  MetricsRegistry registry;
+  auto source = std::make_unique<int64_t>(7);
+  Counter* c = registry.BindCounter("x.count", source.get());
+  const std::string live = registry.DumpJson();
+  registry.Freeze();
+  *source = 99;  // must not be read again: the source is dropped
+  EXPECT_EQ(c->value(), 7);
+  // Nor may a dump read freed memory: destroy the source and dump again.
+  source.reset();
+  EXPECT_EQ(registry.DumpJson(), live);
+  EXPECT_DOUBLE_EQ(registry.Snapshot()[0].second, 7.0);
+}
+
+TEST(MetricsRegistryDeathTest, BindingARegisteredNameAborts) {
+  MetricsRegistry registry;
+  int64_t count = 0;
+  registry.GetCounter("owned.count");
+  registry.BindCounter("bound.count", &count);
+  EXPECT_DEATH(registry.BindCounter("owned.count", &count),
+               "already registered");
+  EXPECT_DEATH(registry.BindCounter("bound.count", &count),
+               "already registered");
 }
 
 TEST(MetricsRegistryTest, DumpJsonGolden) {

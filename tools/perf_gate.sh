@@ -22,49 +22,50 @@
 set -u
 
 BUILD_DIR="${BUILD_DIR:-build}"
-BENCH_MICRO_PERF="$BUILD_DIR/bench/bench_micro_perf"
-BENCH_RECOVERY_MTTR="$BUILD_DIR/bench/bench_recovery_mttr"
-BENCH_PARTITION_AVAILABILITY="$BUILD_DIR/bench/bench_partition_availability"
-BENCH_OVERLOAD_DEGRADATION="$BUILD_DIR/bench/bench_overload_degradation"
 BENCH_COMPARE="$BUILD_DIR/tools/bench_compare"
-BASELINE=bench/baselines/BENCH_micro_perf.json
-CURRENT=bench_out/BENCH_micro_perf.json
-BASELINE_RECOVERY=bench/baselines/BENCH_recovery_mttr.json
-CURRENT_RECOVERY=bench_out/BENCH_recovery_mttr.json
-BASELINE_PARTITION=bench/baselines/BENCH_partition_availability.json
-CURRENT_PARTITION=bench_out/BENCH_partition_availability.json
-BASELINE_OVERLOAD=bench/baselines/BENCH_overload_degradation.json
-CURRENT_OVERLOAD=bench_out/BENCH_overload_degradation.json
-# Tolerated normalized micro slowdown (0.5 = +50%).
-THRESHOLD=0.5
 
-for f in "$BENCH_MICRO_PERF" "$BENCH_RECOVERY_MTTR" \
-    "$BENCH_PARTITION_AVAILABILITY" "$BENCH_OVERLOAD_DEGRADATION" \
-    "$BENCH_COMPARE"; do
-  if [ ! -x "$f" ]; then
-    echo "perf_gate: missing binary $f (build first)" >&2
+# The stages, one row each: bench|args|baseline|current|mode|units.
+# BENCH is a binary under $BUILD_DIR/bench; ARGS is word-split; MODE is
+# bench_compare's gating flag: --threshold=F (normalized; 0.5 tolerates
+# +50%) or --tolerance=F (exact). Each micro case's value is its median
+# over three repetitions, interleaved with every other case's, so a host
+# slowdown that lasts a moment lands in one repetition of a few cases
+# and is voted out.
+MANIFEST='
+bench_micro_perf|--benchmark_min_time=0.05 --benchmark_repetitions=3 --benchmark_enable_random_interleaving=true --benchmark_display_aggregates_only=true|bench/baselines/BENCH_micro_perf.json|bench_out/BENCH_micro_perf.json|--threshold=0.5|ns/op
+bench_recovery_mttr|--seconds=30|bench/baselines/BENCH_recovery_mttr.json|bench_out/BENCH_recovery_mttr.json|--tolerance=1e-9|s
+bench_partition_availability||bench/baselines/BENCH_partition_availability.json|bench_out/BENCH_partition_availability.json|--tolerance=1e-9|s us
+bench_overload_degradation|--seconds=10|bench/baselines/BENCH_overload_degradation.json|bench_out/BENCH_overload_degradation.json|--tolerance=1e-9|us/txn ms
+'
+
+if [ ! -x "$BENCH_COMPARE" ]; then
+  echo "perf_gate: missing binary $BENCH_COMPARE (build first)" >&2
+  exit 2
+fi
+while IFS='|' read -r bench args baseline current mode units; do
+  [ -n "$bench" ] || continue
+  if [ ! -x "$BUILD_DIR/bench/$bench" ]; then
+    echo "perf_gate: missing binary $BUILD_DIR/bench/$bench (build first)" >&2
     exit 2
   fi
-done
-for f in "$BASELINE" "$BASELINE_RECOVERY" "$BASELINE_PARTITION" \
-    "$BASELINE_OVERLOAD"; do
-  if [ ! -f "$f" ]; then
-    echo "perf_gate: missing baseline $f" >&2
+  if [ ! -f "$baseline" ]; then
+    echo "perf_gate: missing baseline $baseline" >&2
     exit 2
   fi
-done
+done <<EOF
+$MANIFEST
+EOF
 
 status=0
 
 # stage BENCH "ARGS" BASELINE CURRENT MODE "UNITS": runs BENCH with
-# ARGS (word-split), then compares CURRENT against BASELINE once per
-# unit. MODE is bench_compare's gating flag: --threshold=F (normalized)
-# or --tolerance=F (exact).
+# ARGS, then compares CURRENT against BASELINE once per unit. Neither
+# reads the manifest the loop below feeds on stdin.
 stage() {
-  bench=$1 args=$2 baseline=$3 current=$4 mode=$5 units=$6
+  bench=$BUILD_DIR/bench/$1 args=$2 baseline=$3 current=$4 mode=$5 units=$6
   rm -f "$current"
   # shellcheck disable=SC2086  # ARGS is a flag list, split on purpose.
-  if ! "$bench" $args; then
+  if ! "$bench" $args </dev/null; then
     echo "perf_gate: $(basename "$bench") exited non-zero" >&2
     exit 1
   fi
@@ -74,24 +75,17 @@ stage() {
   fi
   for unit in $units; do
     if ! "$BENCH_COMPARE" --baseline="$baseline" --current="$current" \
-        "$mode" --unit="$unit"; then
+        "$mode" --unit="$unit" </dev/null; then
       status=1
     fi
   done
 }
 
-# Each micro case's value is its median over three repetitions,
-# interleaved with every other case's, so a host slowdown that lasts a
-# moment lands in one repetition of a few cases and is voted out.
-stage "$BENCH_MICRO_PERF" "--benchmark_min_time=0.05 \
---benchmark_repetitions=3 --benchmark_enable_random_interleaving=true \
---benchmark_display_aggregates_only=true" \
-  "$BASELINE" "$CURRENT" --threshold="$THRESHOLD" "ns/op"
-stage "$BENCH_RECOVERY_MTTR" "--seconds=30" \
-  "$BASELINE_RECOVERY" "$CURRENT_RECOVERY" --tolerance=1e-9 "s"
-stage "$BENCH_PARTITION_AVAILABILITY" "" \
-  "$BASELINE_PARTITION" "$CURRENT_PARTITION" --tolerance=1e-9 "s us"
-stage "$BENCH_OVERLOAD_DEGRADATION" "--seconds=10" \
-  "$BASELINE_OVERLOAD" "$CURRENT_OVERLOAD" --tolerance=1e-9 "us/txn ms"
+while IFS='|' read -r bench args baseline current mode units; do
+  [ -n "$bench" ] || continue
+  stage "$bench" "$args" "$baseline" "$current" "$mode" "$units"
+done <<EOF
+$MANIFEST
+EOF
 
 exit "$status"
