@@ -1,7 +1,8 @@
 /// Figure 9, Figure 10 and Table 2: the paper's three views of the
 /// same four runs over one multi-day B2W window at 10x speed: (a)
 /// static 10 machines, (b) static 4 machines, (c) reactive
-/// (E-Store-style), (d) P-Store with SPAR. Each strategy runs once.
+/// (E-Store-style), (d) P-Store with SPAR. Each strategy runs once; the
+/// four runs run in parallel and report in this order.
 ///   Figure 9: each run's throughput/latency/machine series and summary
 ///     counters; the series land in bench_out/ for plotting.
 ///   Figure 10: CDFs of the top 1% of per-second p50/p95/p99 latencies.
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/parallel.h"
 #include "common/table_writer.h"
 #include "core/experiment.h"
 
@@ -199,32 +201,46 @@ int main(int argc, char** argv) {
       "static-10 wastes machines; static-4 and reactive violate latency; "
       "P-Store reconfigures ahead of load with few violations");
 
-  std::vector<ExperimentResult> results;
-  for (const RunSpec& spec : kSpecs) {
+  // The four runs share nothing: each owns its config, telemetry,
+  // exporter and result slot, so they run under ParallelFor. Every
+  // print and write happens after the join, in kSpecs order.
+  struct RunSlot {
+    obs::TelemetryBundle telemetry;
+    obs::TimeseriesExporter exporter{&telemetry.metrics};
+    Result<ExperimentResult> result = Status::Internal("not run");
+  };
+  std::vector<RunSlot> slots(kNumRuns);
+  ParallelFor(kNumRuns, [&](int64_t run) {
+    const RunSpec& spec = kSpecs[run];
+    RunSlot& slot = slots[static_cast<size_t>(run)];
     ExperimentConfig config = BaseConfig(argc, argv);
     config.strategy = spec.strategy;
     config.static_nodes = spec.static_nodes;
     // Per-run telemetry: controller/migration/cluster metrics sampled
     // every 10 virtual seconds.
-    obs::TelemetryBundle telemetry;
-    obs::TimeseriesExporter exporter(&telemetry.metrics);
-    config.telemetry = telemetry.view();
-    config.telemetry_exporter = &exporter;
-    auto result = RunElasticityExperiment(config);
-    if (!result.ok()) {
+    config.telemetry = slot.telemetry.view();
+    config.telemetry_exporter = &slot.exporter;
+    slot.result = RunElasticityExperiment(config);
+  });
+
+  std::vector<ExperimentResult> results;
+  for (int run = 0; run < kNumRuns; ++run) {
+    const RunSpec& spec = kSpecs[run];
+    RunSlot& slot = slots[static_cast<size_t>(run)];
+    if (!slot.result.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", spec.tag,
-                   result.status().ToString().c_str());
+                   slot.result.status().ToString().c_str());
       return 1;
     }
     if (spec.strategy == ElasticityStrategy::kStatic) {
       std::printf("\n=== (%s) Static allocation, %d machines ===\n",
                   spec.tag, spec.static_nodes);
     }
-    bench::PrintExperiment(*result);
-    DumpCsv(spec.tag, *result);
-    bench::WriteRunTelemetry(std::string("fig09_") + spec.tag, &telemetry,
-                             &exporter);
-    results.push_back(std::move(*result));
+    bench::PrintExperiment(*slot.result);
+    DumpCsv(spec.tag, *slot.result);
+    bench::WriteRunTelemetry(std::string("fig09_") + spec.tag,
+                             &slot.telemetry, &slot.exporter);
+    results.push_back(std::move(*slot.result));
   }
 
   std::cout << "\nExpected shape (paper Figure 9): the reactive run shows "

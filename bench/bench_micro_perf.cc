@@ -16,6 +16,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -444,6 +445,11 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // SPAR's Fit starts threads, and once a process has started one,
+  // glibc's malloc takes its locked multi-threaded path for good. Start
+  // every case in that mode, so no case's time depends on whether the
+  // interleaving ran a fit before it.
+  std::thread([] {}).join();
   pstore::JsonCollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

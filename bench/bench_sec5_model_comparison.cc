@@ -1,7 +1,8 @@
 /// Section 5 (discussion): "under tau = 60 minutes, the MRE for
 /// predicting the B2W load is 10.4%, 12.2%, and 12.5% under SPAR, ARMA,
 /// and AR, respectively." This bench fits all three models on the same
-/// 4-week training window and compares their MRE at tau = 60.
+/// 4-week training window and compares their MRE at tau = 60. The
+/// paper's ordering is checked as rows; main returns 1 when one fails.
 
 #include <cmath>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "workload/b2w_trace.h"
 
 using namespace pstore;
+using scenario::Op;
 
 int main(int argc, char** argv) {
   bench::PrintBanner("Section 5",
@@ -74,11 +76,9 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "Expected shape: SPAR <= ARMA <= AR (SPAR's periodic terms "
                "capture the diurnal pattern the pure AR models miss).\n";
-  if (mres.size() == 3 && mres[0] <= mres[1] + 0.5 &&
-      mres[0] <= mres[2] + 0.5) {
-    std::cout << "SHAPE OK: SPAR is the most accurate model.\n";
-  } else {
-    std::cout << "SHAPE WARNING: ordering differs from the paper.\n";
-  }
-  return 0;
+  const std::vector<bench::PaperRow> rows = {
+      {"Sec. 5 MRE at tau=60: SPAR < ARMA", mres[1], Op::kGt, mres[0]},
+      {"Sec. 5 MRE at tau=60: ARMA < AR", mres[2], Op::kGt, mres[1]},
+  };
+  return bench::CheckPaperRows(rows) ? 0 : 1;
 }

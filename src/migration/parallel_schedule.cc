@@ -26,6 +26,7 @@ std::vector<int32_t> EdgeColorBipartite(
       std::vector<int32_t>(static_cast<size_t>(colors), -1));
   std::vector<int32_t> color(edges.size(), -1);
 
+  std::vector<int32_t> path;  // reused by every alternating-path walk
   auto first_free = [&](const std::vector<int32_t>& slots) {
     for (int32_t c = 0; c < colors; ++c) {
       if (slots[static_cast<size_t>(c)] < 0) return c;
@@ -62,7 +63,7 @@ std::vector<int32_t> EdgeColorBipartite(
     const int32_t cv = first_free(at_right[static_cast<size_t>(v)]);
     assert(cu >= 0 && cv >= 0 && cu != cv);
 
-    std::vector<int32_t> path;
+    path.clear();
     int32_t cur_vertex = v;     // alternates right, left, right, ...
     bool cur_is_right = true;
     int32_t want = cu;          // color of the next edge on the path
@@ -190,13 +191,17 @@ Result<MoveSchedule> BuildMoveSchedule(int32_t b, int32_t a) {
   const int32_t f = delta / s;
   const int32_t r = delta % s;
 
+  // Every round's size is known up front, so each vector is allocated
+  // once.
   std::vector<ScheduleRound> rounds;
+  rounds.reserve(static_cast<size_t>(std::max(s, delta)));
 
   if (delta <= s) {
     // Case 1: all delta nodes participate from the start; s rounds of
     // rotating partial matchings.
     for (int32_t t = 0; t < s; ++t) {
       ScheduleRound round;
+      round.transfers.reserve(static_cast<size_t>(delta));
       for (int32_t d = 0; d < delta; ++d) {
         round.transfers.push_back(UnitTransfer{(d + t) % s, d});
       }
@@ -208,6 +213,7 @@ Result<MoveSchedule> BuildMoveSchedule(int32_t b, int32_t a) {
     for (int32_t g = 0; g < full_blocks; ++g) {
       for (int32_t t = 0; t < s; ++t) {
         ScheduleRound round;
+        round.transfers.reserve(static_cast<size_t>(s));
         for (int32_t j = 0; j < s; ++j) {
           round.transfers.push_back(UnitTransfer{(j + t) % s, g * s + j});
         }
@@ -220,6 +226,7 @@ Result<MoveSchedule> BuildMoveSchedule(int32_t b, int32_t a) {
       const int32_t block_base = (f - 1) * s;
       for (int32_t t = 0; t < r; ++t) {
         ScheduleRound round;
+        round.transfers.reserve(static_cast<size_t>(s));
         for (int32_t j = 0; j < s; ++j) {
           round.transfers.push_back(UnitTransfer{(j + t) % s, block_base + j});
         }
@@ -230,6 +237,7 @@ Result<MoveSchedule> BuildMoveSchedule(int32_t b, int32_t a) {
       // each of the s remaining rounds. The demands form an s-regular
       // bipartite multigraph; edge-color it into s perfect matchings.
       std::vector<std::pair<int32_t, int32_t>> edges;
+      edges.reserve(static_cast<size_t>(s) * static_cast<size_t>(s));
       // Right-vertex encoding: block f-1 local j -> j; new node u -> s+u.
       for (int32_t j = 0; j < s; ++j) {
         for (int32_t t = r; t < s; ++t) {
@@ -244,6 +252,9 @@ Result<MoveSchedule> BuildMoveSchedule(int32_t b, int32_t a) {
       const std::vector<int32_t> colors =
           EdgeColorBipartite(s, s + r, s, edges);
       std::vector<ScheduleRound> phase3(static_cast<size_t>(s));
+      for (ScheduleRound& round : phase3) {
+        round.transfers.reserve(static_cast<size_t>(s));
+      }
       for (size_t e = 0; e < edges.size(); ++e) {
         const int32_t right = edges[e].second;
         const int32_t delta_index =

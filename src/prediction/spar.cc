@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/linalg.h"
+#include "common/parallel.h"
 
 namespace pstore {
 
@@ -129,8 +130,7 @@ double SparModel::Predict(const std::vector<double>& series, int64_t t) const {
   });
 }
 
-Result<SparModel> SparPredictor::SolveTau(const std::vector<double>& train,
-                                          int32_t tau) {
+Status SparPredictor::CheckTau(int64_t len, int32_t tau) const {
   PSTORE_RETURN_NOT_OK(config_.Validate());
   if (tau < 1 || tau >= config_.period) {
     return Status::InvalidArgument(
@@ -138,24 +138,52 @@ Result<SparModel> SparPredictor::SolveTau(const std::vector<double>& train,
   }
   const int32_t n = config_.num_periods;
   const int32_t m = config_.num_recent;
-  const size_t dim = static_cast<size_t>(n + m);
   const int64_t t_min = static_cast<int64_t>(n) * config_.period + m;
-  const int64_t t_max = static_cast<int64_t>(train.size()) - 1 - tau;
-  const int64_t rows = t_max - t_min + 1;
+  const int64_t rows = len - tau - t_min;
   if (rows < n + m + 1) {
     return Status::InvalidArgument(
         "not enough training data: need > " +
         std::to_string(t_min + tau + n + m) + " slots, have " +
-        std::to_string(train.size()));
+        std::to_string(len));
   }
+  return Status::OK();
+}
+
+SparPredictor::Deviations SparPredictor::ComputeDeviations(
+    const std::vector<double>& train, int64_t first_t) const {
+  // Row t reads Dy(t - m) .. Dy(t - 1); the last row, t = len - 2,
+  // predicts the last slot one step ahead.
+  Deviations dy;
+  dy.first = first_t - config_.num_recent;
+  const int64_t last = static_cast<int64_t>(train.size()) - 3;
+  dy.values.reserve(static_cast<size_t>(std::max<int64_t>(
+      0, last - dy.first + 1)));
+  for (int64_t s = dy.first; s <= last; ++s) {
+    dy.values.push_back(RecentDeviation(train, s, 0, config_));
+  }
+  return dy;
+}
+
+Result<SparModel> SparPredictor::SolveTau(const std::vector<double>& train,
+                                          const Deviations& dy, int32_t tau,
+                                          double* row) {
+  const int64_t period = config_.period;
+  const int32_t n = config_.num_periods;
+  const int32_t m = config_.num_recent;
+  const size_t dim = static_cast<size_t>(n + m);
+  const int64_t t_max = static_cast<int64_t>(train.size()) - 1 - tau;
 
   TauStats& stats = stats_[static_cast<size_t>(tau - 1)];
   // Accumulate the new rows exactly as Matrix::Gram / TransposeTimes
   // would (upper triangle, zero-entry skips), so the running sums stay
   // bit-identical to a from-scratch build over all rows.
-  std::vector<double> row(dim);
   for (int64_t t = stats.next_t; t <= t_max; ++t) {
-    FillFeatures(train, t, tau, config_, row.data());
+    // Layout: [y(t+tau-kT) for k=1..n] ++ [Dy(t-j) for j=1..m].
+    for (int32_t k = 1; k <= n; ++k) {
+      row[k - 1] = train[static_cast<size_t>(t + tau - k * period)];
+    }
+    const double* recent = dy.values.data() + (t - dy.first);  // Dy(t)
+    for (int32_t j = 1; j <= m; ++j) row[n + j - 1] = recent[-j];
     for (size_t i = 0; i < dim; ++i) {
       const double ri = row[i];
       if (ri == 0.0) continue;
@@ -188,29 +216,61 @@ Status SparPredictor::Fit(const std::vector<double>& train,
   if (max_horizon < 1) {
     return Status::InvalidArgument("max_horizon must be >= 1");
   }
+  // CheckTau fails for every tau from some tau* on. Fit reports what
+  // solving tau = 1, 2, ... in turn would stop at: the first failing
+  // solve below tau*, else tau*'s check.
+  const int64_t len = static_cast<int64_t>(train.size());
+  int32_t fittable = 0;
+  Status unfittable;
+  while (fittable < max_horizon) {
+    unfittable = CheckTau(len, fittable + 1);
+    if (!unfittable.ok()) break;
+    ++fittable;
+  }
+  if (fittable == 0) {
+    stats_.clear();
+    return unfittable;
+  }
+
   const int32_t n = config_.num_periods;
   const int32_t m = config_.num_recent;
-  const size_t dim = static_cast<size_t>(std::max(n + m, 1));
+  const size_t dim = static_cast<size_t>(n + m);
   const int64_t t_min = static_cast<int64_t>(n) * config_.period + m;
-  std::vector<TauStats> fresh(static_cast<size_t>(max_horizon));
-  for (TauStats& stats : fresh) {
+  stats_.assign(static_cast<size_t>(max_horizon), TauStats{});
+  const Deviations dy = ComputeDeviations(train, t_min);
+  // Every row of every tau writes its row buffer and sums, so no two
+  // taus may share a cache line: the row buffers sit a line apart, and
+  // each tau's sums are allocated by the thread that folds into them.
+  constexpr size_t kLineDoubles = 64 / sizeof(double);
+  const size_t stride = (dim / kLineDoubles + 2) * kLineDoubles;
+  std::vector<double> rows(static_cast<size_t>(fittable) * stride);
+  std::vector<Result<SparModel>> solved(
+      static_cast<size_t>(fittable), Status::Internal("tau not solved"));
+  ParallelFor(fittable, [&](int64_t i) {
+    TauStats& stats = stats_[static_cast<size_t>(i)];
     stats.gram_upper = Matrix(dim, dim, 0.0);
     stats.xty.assign(dim, 0.0);
     stats.next_t = t_min;
-  }
-  stats_ = std::move(fresh);
+    solved[static_cast<size_t>(i)] =
+        SolveTau(train, dy, static_cast<int32_t>(i + 1),
+                 rows.data() + static_cast<size_t>(i) * stride);
+  });
+
   std::vector<SparModel> models;
   models.reserve(static_cast<size_t>(max_horizon));
-  for (int32_t tau = 1; tau <= max_horizon; ++tau) {
-    auto model = SolveTau(train, tau);
+  for (Result<SparModel>& model : solved) {
     if (!model.ok()) {
       stats_.clear();
       return model.status();
     }
     models.push_back(std::move(model).MoveValueUnsafe());
   }
+  if (fittable < max_horizon) {
+    stats_.clear();
+    return unfittable;
+  }
   models_ = std::move(models);
-  fitted_len_ = static_cast<int64_t>(train.size());
+  fitted_len_ = len;
   return Status::OK();
 }
 
@@ -223,10 +283,19 @@ Status SparPredictor::Refit(const std::vector<double>& train,
       static_cast<int64_t>(train.size()) < fitted_len_) {
     return Fit(train, max_horizon);
   }
+  int64_t first_t = stats_.front().next_t;
+  for (const TauStats& stats : stats_) {
+    first_t = std::min(first_t, stats.next_t);
+  }
+  const Deviations dy = ComputeDeviations(train, first_t);
+  std::vector<double> row(
+      static_cast<size_t>(config_.num_periods + config_.num_recent));
   std::vector<SparModel> models;
   models.reserve(static_cast<size_t>(max_horizon));
   for (int32_t tau = 1; tau <= max_horizon; ++tau) {
-    auto model = SolveTau(train, tau);
+    PSTORE_RETURN_NOT_OK(
+        CheckTau(static_cast<int64_t>(train.size()), tau));
+    auto model = SolveTau(train, dy, tau, row.data());
     if (!model.ok()) return model.status();
     models.push_back(std::move(model).MoveValueUnsafe());
   }

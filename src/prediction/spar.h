@@ -81,6 +81,14 @@ class SparModel {
 /// O(len * (n+m)^2) re-fit to O(new_slots * (n+m)^2). Accumulation
 /// mirrors Matrix::Gram()'s summation order, so refitted coefficients
 /// are bit-identical to a full Fit on the extended series.
+///
+/// Dy(t - j) depends on t and j only through t - j, so a Fit or Refit
+/// computes Dy once for each slot its new rows read, and every tau's
+/// rows read that one table. Fit's taus are independent least-squares
+/// problems and run under ParallelFor, each folding its rows, in row
+/// order, into its own statistics, so no coefficient depends on the
+/// thread count. Refit stays serial: its few new rows cost less than
+/// starting threads.
 class SparPredictor : public LoadPredictor {
  public:
   explicit SparPredictor(SparConfig config = SparConfig{})
@@ -112,9 +120,26 @@ class SparPredictor : public LoadPredictor {
     int64_t next_t = 0;
   };
 
-  /// Extends stats_[tau-1] with rows next_t..t_max of `train` and
-  /// re-solves for the tau's coefficients.
-  Result<SparModel> SolveTau(const std::vector<double>& train, int32_t tau);
+  /// Dy(s) for the consecutive slots s = first, first + 1, ...
+  struct Deviations {
+    int64_t first = 0;
+    std::vector<double> values;
+  };
+
+  /// What fitting `tau` on `len` slots fails with before it reads a row
+  /// (bad config, tau out of range, too few rows), or OK.
+  Status CheckTau(int64_t len, int32_t tau) const;
+
+  /// Dy(s) for every slot s that design rows first_t..len-2 read.
+  Deviations ComputeDeviations(const std::vector<double>& train,
+                               int64_t first_t) const;
+
+  /// Extends stats_[tau-1] with rows next_t..t_max of `train`, built one
+  /// at a time in `row` (n + m doubles), and re-solves for the tau's
+  /// coefficients. Precondition: CheckTau(train.size(), tau) is OK and
+  /// `dy` covers the new rows.
+  Result<SparModel> SolveTau(const std::vector<double>& train,
+                             const Deviations& dy, int32_t tau, double* row);
 
   SparConfig config_;
   std::vector<SparModel> models_;  // models_[i] forecasts tau = i + 1

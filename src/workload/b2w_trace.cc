@@ -38,14 +38,14 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
   std::vector<double> trace(static_cast<size_t>(total));
 
   // Per-day drift and event placement.
-  std::vector<double> day_drift(static_cast<size_t>(config.days), 0.0);
+  std::vector<double> drift_factor(static_cast<size_t>(config.days), 0.0);
   std::vector<double> promo_center(static_cast<size_t>(config.days), -1.0);
   std::vector<double> spike_start(static_cast<size_t>(config.days), -1.0);
   double drift = 0;
   for (int32_t d = 0; d < config.days; ++d) {
     drift = config.daily_drift_rho * drift +
             config.daily_drift_sigma * rng.NextGaussian();
-    day_drift[static_cast<size_t>(d)] = drift;
+    drift_factor[static_cast<size_t>(d)] = std::exp(drift);
     if (promo_rng.NextBernoulli(config.promo_probability)) {
       // Promotions land in the daytime (10:00 - 20:00).
       promo_center[static_cast<size_t>(d)] =
@@ -62,26 +62,33 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
   }
 
   // Diurnal shape: raised sine sharpened by shape_power, scaled so
-  // max/min = peak_to_trough.
+  // max/min = peak_to_trough. It depends only on the minute of the day,
+  // as the drift factor does only on the day, so both are tabulated
+  // once; the minute loop multiplies the same values in the same order
+  // as evaluating them in place would.
   const double trough_level = 1.0 / config.peak_to_trough;
-  auto diurnal = [&](double minute_of_day) {
-    const double phase =
-        2.0 * M_PI * (minute_of_day - config.peak_hour * 60.0) /
-        kMinutesPerDay;
+  std::vector<double> diurnal(kMinutesPerDay);
+  for (int32_t m = 0; m < kMinutesPerDay; ++m) {
+    const double phase = 2.0 * M_PI *
+                         (static_cast<double>(m) - config.peak_hour * 60.0) /
+                         kMinutesPerDay;
     const double raised = (1.0 + std::cos(phase)) / 2.0;  // 1 at peak hour
     const double shaped = std::pow(raised, config.shape_power);
-    return trough_level + (1.0 - trough_level) * shaped;
-  };
+    diurnal[static_cast<size_t>(m)] =
+        trough_level + (1.0 - trough_level) * shaped;
+  }
 
   double noise = 0;
   for (int64_t t = 0; t < total; ++t) {
     const int32_t day = static_cast<int32_t>(t / kMinutesPerDay);
-    const double minute = static_cast<double>(t % kMinutesPerDay);
+    const int32_t minute_of_day = static_cast<int32_t>(t % kMinutesPerDay);
+    const double minute = static_cast<double>(minute_of_day);
     const int32_t dow = day % 7;
 
-    double level = config.peak_rpm * diurnal(minute) *
+    double level = config.peak_rpm *
+                   diurnal[static_cast<size_t>(minute_of_day)] *
                    config.weekday_factors[dow] *
-                   std::exp(day_drift[static_cast<size_t>(day)]);
+                   drift_factor[static_cast<size_t>(day)];
 
     // Promotion bump: Gaussian in time around the promo center.
     const double promo = promo_center[static_cast<size_t>(day)];

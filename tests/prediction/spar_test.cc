@@ -1,6 +1,9 @@
 #include "prediction/spar.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -226,6 +229,111 @@ TEST(SparPredictorTest, ForecastBitIdenticalToPerTauPredict) {
     ASSERT_TRUE(refit.Fit(prefix, kMaxHorizon).ok());
     ASSERT_TRUE(refit.Refit(y, kMaxHorizon).ok());
     ExpectForecastsBitIdentical(refit, y, kMaxHorizon);
+  }
+}
+
+/// Periodic base plus seeded noise.
+std::vector<double> NoisyPeriodic(int64_t slots, int32_t period,
+                                  uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> y(static_cast<size_t>(slots));
+  for (int64_t t = 0; t < slots; ++t) {
+    y[static_cast<size_t>(t)] =
+        200.0 + 80.0 * std::sin(2 * M_PI * (t % period) / period) +
+        15.0 * rng.NextGaussian();
+  }
+  return y;
+}
+
+/// Asserts two coefficient vectors agree bit for bit.
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << what << "[" << i << "]: " << a[i] << " vs " << b[i];
+  }
+}
+
+// Fit folds each tau's rows into running normal equations, with the
+// recent deviations computed once and the taus solved in parallel;
+// SparModel::Fit builds the whole design matrix for one tau and solves
+// it. With more horizons than hardware threads every worker solves
+// several taus, and each tau must still match the reference exactly.
+TEST(SparPredictorTest, FitMatchesTheDesignMatrixFitBitForBit) {
+  const int32_t hardware = static_cast<int32_t>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  const int32_t max_horizon = 2 * hardware + 3;
+  for (const int32_t recent : {0, 6}) {
+    SparConfig config;
+    config.period = std::max(48, max_horizon + 1);
+    config.num_periods = 3;
+    config.num_recent = recent;
+    const auto y = NoisyPeriodic(int64_t{config.period} * 8, config.period,
+                                 40 + static_cast<uint64_t>(recent));
+    SparPredictor predictor(config);
+    ASSERT_TRUE(predictor.Fit(y, max_horizon).ok());
+    ASSERT_EQ(predictor.models().size(), static_cast<size_t>(max_horizon));
+    for (int32_t tau = 1; tau <= max_horizon; ++tau) {
+      auto reference = SparModel::Fit(y, tau, config);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      const SparModel& fitted =
+          predictor.models()[static_cast<size_t>(tau - 1)];
+      EXPECT_EQ(fitted.tau(), tau);
+      const std::string what =
+          "m " + std::to_string(recent) + " tau " + std::to_string(tau);
+      ExpectSameBits(fitted.periodic_coefficients(),
+                     reference->periodic_coefficients(), what + " a");
+      ExpectSameBits(fitted.recent_coefficients(),
+                     reference->recent_coefficients(), what + " b");
+    }
+  }
+}
+
+// A series long enough only for tau < 5: Fit must fail with tau 5's
+// error (the one a tau-by-tau loop stops at), keep the models of the
+// last successful fit, and drop the statistics it had started to fold,
+// so a later Refit starts from scratch.
+TEST(SparPredictorTest, FailedFitReportsTheFirstUnfittableTauAndKeepsModels) {
+  SparConfig config;
+  config.period = 48;
+  config.num_periods = 3;
+  config.num_recent = 6;
+  constexpr int32_t kFirstUnfittable = 5;
+  constexpr int32_t kMaxHorizon = 12;
+  const auto y = NoisyPeriodic(48 * 8, 48, 3);
+  // Fitting tau needs more than n*T + m + tau + n + m slots. Another
+  // seed, so rows folded from it would change a later Refit.
+  const int64_t short_len = int64_t{3} * 48 + 6 + kFirstUnfittable + 3 + 6;
+  const std::vector<double> short_y = NoisyPeriodic(short_len, 48, 4);
+  ASSERT_TRUE(SparModel::Fit(short_y, kFirstUnfittable - 1, config).ok());
+  const auto expected = SparModel::Fit(short_y, kFirstUnfittable, config);
+  ASSERT_FALSE(expected.ok());
+
+  SparPredictor predictor(config);
+  ASSERT_TRUE(predictor.Fit(y, 3).ok());
+  const std::vector<SparModel> before = predictor.models();
+
+  const Status failed = predictor.Fit(short_y, kMaxHorizon);
+  EXPECT_EQ(failed.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(failed.ToString(), expected.status().ToString());
+  ASSERT_EQ(predictor.models().size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    ExpectSameBits(predictor.models()[i].periodic_coefficients(),
+                   before[i].periodic_coefficients(), "kept a");
+    ExpectSameBits(predictor.models()[i].recent_coefficients(),
+                   before[i].recent_coefficients(), "kept b");
+  }
+
+  ASSERT_TRUE(predictor.Refit(y, kMaxHorizon).ok());
+  SparPredictor fresh(config);
+  ASSERT_TRUE(fresh.Fit(y, kMaxHorizon).ok());
+  ASSERT_EQ(predictor.models().size(), fresh.models().size());
+  for (size_t i = 0; i < fresh.models().size(); ++i) {
+    ExpectSameBits(predictor.models()[i].periodic_coefficients(),
+                   fresh.models()[i].periodic_coefficients(), "refit a");
+    ExpectSameBits(predictor.models()[i].recent_coefficients(),
+                   fresh.models()[i].recent_coefficients(), "refit b");
   }
 }
 

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -49,6 +51,33 @@ TEST(B2wTraceTest, Deterministic) {
   EXPECT_EQ(*a, *b);
   auto c = GenerateB2wTrace(B2wRegularTraffic(7, 6));
   EXPECT_NE(*a, *c);
+}
+
+/// FNV-1a over the bytes of every value's bit pattern.
+uint64_t HashBits(const std::vector<double>& values) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Pins the generator's output bit for bit: the preset traces feed
+// SPAR's fits, the e2e fingerprints and every B2W figure, so a
+// refactor of the generator must reproduce them exactly.
+TEST(B2wTraceTest, PresetTracesArePinnedBitForBit) {
+  auto august = GenerateB2wTrace(B2wAugustToDecember());
+  ASSERT_TRUE(august.ok());
+  EXPECT_EQ(august->size(), 137u * 1440u);
+  EXPECT_EQ(HashBits(*august), 0xec9e0e1468df9e66ULL);
+  auto spike = GenerateB2wTrace(B2wSpikeDay());
+  ASSERT_TRUE(spike.ok());
+  EXPECT_EQ(spike->size(), 36u * 1440u);
+  EXPECT_EQ(HashBits(*spike), 0x53daed1174519cecULL);
 }
 
 TEST(B2wTraceTest, PeakToTroughRatioNearTen) {
