@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -190,16 +189,6 @@ CellResult RunCell(Mode mode, double surge) {
   sim.RunUntil(SecondsToDuration(kRunSeconds + 20.0));
 
   cell.moves = static_cast<int64_t>(migrator.history().size());
-  if (std::getenv("MISPRED_DEBUG") != nullptr) {
-    std::printf("-- mode=%s surge=%.1f\n", ModeName(mode), surge);
-    for (const MoveRecord& r : migrator.history()) {
-      std::printf("   move %d->%d start=%.1fs end=%.1fs%s%s\n",
-                  r.from_nodes, r.to_nodes,
-                  static_cast<double>(r.start) / 1e6,
-                  static_cast<double>(r.end) / 1e6,
-                  r.aborted ? " ABORTED" : "", r.truncated ? " TRUNC" : "");
-    }
-  }
   if (predictive != nullptr) {
     cell.vetoes = predictive->guard_vetoes();
     cell.repairs = predictive->plan_repairs();

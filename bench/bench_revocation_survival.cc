@@ -55,7 +55,7 @@ struct CellResult {
 };
 
 /// One (notice period, domain count) cell: revoke node 5 at t=10s with
-/// the given notice; the drain hook starts the deadline evacuation and
+/// the given notice; the deadline evacuation starts with the notice and
 /// the engine hard-kills the node when the notice expires.
 CellResult RunCell(double notice_ms, int32_t num_domains,
                    obs::TelemetryBundle* telemetry) {
@@ -100,10 +100,6 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   if (telemetry != nullptr) {
     migrator.set_telemetry(telemetry->view());
   }
-  engine.set_drain_hook([&migrator](NodeId n, SimTime deadline) {
-    (void)migrator.StartEvacuation(n, deadline);
-  });
-
   // Steady load, one write in four, upserts restricted to preloaded
   // keys so the total row count is conserved exactly.
   const auto arrivals = static_cast<int64_t>(kRateTps * kRunSeconds);
@@ -122,12 +118,17 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   }
 
   // The fault: a spot-revocation notice for node 5. The engine starts
-  // the graceful drain (the hook above kicks the evacuation) and
-  // schedules the hard kill at the deadline itself.
-  sim.ScheduleAt(SecondsToDuration(kRevokeSecond), [&engine, notice_ms]() {
-    (void)engine.StartDrain(
-        kRevokedNode, SecondsToDuration(notice_ms / 1000.0));
-  });
+  // the graceful drain and schedules the hard kill at the deadline
+  // itself; the deadline-aware evacuation starts with the notice.
+  sim.ScheduleAt(SecondsToDuration(kRevokeSecond),
+                 [&engine, &migrator, notice_ms]() {
+                   const SimDuration notice =
+                       SecondsToDuration(notice_ms / 1000.0);
+                   if (engine.StartDrain(kRevokedNode, notice).ok()) {
+                     (void)migrator.StartEvacuation(
+                         kRevokedNode, engine.drain_deadline(kRevokedNode));
+                   }
+                 });
 
   // Goodput sampler: committed/s.
   std::vector<int64_t> committed_per_s;

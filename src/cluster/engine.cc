@@ -500,8 +500,9 @@ Status ClusterEngine::RestartNode(NodeId n) {
     } else {
       replay = replication_->PlanDuration(plan);
     }
+    const durability::ContentDurableStore* content = replication_->content();
     const double stall =
-        disk_stall_hook_ != nullptr ? disk_stall_hook_(sim_->Now()) : 1.0;
+        content != nullptr ? content->stall_factor(sim_->Now()) : 1.0;
     if (stall != 1.0) {
       replay = std::max<SimDuration>(
           1, static_cast<SimDuration>(static_cast<double>(replay) * stall));
@@ -858,7 +859,6 @@ Status ClusterEngine::StartDrain(NodeId n, SimDuration notice) {
                   topology::NodeClassName(policy_->ClassOf(n)) + ", domain " +
                   std::to_string(policy_->DomainOf(n)) + "): hard kill at " +
                   std::to_string(deadline) + " us");
-  if (drain_hook_) drain_hook_(n, deadline);
   return Status::OK();
 }
 
@@ -976,8 +976,7 @@ void ClusterEngine::ReplicateWrite(PartitionId primary,
                                    const WriteSet& writes) {
   const BucketId b = pending.bucket;
   replication_->RecordWrite(NodeOfPartition(primary), b, pending.req.key);
-  const SimDuration lag =
-      replica_lag_hook_ ? replica_lag_hook_(sim_->Now()) : 0;
+  const SimDuration lag = replication_->lag(sim_->Now());
   int32_t replicas_applied = 0;
   for (PartitionId q : replication_->replicas(b)) {
     // Synchronous apply: the backup's state reflects the write at commit
@@ -1276,8 +1275,7 @@ void ClusterEngine::ScheduleScrub() {
     // other durable I/O. Crashed and recovering nodes' disks are
     // offline to the scrubber — their damage waits for restart replay
     // to detect it.
-    const double stall =
-        disk_stall_hook_ != nullptr ? disk_stall_hook_(sim_->Now()) : 1.0;
+    const double stall = content->stall_factor(sim_->Now());
     const auto budget = static_cast<int64_t>(
         config_.replication.durability.scrub_rate_kbps /
         config_.replication.durability.record_kb /

@@ -243,21 +243,6 @@ class ClusterEngine {
   /// checker's rebuild-liveness check.
   PartitionId ChooseBackupPartition(BucketId b) const;
 
-  /// Installs a hook adding network lag to backup apply work (the
-  /// kReplicaLag fault); called with the current virtual time.
-  void set_replica_lag_hook(std::function<SimDuration(SimTime)> hook) {
-    replica_lag_hook_ = std::move(hook);
-  }
-
-  /// Installs a hook multiplying durable I/O latency — checkpoint load
-  /// and log replay during restart recovery, and the scrubber's
-  /// throughput (the kDiskStall fault). Called with the current virtual
-  /// time; must return >= 1.0 (1.0 = no stall). Only consulted when the
-  /// content-modeled durable store is on.
-  void set_disk_stall_hook(std::function<double(SimTime)> hook) {
-    disk_stall_hook_ = std::move(hook);
-  }
-
   // --- Network substrate / lease fencing --------------------------------
   //
   // With net.enabled, all cross-node traffic (heartbeats, replication
@@ -341,10 +326,11 @@ class ClusterEngine {
   // nodes can be *drained*: a spot-revocation notice marks the node
   // draining — no new backup replicas target it and controllers treat
   // it as impending capacity loss — until the deadline, when it is
-  // hard-killed like a crash. Evacuation itself is driven through the
-  // drain hook (chaos harnesses wire it to MigrationExecutor's
-  // deadline-aware evacuator); whatever misses the deadline falls back
-  // to replica promotion in the kill's failover.
+  // hard-killed like a crash. The engine does not move data itself:
+  // whoever starts the drain starts the evacuation right after it
+  // (MigrationExecutor::StartEvacuation with drain_deadline(n));
+  // whatever misses the deadline falls back to replica promotion in the
+  // kill's failover.
 
   /// The placement policy, or nullptr when topology is disabled.
   const topology::PlacementPolicy* placement_policy() const {
@@ -375,13 +361,6 @@ class ClusterEngine {
   /// not an up active node, `n` is already draining, or `n` is the
   /// last live node; InvalidArgument when `notice` <= 0.
   Status StartDrain(NodeId n, SimDuration notice);
-
-  /// Installs a hook fired when a drain starts, with the node and its
-  /// hard-kill deadline; chaos harnesses wire it to the migration
-  /// executor's deadline-aware evacuator.
-  void set_drain_hook(std::function<void(NodeId, SimTime)> hook) {
-    drain_hook_ = std::move(hook);
-  }
 
   /// Drains started (spot-revocation notices accepted).
   int64_t drains_started() const { return drains_started_; }
@@ -685,8 +664,6 @@ class ClusterEngine {
   int64_t rows_net_created_ = 0;
   int64_t recoveries_ = 0;
   SimDuration total_recovery_time_ = 0;
-  std::function<SimDuration(SimTime)> replica_lag_hook_;
-  std::function<double(SimTime)> disk_stall_hook_;
 
   std::unique_ptr<net::NetworkModel> net_;
   int64_t fenced_rejections_ = 0;
@@ -700,7 +677,6 @@ class ClusterEngine {
   int64_t drains_started_ = 0;
   int64_t drain_kills_ = 0;
   int64_t drain_kills_infeasible_ = 0;
-  std::function<void(NodeId, SimTime)> drain_hook_;
 
   obs::Telemetry telemetry_;
   // Handles of the metrics the engine keeps no count of itself (null

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "core/scale_in_veto.h"
 
 namespace pstore {
 
@@ -116,9 +117,10 @@ bool PredictiveController::SafetyNet(double current_rate) {
   // An open breaker means offered load exceeds what the cluster admits;
   // the shed portion never appears in the measured rate, so the breaker
   // is overload evidence in its own right.
+  overload::AdmissionController* admission = engine_->admission();
   const bool breaker_overload =
-      admission_ != nullptr &&
-      admission_->AnyBreakerOpen(engine_->simulator()->Now());
+      admission != nullptr &&
+      admission->AnyBreakerOpen(engine_->simulator()->Now());
   // Recovery replay / re-replication consumes capacity the measured
   // rate cannot see, so a cluster below full k-safety trips the net at
   // a correspondingly lower measured watermark (one node's worth of
@@ -362,62 +364,15 @@ void PredictiveController::PlanAndAct(double current_rate) {
   }
 
   if (first->to_nodes < n0) {
-    // Never shrink a cluster that is actively shedding: an open breaker
-    // says the forecast underestimates the offered load, so the planned
-    // scale-in is deferred (non-urgent moves wait out the overload).
-    if (admission_ != nullptr &&
-        admission_->AnyBreakerOpen(engine_->simulator()->Now())) {
+    // Never shrink under strain the forecast cannot see (an open
+    // breaker, recovery, a suspected or draining node): the planned
+    // scale-in waits and must be re-confirmed from scratch.
+    const std::string veto = ScaleInVeto(engine_);
+    if (!veto.empty()) {
       scale_in_streak_ = 0;
       if (telemetry_.events != nullptr) {
-        telemetry_.events->Record(
-            engine_->simulator()->Now(), "controller",
-            "scale-in deferred: circuit breaker open");
-      }
-      return;
-    }
-    // Likewise never shrink while a node is replaying recovery or any
-    // bucket is below its replication factor: replay and re-replication
-    // consume effective capacity, and removing machines would stretch
-    // the window in which another failure loses data.
-    if (engine_->RecoveryInProgress()) {
-      scale_in_streak_ = 0;
-      if (telemetry_.events != nullptr) {
-        telemetry_.events->Record(
-            engine_->simulator()->Now(), "controller",
-            "scale-in deferred: recovery in progress / degraded k-safety");
-      }
-      return;
-    }
-    // And never shrink while any node is suspected unreachable: the
-    // node holds buckets that may be about to fail over, and its load
-    // is invisible to the forecast while heartbeats are not arriving.
-    // Either the partition heals (suspicion clears next heartbeat) or
-    // the lease expires and failover re-establishes true capacity —
-    // both resolve within the failover timeout, so the deferral is
-    // short and bounded.
-    if (engine_->nodes_suspected() > 0) {
-      scale_in_streak_ = 0;
-      if (telemetry_.events != nullptr) {
-        telemetry_.events->Record(
-            engine_->simulator()->Now(), "controller",
-            "scale-in deferred: " +
-                std::to_string(engine_->nodes_suspected()) +
-                " node(s) suspected unreachable");
-      }
-      return;
-    }
-    // And never shrink while a node is draining toward a revocation
-    // deadline: the drain is impending capacity loss the forecast
-    // cannot see, and releasing machines now would leave the evacuated
-    // buckets (and the deadline kill's failover) nowhere to land.
-    if (engine_->nodes_draining() > 0) {
-      scale_in_streak_ = 0;
-      if (telemetry_.events != nullptr) {
-        telemetry_.events->Record(
-            engine_->simulator()->Now(), "controller",
-            "scale-in deferred: " +
-                std::to_string(engine_->nodes_draining()) +
-                " node(s) draining (impending revocation)");
+        telemetry_.events->Record(engine_->simulator()->Now(), "controller",
+                                  "scale-in deferred: " + veto);
       }
       return;
     }

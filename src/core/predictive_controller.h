@@ -156,16 +156,6 @@ class PredictiveController {
   /// per-plan spans). Call before Start().
   void set_telemetry(const obs::Telemetry& telemetry);
 
-  /// Connects the engine's admission controller (or nullptr). An open
-  /// circuit breaker then (a) counts as overload evidence for the
-  /// reactive safety net even when the admitted rate looks fine (shed
-  /// load is invisible to rate measurements), and (b) defers planned
-  /// scale-ins — shrinking a cluster that is actively shedding would
-  /// amplify the overload.
-  void set_overload(overload::AdmissionController* admission) {
-    admission_ = admission;
-  }
-
   const ControllerConfig& config() const { return config_; }
 
  private:
@@ -184,7 +174,6 @@ class PredictiveController {
   MigrationExecutor* migrator_;
   LoadPredictor* predictor_;
   ControllerConfig config_;
-  overload::AdmissionController* admission_ = nullptr;
   DpPlanner planner_;
   SimDuration interval_;
   obs::Telemetry telemetry_;

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/scale_in_veto.h"
+
 namespace pstore {
 
 Status ReactiveConfig::Validate() const {
@@ -94,20 +96,20 @@ void ReactiveController::Tick() {
     // An open breaker is direct overload evidence even when the admitted
     // rate looks fine: shed load never shows up in txns_submitted-based
     // rates, so the breaker is the only signal that offered > admitted.
+    overload::AdmissionController* admission = engine_->admission();
     const bool breaker_overload =
-        admission_ != nullptr &&
-        admission_->AnyBreakerOpen(engine_->simulator()->Now());
+        admission != nullptr &&
+        admission->AnyBreakerOpen(engine_->simulator()->Now());
 
     // Degraded k-safety or an in-flight restart recovery also counts as
     // overload evidence: replay and re-replication consume effective
     // capacity (Eq. 7 applied to failures). One extra node per fault
     // epoch absorbs the catch-up work without ratcheting to max_nodes,
     // and the scale-in branch below is suppressed until full strength.
-    const bool recovering = engine_->RecoveryInProgress();
     const bool rate_overload =
         smoothed_rate_ > config_.high_watermark * cap_hat;
     const bool recovery_overload =
-        recovering && recovery_scale_epoch_ != epoch;
+        engine_->RecoveryInProgress() && recovery_scale_epoch_ != epoch;
 
     // A draining node is capacity already scheduled to vanish (a spot
     // revocation's hard kill): treat each revocation wave as overload
@@ -151,19 +153,15 @@ void ReactiveController::Tick() {
           }
         }
       }
-    } else if (n > engine_->min_active_nodes() && live > 1 && !recovering &&
-               engine_->nodes_suspected() == 0 && draining == 0 &&
+    } else if (n > engine_->min_active_nodes() && live > 1 &&
                smoothed_rate_ <
-                   config_.low_watermark * config_.q * (live - 1)) {
+                   config_.low_watermark * config_.q * (live - 1) &&
+               ScaleInVeto(engine_).empty()) {
       // Load would comfortably fit on a smaller cluster; require it to
       // stay that way for the hold period before scaling in. The floor
       // is k-aware: shrinking below min_active_nodes() would drop every
-      // backup with no node left to rebuild onto. A suspected
-      // (unreachable but not yet fenced) node vetoes the branch: its
-      // load is invisible to the rate estimate and shrinking mid-
-      // partition could strand buckets that are about to fail over. A
-      // draining node vetoes it too: its capacity is already scheduled
-      // to vanish at the revocation deadline.
+      // backup with no node left to rebuild onto, and the shared veto
+      // holds the branch while the cluster is under unseen strain.
       const SimTime now = engine_->simulator()->Now();
       if (low_since_ < 0) low_since_ = now;
       if (now - low_since_ >= config_.scale_in_hold) {

@@ -66,21 +66,12 @@ class ReactiveController {
   /// smoothed rate, scale decisions as events). Call before Start().
   void set_telemetry(const obs::Telemetry& telemetry);
 
-  /// Treats an open circuit breaker on any node as overload evidence:
-  /// the controller scales out even when the *admitted* rate looks
-  /// sustainable, because shedding means offered load exceeds it.
-  /// Pass the engine's admission controller (or nullptr to detach).
-  void set_overload(overload::AdmissionController* admission) {
-    admission_ = admission;
-  }
-
  private:
   void Tick();
 
   ClusterEngine* engine_;
   MigrationExecutor* migrator_;
   ReactiveConfig config_;
-  overload::AdmissionController* admission_ = nullptr;
   obs::Telemetry telemetry_;
   // Handles of the metrics the controller keeps no count of itself (null
   // until set_telemetry).

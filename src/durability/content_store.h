@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sim_time.h"
 #include "durability/durable_store.h"
 
 /// \file content_store.h
@@ -117,6 +118,20 @@ class ContentDurableStore : public DurableStore {
   /// records torn off.
   int64_t TearTail(NodeId n, double fraction, bool log_side);
 
+  /// Disk stall (the kDiskStall fault): before `until` every durable
+  /// I/O (checkpoint load and log replay at restart, the scrubber's
+  /// throughput) runs `factor` (>= 1) times slower. A new window
+  /// replaces the open one.
+  void OpenStall(double factor, SimTime until) {
+    stall_factor_ = factor;
+    stall_until_ = until;
+  }
+  /// Durable I/O latency multiplier in force at `now` (1.0 outside a
+  /// stall window).
+  double stall_factor(SimTime now) const {
+    return now < stall_until_ ? stall_factor_ : 1.0;
+  }
+
   // --- Introspection ---------------------------------------------------
 
   /// Records node `n` currently persists (both checkpoint images +
@@ -182,6 +197,8 @@ class ContentDurableStore : public DurableStore {
   std::vector<NodeState> nodes_;
   int64_t checkpoints_ = 0;
   NodeId scrub_node_ = 0;  ///< Round-robin cursor across nodes.
+  double stall_factor_ = 1.0;
+  SimTime stall_until_ = -1;  ///< End of the open stall window; -1 = none.
 
   int64_t crc_failures_detected_ = 0;
   int64_t torn_segments_detected_ = 0;

@@ -28,22 +28,6 @@ Status FaultInjector::Arm(const FaultPlan& plan) {
       trace_.Record(engine_->simulator()->Now(), what);
     });
   }
-  if (engine_->replication() != nullptr) {
-    // Replica-lag windows stretch backup apply work; the hook costs
-    // nothing outside a window and is only installed when the engine
-    // actually replicates.
-    engine_->set_replica_lag_hook([this](SimTime now) {
-      return now < lag_until_ ? lag_len_ : SimDuration{0};
-    });
-    if (engine_->replication()->content() != nullptr) {
-      // Disk-stall windows multiply durable I/O latency (checkpoint
-      // load, log replay, scrub throughput); only a content-modeled
-      // store has durable I/O to stall.
-      engine_->set_disk_stall_hook([this](SimTime now) {
-        return now < disk_stall_until_ ? disk_stall_factor_ : 1.0;
-      });
-    }
-  }
   for (const FaultEvent& event : plan.events) {
     sim->ScheduleAt(event.at, [this, event]() { ApplyEvent(event); });
   }
@@ -215,8 +199,10 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
                              std::to_string(event.load_scale) + ")");
       return;
     case FaultType::kReplicaLag:
-      lag_until_ = now + event.duration;
-      lag_len_ = event.stall;
+      // Recorded but inert when the engine does not replicate.
+      if (engine_->replication() != nullptr) {
+        engine_->replication()->OpenLag(event.stall, now + event.duration);
+      }
       ++replica_lags_;
       trace_.Record(now, "replica-lag window open for " +
                              FormatSimTime(event.duration) + " (lag " +
@@ -338,8 +324,8 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
         trace_.Record(now, "disk-stall skipped: durability disabled");
         return;
       }
-      disk_stall_until_ = now + event.duration;
-      disk_stall_factor_ = event.load_scale;
+      engine_->replication()->content()->OpenStall(event.load_scale,
+                                                   now + event.duration);
       ++disk_stalls_;
       trace_.Record(now, "disk-stall window open for " +
                              FormatSimTime(event.duration) +
@@ -363,6 +349,12 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
       }
       Status st = engine_->StartDrain(target, event.duration);
       if (st.ok()) {
+        // The notice starts the deadline-aware evacuation at once;
+        // replica promotion covers what the notice cannot fit.
+        if (migrator_ != nullptr) {
+          (void)migrator_->StartEvacuation(target,
+                                           engine_->drain_deadline(target));
+        }
         ++spot_revocations_;
         trace_.Record(now, "spot revocation of node " +
                                std::to_string(target) + ": draining with " +

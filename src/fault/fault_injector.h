@@ -32,7 +32,8 @@ class FaultInjector {
  public:
   /// \param engine engine to fault (not owned)
   /// \param migrator migration executor to fault; may be null, in which
-  ///        case stall/chunk-failure events are recorded but inert
+  ///        case stall/chunk-failure events are recorded but inert and
+  ///        a spot revocation drains without evacuating
   /// \param seed seeds the injector's private Rng
   FaultInjector(ClusterEngine* engine, MigrationExecutor* migrator,
                 uint64_t seed);
@@ -66,7 +67,6 @@ class FaultInjector {
   bool trace_dropout_active() const;
 
   const EventTrace& trace() const { return trace_; }
-  EventTrace* mutable_trace() { return &trace_; }
 
   int64_t crashes() const { return crashes_; }
   int64_t restarts() const { return restarts_; }
@@ -165,10 +165,6 @@ class FaultInjector {
   double misforecast_scale_ = 1.0;
   SimTime spike_until_ = -1;
   double spike_scale_ = 1.0;
-  SimTime lag_until_ = -1;
-  SimDuration lag_len_ = 0;
-  SimTime disk_stall_until_ = -1;
-  double disk_stall_factor_ = 1.0;
   SimTime flash_until_ = -1;
   double flash_scale_ = 1.0;
   SimTime dropout_until_ = -1;

@@ -16,37 +16,5 @@ Quantiles ComputeQuantiles(const Histogram& histogram) {
   return q;
 }
 
-std::string FormatQuantiles(const Quantiles& q) {
-  std::string out = "count=" + FormatMetricValue(static_cast<double>(q.count));
-  out += " mean=" + FormatMetricValue(q.mean);
-  out += " p50=" + FormatMetricValue(q.p50);
-  out += " p90=" + FormatMetricValue(q.p90);
-  out += " p99=" + FormatMetricValue(q.p99);
-  out += " p999=" + FormatMetricValue(q.p999);
-  out += " min=" + FormatMetricValue(static_cast<double>(q.min));
-  out += " max=" + FormatMetricValue(static_cast<double>(q.max));
-  return out;
-}
-
-HistogramMetric* HistogramFamily::Get(const std::string& label) {
-  if (registry_ == nullptr) return &null_metric_;
-  auto it = members_.find(label);
-  if (it == members_.end()) {
-    it = members_.emplace(label, registry_->GetHistogram(prefix_ + "." + label))
-             .first;
-  }
-  return it->second;
-}
-
-std::vector<std::pair<std::string, Quantiles>> HistogramFamily::Readout()
-    const {
-  std::vector<std::pair<std::string, Quantiles>> out;
-  out.reserve(members_.size());
-  for (const auto& [label, metric] : members_) {
-    out.emplace_back(label, ComputeQuantiles(metric->histogram()));
-  }
-  return out;
-}
-
 }  // namespace obs
 }  // namespace pstore

@@ -1,21 +1,12 @@
 #pragma once
 
-#include <map>
-#include <string>
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "common/histogram.h"
-#include "obs/metrics.h"
 
 /// \file histogram.h (obs)
 /// Percentile readouts over metric histograms: interpolated
-/// p50/p90/p99/p999 quantile summaries, a deterministic text format for
-/// them, and HistogramFamily — a labeled group of latency histograms
-/// (per procedure, per partition) registered under a shared prefix in a
-/// MetricsRegistry. Registration order is deterministic (callers
-/// register from sorted/indexed domains), so same-seed dumps stay
-/// byte-identical.
+/// p50/p90/p99/p999 quantile summaries.
 
 namespace pstore {
 namespace obs {
@@ -34,35 +25,6 @@ struct Quantiles {
 
 /// Computes interpolated p50/p90/p99/p999 (plus count/mean/min/max).
 Quantiles ComputeQuantiles(const Histogram& histogram);
-
-/// One deterministic line: "count=N mean=M p50=... p90=... p99=...
-/// p999=... min=... max=..." (values via FormatMetricValue).
-std::string FormatQuantiles(const Quantiles& q);
-
-/// \brief A labeled family of histograms under one metric prefix.
-///
-/// Get("payment") registers (once) and returns the HistogramMetric
-/// named "<prefix>.payment"; Readout() walks the family in label order
-/// and returns interpolated quantiles per label.
-class HistogramFamily {
- public:
-  /// \param registry target registry (not owned; may be null = no-op)
-  HistogramFamily(MetricsRegistry* registry, std::string prefix)
-      : registry_(registry), prefix_(std::move(prefix)) {}
-
-  /// Registers on first use; returns a stable pointer (null registry
-  /// returns a shared throwaway cell so call sites stay unconditional).
-  HistogramMetric* Get(const std::string& label);
-
-  /// (label, quantiles) per member, sorted by label.
-  std::vector<std::pair<std::string, Quantiles>> Readout() const;
-
- private:
-  MetricsRegistry* registry_;
-  std::string prefix_;
-  std::map<std::string, HistogramMetric*> members_;
-  HistogramMetric null_metric_;
-};
 
 }  // namespace obs
 }  // namespace pstore

@@ -190,6 +190,16 @@ class ReplicaManager {
   /// replication-lag gauge.
   int64_t outstanding_applies() const { return outstanding_applies_; }
 
+  /// Opens a replica-lag window (the kReplicaLag fault): before `until`
+  /// every backup apply carries `lag` of extra network delay. A new
+  /// window replaces the open one.
+  void OpenLag(SimDuration lag, SimTime until) {
+    lag_ = lag;
+    lag_until_ = until;
+  }
+  /// Extra apply delay in force at `now` (0 outside a lag window).
+  SimDuration lag(SimTime now) const { return now < lag_until_ ? lag_ : 0; }
+
   // --- Checkpoint + command log (restart recovery) ---------------------
   //
   // Both are written through the DurableStore interface. The default
@@ -282,6 +292,9 @@ class ReplicaManager {
   /// per config_.durability.enabled.
   std::unique_ptr<durability::DurableStore> durable_;
   durability::ContentDurableStore* content_ = nullptr;  ///< Owned above.
+
+  SimDuration lag_ = 0;
+  SimTime lag_until_ = -1;  ///< End of the open lag window; -1 = none.
 
   int64_t applies_ = 0;
   int64_t outstanding_applies_ = 0;

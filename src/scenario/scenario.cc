@@ -130,20 +130,12 @@ Status Execute(const Scenario& s, uint64_t seed, ScenarioTelemetry* tel,
 
   MigrationExecutor migrator(&engine, s.migration);
   if (tel != nullptr) migrator.set_telemetry(bundle.view());
-  if (s.engine.topology.enabled) {
-    // A revocation notice immediately starts the deadline-aware
-    // evacuation; replica promotion covers what the notice cannot fit.
-    engine.set_drain_hook([&migrator](NodeId n, SimTime deadline) {
-      (void)migrator.StartEvacuation(n, deadline);
-    });
-  }
 
   std::unique_ptr<ReactiveController> reactive;
   if (s.controller == ControllerKind::kReactive) {
     reactive = std::make_unique<ReactiveController>(&engine, &migrator,
                                                     s.reactive);
     if (tel != nullptr) reactive->set_telemetry(bundle.view());
-    reactive->set_overload(engine.admission());  // Null when overload off.
     reactive->Start();
   }
 

@@ -20,6 +20,7 @@ namespace {
 
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 /// Order-sensitive digest of placement + accounting after a crash.
 uint64_t FailoverFingerprint(const ClusterEngine& engine) {
@@ -58,14 +59,7 @@ uint64_t RunFailover(uint64_t seed, bool replicated, bool settle) {
   Simulator sim;
   EngineConfig config = SmallEngineConfig();
   config.initial_nodes = 3;
-  if (replicated) {
-    config.replication.enabled = true;
-    config.replication.k = 1;
-    config.replication.db_size_mb = 10.0;
-    config.replication.rebuild_chunk_kb = 100.0;
-    config.replication.rebuild_rate_kbps = 10000.0;
-    config.replication.wire_kbps = 100000.0;
-  }
+  if (replicated) config = WithReplication(config);
   ClusterEngine engine(&sim, db.catalog, db.registry, config);
   Rng rng(seed);
   const int64_t rows = 100 + static_cast<int64_t>(rng.NextBounded(200));

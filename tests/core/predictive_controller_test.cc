@@ -1,5 +1,6 @@
 #include "core/predictive_controller.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -48,10 +49,12 @@ class PredictiveControllerTest : public ::testing::Test {
  protected:
   PredictiveControllerTest() : db_(MakeKvDatabase()) {}
 
-  void Build(int32_t initial_nodes) {
+  void Build(int32_t initial_nodes,
+             overload::OverloadConfig overload = {}) {
     EngineConfig config = testing_util::SmallEngineConfig();
     config.initial_nodes = initial_nodes;
     config.max_nodes = 8;
+    config.overload = overload;
     engine_ = std::make_unique<ClusterEngine>(&sim_, db_.catalog,
                                               db_.registry, config);
     MigrationOptions migration;
@@ -312,6 +315,49 @@ TEST_F(PredictiveControllerTest, MisforecastTripsSafetyNet) {
 
   EXPECT_GT(controller.safety_net_activations(), 0);
   EXPECT_GE(engine_->active_nodes(), 3);
+}
+
+TEST_F(PredictiveControllerTest, OpenBreakerTripsSafetyNet) {
+  // 50 txn/s fits one node, but a tripped breaker says the offered load
+  // exceeds what the cluster admits. With overload control on, the
+  // controller reads the breaker from the engine: the safety net fires.
+  Build(1, testing_util::StickyBreakerOverload());
+  ScriptedPredictor predictor(std::vector<double>(40, 50.0));
+  PredictiveController controller(engine_.get(), migrator_.get(), &predictor,
+                                  Config());
+  testing_util::TripBreaker(engine_.get());
+  controller.Start();
+  OfferLoad(50.0, 10.0);
+  sim_.RunUntil(SecondsToDuration(10.0));
+  EXPECT_GT(controller.safety_net_activations(), 0);
+  EXPECT_GE(engine_->active_nodes(), 2);
+}
+
+TEST_F(PredictiveControllerTest, OpenBreakerDefersPlannedScaleIn) {
+  // The calm forecast plans a scale-in from 4 nodes (as in
+  // ScaleInRequiresConfirmationCycles), but the cluster is shedding: the
+  // planned scale-in waits for as long as the breaker stays open.
+  Build(4, testing_util::StickyBreakerOverload());
+  ScriptedPredictor predictor(std::vector<double>(10, 50.0));
+  ControllerConfig config = Config();
+  config.enable_reactive_safety_net = false;  // Only the planned path.
+  PredictiveController controller(engine_.get(), migrator_.get(), &predictor,
+                                  config);
+  obs::EventStream events;
+  obs::Telemetry telemetry;
+  telemetry.events = &events;
+  controller.set_telemetry(telemetry);
+  testing_util::TripBreaker(engine_.get());
+  controller.Start();
+  OfferLoad(50.0, 30.0);
+  sim_.RunUntil(SecondsToDuration(30.0));
+  EXPECT_EQ(engine_->active_nodes(), 4);
+  EXPECT_EQ(controller.moves_started(), 0);
+  const auto& lines = events.lines();
+  EXPECT_TRUE(std::any_of(lines.begin(), lines.end(), [](const auto& line) {
+    return line.find("scale-in deferred: circuit breaker open") !=
+           std::string::npos;
+  }));
 }
 
 TEST_F(PredictiveControllerTest, CrashDuringScaleInConfirmationResetsStreak) {

@@ -13,9 +13,11 @@ class ReactiveControllerTest : public ::testing::Test {
  protected:
   ReactiveControllerTest() : db_(MakeKvDatabase()) {}
 
-  void Build(int32_t initial_nodes) {
+  void Build(int32_t initial_nodes,
+             overload::OverloadConfig overload = {}) {
     EngineConfig config = testing_util::SmallEngineConfig();
     config.initial_nodes = initial_nodes;
+    config.overload = overload;
     engine_ = std::make_unique<ClusterEngine>(&sim_, db_.catalog,
                                               db_.registry, config);
     MigrationOptions migration;
@@ -102,14 +104,9 @@ TEST_F(ReactiveControllerTest, ScaleInRespectsReplicationFloor) {
   // With k=1 replication the cluster must never shrink below k+1 = 2
   // nodes: dropping to 1 would strand every bucket at degraded k with
   // no node left to rebuild onto.
-  EngineConfig config = testing_util::SmallEngineConfig();
+  EngineConfig config =
+      testing_util::WithReplication(testing_util::SmallEngineConfig());
   config.initial_nodes = 4;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
   engine_ = std::make_unique<ClusterEngine>(&sim_, db_.catalog, db_.registry,
                                             config);
   EXPECT_EQ(engine_->min_active_nodes(), 2);
@@ -148,6 +145,20 @@ TEST_F(ReactiveControllerTest, StopHaltsDecisions) {
   sim_.RunUntil(SecondsToDuration(6.0));
   EXPECT_EQ(controller.scale_outs(), 0);
   EXPECT_EQ(engine_->active_nodes(), 1);
+}
+
+TEST_F(ReactiveControllerTest, OpenBreakerTriggersScaleOut) {
+  // 50 txn/s fits one node (as in ScalesOutOnlyAfterOverload), but a
+  // tripped breaker is overload evidence the admitted rate cannot show.
+  // With overload control on, the controller reads it from the engine.
+  Build(1, testing_util::StickyBreakerOverload());
+  ReactiveController controller(engine_.get(), migrator_.get(), Config());
+  testing_util::TripBreaker(engine_.get());
+  controller.Start();
+  OfferLoad(50.0, 5.0);
+  sim_.RunUntil(SecondsToDuration(5.0));
+  EXPECT_GE(controller.scale_outs(), 1);
+  EXPECT_GT(engine_->active_nodes(), 1);
 }
 
 // --- Fault-handling regressions --------------------------------------

@@ -22,16 +22,11 @@ namespace {
 
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 EngineConfig DurabilityConfig(bool enabled, double scrub_rate_kbps) {
-  EngineConfig config = SmallEngineConfig();
+  EngineConfig config = WithReplication(SmallEngineConfig());
   config.initial_nodes = 3;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
   config.replication.checkpoint_period = 5 * kSecond;
   config.replication.durability.enabled = enabled;
   config.replication.durability.scrub_rate_kbps = scrub_rate_kbps;
@@ -237,19 +232,23 @@ TEST(DurabilityEngineTest, ScrubberRepairsLiveDamageFromReplicas) {
 }
 
 TEST(DurabilityEngineTest, DiskStallWindowMultipliesReplayTime) {
-  SimDuration times[2] = {0, 0};
-  for (int pass = 0; pass < 2; ++pass) {
+  // Recovery time with no stall (pass 0), with a 4x stall window still
+  // open at the restart (pass 1), and with one that closes exactly at
+  // the restart (pass 2: a window applies strictly before its end).
+  SimDuration times[3] = {0, 0, 0};
+  for (int pass = 0; pass < 3; ++pass) {
     auto db = MakeKvDatabase();
     Simulator sim;
     ClusterEngine engine(&sim, db.catalog, db.registry,
                          DurabilityConfig(true, 0.0));
-    if (pass == 1) {
-      engine.set_disk_stall_hook([](SimTime) { return 4.0; });
-    }
     for (int64_t k = 0; k < 300; ++k) {
       ASSERT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
     }
     sim.RunUntil(11 * kSecond);
+    if (pass > 0) {
+      engine.replication()->content()->OpenStall(
+          4.0, sim.Now() + (pass == 1 ? 1 : 0));
+    }
     ASSERT_TRUE(engine.CrashNode(2).ok());
     ASSERT_TRUE(engine.RestartNode(2).ok());
     sim.RunUntil(60 * kSecond);
@@ -260,6 +259,7 @@ TEST(DurabilityEngineTest, DiskStallWindowMultipliesReplayTime) {
   // An open stall window multiplies checkpoint load + log replay 4x.
   EXPECT_GE(times[1], 3 * times[0]);
   EXPECT_LE(times[1], 5 * times[0]);
+  EXPECT_EQ(times[2], times[0]);
 }
 
 }  // namespace

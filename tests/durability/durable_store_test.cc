@@ -217,6 +217,18 @@ TEST(DurableStoreTest, StateHashIsDeterministicAndDamageSensitive) {
   EXPECT_NE(a.StateHash(), b.StateHash());
 }
 
+TEST(DurableStoreTest, StallWindowAppliesStrictlyBeforeItsEnd) {
+  ContentDurableStore store(1);
+  EXPECT_EQ(store.stall_factor(0), 1.0);
+  store.OpenStall(4.0, 10 * kSecond);
+  EXPECT_EQ(store.stall_factor(0), 4.0);
+  EXPECT_EQ(store.stall_factor(10 * kSecond - 1), 4.0);
+  EXPECT_EQ(store.stall_factor(10 * kSecond), 1.0);
+  // A new window replaces the open one.
+  store.OpenStall(2.0, 20 * kSecond);
+  EXPECT_EQ(store.stall_factor(15 * kSecond), 2.0);
+}
+
 }  // namespace
 }  // namespace durability
 }  // namespace pstore

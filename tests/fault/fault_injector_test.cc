@@ -8,6 +8,7 @@
 namespace pstore {
 namespace {
 
+using testing_util::FastMigration;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
 
@@ -23,15 +24,6 @@ class FaultInjectorTest : public ::testing::Test {
           engine_->LoadRow(db_.table, Row({Value(k), Value(k)})).ok());
     }
     rows_ = rows;
-  }
-
-  MigrationOptions FastOptions() {
-    MigrationOptions opts;
-    opts.chunk_kb = 100;
-    opts.rate_kbps = 10000;
-    opts.wire_kbps = 100000;
-    opts.db_size_mb = 10;
-    return opts;
   }
 
   Simulator sim_;
@@ -205,7 +197,7 @@ TEST_F(FaultInjectorTest, MisforecastWindowScalesForecasts) {
 
 TEST_F(FaultInjectorTest, ChunkFailureWindowCausesRetriesThenCompletion) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   FaultInjector injector(engine_.get(), &migrator, 7);
 
   FaultPlan plan;
@@ -234,7 +226,7 @@ TEST_F(FaultInjectorTest, ChunkFailureWindowCausesRetriesThenCompletion) {
 
 TEST_F(FaultInjectorTest, StallWindowDelaysButCompletesMove) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   FaultInjector injector(engine_.get(), &migrator, 7);
 
   FaultPlan plan;

@@ -8,6 +8,7 @@
 namespace pstore {
 namespace {
 
+using testing_util::FastMigration;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
 
@@ -23,15 +24,6 @@ class InvariantCheckerTest : public ::testing::Test {
           engine_->LoadRow(db_.table, Row({Value(k), Value(k)})).ok());
     }
     rows_ = rows;
-  }
-
-  MigrationOptions FastOptions() {
-    MigrationOptions opts;
-    opts.chunk_kb = 100;
-    opts.rate_kbps = 10000;
-    opts.wire_kbps = 100000;
-    opts.db_size_mb = 10;
-    return opts;
   }
 
   Simulator sim_;
@@ -51,7 +43,7 @@ TEST_F(InvariantCheckerTest, CleanEnginePasses) {
 
 TEST_F(InvariantCheckerTest, CleanAfterMigration) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   InvariantChecker checker(engine_.get(), &migrator);
   checker.set_expected_rows(rows_);
   ASSERT_TRUE(migrator.StartMove(4, nullptr).ok());

@@ -19,6 +19,7 @@ namespace {
 
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 struct CrashDuringMoveOutcome {
   bool move_completed = false;
@@ -31,14 +32,7 @@ struct CrashDuringMoveOutcome {
 EngineConfig CrashTestConfig(bool replicated) {
   EngineConfig config = SmallEngineConfig();
   config.initial_nodes = 2;
-  if (replicated) {
-    config.replication.enabled = true;
-    config.replication.k = 1;
-    config.replication.db_size_mb = 10.0;
-    config.replication.rebuild_chunk_kb = 100.0;
-    config.replication.rebuild_rate_kbps = 10000.0;
-    config.replication.wire_kbps = 100000.0;
-  }
+  if (replicated) config = WithReplication(config);
   return config;
 }
 

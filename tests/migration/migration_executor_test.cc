@@ -7,6 +7,7 @@
 namespace pstore {
 namespace {
 
+using testing_util::FastMigration;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
 
@@ -21,15 +22,6 @@ class MigrationExecutorTest : public ::testing::Test {
       ASSERT_TRUE(
           engine_->LoadRow(db_.table, Row({Value(k), Value(k)})).ok());
     }
-  }
-
-  MigrationOptions FastOptions() {
-    MigrationOptions opts;
-    opts.chunk_kb = 100;
-    opts.rate_kbps = 10000;   // fast so tests are cheap
-    opts.wire_kbps = 100000;
-    opts.db_size_mb = 10;
-    return opts;
   }
 
   Simulator sim_;
@@ -52,7 +44,7 @@ TEST_F(MigrationExecutorTest, OptionsValidation) {
 
 TEST_F(MigrationExecutorTest, ScaleOutMovesDataAndBalances) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   const int64_t rows_before = engine_->TotalRowCount();
 
   bool completed = false;
@@ -81,7 +73,7 @@ TEST_F(MigrationExecutorTest, ScaleInDrainsAndReleasesNodes) {
   EngineConfig config = SmallEngineConfig();
   config.initial_nodes = 4;
   BuildEngine(config);
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
 
   bool completed = false;
   ASSERT_TRUE(migrator.StartMove(2, [&]() { completed = true; }).ok());
@@ -103,7 +95,7 @@ TEST_F(MigrationExecutorTest, ScaleInDrainsAndReleasesNodes) {
 
 TEST_F(MigrationExecutorTest, RejectsConcurrentMoves) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   ASSERT_TRUE(migrator.StartMove(4, nullptr).ok());
   EXPECT_TRUE(migrator.StartMove(6, nullptr).IsFailedPrecondition());
   sim_.RunAll();
@@ -114,14 +106,14 @@ TEST_F(MigrationExecutorTest, RejectsConcurrentMoves) {
 
 TEST_F(MigrationExecutorTest, TargetOutOfRangeRejected) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   EXPECT_TRUE(migrator.StartMove(0, nullptr).IsInvalidArgument());
   EXPECT_TRUE(migrator.StartMove(100, nullptr).IsInvalidArgument());
 }
 
 TEST_F(MigrationExecutorTest, SameTargetCompletesImmediately) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   bool completed = false;
   ASSERT_TRUE(migrator.StartMove(2, [&]() { completed = true; }).ok());
   sim_.RunAll();
@@ -161,7 +153,7 @@ TEST_F(MigrationExecutorTest, RateMultiplierShortensMove) {
     for (int64_t k = 0; k < 100; ++k) {
       EXPECT_TRUE(engine.LoadRow(db_.table, Row({Value(k), Value(k)})).ok());
     }
-    MigrationOptions opts = FastOptions();
+    MigrationOptions opts = FastMigration();
     opts.rate_kbps = 500;
     MigrationExecutor migrator(&engine, opts);
     EXPECT_TRUE(migrator.StartMove(4, nullptr, multiplier).ok());
@@ -177,7 +169,7 @@ TEST_F(MigrationExecutorTest, MigrationOccupiesExecutors) {
   EngineConfig config = SmallEngineConfig();
   config.initial_nodes = 1;
   BuildEngine(config);
-  MigrationOptions opts = FastOptions();
+  MigrationOptions opts = FastMigration();
   opts.wire_kbps = 1000;  // slow wire: long bursts
   MigrationExecutor migrator(engine_.get(), opts);
   const SimDuration busy_before = engine_->executor(0)->busy_time();
@@ -189,7 +181,7 @@ TEST_F(MigrationExecutorTest, MigrationOccupiesExecutors) {
 
 TEST_F(MigrationExecutorTest, TransactionsKeepCommittingDuringMigration) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   ASSERT_TRUE(migrator.StartMove(4, nullptr).ok());
   // Interleave reads of existing keys with the move.
   for (int64_t i = 0; i < 200; ++i) {
@@ -206,7 +198,7 @@ TEST_F(MigrationExecutorTest, TransactionsKeepCommittingDuringMigration) {
 
 TEST_F(MigrationExecutorTest, HistoryRecordsSpans) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   ASSERT_TRUE(migrator.StartMove(4, nullptr).ok());
   ASSERT_EQ(migrator.history().size(), 1u);
   EXPECT_EQ(migrator.history()[0].end, -1);  // in flight
@@ -218,7 +210,7 @@ TEST_F(MigrationExecutorTest, HistoryRecordsSpans) {
 
 TEST_F(MigrationExecutorTest, RepeatedScaleOutInRoundTripPreservesData) {
   BuildEngine(SmallEngineConfig(), 300);
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   const std::vector<int32_t> targets = {5, 3, 8, 1, 2};
   for (int32_t target : targets) {
     ASSERT_TRUE(migrator.StartMove(target, nullptr).ok());
@@ -238,7 +230,7 @@ TEST_F(MigrationExecutorTest, RepeatedScaleOutInRoundTripPreservesData) {
 
 TEST_F(MigrationExecutorTest, ReceiverCrashAbortsMoveCleanly) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   bool completed = false;
   ASSERT_TRUE(migrator.StartMove(4, [&]() { completed = true; }).ok());
   // Kill a receiver node mid-move.
@@ -267,7 +259,7 @@ TEST_F(MigrationExecutorTest, ScaleInWithDownSurvivorRejected) {
   EngineConfig config = SmallEngineConfig();
   config.initial_nodes = 4;
   BuildEngine(config);
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   ASSERT_TRUE(engine_->CrashNode(1).ok());
   EXPECT_TRUE(migrator.StartMove(2, nullptr).IsFailedPrecondition());
   EXPECT_FALSE(migrator.InProgress());
@@ -275,7 +267,7 @@ TEST_F(MigrationExecutorTest, ScaleInWithDownSurvivorRejected) {
 
 TEST_F(MigrationExecutorTest, StalledStreamTimesOutAndRetries) {
   BuildEngine(SmallEngineConfig());
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   // Stall only the very first chunk attempt, far past the timeout.
   int32_t consults = 0;
   migrator.set_chunk_fault_hook(
@@ -300,7 +292,7 @@ TEST_F(MigrationExecutorTest, StalledStreamTimesOutAndRetries) {
 
 TEST_F(MigrationExecutorTest, FailedChunkRetriesWithBackoff) {
   BuildEngine(SmallEngineConfig());
-  MigrationOptions opts = FastOptions();
+  MigrationOptions opts = FastMigration();
   opts.retry_backoff_ms = 50.0;
   MigrationExecutor migrator(engine_.get(), opts);
   // Fail the first two attempts on one stream; record consult times.
@@ -329,7 +321,7 @@ TEST_F(MigrationExecutorTest, FailedChunkRetriesWithBackoff) {
 
 TEST_F(MigrationExecutorTest, RetryBudgetExhaustedAborts) {
   BuildEngine(SmallEngineConfig());
-  MigrationOptions opts = FastOptions();
+  MigrationOptions opts = FastMigration();
   opts.max_chunk_retries = 3;
   MigrationExecutor migrator(engine_.get(), opts);
   // Every chunk attempt fails: the retry budget must run out and the
@@ -368,7 +360,7 @@ TEST_F(MigrationExecutorTest, DeterministicMoveRecordLogs) {
     for (int64_t k = 0; k < 300; ++k) {
       ASSERT_TRUE(engine.LoadRow(db_.table, Row({Value(k), Value(k)})).ok());
     }
-    MigrationExecutor migrator(&engine, FastOptions());
+    MigrationExecutor migrator(&engine, FastMigration());
     int32_t consults = 0;
     migrator.set_chunk_fault_hook(
         [&consults](PartitionId, PartitionId, SimTime) {

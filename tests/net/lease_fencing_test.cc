@@ -17,18 +17,14 @@
 namespace pstore {
 namespace {
 
+using testing_util::FastMigration;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 EngineConfig NetEngineConfig() {
-  EngineConfig config = SmallEngineConfig();
+  EngineConfig config = WithReplication(SmallEngineConfig());
   config.initial_nodes = 3;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
   config.net.enabled = true;
   return config;
 }
@@ -229,12 +225,7 @@ TEST(LeaseFencingTest, ReactiveScaleInDeferredWhileSuspected) {
     for (int64_t k = 0; k < 100; ++k) {
       EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
     }
-    MigrationOptions opts;
-    opts.chunk_kb = 100;
-    opts.rate_kbps = 10000;
-    opts.wire_kbps = 100000;
-    opts.db_size_mb = 10;
-    MigrationExecutor migrator(&engine, opts);
+    MigrationExecutor migrator(&engine, FastMigration());
     ReactiveConfig reactive;
     reactive.q = 100.0;
     reactive.q_hat = 125.0;

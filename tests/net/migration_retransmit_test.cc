@@ -18,25 +18,21 @@
 namespace pstore {
 namespace {
 
+using testing_util::FastMigration;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 class MigrationRetransmitTest : public ::testing::Test {
  protected:
   MigrationRetransmitTest() : db_(MakeKvDatabase()) {}
 
   void BuildEngine(int64_t rows = 500, bool overload = false) {
-    EngineConfig config = SmallEngineConfig();
+    EngineConfig config = WithReplication(SmallEngineConfig());
     if (overload) {
       config.overload.enabled = true;
       config.overload.max_queue_depth = 4;
     }
-    config.replication.enabled = true;
-    config.replication.k = 1;
-    config.replication.db_size_mb = 10.0;
-    config.replication.rebuild_chunk_kb = 100.0;
-    config.replication.rebuild_rate_kbps = 10000.0;
-    config.replication.wire_kbps = 100000.0;
     config.net.enabled = true;
     engine_ = std::make_unique<ClusterEngine>(&sim_, db_.catalog,
                                               db_.registry, config);
@@ -46,15 +42,6 @@ class MigrationRetransmitTest : public ::testing::Test {
     }
   }
 
-  MigrationOptions FastOptions() {
-    MigrationOptions opts;
-    opts.chunk_kb = 100;
-    opts.rate_kbps = 10000;
-    opts.wire_kbps = 100000;
-    opts.db_size_mb = 10;
-    return opts;
-  }
-
   Simulator sim_;
   testing_util::KvDatabase db_;
   std::unique_ptr<ClusterEngine> engine_;
@@ -62,7 +49,7 @@ class MigrationRetransmitTest : public ::testing::Test {
 
 TEST_F(MigrationRetransmitTest, CleanMoveCompletesOverTheSubstrate) {
   BuildEngine();
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   const int64_t rows_before = engine_->TotalRowCount();
   bool completed = false;
   ASSERT_TRUE(migrator.StartMove(4, [&]() { completed = true; }).ok());
@@ -78,7 +65,7 @@ TEST_F(MigrationRetransmitTest, CleanMoveCompletesOverTheSubstrate) {
 
 TEST_F(MigrationRetransmitTest, DuplicatedChunkDataAppliesOnce) {
   BuildEngine();
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   const int64_t rows_before = engine_->TotalRowCount();
   engine_->net()->set_message_fault_hook(
       [](net::NodeId, net::NodeId, net::MessageKind kind,
@@ -101,7 +88,7 @@ TEST_F(MigrationRetransmitTest, DuplicatedChunkDataAppliesOnce) {
 
 TEST_F(MigrationRetransmitTest, LostChunkDataIsRetransmitted) {
   BuildEngine();
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   const int64_t rows_before = engine_->TotalRowCount();
   engine_->net()->set_message_fault_hook(
       [](net::NodeId, net::NodeId, net::MessageKind kind,
@@ -125,7 +112,7 @@ TEST_F(MigrationRetransmitTest, LostChunkDataIsRetransmitted) {
 
 TEST_F(MigrationRetransmitTest, LostAckTriggersRetransmitNotDoubleApply) {
   BuildEngine();
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   const int64_t rows_before = engine_->TotalRowCount();
   engine_->net()->set_message_fault_hook(
       [](net::NodeId, net::NodeId, net::MessageKind kind,
@@ -156,7 +143,7 @@ TEST_F(MigrationRetransmitTest, LostAckTriggersRetransmitNotDoubleApply) {
 // drains.
 TEST_F(MigrationRetransmitTest, FullDestinationQueueLosesTheChunkNotTheBound) {
   BuildEngine(/*rows=*/500, /*overload=*/true);
-  MigrationExecutor migrator(engine_.get(), FastOptions());
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   const int64_t rows_before = engine_->TotalRowCount();
   const int32_t ppn = engine_->config().partitions_per_node;
   ClusterEngine* engine = engine_.get();
@@ -195,24 +182,13 @@ TEST(MigrationRetransmitReplayTest, SameSeedSameRetransmissionSchedule) {
   auto run = []() {
     auto db = MakeKvDatabase();
     Simulator sim;
-    EngineConfig config = SmallEngineConfig();
-    config.replication.enabled = true;
-    config.replication.k = 1;
-    config.replication.db_size_mb = 10.0;
-    config.replication.rebuild_chunk_kb = 100.0;
-    config.replication.rebuild_rate_kbps = 10000.0;
-    config.replication.wire_kbps = 100000.0;
+    EngineConfig config = WithReplication(SmallEngineConfig());
     config.net.enabled = true;
     ClusterEngine engine(&sim, db.catalog, db.registry, config);
     for (int64_t k = 0; k < 500; ++k) {
       EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
     }
-    MigrationOptions opts;
-    opts.chunk_kb = 100;
-    opts.rate_kbps = 10000;
-    opts.wire_kbps = 100000;
-    opts.db_size_mb = 10;
-    MigrationExecutor migrator(&engine, opts);
+    MigrationExecutor migrator(&engine, FastMigration());
     engine.net()->set_message_fault_hook(
         [](net::NodeId, net::NodeId, net::MessageKind kind,
            int64_t kind_index) {

@@ -21,8 +21,10 @@ namespace pstore {
 namespace {
 
 using testing_util::ExpectNoViolations;
+using testing_util::FastMigration;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 /// 3 nodes, k=1, net enabled, mixed Put/Get load, a 2 s scale-out
 /// racing the fault plan (partition-during-migration), and a net-heavy
@@ -97,14 +99,8 @@ TEST(NetChaosTest, SweepExercisesNetworkMachinery) {
 std::pair<int64_t, int64_t> RunBaseline(net::NetConfig net) {
   auto db = MakeKvDatabase();
   Simulator sim;
-  EngineConfig config = SmallEngineConfig();
+  EngineConfig config = WithReplication(SmallEngineConfig());
   config.initial_nodes = 3;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
   config.net = net;
   ClusterEngine engine(&sim, db.catalog, db.registry, config);
   EXPECT_EQ(engine.net(), nullptr);
@@ -112,12 +108,7 @@ std::pair<int64_t, int64_t> RunBaseline(net::NetConfig net) {
   for (int64_t k = 0; k < rows; ++k) {
     EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
   }
-  MigrationOptions opts;
-  opts.chunk_kb = 100;
-  opts.rate_kbps = 10000;
-  opts.wire_kbps = 100000;
-  opts.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, opts);
+  MigrationExecutor migrator(&engine, FastMigration());
   (void)migrator.StartMove(5, nullptr);
   for (int64_t i = 0; i < 200; ++i) {
     TxnRequest req;
@@ -151,12 +142,7 @@ TEST(NetOffIdentityTest, NetFaultEventsDrawNothingWhenSubstrateOff) {
   Simulator sim;
   EngineConfig config = SmallEngineConfig();
   ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  MigrationOptions opts;
-  opts.chunk_kb = 100;
-  opts.rate_kbps = 10000;
-  opts.wire_kbps = 100000;
-  opts.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, opts);
+  MigrationExecutor migrator(&engine, FastMigration());
 
   const uint64_t seed = 77;
   FaultPlan plan;

@@ -328,6 +328,17 @@ TEST_F(ReplicaManagerTest, ApplyGaugeTracksOutstandingWork) {
   EXPECT_EQ(manager_.applies(), 2);
 }
 
+TEST_F(ReplicaManagerTest, LagWindowAppliesStrictlyBeforeItsEnd) {
+  EXPECT_EQ(manager_.lag(0), 0);
+  manager_.OpenLag(5 * kMillisecond, 10 * kSecond);
+  EXPECT_EQ(manager_.lag(0), 5 * kMillisecond);
+  EXPECT_EQ(manager_.lag(10 * kSecond - 1), 5 * kMillisecond);
+  EXPECT_EQ(manager_.lag(10 * kSecond), 0);
+  // A new window replaces the open one.
+  manager_.OpenLag(2 * kMillisecond, 20 * kSecond);
+  EXPECT_EQ(manager_.lag(15 * kSecond), 2 * kMillisecond);
+}
+
 }  // namespace
 }  // namespace replication
 }  // namespace pstore

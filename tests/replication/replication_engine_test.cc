@@ -17,16 +17,11 @@ namespace {
 
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 EngineConfig ReplicatedConfig(int32_t nodes) {
-  EngineConfig config = SmallEngineConfig();
+  EngineConfig config = WithReplication(SmallEngineConfig());
   config.initial_nodes = nodes;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
   config.replication.checkpoint_period = 5 * kSecond;
   return config;
 }

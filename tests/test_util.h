@@ -35,6 +35,48 @@ inline EngineConfig SmallEngineConfig() {
   return config;
 }
 
+/// Turns on k=1 replication with the sizing the engine-level tests
+/// share: a 10 MB database, rebuilt in 100 kB chunks at 10 MB/s over a
+/// 100 MB/s wire.
+inline EngineConfig WithReplication(EngineConfig config) {
+  config.replication.enabled = true;
+  config.replication.k = 1;
+  config.replication.db_size_mb = 10.0;
+  config.replication.rebuild_chunk_kb = 100.0;
+  config.replication.rebuild_rate_kbps = 10000.0;
+  config.replication.wire_kbps = 100000.0;
+  return config;
+}
+
+/// Migration streams the engine-level tests share: 100 kB chunks at
+/// 10 MB/s over a 100 MB/s wire, 10 MB of virtual data (at 64 buckets
+/// a 160 kB bucket ships in two chunks over 16 ms).
+inline MigrationOptions FastMigration() {
+  return {.chunk_kb = 100,
+          .rate_kbps = 10000,
+          .wire_kbps = 100000,
+          .db_size_mb = 10};
+}
+
+/// Overload control whose breakers, once tripped, stay open for an hour
+/// of virtual time (1 s windows, trip above a 20% shed share).
+inline overload::OverloadConfig StickyBreakerOverload() {
+  overload::OverloadConfig config;
+  config.enabled = true;
+  config.breaker.shed_threshold = 0.2;
+  config.breaker.cooldown = 3600 * kSecond;
+  return config;
+}
+
+/// Trips node 0's breaker: fills its current window with sheds, so the
+/// breaker opens when that window ends (the engine needs overload
+/// control on).
+inline void TripBreaker(ClusterEngine* engine) {
+  for (int i = 0; i < 100; ++i) {
+    engine->admission()->RecordShed(0, engine->simulator()->Now());
+  }
+}
+
 /// One seed of the named scenario-table row, without telemetry.
 inline scenario::ScenarioResult RunRow(std::string_view name, uint64_t seed) {
   const scenario::Scenario* row = scenario::FindScenario(name);

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <utility>
-#include <vector>
-
 #include "../test_util.h"
 #include "planner/move_model.h"
 #include "topology/topology.h"
@@ -17,8 +14,10 @@
 namespace pstore {
 namespace {
 
+using testing_util::FastMigration;
 using testing_util::MakeKvDatabase;
 using testing_util::SmallEngineConfig;
+using testing_util::WithReplication;
 
 // --- Policy units ----------------------------------------------------
 // (TopologyConfig::Validate units live in topology_config_test.cc.)
@@ -48,14 +47,8 @@ TEST(PlacementPolicyTest, StripesDomainsAndClassesDeterministically) {
 // --- Drain state machine ---------------------------------------------
 
 EngineConfig TopologyEngineConfig(int32_t nodes, int32_t domains) {
-  EngineConfig config = SmallEngineConfig();
+  EngineConfig config = WithReplication(SmallEngineConfig());
   config.initial_nodes = nodes;
-  config.replication.enabled = true;
-  config.replication.k = 1;
-  config.replication.db_size_mb = 10.0;
-  config.replication.rebuild_chunk_kb = 100.0;
-  config.replication.rebuild_rate_kbps = 10000.0;
-  config.replication.wire_kbps = 100000.0;
   config.replication.checkpoint_period = 5 * kSecond;
   config.topology.enabled = true;
   config.topology.num_domains = domains;
@@ -71,18 +64,11 @@ TEST(DrainTest, StartDrainGuardsAndDeadlineKill) {
   // Guards: bad notice, bad node, duplicate drain.
   EXPECT_TRUE(engine.StartDrain(1, 0).IsInvalidArgument());
   EXPECT_TRUE(engine.StartDrain(7, kSecond).IsFailedPrecondition());
-  std::vector<std::pair<NodeId, SimTime>> hook_calls;
-  engine.set_drain_hook([&hook_calls](NodeId n, SimTime deadline) {
-    hook_calls.emplace_back(n, deadline);
-  });
   EXPECT_TRUE(engine.StartDrain(1, 2 * kSecond).ok());
   EXPECT_TRUE(engine.StartDrain(1, kSecond).IsFailedPrecondition());
   EXPECT_TRUE(engine.IsNodeDraining(1));
   EXPECT_EQ(engine.drain_deadline(1), 2 * kSecond);
   EXPECT_EQ(engine.nodes_draining(), 1);
-  ASSERT_EQ(hook_calls.size(), 1u);
-  EXPECT_EQ(hook_calls[0].first, 1);
-  EXPECT_EQ(hook_calls[0].second, 2 * kSecond);
   // At the deadline the node is hard-killed like a crash; with k=1 and
   // two live peers every bucket promotes, nothing is lost.
   sim.RunUntil(10 * kSecond);
@@ -116,22 +102,12 @@ int64_t BucketsOn(const ClusterEngine& engine, NodeId node) {
   return count;
 }
 
-/// Evacuation knobs: a 160 kB bucket ships in two chunks over 16 ms.
-MigrationOptions EvacOptions() {
-  MigrationOptions options;
-  options.chunk_kb = 100;
-  options.rate_kbps = 10000;
-  options.wire_kbps = 100000;
-  options.db_size_mb = 10;
-  return options;
-}
-
 TEST(DrainTest, StartEvacuationGuards) {
   auto db = MakeKvDatabase();
   Simulator sim;
   ClusterEngine engine(&sim, db.catalog, db.registry,
                        TopologyEngineConfig(3, 3));
-  MigrationExecutor migrator(&engine, EvacOptions());
+  MigrationExecutor migrator(&engine, FastMigration());
   // Deadline must be in the future, source must be an up node, and at
   // most one evacuation runs at a time.
   EXPECT_TRUE(migrator.StartEvacuation(1, 0).IsInvalidArgument());
@@ -160,16 +136,14 @@ TEST(DrainTest, EvacuationDefersAcrossPartition) {
   EngineConfig config = TopologyEngineConfig(3, 3);
   config.net.enabled = true;
   ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  MigrationExecutor migrator(&engine, EvacOptions());
-  engine.set_drain_hook([&migrator](NodeId n, SimTime deadline) {
-    ASSERT_TRUE(migrator.StartEvacuation(n, deadline).ok());
-  });
+  MigrationExecutor migrator(&engine, FastMigration());
   const int64_t before = BucketsOn(engine, 1);
   ASSERT_GT(before, 0);
   // Cut the draining node off from every destination for 1 s of its
   // 30 s notice (short of the lease timeout, so nothing fails over).
   engine.net()->OpenPartition({1}, kSecond);
   ASSERT_TRUE(engine.StartDrain(1, 30 * kSecond).ok());
+  ASSERT_TRUE(migrator.StartEvacuation(1, engine.drain_deadline(1)).ok());
   sim.RunUntil(kSecond - kMillisecond);
   EXPECT_TRUE(migrator.EvacuationInProgress());
   EXPECT_EQ(migrator.buckets_evacuated(), 0);
@@ -190,7 +164,7 @@ TEST(DrainTest, EvacuationYieldsToFullQueue) {
   config.overload.enabled = true;
   config.overload.max_queue_depth = 4;
   ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  MigrationExecutor migrator(&engine, EvacOptions());
+  MigrationExecutor migrator(&engine, FastMigration());
   // Fill every destination partition's queue to its limit with 100 ms
   // items: one in service, four waiting.
   const int32_t p = config.partitions_per_node;
