@@ -2,8 +2,8 @@
 /// planner (runs every control interval online), SPAR fit/predict/refit,
 /// the migration schedule generator, partition-map assignment and
 /// rebalancing, the storage row index, row lifecycle and B2W line-item
-/// codec that procedure bodies spend their time in, and the engine's transaction
-/// path on the virtual clock.
+/// codec that procedure bodies spend their time in, the engine's transaction
+/// path on the virtual clock, and the B2W trace generator.
 ///
 /// Unlike the figure harnesses, this binary measures *wall-clock* cost,
 /// so its output feeds the regression gate: a custom reporter collects
@@ -35,6 +35,7 @@
 #include "storage/schema.h"
 #include "txn/procedure.h"
 #include "workload/b2w_schema.h"
+#include "workload/b2w_trace.h"
 
 namespace pstore {
 namespace {
@@ -122,7 +123,9 @@ void BM_SparPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_SparPredict);
 
-void BM_SparFit(benchmark::State& state) {
+// Fits `horizons` taus on four weeks of 5-minute slots: 4 in the plain
+// case, 48 (BM_SparFit/48) as the capacity study does.
+void BM_SparFit(benchmark::State& state, int32_t horizons) {
   SparConfig config;
   config.period = 288;
   config.num_periods = 7;
@@ -133,10 +136,12 @@ void BM_SparFit(benchmark::State& state) {
   }
   for (auto _ : state) {
     SparPredictor predictor(config);
-    benchmark::DoNotOptimize(predictor.Fit(series, 4));
+    benchmark::DoNotOptimize(predictor.Fit(series, horizons));
   }
 }
+void BM_SparFit(benchmark::State& state) { BM_SparFit(state, 4); }
 BENCHMARK(BM_SparFit);
+BENCHMARK_CAPTURE(BM_SparFit, 48, 48);
 
 // One predictive-controller refit tick: the model was fitted up to slot
 // L, six new measurements arrived, Refit must absorb them. Starts each
@@ -266,6 +271,16 @@ void BM_B2wLineCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_B2wLineCodec);
+
+// The 137-day August-December B2W trace (197,280 minutes) the capacity
+// study and Fig. 13 replay.
+void BM_B2wTraceGen(benchmark::State& state) {
+  const B2wTraceConfig config = B2wAugustToDecember();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GenerateB2wTrace(config));
+  }
+}
+BENCHMARK(BM_B2wTraceGen);
 
 // One cart row's life on the write path: build a B2W-cart-shaped row
 // (two BIGINTs, an inline and a heap string, a DOUBLE), share its body

@@ -26,11 +26,12 @@ class Matrix {
   double& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
+  /// The row-major elements: row r starts at data() + r * cols().
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
   /// Returns this^T * this (cols x cols), the Gram matrix.
   Matrix Gram() const;
-
-  /// Returns this^T * v. Precondition: v.size() == rows().
-  std::vector<double> TransposeTimes(const std::vector<double>& v) const;
 
   /// Returns this * x. Precondition: x.size() == cols().
   std::vector<double> Times(const std::vector<double>& x) const;
@@ -40,6 +41,29 @@ class Matrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Rows FoldGramRows folds per pass over the Gram tiles; a caller that
+/// builds its rows into a buffer of this many folds each buffer once.
+inline constexpr size_t kGramBlockRows = 64;
+
+/// Adds `rows` design rows into the normal equations of a least-squares
+/// fit: for every row r (its `dim` values at x + r * stride),
+///   gram(i, j) += x_r[i] * x_r[j]   for j >= i, unless x_r[i] == 0;
+///   xty[c]     += x_r[c] * y[r]     unless y[r] == 0.
+/// `gram` is dim x dim and only its upper triangle is read or written;
+/// `y` and `xty` may both be null to fold the Gram matrix alone.
+///
+/// Rows are folded kGramBlockRows at a time, each block into one small
+/// tile of sums at a time held in registers, so the sums are loaded and
+/// stored once per block rather than once per row. Every element still
+/// adds its rows one by one in row order with the same skips, so the
+/// sums are bit-identical to the row-at-a-time loop, and a fold split
+/// across several calls (rows 0..a, then a..b) equals one call.
+void FoldGramRows(const double* x, size_t stride, const double* y,
+                  size_t rows, size_t dim, Matrix* gram, double* xty);
+
+/// Copies the upper triangle of a square matrix onto its lower one.
+void MirrorUpperTriangle(Matrix* m);
 
 /// Solves the square linear system A x = b in place using Gaussian
 /// elimination with partial pivoting. Returns InvalidArgument on shape

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/parallel.h"
+
 namespace pstore {
 
 uint64_t SplitMix64(uint64_t* state) {
@@ -61,29 +63,76 @@ int64_t Rng::NextInt(int64_t lo, int64_t hi) {
                   NextBounded(static_cast<uint64_t>(hi - lo) + 1));
 }
 
+double Rng::NextLogSafeDouble() {
+  double u;
+  do {
+    u = NextDouble();
+  } while (u <= 1e-300);
+  return u;
+}
+
+namespace {
+
+/// Box-Muller: the two standard normals of the uniforms u1 in
+/// (1e-300, 1) and u2 in [0, 1). NextGaussian returns *first and keeps
+/// *second as its spare; NextGaussians writes both.
+inline void BoxMuller(double u1, double u2, double* first, double* second) {
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  *second = mag * std::sin(2.0 * M_PI * u2);
+  *first = mag * std::cos(2.0 * M_PI * u2);
+}
+
+/// Box-Muller pairs one ParallelFor index transforms.
+constexpr size_t kGaussianPairsPerChunk = 4096;
+
+}  // namespace
+
 double Rng::NextGaussian() {
   if (has_spare_) {
     has_spare_ = false;
     return spare_gaussian_;
   }
-  double u1, u2;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 1e-300);
-  u2 = NextDouble();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
+  const double u1 = NextLogSafeDouble();
+  const double u2 = NextDouble();
+  double first = 0;
+  BoxMuller(u1, u2, &first, &spare_gaussian_);
   has_spare_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
+  return first;
+}
+
+void Rng::NextGaussians(double* out, size_t n) {
+  if (n > 0 && has_spare_) {
+    *out++ = spare_gaussian_;
+    --n;
+    has_spare_ = false;
+  }
+  // Draw every pair's (u1, u2) in call order, then the odd last call's,
+  // whose second normal becomes the spare.
+  const size_t pairs = n / 2;
+  for (size_t p = 0; p < pairs; ++p) {
+    out[2 * p] = NextLogSafeDouble();
+    out[2 * p + 1] = NextDouble();
+  }
+  if (n % 2 == 1) {
+    const double u1 = NextLogSafeDouble();
+    const double u2 = NextDouble();
+    BoxMuller(u1, u2, &out[n - 1], &spare_gaussian_);
+    has_spare_ = true;
+  }
+  const size_t chunks =
+      (pairs + kGaussianPairsPerChunk - 1) / kGaussianPairsPerChunk;
+  ParallelFor(static_cast<int64_t>(chunks), [out, pairs](int64_t c) {
+    const size_t begin = static_cast<size_t>(c) * kGaussianPairsPerChunk;
+    const size_t end = std::min(pairs, begin + kGaussianPairsPerChunk);
+    for (double* pair = out + 2 * begin; pair != out + 2 * end; pair += 2) {
+      BoxMuller(pair[0], pair[1], &pair[0], &pair[1]);
+    }
+  });
 }
 
 double Rng::NextExponential(double rate) {
   assert(rate > 0);
-  double u;
-  do {
-    u = NextDouble();
-  } while (u <= 1e-300);
-  return -std::log(u) / rate;
+  return -std::log(NextLogSafeDouble()) / rate;
 }
 
 int64_t Rng::NextPoisson(double mean) {

@@ -38,6 +38,12 @@ class Rng {
   /// Standard normal via Box-Muller (cached spare).
   double NextGaussian();
 
+  /// Writes to out[0..n) exactly what n NextGaussian() calls would
+  /// return and leaves the same spare and state. The uniforms are drawn
+  /// in order into `out` itself; the Box-Muller transforms then run in
+  /// place under ParallelFor, so a bulk draw needs no buffer but `out`.
+  void NextGaussians(double* out, size_t n);
+
   /// Normal with the given mean and standard deviation.
   double NextGaussian(double mean, double stddev) {
     return mean + stddev * NextGaussian();
@@ -68,6 +74,10 @@ class Rng {
   uint64_t StateHash() const;
 
  private:
+  /// Uniform double in (1e-300, 1): the first Box-Muller uniform and the
+  /// exponential's, whose logarithms must be finite.
+  double NextLogSafeDouble();
+
   uint64_t s_[4];
   double spare_gaussian_ = 0.0;
   bool has_spare_ = false;

@@ -1,16 +1,30 @@
 #include "obs/span_tracer.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/murmur.h"
 
 namespace pstore {
 namespace obs {
 
+namespace {
+
+/// A clocked Begin()/End() without a clock is a program bug: it aborts
+/// in every build rather than recording a made-up time.
+void RequireClock(const std::function<SimTime()>& clock, const char* call) {
+  if (!clock) {
+    std::fprintf(stderr, "SpanTracer: %s before set_clock\n", call);
+    std::abort();
+  }
+}
+
+}  // namespace
+
 SpanTracer::SpanId SpanTracer::Begin(const std::string& name) {
-  assert(clock_ && "SpanTracer::set_clock before clocked Begin()");
-  return BeginAt(name, clock_ ? clock_() : 0);
+  RequireClock(clock_, "Begin()");
+  return BeginAt(name, clock_());
 }
 
 SpanTracer::SpanId SpanTracer::BeginAt(const std::string& name, SimTime at) {
@@ -28,8 +42,8 @@ SpanTracer::SpanId SpanTracer::BeginAt(const std::string& name, SimTime at) {
 }
 
 void SpanTracer::End(SpanId id) {
-  assert(clock_ && "SpanTracer::set_clock before clocked End()");
-  EndAt(id, clock_ ? clock_() : 0);
+  RequireClock(clock_, "End()");
+  EndAt(id, clock_());
 }
 
 void SpanTracer::EndAt(SpanId id, SimTime at) {

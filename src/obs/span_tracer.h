@@ -36,7 +36,8 @@ class SpanTracer {
   };
 
   /// Installs the virtual-clock source used by Begin()/End(). Must be
-  /// set before the first clocked call; BeginAt/EndAt need no clock.
+  /// set before the first clocked call (one without a clock aborts, in
+  /// every build); BeginAt/EndAt need no clock.
   void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
 
   /// Opens a span nested under the innermost open span. Returns its id.

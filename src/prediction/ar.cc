@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/linalg.h"
+#include "common/parallel.h"
 
 namespace pstore {
 
@@ -37,6 +38,29 @@ Result<std::vector<double>> FitRegression(int64_t t_min, int64_t t_max,
   return LeastSquares(design, target, ridge);
 }
 
+/// Solves fit(tau) for tau = 1..max_horizon, one ParallelFor body per
+/// tau writing only its own slot, so the coefficients do not depend on
+/// the thread count. On success `coeffs` holds them in tau order; else
+/// it is left as it was and the smallest failing tau's status returns,
+/// as solving the taus in turn would.
+template <typename FitFn>
+Status FitHorizons(int32_t max_horizon, const FitFn& fit,
+                   std::vector<std::vector<double>>* coeffs) {
+  std::vector<Result<std::vector<double>>> fitted(
+      static_cast<size_t>(max_horizon), Status::Internal("tau not solved"));
+  ParallelFor(max_horizon, [&](int64_t i) {
+    fitted[static_cast<size_t>(i)] = fit(static_cast<int32_t>(i + 1));
+  });
+  std::vector<std::vector<double>> solved;
+  solved.reserve(fitted.size());
+  for (Result<std::vector<double>>& tau_coeffs : fitted) {
+    if (!tau_coeffs.ok()) return tau_coeffs.status();
+    solved.push_back(std::move(tau_coeffs).MoveValueUnsafe());
+  }
+  *coeffs = std::move(solved);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ArPredictor::Fit(const std::vector<double>& train,
@@ -46,22 +70,15 @@ Status ArPredictor::Fit(const std::vector<double>& train,
     return Status::InvalidArgument("max_horizon must be >= 1");
   }
   const int64_t t_min = order_ - 1;
-  std::vector<std::vector<double>> coeffs;
-  coeffs.reserve(static_cast<size_t>(max_horizon));
-  for (int32_t tau = 1; tau <= max_horizon; ++tau) {
+  auto fill = [&](int64_t t, double* out) {
+    for (int32_t j = 0; j < order_; ++j) {
+      out[j] = train[static_cast<size_t>(t - j)];
+    }
+  };
+  return FitHorizons(max_horizon, [&](int32_t tau) {
     const int64_t t_max = static_cast<int64_t>(train.size()) - 1 - tau;
-    auto fill = [&](int64_t t, double* out) {
-      for (int32_t j = 0; j < order_; ++j) {
-        out[j] = train[static_cast<size_t>(t - j)];
-      }
-    };
-    auto fitted =
-        FitRegression(t_min, t_max, order_, fill, train, tau, ridge_);
-    if (!fitted.ok()) return fitted.status();
-    coeffs.push_back(std::move(fitted).MoveValueUnsafe());
-  }
-  coeffs_ = std::move(coeffs);
-  return Status::OK();
+    return FitRegression(t_min, t_max, order_, fill, train, tau, ridge_);
+  }, &coeffs_);
 }
 
 Result<double> ArPredictor::ForecastAt(const std::vector<double>& series,
@@ -149,25 +166,18 @@ Status ArmaPredictor::Fit(const std::vector<double>& train,
 
   // Stage 2: per-tau regression on load lags + innovation lags.
   const int64_t t_min = MinHistory();
-  std::vector<std::vector<double>> coeffs;
-  coeffs.reserve(static_cast<size_t>(max_horizon));
-  for (int32_t tau = 1; tau <= max_horizon; ++tau) {
+  auto fill = [&](int64_t t, double* out) {
+    for (int32_t j = 0; j < p_; ++j) {
+      out[j] = train[static_cast<size_t>(t - j)];
+    }
+    for (int32_t k = 0; k < q_; ++k) {
+      out[p_ + k] = innov[static_cast<size_t>(t - k)];
+    }
+  };
+  return FitHorizons(max_horizon, [&](int32_t tau) {
     const int64_t t_max = static_cast<int64_t>(train.size()) - 1 - tau;
-    auto fill = [&](int64_t t, double* out) {
-      for (int32_t j = 0; j < p_; ++j) {
-        out[j] = train[static_cast<size_t>(t - j)];
-      }
-      for (int32_t k = 0; k < q_; ++k) {
-        out[p_ + k] = innov[static_cast<size_t>(t - k)];
-      }
-    };
-    auto fitted =
-        FitRegression(t_min, t_max, p_ + q_, fill, train, tau, ridge_);
-    if (!fitted.ok()) return fitted.status();
-    coeffs.push_back(std::move(fitted).MoveValueUnsafe());
-  }
-  coeffs_ = std::move(coeffs);
-  return Status::OK();
+    return FitRegression(t_min, t_max, p_ + q_, fill, train, tau, ridge_);
+  }, &coeffs_);
 }
 
 Result<double> ArmaPredictor::ForecastAt(const std::vector<double>& series,

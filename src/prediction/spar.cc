@@ -166,7 +166,7 @@ SparPredictor::Deviations SparPredictor::ComputeDeviations(
 
 Result<SparModel> SparPredictor::SolveTau(const std::vector<double>& train,
                                           const Deviations& dy, int32_t tau,
-                                          double* row) {
+                                          std::vector<double>* block) {
   const int64_t period = config_.period;
   const int32_t n = config_.num_periods;
   const int32_t m = config_.num_recent;
@@ -174,34 +174,38 @@ Result<SparModel> SparPredictor::SolveTau(const std::vector<double>& train,
   const int64_t t_max = static_cast<int64_t>(train.size()) - 1 - tau;
 
   TauStats& stats = stats_[static_cast<size_t>(tau - 1)];
-  // Accumulate the new rows exactly as Matrix::Gram / TransposeTimes
-  // would (upper triangle, zero-entry skips), so the running sums stay
-  // bit-identical to a from-scratch build over all rows.
-  for (int64_t t = stats.next_t; t <= t_max; ++t) {
-    // Layout: [y(t+tau-kT) for k=1..n] ++ [Dy(t-j) for j=1..m].
-    for (int32_t k = 1; k <= n; ++k) {
-      row[k - 1] = train[static_cast<size_t>(t + tau - k * period)];
-    }
-    const double* recent = dy.values.data() + (t - dy.first);  // Dy(t)
-    for (int32_t j = 1; j <= m; ++j) row[n + j - 1] = recent[-j];
-    for (size_t i = 0; i < dim; ++i) {
-      const double ri = row[i];
-      if (ri == 0.0) continue;
-      for (size_t j = i; j < dim; ++j) {
-        stats.gram_upper(i, j) += ri * row[j];
+  // Build the new rows a block at a time and fold each block with
+  // FoldGramRows, which sums exactly as Matrix::Gram and LeastSquares
+  // do, so the running sums stay bit-identical to a from-scratch build
+  // over all rows.
+  const size_t block_rows = static_cast<size_t>(std::clamp<int64_t>(
+      t_max + 1 - stats.next_t, 0, static_cast<int64_t>(kGramBlockRows)));
+  block->resize((dim + 1) * block_rows);
+  double* const rows = block->data();  // the block's rows, then its targets
+  double* const targets = rows + dim * block_rows;
+  for (int64_t t0 = stats.next_t; t0 <= t_max;
+       t0 += static_cast<int64_t>(block_rows)) {
+    const int64_t t_end =
+        std::min(t_max + 1, t0 + static_cast<int64_t>(block_rows));
+    double* row = rows;
+    for (int64_t t = t0; t < t_end; ++t, row += dim) {
+      // Layout: [y(t+tau-kT) for k=1..n] ++ [Dy(t-j) for j=1..m].
+      for (int32_t k = 1; k <= n; ++k) {
+        row[k - 1] = train[static_cast<size_t>(t + tau - k * period)];
       }
+      const double* recent = dy.values.data() + (t - dy.first);  // Dy(t)
+      for (int32_t j = 1; j <= m; ++j) row[n + j - 1] = recent[-j];
+      targets[static_cast<size_t>(t - t0)] =
+          train[static_cast<size_t>(t + tau)];
     }
-    const double y = train[static_cast<size_t>(t + tau)];
-    if (y != 0.0) {
-      for (size_t c = 0; c < dim; ++c) stats.xty[c] += row[c] * y;
-    }
+    FoldGramRows(rows, dim, targets,
+                 static_cast<size_t>(t_end - t0), dim, &stats.gram_upper,
+                 stats.xty.data());
   }
   stats.next_t = t_max + 1;
 
   Matrix gram = stats.gram_upper;
-  for (size_t i = 0; i < dim; ++i) {
-    for (size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
-  }
+  MirrorUpperTriangle(&gram);
   auto solved = SolveNormalEquations(std::move(gram), stats.xty,
                                      config_.ridge);
   if (!solved.ok()) return solved.status();
@@ -238,12 +242,8 @@ Status SparPredictor::Fit(const std::vector<double>& train,
   const int64_t t_min = static_cast<int64_t>(n) * config_.period + m;
   stats_.assign(static_cast<size_t>(max_horizon), TauStats{});
   const Deviations dy = ComputeDeviations(train, t_min);
-  // Every row of every tau writes its row buffer and sums, so no two
-  // taus may share a cache line: the row buffers sit a line apart, and
-  // each tau's sums are allocated by the thread that folds into them.
-  constexpr size_t kLineDoubles = 64 / sizeof(double);
-  const size_t stride = (dim / kLineDoubles + 2) * kLineDoubles;
-  std::vector<double> rows(static_cast<size_t>(fittable) * stride);
+  // Each tau's sums and block buffer are allocated by the thread that
+  // folds into them.
   std::vector<Result<SparModel>> solved(
       static_cast<size_t>(fittable), Status::Internal("tau not solved"));
   ParallelFor(fittable, [&](int64_t i) {
@@ -251,9 +251,9 @@ Status SparPredictor::Fit(const std::vector<double>& train,
     stats.gram_upper = Matrix(dim, dim, 0.0);
     stats.xty.assign(dim, 0.0);
     stats.next_t = t_min;
+    std::vector<double> block;
     solved[static_cast<size_t>(i)] =
-        SolveTau(train, dy, static_cast<int32_t>(i + 1),
-                 rows.data() + static_cast<size_t>(i) * stride);
+        SolveTau(train, dy, static_cast<int32_t>(i + 1), &block);
   });
 
   std::vector<SparModel> models;
@@ -288,14 +288,13 @@ Status SparPredictor::Refit(const std::vector<double>& train,
     first_t = std::min(first_t, stats.next_t);
   }
   const Deviations dy = ComputeDeviations(train, first_t);
-  std::vector<double> row(
-      static_cast<size_t>(config_.num_periods + config_.num_recent));
+  std::vector<double> block;  // shared by the taus, solved in turn
   std::vector<SparModel> models;
   models.reserve(static_cast<size_t>(max_horizon));
   for (int32_t tau = 1; tau <= max_horizon; ++tau) {
     PSTORE_RETURN_NOT_OK(
         CheckTau(static_cast<int64_t>(train.size()), tau));
-    auto model = SolveTau(train, dy, tau, row.data());
+    auto model = SolveTau(train, dy, tau, &block);
     if (!model.ok()) return model.status();
     models.push_back(std::move(model).MoveValueUnsafe());
   }

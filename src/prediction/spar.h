@@ -78,9 +78,10 @@ class SparModel {
 /// sufficient statistics, so Refit() after new slots were appended
 /// only accumulates the new design rows and re-solves the small
 /// (n+m)x(n+m) system — the per-tick controller path drops from a full
-/// O(len * (n+m)^2) re-fit to O(new_slots * (n+m)^2). Accumulation
-/// mirrors Matrix::Gram()'s summation order, so refitted coefficients
-/// are bit-identical to a full Fit on the extended series.
+/// O(len * (n+m)^2) re-fit to O(new_slots * (n+m)^2). Rows are folded
+/// with FoldGramRows, as Matrix::Gram() and LeastSquares fold them, so
+/// refitted coefficients are bit-identical to a full Fit on the
+/// extended series.
 ///
 /// Dy(t - j) depends on t and j only through t - j, so a Fit or Refit
 /// computes Dy once for each slot its new rows read, and every tau's
@@ -134,12 +135,14 @@ class SparPredictor : public LoadPredictor {
   Deviations ComputeDeviations(const std::vector<double>& train,
                                int64_t first_t) const;
 
-  /// Extends stats_[tau-1] with rows next_t..t_max of `train`, built one
-  /// at a time in `row` (n + m doubles), and re-solves for the tau's
-  /// coefficients. Precondition: CheckTau(train.size(), tau) is OK and
-  /// `dy` covers the new rows.
+  /// Extends stats_[tau-1] with rows next_t..t_max of `train`, built
+  /// kGramBlockRows at a time in `block` (resized as needed) and folded
+  /// with FoldGramRows, and re-solves for the tau's coefficients.
+  /// Precondition: CheckTau(train.size(), tau) is OK and `dy` covers
+  /// the new rows.
   Result<SparModel> SolveTau(const std::vector<double>& train,
-                             const Deviations& dy, int32_t tau, double* row);
+                             const Deviations& dy, int32_t tau,
+                             std::vector<double>* block);
 
   SparConfig config_;
   std::vector<SparModel> models_;  // models_[i] forecasts tau = i + 1

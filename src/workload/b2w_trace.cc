@@ -1,7 +1,9 @@
 #include "workload/b2w_trace.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace pstore {
@@ -78,54 +80,65 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
         trough_level + (1.0 - trough_level) * shaped;
   }
 
+  // Short-term correlated noise, built in `trace` itself: the minutes'
+  // standard normals in one bulk draw, then the AR(1) recurrence in
+  // order, in place.
+  rng.NextGaussians(trace.data(), trace.size());
   double noise = 0;
-  for (int64_t t = 0; t < total; ++t) {
-    const int32_t day = static_cast<int32_t>(t / kMinutesPerDay);
-    const int32_t minute_of_day = static_cast<int32_t>(t % kMinutesPerDay);
-    const double minute = static_cast<double>(minute_of_day);
-    const int32_t dow = day % 7;
-
-    double level = config.peak_rpm *
-                   diurnal[static_cast<size_t>(minute_of_day)] *
-                   config.weekday_factors[dow] *
-                   drift_factor[static_cast<size_t>(day)];
-
-    // Promotion bump: Gaussian in time around the promo center.
-    const double promo = promo_center[static_cast<size_t>(day)];
-    if (promo >= 0) {
-      const double width = config.promo_hours * 60.0 / 2.355;  // FWHM
-      const double d2 = (minute - promo) * (minute - promo);
-      level *= 1.0 + config.promo_boost * std::exp(-d2 / (2 * width * width));
-    }
-
-    // Black Friday: surge that starts abruptly at midnight and stays
-    // high all day (midnight doorbusters + elevated daytime peak).
-    if (day == config.black_friday_day) {
-      const double midnight_burst =
-          std::exp(-minute / 180.0);  // decays over ~3 hours
-      level *= 1.0 + config.black_friday_boost *
-                         (0.55 * midnight_burst + 0.45);
-      level += 0.35 * config.black_friday_boost * config.peak_rpm *
-               midnight_burst;
-    }
-
-    // Flash-crowd spike: fast ramp, brief plateau, fast decay.
-    const double spike = spike_start[static_cast<size_t>(day)];
-    if (spike >= 0 && minute >= spike &&
-        minute < spike + config.spike_minutes) {
-      const double into = minute - spike;
-      const double ramp = std::min(1.0, into / 5.0);
-      const double decay =
-          std::min(1.0, (config.spike_minutes - into) / 10.0);
-      level *= 1.0 + config.spike_boost * std::min(ramp, decay);
-    }
-
-    // Short-term correlated noise.
-    noise = config.noise_rho * noise + config.noise_sigma * rng.NextGaussian();
-    level *= std::exp(noise);
-
-    trace[static_cast<size_t>(t)] = std::max(0.0, level);
+  for (double& slot : trace) {
+    noise = config.noise_rho * noise + config.noise_sigma * slot;
+    slot = noise;
   }
+
+  // Each minute's level times exp(its noise), one day per index: every
+  // minute reads only its own slot and the per-day tables.
+  ParallelFor(config.days, [&](int64_t day_index) {
+    const int32_t day = static_cast<int32_t>(day_index);
+    const int32_t dow = day % 7;
+    double* slots = trace.data() + day_index * kMinutesPerDay;
+    for (int32_t minute_of_day = 0; minute_of_day < kMinutesPerDay;
+         ++minute_of_day) {
+      const double minute = static_cast<double>(minute_of_day);
+      double level = config.peak_rpm *
+                     diurnal[static_cast<size_t>(minute_of_day)] *
+                     config.weekday_factors[dow] *
+                     drift_factor[static_cast<size_t>(day)];
+
+      // Promotion bump: Gaussian in time around the promo center.
+      const double promo = promo_center[static_cast<size_t>(day)];
+      if (promo >= 0) {
+        const double width = config.promo_hours * 60.0 / 2.355;  // FWHM
+        const double d2 = (minute - promo) * (minute - promo);
+        level *=
+            1.0 + config.promo_boost * std::exp(-d2 / (2 * width * width));
+      }
+
+      // Black Friday: surge that starts abruptly at midnight and stays
+      // high all day (midnight doorbusters + elevated daytime peak).
+      if (day == config.black_friday_day) {
+        const double midnight_burst =
+            std::exp(-minute / 180.0);  // decays over ~3 hours
+        level *= 1.0 + config.black_friday_boost *
+                           (0.55 * midnight_burst + 0.45);
+        level += 0.35 * config.black_friday_boost * config.peak_rpm *
+                 midnight_burst;
+      }
+
+      // Flash-crowd spike: fast ramp, brief plateau, fast decay.
+      const double spike = spike_start[static_cast<size_t>(day)];
+      if (spike >= 0 && minute >= spike &&
+          minute < spike + config.spike_minutes) {
+        const double into = minute - spike;
+        const double ramp = std::min(1.0, into / 5.0);
+        const double decay =
+            std::min(1.0, (config.spike_minutes - into) / 10.0);
+        level *= 1.0 + config.spike_boost * std::min(ramp, decay);
+      }
+
+      level *= std::exp(slots[minute_of_day]);
+      slots[minute_of_day] = std::max(0.0, level);
+    }
+  });
   return trace;
 }
 

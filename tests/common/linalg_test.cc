@@ -1,6 +1,11 @@
 #include "common/linalg.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -33,13 +38,113 @@ TEST(MatrixTest, GramIsTransposeTimesSelf) {
   EXPECT_DOUBLE_EQ(g(1, 1), 77);   // 16+25+36
 }
 
-TEST(MatrixTest, TransposeTimesVector) {
-  Matrix m(2, 2);
-  m(0, 0) = 1; m(0, 1) = 2;
-  m(1, 0) = 3; m(1, 1) = 4;
-  const auto v = m.TransposeTimes({1.0, 1.0});
-  EXPECT_DOUBLE_EQ(v[0], 4);
-  EXPECT_DOUBLE_EQ(v[1], 6);
+/// The row-at-a-time fold FoldGramRows must reproduce: every row adds
+/// into the upper triangle, skipping entry i's products when x_i == 0
+/// and the target's when y == 0.
+void RowAtATimeFold(const Matrix& x, const std::vector<double>& y,
+                    size_t begin, size_t end, Matrix* gram,
+                    std::vector<double>* xty) {
+  for (size_t r = begin; r < end; ++r) {
+    for (size_t i = 0; i < x.cols(); ++i) {
+      const double xi = x(r, i);
+      if (xi == 0.0) continue;
+      for (size_t j = i; j < x.cols(); ++j) (*gram)(i, j) += xi * x(r, j);
+    }
+    if (y[r] == 0.0) continue;
+    for (size_t c = 0; c < x.cols(); ++c) (*xty)[c] += x(r, c) * y[r];
+  }
+}
+
+/// Bit equality, except that any NaN equals any NaN: IEEE leaves the
+/// sign and payload of a NaN from two NaN operands unspecified.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Rows of mixed-sign values with zeros (-0.0 too) sprinkled in, and,
+/// if `special`, NaNs and infinities.
+Matrix FoldInput(size_t rows, size_t dim, bool special, Rng* rng) {
+  Matrix x(rows, dim);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < dim; ++c) {
+      const uint64_t kind = rng->NextBounded(20);
+      double v = rng->NextGaussian(0.0, 100.0);
+      if (kind == 0) v = 0.0;
+      if (kind == 1) v = -0.0;
+      if (special && kind == 2) v = std::nan("");
+      if (special && kind == 3) {
+        v = rng->NextBernoulli(0.5) ? HUGE_VAL : -HUGE_VAL;
+      }
+      x(r, c) = v;
+    }
+  }
+  return x;
+}
+
+// FoldGramRows equals the row-at-a-time loop bit for bit: every
+// dimension from 1 to 40 (edge tiles of every width), row counts that
+// are not a multiple of the tile or of the block, zero, negative, NaN
+// and infinite entries, and folds split across several calls, as
+// SPAR's Refit extends its sums.
+TEST(MatrixTest, BlockedFoldEqualsRowAtATimeBitForBit) {
+  Rng rng(2024);
+  for (size_t dim = 1; dim <= 40; ++dim) {
+    for (const size_t rows : {1u, 3u, 64u, 65u, 203u}) {
+      for (const bool special : {false, true}) {
+        SCOPED_TRACE("dim=" + std::to_string(dim) +
+                     " rows=" + std::to_string(rows) +
+                     (special ? " with NaN/inf" : ""));
+        const Matrix x = FoldInput(rows, dim, special, &rng);
+        std::vector<double> y(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          y[r] = r % 7 == 0 ? 0.0 : rng.NextGaussian(0.0, 10.0);
+        }
+        Matrix want(dim, dim);
+        std::vector<double> want_xty(dim, 0.0);
+        RowAtATimeFold(x, y, 0, rows, &want, &want_xty);
+
+        // One call, then the same rows split at uneven points.
+        for (const size_t split : {rows, std::max<size_t>(rows / 3, 1)}) {
+          Matrix got(dim, dim);
+          std::vector<double> got_xty(dim, 0.0);
+          for (size_t begin = 0; begin < rows;) {
+            const size_t n = std::min(rows - begin, split);
+            FoldGramRows(x.data() + begin * dim, dim, y.data() + begin, n,
+                         dim, &got, got_xty.data());
+            begin += n;
+          }
+          for (size_t i = 0; i < dim; ++i) {
+            for (size_t j = 0; j < dim; ++j) {
+              // Only the upper triangle is written; the rest stays 0.
+              const double expected = j >= i ? want(i, j) : 0.0;
+              ASSERT_TRUE(SameBits(got(i, j), expected))
+                  << "gram(" << i << ", " << j << ") split " << split
+                  << ": " << got(i, j) << " vs " << expected;
+            }
+            ASSERT_TRUE(SameBits(got_xty[i], want_xty[i]))
+                << "xty[" << i << "] split " << split;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, GramFoldsWithoutTargets) {
+  Rng rng(5);
+  const Matrix x = FoldInput(130, 9, false, &rng);
+  Matrix want(9, 9);
+  std::vector<double> unused_xty(9, 0.0);
+  RowAtATimeFold(x, std::vector<double>(130, 0.0), 0, 130, &want,
+                 &unused_xty);
+  const Matrix got = x.Gram();
+  for (size_t i = 0; i < 9; ++i) {
+    for (size_t j = i; j < 9; ++j) {
+      EXPECT_TRUE(SameBits(got(i, j), want(i, j)));
+      EXPECT_TRUE(SameBits(got(j, i), want(i, j)));
+    }
+  }
 }
 
 TEST(MatrixTest, TimesVector) {

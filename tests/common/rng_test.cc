@@ -1,7 +1,10 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,6 +79,38 @@ TEST(RngTest, GaussianMomentsMatch) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sum2 / n, 1.0, 0.03);
+}
+
+// NextGaussians(out, n) is n NextGaussian() calls, bit for bit: the
+// same values, the same spare left behind, the same state, so every
+// draw after it matches too. 24581 values span several of the bulk
+// draw's parallel transform chunks; the smaller counts cover the spare
+// at either end.
+TEST(RngTest, BulkGaussiansEqualSequentialDraws) {
+  for (const bool spare : {false, true}) {
+    for (const size_t n : {0u, 1u, 2u, 3u, 4097u, 24581u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (spare ? " with a pending spare" : ""));
+      Rng sequential(99), bulk(99);
+      if (spare) {
+        EXPECT_EQ(sequential.NextGaussian(), bulk.NextGaussian());
+      }
+      std::vector<double> expected(n), got(n);
+      for (double& v : expected) v = sequential.NextGaussian();
+      bulk.NextGaussians(got.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                  std::bit_cast<uint64_t>(expected[i]))
+            << "at " << i;
+      }
+      EXPECT_EQ(bulk.StateHash(), sequential.StateHash());
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(bulk.NextGaussian()),
+                  std::bit_cast<uint64_t>(sequential.NextGaussian()));
+      }
+      EXPECT_EQ(bulk.NextDouble(), sequential.NextDouble());
+    }
+  }
 }
 
 TEST(RngTest, GaussianWithParameters) {

@@ -89,6 +89,22 @@ TEST(SpanTracerTest, ClockDrivesBeginAndEnd) {
   EXPECT_EQ(tracer.spans()[0].end, 8 * kSecond);
 }
 
+// A clocked call without a clock aborts in every build type, rather
+// than recording the span at t = 0 where assertions are compiled out.
+TEST(SpanTracerDeathTest, ClockedCallsWithoutAClockAbort) {
+  SpanTracer tracer;
+  EXPECT_DEATH(tracer.Begin("tick"), "Begin\\(\\) before set_clock");
+  const auto id = tracer.BeginAt("tick", 5);
+  EXPECT_DEATH(tracer.End(id), "End\\(\\) before set_clock");
+  // Unbinding the clock, as an experiment does before it returns, puts
+  // the tracer back in the same state.
+  tracer.set_clock([]() { return SimTime{9}; });
+  tracer.End(id);
+  tracer.set_clock(nullptr);
+  EXPECT_DEATH(tracer.Begin("late"), "Begin\\(\\) before set_clock");
+  EXPECT_EQ(tracer.spans()[0].end, 9);
+}
+
 TEST(ScopedSpanTest, NullTracerIsANoop) {
   { ScopedSpan span(nullptr, "nothing"); }  // must not crash
   SpanTracer tracer;

@@ -70,14 +70,31 @@ uint64_t HashBits(const std::vector<double>& values) {
 // SPAR's fits, the e2e fingerprints and every B2W figure, so a
 // refactor of the generator must reproduce them exactly.
 TEST(B2wTraceTest, PresetTracesArePinnedBitForBit) {
-  auto august = GenerateB2wTrace(B2wAugustToDecember());
-  ASSERT_TRUE(august.ok());
-  EXPECT_EQ(august->size(), 137u * 1440u);
-  EXPECT_EQ(HashBits(*august), 0xec9e0e1468df9e66ULL);
-  auto spike = GenerateB2wTrace(B2wSpikeDay());
-  ASSERT_TRUE(spike.ok());
-  EXPECT_EQ(spike->size(), 36u * 1440u);
-  EXPECT_EQ(HashBits(*spike), 0x53daed1174519cecULL);
+  // Each preset at its default seed and at seed 7; the digests were
+  // taken from the generator before its noise was drawn in bulk.
+  struct Pin {
+    const char* name;
+    B2wTraceConfig config;
+    size_t minutes;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"august", B2wAugustToDecember(), 137u * 1440u, 0xec9e0e1468df9e66ULL},
+      {"august/7", B2wAugustToDecember(7), 137u * 1440u,
+       0x37ed6a2f32ae0fb1ULL},
+      {"regular", B2wRegularTraffic(), 70u * 1440u, 0xfdb2c403a249069cULL},
+      {"regular/7", B2wRegularTraffic(70, 7), 70u * 1440u,
+       0xf560ccf91a479772ULL},
+      {"spike", B2wSpikeDay(), 36u * 1440u, 0x53daed1174519cecULL},
+      {"spike/7", B2wSpikeDay(35, 7), 36u * 1440u, 0xc1023be247e61cadULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    auto trace = GenerateB2wTrace(pin.config);
+    ASSERT_TRUE(trace.ok());
+    EXPECT_EQ(trace->size(), pin.minutes);
+    EXPECT_EQ(HashBits(*trace), pin.digest);
+  }
 }
 
 TEST(B2wTraceTest, PeakToTroughRatioNearTen) {
