@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
     // Spike day: a ~2x flash crowd at 14:00 on the replayed day.
     config.trace = B2wSpikeDay(train_days, 20160901);
     config.trace.spike_boost = 1.0;
-    config.controller_overridden = false;
     config.peak_txn_rate =
         bench::DoubleFlag(argc, argv, "peak_txn_rate", 1900.0);
     ExperimentConfig tuned = config;

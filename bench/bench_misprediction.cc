@@ -146,7 +146,7 @@ CellResult RunCell(Mode mode, double surge) {
     pc.q_hat = 125.0;
     pc.horizon_intervals = 8;
     pc.prediction_inflation = 0.15;
-    pc.guard.enabled = (mode == Mode::kHybrid);
+    pc.guard = (mode == Mode::kHybrid);
     if (!spar.Fit(history, pc.horizon_intervals).ok()) return {};
     predictive = std::make_unique<PredictiveController>(&engine, &migrator,
                                                         &spar, pc);
@@ -241,9 +241,10 @@ int main(int, char**) {
       committed_col.push_back(static_cast<double>(cell.committed));
       violation_col.push_back(static_cast<double>(cell.violations));
       cost_col.push_back(cell.node_seconds);
-      const std::string cell_name = std::string("s") +
-                                    TableWriter::Fmt(surge, 1) + "_" +
-                                    ModeName(mode);
+      std::string cell_name = "s";
+      cell_name += TableWriter::Fmt(surge, 1);
+      cell_name += "_";
+      cell_name += ModeName(mode);
       bench::RecordBenchCase({"sla_violations/" + cell_name,
                               static_cast<double>(cell.violations), "txn",
                               0.0, 0});

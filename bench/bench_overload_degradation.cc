@@ -56,7 +56,6 @@ CellResult RunCell(double offered_tps, bool limits, double seconds,
     config.overload.enabled = true;
     config.overload.max_queue_depth = 16;
     config.overload.queue_deadline = 200 * kMillisecond;
-    config.overload.policy = overload::AdmissionPolicy::kPriorityShed;
     // The breaker never trips here: this bench isolates the queue
     // bound + deadline (Eq. 7) — a tripped breaker sheds whole windows
     // and would hide the plateau. Breaker dynamics are exercised by
@@ -79,7 +78,7 @@ CellResult RunCell(double offered_tps, bool limits, double seconds,
     TxnRequest req;
     req.proc = get;
     req.key = (i * 48271) % rows;
-    // Every 10th transaction is checkout-priority: under kPriorityShed
+    // Every 10th transaction is checkout-priority: at a full queue
     // it displaces queued background reads instead of being rejected.
     if (i % 10 == 0) req.priority = kPriorityCritical;
     const SimTime at = static_cast<SimTime>(
@@ -163,9 +162,9 @@ int main(int argc, char** argv) {
       // recorded as its inverse (us per good txn) so that a goodput
       // *drop* — the regression we care about — raises the value and
       // trips bench_compare's one-sided threshold.
-      const std::string cell_name = std::string("f") +
-                                    TableWriter::Fmt(factor, 2) +
-                                    (limits ? "_on" : "_off");
+      std::string cell_name = "f";
+      cell_name += TableWriter::Fmt(factor, 2);
+      cell_name += limits ? "_on" : "_off";
       if (cell.goodput_tps > 0) {
         bench::RecordBenchCase({"good_txn_cost/" + cell_name,
                                 1e6 / cell.goodput_tps, "us/txn", 0.0, 0});

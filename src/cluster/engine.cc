@@ -9,6 +9,18 @@
 
 namespace pstore {
 
+namespace {
+/// Backup apply cost as a fraction of the primary's drawn service time.
+/// Applying a deterministic command on a replica skips client handling
+/// and result marshalling, so it is cheaper than the original execution
+/// — but not free: apply work occupies the backup partition's executor
+/// (the write amplification Eq. 5/7 must model).
+constexpr double kBackupApplyWeight = 0.5;
+/// Virtual size of one durable record, which converts the scrub rate
+/// into records verified per scrub tick.
+constexpr double kDurableRecordKb = 1.0;
+}  // namespace
+
 Status EngineConfig::Validate() const {
   if (num_buckets < 1) return Status::InvalidArgument("num_buckets < 1");
   if (partitions_per_node < 1) {
@@ -84,7 +96,7 @@ ClusterEngine::ClusterEngine(Simulator* sim, Catalog catalog,
   partition_access_counts_.assign(static_cast<size_t>(total), 0);
   bucket_access_counts_.assign(static_cast<size_t>(config_.num_buckets), 0);
   // Every node starts with a grace lease; with net on, the first
-  // heartbeat round renews it before it can expire (heartbeat_period <
+  // heartbeat round renews it before it can expire (kHeartbeatPeriod <
   // lease_timeout).
   nodes_.assign(static_cast<size_t>(config_.max_nodes),
                 NodeState{.lease_until = config_.net.lease_timeout});
@@ -712,7 +724,6 @@ void ClusterEngine::RouteAndRun(PendingTxn* txn) {
   const SimTime now = sim_->Now();
   overload::QueueOps ops;
   ops.queue_length = [ex]() { return ex->queue_length(); };
-  ops.evict_newest = [ex]() { return ex->EvictNewest(); };
   ops.evict_lowest_below = [ex](int8_t pr) {
     return ex->EvictLowestBelow(pr);
   };
@@ -994,7 +1005,7 @@ void ClusterEngine::ReplicateWrite(PartitionId primary,
     replication_->OnApplyStarted();
     const SimDuration apply = std::max<SimDuration>(
         1, static_cast<SimDuration>(static_cast<double>(pending.service) *
-                                    config_.replication.apply_weight) +
+                                    kBackupApplyWeight) +
                lag);
     if (net_ != nullptr) {
       // The commit gate just verified this backup was reachable, so the
@@ -1277,8 +1288,7 @@ void ClusterEngine::ScheduleScrub() {
     // to detect it.
     const double stall = content->stall_factor(sim_->Now());
     const auto budget = static_cast<int64_t>(
-        config_.replication.durability.scrub_rate_kbps /
-        config_.replication.durability.record_kb /
+        config_.replication.durability.scrub_rate_kbps / kDurableRecordKb /
         (stall < 1.0 ? 1.0 : stall));
     // Repair re-fetches the damaged record's bits from a healthy
     // replica, so it needs at least one other live node to ask.
@@ -1297,7 +1307,7 @@ void ClusterEngine::ScheduleScrub() {
 }
 
 void ClusterEngine::HeartbeatLoop(NodeId n) {
-  sim_->Schedule(config_.net.heartbeat_period, [this, n]() {
+  sim_->Schedule(net::kHeartbeatPeriod, [this, n]() {
     if (n < active_nodes_ && IsNodeUp(n) && !IsNodeRecovering(n)) {
       net_->Send(n, net::NetworkModel::kController,
                  net::MessageKind::kHeartbeat, /*reliable=*/false,
@@ -1339,7 +1349,7 @@ void ClusterEngine::OnHeartbeatReceived(NodeId n) {
 }
 
 void ClusterEngine::MonitorLoop() {
-  sim_->Schedule(config_.net.heartbeat_period, [this]() {
+  sim_->Schedule(net::kHeartbeatPeriod, [this]() {
     const SimTime now = sim_->Now();
     for (NodeId n = 0; n < active_nodes_; ++n) {
       NodeState& s = state(n);

@@ -70,12 +70,6 @@ void PartitionExecutor::ShedItem(WorkItem item, ShedCause cause) {
   if (item.on_shed) item.on_shed(sim_->Now(), cause);
 }
 
-bool PartitionExecutor::EvictNewest() {
-  if (queue_.empty()) return false;
-  ShedItem(queue_.Take(queue_.size() - 1), ShedCause::kEvicted);
-  return true;
-}
-
 bool PartitionExecutor::EvictLowestBelow(int8_t priority) {
   // Lowest priority wins; among ties the newest goes (<= keeps updating
   // as the scan moves toward the tail), so older work keeps its place.

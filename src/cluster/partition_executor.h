@@ -75,10 +75,6 @@ class PartitionExecutor {
     return queue_limit_ > 0 && queue_.size() >= queue_limit_;
   }
 
-  /// Evicts the newest waiting item (drop-tail); its on_shed fires
-  /// inside this call. False if nothing is waiting.
-  bool EvictNewest();
-
   /// Evicts the waiting item with the lowest priority strictly below
   /// `priority` (newest among ties, so older equal-priority work keeps
   /// its place); its on_shed fires inside this call. False if no

@@ -9,6 +9,12 @@
 
 namespace pstore {
 
+namespace {
+/// Fraction of Q-hat * nodes the *measured* load must exceed to trip the
+/// reactive safety net.
+constexpr double kSafetyNetWatermark = 0.95;
+}  // namespace
+
 Status ControllerConfig::Validate() const {
   PSTORE_RETURN_NOT_OK(move_model.Validate());
   if (q_hat < move_model.q) {
@@ -26,13 +32,9 @@ Status ControllerConfig::Validate() const {
   if (infeasible_rate_multiplier <= 0) {
     return Status::InvalidArgument("infeasible_rate_multiplier <= 0");
   }
-  if (safety_net_watermark <= 0) {
-    return Status::InvalidArgument("safety_net_watermark <= 0");
-  }
   if (refit_interval < 0) {
     return Status::InvalidArgument("refit_interval < 0");
   }
-  PSTORE_RETURN_NOT_OK(guard.Validate());
   return Status::OK();
 }
 
@@ -47,10 +49,7 @@ PredictiveController::PredictiveController(ClusterEngine* engine,
       planner_(MoveModel(config.move_model), engine->max_nodes()),
       interval_(SecondsToDuration(config.move_model.interval_minutes * 60.0)) {
   assert(config_.Validate().ok());
-  if (config_.guard.enabled) {
-    monitor_ = std::make_unique<guard::ForecastMonitor>(config_.guard);
-    arbiter_ = std::make_unique<guard::HybridArbiter>(config_.guard);
-  }
+  if (config_.guard) monitor_ = std::make_unique<guard::ForecastMonitor>();
 }
 
 void PredictiveController::SeedHistory(std::vector<double> history) {
@@ -132,8 +131,7 @@ bool PredictiveController::SafetyNet(double current_rate) {
   const int32_t capacity_nodes =
       engine_->RecoveryInProgress() ? std::max(1, usable - 1) : usable;
   if (!breaker_overload &&
-      current_rate <=
-          config_.safety_net_watermark * config_.q_hat * capacity_nodes) {
+      current_rate <= kSafetyNetWatermark * config_.q_hat * capacity_nodes) {
     return false;
   }
   // Measured overload the plan did not prevent: scale out right now,
@@ -259,7 +257,7 @@ bool PredictiveController::GuardStep(double rate) {
   in.needed_nodes = planner_.NodesForLoad(rate * 1.15);
   in.min_floor = engine_->min_active_nodes();
   in.max_nodes = engine_->max_nodes();
-  const guard::ArbiterRuling ruling = arbiter_->Decide(in);
+  const guard::ArbiterRuling ruling = arbiter_.Decide(in);
   if (ruling.action == guard::ArbiterAction::kAllowPredictive) {
     return false;
   }

@@ -51,12 +51,10 @@ struct ControllerConfig {
 
   /// Reactive safety net (the composite strategy of Section 1: combine
   /// predictive with reactive provisioning). When the *measured* load
-  /// exceeds this fraction of Q-hat * nodes, scale out immediately even
-  /// if the forecast claims everything is fine — this catches spikes
-  /// the predictor missed entirely. Set >= 1.0 along with
-  /// enable_reactive_safety_net=false to disable.
+  /// exceeds 95% of Q-hat * nodes, scale out immediately even if the
+  /// forecast claims everything is fine — this catches spikes the
+  /// predictor missed entirely.
   bool enable_reactive_safety_net = true;
-  double safety_net_watermark = 0.95;
 
   /// Online refitting (Section 6's "active learning"): refit the
   /// predictor on the accumulated measured series every this many
@@ -64,10 +62,10 @@ struct ControllerConfig {
   int64_t refit_interval = 0;
 
   /// Forecast-divergence guard (DESIGN.md §16). Strictly opt-in:
-  /// with `guard.enabled == false` (the default) the controller
-  /// constructs no monitor or arbiter, registers no guard metrics,
-  /// and every pre-existing trace stays byte-identical.
-  guard::GuardConfig guard;
+  /// with `guard == false` (the default) the controller constructs no
+  /// monitor, registers no guard metrics, and every pre-existing trace
+  /// stays byte-identical.
+  bool guard = false;
 
   Status Validate() const;
 };
@@ -201,10 +199,10 @@ class PredictiveController {
   int64_t safety_net_activations_ = 0;
   int64_t refits_ = 0;
   int64_t ticks_since_refit_ = 0;
-  // Guard state (null unless config.guard.enabled — the opt-in
-  // contract: a disabled guard allocates nothing and draws nothing).
+  // Guard state (null unless config.guard — the opt-in contract: a
+  // disabled guard allocates nothing and draws nothing).
   std::unique_ptr<guard::ForecastMonitor> monitor_;
-  std::unique_ptr<guard::HybridArbiter> arbiter_;
+  guard::HybridArbiter arbiter_;
   std::function<bool()> dropout_probe_;
   int64_t guard_vetoes_ = 0;
   int64_t plan_repairs_ = 0;

@@ -8,6 +8,11 @@
 
 namespace pstore {
 
+namespace {
+/// EWMA smoothing factor for the measured rate.
+constexpr double kRateSmoothing = 0.5;
+}  // namespace
+
 Status ReactiveConfig::Validate() const {
   if (q <= 0 || q_hat < q) {
     return Status::InvalidArgument("need 0 < q <= q_hat");
@@ -21,13 +26,7 @@ Status ReactiveConfig::Validate() const {
   if (monitor_period <= 0) {
     return Status::InvalidArgument("monitor_period <= 0");
   }
-  if (smoothing <= 0 || smoothing > 1) {
-    return Status::InvalidArgument("smoothing out of (0, 1]");
-  }
   if (headroom < 0) return Status::InvalidArgument("headroom < 0");
-  if (rate_multiplier <= 0) {
-    return Status::InvalidArgument("rate_multiplier <= 0");
-  }
   return Status::OK();
 }
 
@@ -62,8 +61,8 @@ void ReactiveController::Tick() {
   const double rate =
       static_cast<double>(submitted - last_submitted_) / seconds;
   last_submitted_ = submitted;
-  smoothed_rate_ = config_.smoothing * rate +
-                   (1.0 - config_.smoothing) * smoothed_rate_;
+  smoothed_rate_ =
+      kRateSmoothing * rate + (1.0 - kRateSmoothing) * smoothed_rate_;
   if (m_ticks_ != nullptr) {
     m_ticks_->Add(1);
     m_smoothed_rate_->Set(smoothed_rate_);
@@ -130,8 +129,7 @@ void ReactiveController::Tick() {
                     : std::min(n + 1, engine_->max_nodes());
       if (target > n) {
         low_since_ = -1;
-        Status st = migrator_->StartMove(target, nullptr,
-                                         config_.rate_multiplier);
+        Status st = migrator_->StartMove(target, nullptr);
         if (st.ok()) {
           if (recovery_overload) recovery_scale_epoch_ = epoch;
           if (drain_overload) drains_seen_ = engine_->drains_started();
@@ -168,8 +166,7 @@ void ReactiveController::Tick() {
         const int32_t target =
             std::max(std::min(n - 1, size_for(smoothed_rate_)),
                      engine_->min_active_nodes());
-        Status st = migrator_->StartMove(target, nullptr,
-                                         config_.rate_multiplier);
+        Status st = migrator_->StartMove(target, nullptr);
         if (st.ok()) {
           ++scale_ins_;
           if (telemetry_.events != nullptr) {

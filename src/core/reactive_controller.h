@@ -36,16 +36,11 @@ struct ReactiveConfig {
 
   /// Monitoring period (E-Store reacts within seconds).
   SimDuration monitor_period = 5 * kSecond;
-  /// EWMA smoothing factor for the measured rate.
-  double smoothing = 0.5;
   /// How long load must stay low before scaling in.
   SimDuration scale_in_hold = 5 * kMinute;
   /// Headroom applied when sizing the target cluster (reactive systems
   /// size for the load they see, not the load to come).
   double headroom = 0.0;
-  /// Migration rate multiplier (reactive systems may migrate faster at
-  /// the cost of interference; 1.0 replicates the paper's setup).
-  double rate_multiplier = 1.0;
 
   Status Validate() const;
 };

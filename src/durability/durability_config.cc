@@ -12,10 +12,6 @@ Status DurabilityConfig::Validate() const {
   if (scrub_rate_kbps < 0) {
     return Status::InvalidArgument("scrub_rate_kbps < 0");
   }
-  if (!std::isfinite(record_kb)) {
-    return Status::InvalidArgument("record_kb not finite");
-  }
-  if (record_kb <= 0) return Status::InvalidArgument("record_kb <= 0");
   return Status::OK();
 }
 

@@ -23,17 +23,14 @@ struct DurabilityConfig {
   bool enabled = false;
 
   /// Background scrub rate: virtual kB of durable records verified per
-  /// second of virtual time. 0 (the default) disables the scrubber —
-  /// damage is then only found at restart replay. The scrubber walks
-  /// each node's checkpoint + log round-robin, re-deriving every CRC,
-  /// and repairs mismatches in place from a healthy replica.
+  /// second of virtual time, at 1 kB per record. 0 (the default)
+  /// disables the scrubber — damage is then only found at restart
+  /// replay. The scrubber walks each node's checkpoint + log
+  /// round-robin, re-deriving every CRC, and repairs mismatches in place
+  /// from a healthy replica.
   double scrub_rate_kbps = 0.0;
 
-  /// Virtual size of one durable record, used to convert the scrub
-  /// rate into records verified per scrub tick.
-  double record_kb = 1.0;
-
-  /// Rejects negative rates/sizes and non-finite values.
+  /// Rejects a negative or non-finite scrub rate.
   Status Validate() const;
 };
 

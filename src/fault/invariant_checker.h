@@ -46,7 +46,11 @@ struct InvariantViolation {
   std::string what;
 
   std::string ToString() const {
-    return "[" + FormatSimTime(at) + "] " + what;
+    std::string out = "[";
+    out += FormatSimTime(at);
+    out += "] ";
+    out += what;
+    return out;
   }
 };
 

@@ -1,7 +1,6 @@
 #include "guard/forecast_monitor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace pstore {
@@ -19,10 +18,6 @@ const char* GuardStateName(GuardState state) {
   return "unknown";
 }
 
-ForecastMonitor::ForecastMonitor(GuardConfig config) : config_(config) {
-  assert(config_.Validate().ok());
-}
-
 void ForecastMonitor::set_telemetry(const obs::Telemetry& telemetry) {
   if (telemetry.metrics == nullptr) return;
   obs::MetricsRegistry& m = *telemetry.metrics;
@@ -37,8 +32,8 @@ void ForecastMonitor::set_telemetry(const obs::Telemetry& telemetry) {
 }
 
 bool ForecastMonitor::Alarming() const {
-  return ewma_ > config_.suspect_threshold ||
-         cusum_high_ > config_.cusum_h || cusum_low_ > config_.cusum_h;
+  return ewma_ > kSuspectThreshold || cusum_high_ > kCusumH ||
+         cusum_low_ > kCusumH;
 }
 
 GuardState ForecastMonitor::Observe(double observed, double predicted) {
@@ -46,19 +41,16 @@ GuardState ForecastMonitor::Observe(double observed, double predicted) {
   // Relative residual: positive = under-forecast (reality above the
   // model), negative = over-forecast. The denominator floor keeps
   // near-zero forecasts from inflating residuals without bound.
-  const double residual = (observed - predicted) /
-                          std::max(predicted, config_.min_rate);
-  ewma_ = config_.ewma_alpha * std::abs(residual) +
-          (1.0 - config_.ewma_alpha) * ewma_;
+  const double residual =
+      (observed - predicted) / std::max(predicted, kMinRate);
+  ewma_ = kEwmaAlpha * std::abs(residual) + (1.0 - kEwmaAlpha) * ewma_;
   // The cap bounds rejoin inertia: a long surge otherwise banks mass
   // that drains at only k per window, pinning the guard in kDiverged
   // long after the forecast has settled.
-  cusum_high_ = std::min(
-      config_.cusum_cap,
-      std::max(0.0, cusum_high_ + residual - config_.cusum_k));
-  cusum_low_ = std::min(
-      config_.cusum_cap,
-      std::max(0.0, cusum_low_ - residual - config_.cusum_k));
+  cusum_high_ =
+      std::min(kCusumCap, std::max(0.0, cusum_high_ + residual - kCusumK));
+  cusum_low_ =
+      std::min(kCusumCap, std::max(0.0, cusum_low_ - residual - kCusumK));
 
   const bool alarming = Alarming();
   switch (state_) {
@@ -70,7 +62,7 @@ GuardState ForecastMonitor::Observe(double observed, double predicted) {
       break;
     case GuardState::kSuspect:
       if (alarming) {
-        if (++suspect_streak_ >= config_.diverge_windows) {
+        if (++suspect_streak_ >= kDivergeWindows) {
           state_ = GuardState::kDiverged;
           ++divergences_;
           settle_streak_ = 0;
@@ -84,7 +76,7 @@ GuardState ForecastMonitor::Observe(double observed, double predicted) {
       break;
     case GuardState::kDiverged:
       if (!alarming) {
-        if (++settle_streak_ >= config_.rejoin_windows) {
+        if (++settle_streak_ >= kRejoinWindows) {
           state_ = GuardState::kHealthy;
           suspect_streak_ = 0;
           // The accumulated CUSUM mass belongs to the surge just

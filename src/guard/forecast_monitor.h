@@ -2,25 +2,63 @@
 
 #include <cstdint>
 
-#include "guard/guard_config.h"
 #include "obs/telemetry.h"
 
 /// \file forecast_monitor.h
-/// Deterministic forecast-divergence detection on the virtual clock.
-/// Each control window the monitor ingests (observed, predicted) load,
-/// tracks the relative residual with an EWMA (catches large sudden
-/// misses) and a two-sided CUSUM (catches sustained small bias), and
-/// runs a hysteretic kHealthy -> kSuspect -> kDiverged state machine.
-/// No randomness, no clock reads: state is a pure function of the
-/// observation sequence, so a guard-enabled run replays byte-identical
-/// from a seed.
+/// Deterministic forecast-divergence detection on the virtual clock
+/// (DESIGN.md §16). Each control window the monitor ingests (observed,
+/// predicted) load, tracks the relative residual with an EWMA (catches
+/// large sudden misses) and a two-sided CUSUM (catches sustained small
+/// bias), and runs a hysteretic kHealthy -> kSuspect -> kDiverged state
+/// machine. No randomness, no clock reads: state is a pure function of
+/// the observation sequence, so a guard-enabled run replays
+/// byte-identical from a seed.
 
 namespace pstore {
 namespace guard {
 
+/// EWMA smoothing factor for the absolute relative residual
+/// |observed - predicted| / max(predicted, kMinRate).
+constexpr double kEwmaAlpha = 0.3;
+
+/// CUSUM reference value k (allowed per-window drift, in relative
+/// residual units): residual mass below k is slack, mass above it
+/// accumulates toward the decision threshold.
+constexpr double kCusumK = 0.25;
+
+/// CUSUM decision threshold h: either one-sided sum crossing it is
+/// divergence evidence (sustained small bias trips this even when no
+/// single window looks alarming).
+constexpr double kCusumH = 1.5;
+
+/// Upper clamp on either CUSUM accumulator. Without it a long surge
+/// banks unbounded mass that then drains at only k per window, so the
+/// guard would stay diverged long after the forecast settled; the cap
+/// bounds that rejoin inertia to (kCusumCap - kCusumH) / kCusumK = 6
+/// windows.
+constexpr double kCusumCap = 3.0;
+
+/// EWMA level above which a single window counts as suspect evidence
+/// (large instantaneous misses trip this before CUSUM accumulates).
+constexpr double kSuspectThreshold = 0.5;
+
+/// Consecutive suspect windows required to enter kDiverged — the
+/// hysteresis that keeps one noisy window from handing control to the
+/// reactive path.
+constexpr int32_t kDivergeWindows = 2;
+
+/// Consecutive settled windows required to leave kDiverged and rejoin
+/// prediction — the opposite-direction hysteresis that keeps a
+/// briefly-lucky forecast from reclaiming control mid-surge.
+constexpr int32_t kRejoinWindows = 3;
+
+/// Floor for the relative-residual denominator (txn/s), so near-zero
+/// forecasts cannot inflate residuals without bound.
+constexpr double kMinRate = 1.0;
+
 /// Divergence state. kSuspect is the hysteresis buffer: evidence must
-/// persist for `diverge_windows` consecutive windows before control is
-/// handed to the reactive path, and settle for `rejoin_windows` before
+/// persist for kDivergeWindows consecutive windows before control is
+/// handed to the reactive path, and settle for kRejoinWindows before
 /// prediction gets it back.
 enum class GuardState {
   kHealthy,
@@ -33,8 +71,6 @@ const char* GuardStateName(GuardState state);
 /// \brief EWMA/CUSUM residual tracker with a hysteretic state machine.
 class ForecastMonitor {
  public:
-  explicit ForecastMonitor(GuardConfig config);
-
   /// Ingests one control window's (observed, predicted) load pair and
   /// advances the state machine. Returns the state after the update.
   GuardState Observe(double observed, double predicted);
@@ -56,17 +92,14 @@ class ForecastMonitor {
 
   /// Attaches observability sinks ("guard.*" metrics: per-window
   /// residual gauges, CUSUM levels, state, divergence/rejoin counts).
-  /// Call before the first Observe(). The caller gates this on
-  /// GuardConfig::enabled so disabled runs register nothing.
+  /// Call before the first Observe(). Only a guarded controller owns a
+  /// monitor, so unguarded runs register nothing.
   void set_telemetry(const obs::Telemetry& telemetry);
-
-  const GuardConfig& config() const { return config_; }
 
  private:
   /// True while the residual trackers exceed either alarm level.
   bool Alarming() const;
 
-  GuardConfig config_;
   GuardState state_ = GuardState::kHealthy;
   double ewma_ = 0.0;
   double cusum_high_ = 0.0;

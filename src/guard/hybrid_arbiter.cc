@@ -1,7 +1,6 @@
 #include "guard/hybrid_arbiter.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace pstore {
 namespace guard {
@@ -16,10 +15,6 @@ const char* ArbiterActionName(ArbiterAction action) {
       return "repair-in-flight";
   }
   return "unknown";
-}
-
-HybridArbiter::HybridArbiter(GuardConfig config) : config_(config) {
-  assert(config_.Validate().ok());
 }
 
 ArbiterRuling HybridArbiter::Decide(const ArbiterInputs& in) const {

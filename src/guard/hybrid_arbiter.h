@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "guard/forecast_monitor.h"
-#include "guard/guard_config.h"
 
 /// \file hybrid_arbiter.h
 /// The arbitration policy between P-Store's predictive controller and
@@ -61,14 +60,7 @@ struct ArbiterRuling {
 /// \brief Stateless ruling over (guard state, migration state, load).
 class HybridArbiter {
  public:
-  explicit HybridArbiter(GuardConfig config);
-
   ArbiterRuling Decide(const ArbiterInputs& in) const;
-
-  const GuardConfig& config() const { return config_; }
-
- private:
-  GuardConfig config_;
 };
 
 }  // namespace guard

@@ -16,6 +16,13 @@ namespace {
 /// retried. Timeouts are armed only while a fault hook is installed, so
 /// fault-free runs schedule exactly the pre-fault event sequence.
 constexpr double kChunkTimeoutFactor = 4.0;
+/// Base backoff of a failed chunk's retry; doubles on every consecutive
+/// retry of the chunk.
+constexpr double kRetryBackoffMs = 50.0;
+/// A chunk DATA send whose ACK has not arrived after this multiple of
+/// its nominal round trip (burst + two mean latencies) is retransmitted
+/// with the same sequence number.
+constexpr double kRetransmitTimeoutFactor = 4.0;
 }  // namespace
 
 Status MigrationOptions::Validate() const {
@@ -23,15 +30,6 @@ Status MigrationOptions::Validate() const {
   if (rate_kbps <= 0) return Status::InvalidArgument("rate_kbps <= 0");
   if (wire_kbps <= 0) return Status::InvalidArgument("wire_kbps <= 0");
   if (db_size_mb <= 0) return Status::InvalidArgument("db_size_mb <= 0");
-  if (rate_multiplier <= 0) {
-    return Status::InvalidArgument("rate_multiplier <= 0");
-  }
-  if (max_chunk_retries < 0) {
-    return Status::InvalidArgument("max_chunk_retries < 0");
-  }
-  if (retry_backoff_ms < 0) {
-    return Status::InvalidArgument("retry_backoff_ms < 0");
-  }
   return Status::OK();
 }
 
@@ -129,7 +127,7 @@ void MigrationExecutor::set_telemetry(const obs::Telemetry& telemetry) {
 
 Status MigrationExecutor::StartMove(int32_t target_nodes,
                                     std::function<void()> on_complete,
-                                    double rate_multiplier_override) {
+                                    double rate_multiplier) {
   if (in_progress_) {
     return Status::FailedPrecondition("a reconfiguration is in flight");
   }
@@ -160,10 +158,7 @@ Status MigrationExecutor::StartMove(int32_t target_nodes,
 
   auto move = std::make_unique<ActiveMove>();
   move->schedule = std::move(schedule).MoveValueUnsafe();
-  const double multiplier = rate_multiplier_override > 0
-                                ? rate_multiplier_override
-                                : options_.rate_multiplier;
-  move->rate_kbps = options_.rate_kbps * multiplier;
+  move->rate_kbps = options_.rate_kbps * rate_multiplier;
 
   const int32_t p = engine_->partitions_per_node();
   const bool out = move->schedule.scale_out();
@@ -542,15 +537,13 @@ void MigrationExecutor::TransmitChunk(const std::shared_ptr<Stream>& stream,
 void MigrationExecutor::ArmRetransmit(const std::shared_ptr<Stream>& stream,
                                       ChunkTiming timing, double chunk_kb,
                                       int64_t seq) {
-  // ACK timeout: burst + round trip, scaled by the configured factor.
+  // ACK timeout: burst + round trip, scaled by kRetransmitTimeoutFactor.
   // The pacing period is excluded — it gates the *next* chunk, not this
   // one's acknowledgement.
-  const SimDuration rtt = static_cast<SimDuration>(
-      2.0 * engine_->config().net.mean_latency_us);
+  const SimDuration rtt = static_cast<SimDuration>(2.0 * net::kMeanLatencyUs);
   const SimDuration rto = std::max<SimDuration>(
-      1, static_cast<SimDuration>(
-             static_cast<double>(timing.busy + rtt) *
-             engine_->config().net.retransmit_timeout_factor));
+      1, static_cast<SimDuration>(static_cast<double>(timing.busy + rtt) *
+                                  kRetransmitTimeoutFactor));
   const ChunkGuard guard(move_epoch_, &stream->gen);
   engine_->simulator()->Schedule(
       rto, [this, stream, timing, chunk_kb, seq, guard]() {
@@ -568,10 +561,10 @@ void MigrationExecutor::ArmRetransmit(const std::shared_ptr<Stream>& stream,
           ArmRetransmit(stream, timing, chunk_kb, seq);
           return;
         }
-        if (stream->attempts >= options_.max_chunk_retries) {
+        if (stream->attempts >= kMaxChunkRetries) {
           Abort("chunk ack timeout on " + stream->Name() +
-                ": retry budget (" +
-                std::to_string(options_.max_chunk_retries) + ") exhausted");
+                ": retry budget (" + std::to_string(kMaxChunkRetries) +
+                ") exhausted");
           return;
         }
         ++stream->attempts;
@@ -694,15 +687,15 @@ void MigrationExecutor::ArmChunkTimeout(const std::shared_ptr<Stream>& stream,
 void MigrationExecutor::RetryChunk(const std::shared_ptr<Stream>& stream,
                                    const char* why) {
   ++stream->gen;  // supersede the failed/stalled attempt and its timeout
-  if (stream->attempts >= options_.max_chunk_retries) {
+  if (stream->attempts >= kMaxChunkRetries) {
     Abort(std::string(why) + " on " + stream->Name() + ": retry budget (" +
-          std::to_string(options_.max_chunk_retries) + ") exhausted");
+          std::to_string(kMaxChunkRetries) + ") exhausted");
     return;
   }
   // Exponential backoff; the retry is idempotent (no bytes were counted
   // and no ownership flipped for the failed attempt).
   const SimDuration backoff = SecondsToDuration(
-      options_.retry_backoff_ms / 1000.0 *
+      kRetryBackoffMs / 1000.0 *
       std::pow(2.0, static_cast<double>(stream->attempts)));
   ++stream->attempts;
   ++chunk_retries_;
@@ -754,7 +747,7 @@ Status MigrationExecutor::StartEvacuation(NodeId node, SimTime deadline) {
   evac->node = node;
   evac->deadline = deadline;
   evac->queue = std::move(queue);
-  evac->rate_kbps = options_.rate_kbps * options_.rate_multiplier;
+  evac->rate_kbps = options_.rate_kbps;
   evac->stream.earliest_next = now;
   evac_ = std::move(evac);
   ++evac_epoch_;

@@ -20,8 +20,8 @@
 /// cluster/chunk_transfer.h (which also carries re-replication): a chunk
 /// occupies *both* partition executors for chunk_kb / wire_kbps (the
 /// burst Figure 8 shows hurting tail latency for big chunks), a stream's
-/// next chunk goes one period, chunk_kb / (rate_kbps * rate_multiplier),
-/// after the last (R, or R x 8 for Figure 11's reactive fallback), and a
+/// next chunk goes one period, chunk_kb / (rate_kbps * multiplier), after
+/// the last (R, or R x 8 for Figure 11's reactive fallback), and a
 /// full queue or cut link defers a chunk one period. What stays here is
 /// policy: which bucket each partition-pair stream ships next, the fault
 /// hook's retries and the net DATA/ACK protocol for moves, the
@@ -36,18 +36,15 @@
 
 namespace pstore {
 
+/// Retries per chunk before the move aborts (fault runs only).
+constexpr int32_t kMaxChunkRetries = 5;
+
 /// Migration tuning knobs (Section 8.1's discovered values by default).
 struct MigrationOptions {
-  double chunk_kb = 1000.0;      ///< Upper bound on chunk size.
-  double rate_kbps = 244.0;      ///< R: sustained per-stream rate.
-  double wire_kbps = 10240.0;    ///< Burst rate while a chunk is in flight.
-  double db_size_mb = 1106.0;    ///< Virtual database size for timing.
-  double rate_multiplier = 1.0;  ///< 1 = rate R; 8 = the R x 8 fallback.
-
-  /// Retry budget per chunk before the move aborts (fault runs only).
-  int32_t max_chunk_retries = 5;
-  /// Base retry backoff; doubles on every consecutive retry of a chunk.
-  double retry_backoff_ms = 50.0;
+  double chunk_kb = 1000.0;    ///< Upper bound on chunk size.
+  double rate_kbps = 244.0;    ///< R: sustained per-stream rate.
+  double wire_kbps = 10240.0;  ///< Burst rate while a chunk is in flight.
+  double db_size_mb = 1106.0;  ///< Virtual database size for timing.
 
   Status Validate() const;
 };
@@ -93,16 +90,17 @@ using ChunkFaultHook =
 class MigrationExecutor {
  public:
   /// \param engine the engine to reconfigure (not owned)
-  /// \param options default knobs; StartMove may override the multiplier
+  /// \param options rate and sizing knobs
   MigrationExecutor(ClusterEngine* engine, MigrationOptions options);
   ~MigrationExecutor();  // out-of-line: ActiveMove is incomplete here
 
   /// Begins a move to `target_nodes`. Fails with FailedPrecondition if a
   /// move is in flight, InvalidArgument if the target is out of range.
   /// `on_complete` fires when the last bucket lands and (for scale-in)
-  /// the drained nodes are released.
+  /// the drained nodes are released. Streams pace at R x
+  /// `rate_multiplier` (8 = the R x 8 fallback).
   Status StartMove(int32_t target_nodes, std::function<void()> on_complete,
-                   double rate_multiplier_override = 0.0);
+                   double rate_multiplier = 1.0);
 
   bool InProgress() const { return in_progress_; }
 

@@ -4,18 +4,8 @@ namespace pstore {
 namespace net {
 
 Status NetConfig::Validate() const {
-  if (min_latency_us < 0) {
-    return Status::InvalidArgument("min_latency_us < 0");
-  }
-  if (mean_latency_us < min_latency_us) {
-    return Status::InvalidArgument("mean_latency_us < min_latency_us");
-  }
-  if (heartbeat_period <= 0) {
-    return Status::InvalidArgument("heartbeat_period <= 0");
-  }
-  if (suspicion_timeout <= heartbeat_period) {
-    return Status::InvalidArgument(
-        "need heartbeat_period < suspicion_timeout");
+  if (suspicion_timeout <= kHeartbeatPeriod) {
+    return Status::InvalidArgument("need heartbeat < suspicion_timeout");
   }
   if (lease_timeout <= suspicion_timeout) {
     return Status::InvalidArgument(
@@ -23,9 +13,6 @@ Status NetConfig::Validate() const {
   }
   if (failover_timeout <= lease_timeout) {
     return Status::InvalidArgument("need lease_timeout < failover_timeout");
-  }
-  if (retransmit_timeout_factor <= 1.0) {
-    return Status::InvalidArgument("retransmit_timeout_factor must be > 1");
   }
   return Status::OK();
 }

@@ -16,10 +16,19 @@
 namespace pstore {
 namespace net {
 
+/// Minimum one-way message latency (microseconds of virtual time).
+constexpr double kMinLatencyUs = 50.0;
+/// Mean one-way latency; the excess over the minimum is exponentially
+/// distributed, so per-message draws naturally reorder deliveries.
+constexpr double kMeanLatencyUs = 200.0;
+
+/// How often each live node heartbeats the controller.
+constexpr SimDuration kHeartbeatPeriod = 250 * kMillisecond;
+
 /// Knobs for the network model and the lease/fencing control plane.
 ///
-/// The four timers form a strict chain
-///   heartbeat_period < suspicion_timeout < lease_timeout
+/// The heartbeat and the three timers form a strict chain
+///   kHeartbeatPeriod < suspicion_timeout < lease_timeout
 ///                    < failover_timeout
 /// which is what makes fenced failover safe: a node whose heartbeats
 /// stop is first *suspected* (controllers defer scale-ins), then loses
@@ -30,14 +39,6 @@ namespace net {
 struct NetConfig {
   bool enabled = false;
 
-  /// Minimum one-way message latency (microseconds of virtual time).
-  double min_latency_us = 50.0;
-  /// Mean one-way latency; the excess over the minimum is exponentially
-  /// distributed, so per-message draws naturally reorder deliveries.
-  double mean_latency_us = 200.0;
-
-  /// How often each live node heartbeats the controller.
-  SimDuration heartbeat_period = 250 * kMillisecond;
   /// Silence after which the controller *suspects* a node (scale-ins
   /// are deferred while any node is suspected).
   SimDuration suspicion_timeout = kSecond;
@@ -47,11 +48,6 @@ struct NetConfig {
   /// Silence after which the controller declares the node dead and
   /// runs the fenced failover (promote buckets to reachable backups).
   SimDuration failover_timeout = 4 * kSecond;
-
-  /// A chunk DATA send whose ACK has not arrived after this multiple of
-  /// its nominal round trip (burst + pacing period + two mean latencies)
-  /// is retransmitted with the same sequence number.
-  double retransmit_timeout_factor = 4.0;
 
   Status Validate() const;
 };

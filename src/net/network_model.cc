@@ -38,8 +38,8 @@ bool NetworkModel::Reachable(NodeId a, NodeId b) const {
 }
 
 SimDuration NetworkModel::DrawLatency() {
-  const double excess = config_.mean_latency_us - config_.min_latency_us;
-  double us = config_.min_latency_us;
+  const double excess = kMeanLatencyUs - kMinLatencyUs;
+  double us = kMinLatencyUs;
   if (excess > 0) us += rng_.NextExponential(1.0 / excess);
   SimDuration latency = std::max<SimDuration>(
       1, static_cast<SimDuration>(us));

@@ -44,21 +44,9 @@ AdmissionDecision AdmissionController::Admit(const QueueOps& ops,
   if (limit == 0 || ops.queue_length() < limit) {
     return AdmissionDecision::kAdmit;
   }
-  switch (config_.policy) {
-    case AdmissionPolicy::kRejectNew:
-      return AdmissionDecision::kRejectQueueFull;
-    case AdmissionPolicy::kDropTail:
-      if (ops.evict_newest()) {
-        ++evictions_;
-        return AdmissionDecision::kAdmit;
-      }
-      return AdmissionDecision::kRejectQueueFull;
-    case AdmissionPolicy::kPriorityShed:
-      if (ops.evict_lowest_below(priority)) {
-        ++evictions_;
-        return AdmissionDecision::kAdmit;
-      }
-      return AdmissionDecision::kRejectQueueFull;
+  if (ops.evict_lowest_below(priority)) {
+    ++evictions_;
+    return AdmissionDecision::kAdmit;
   }
   return AdmissionDecision::kRejectQueueFull;
 }

@@ -24,8 +24,6 @@ namespace overload {
 struct QueueOps {
   /// Waiting items (excluding the one in service).
   std::function<size_t()> queue_length;
-  /// Evict the newest waiting item; false if none.
-  std::function<bool()> evict_newest;
   /// Evict the lowest-priority waiting item strictly below the given
   /// priority (newest among ties); false if no such item.
   std::function<bool(int8_t)> evict_lowest_below;
@@ -35,13 +33,13 @@ struct QueueOps {
 enum class AdmissionDecision {
   kAdmit,             ///< Enqueue (a lower-priority victim may have
                       ///< been evicted to make room).
-  kRejectQueueFull,   ///< Queue at limit and policy found no room.
+  kRejectQueueFull,   ///< Queue at limit with no lower-priority victim.
   kRejectBreakerOpen, ///< Node breaker open; non-critical work refused.
 };
 
 const char* AdmissionDecisionName(AdmissionDecision decision);
 
-/// \brief Pluggable-policy admission control with per-node breakers.
+/// \brief Priority-shed admission control with per-node breakers.
 ///
 /// Breaker feeding is the caller's job (RecordAdmitted on successful
 /// enqueue, RecordShed on every shed or eviction): Admit() itself only
@@ -82,8 +80,7 @@ class AdmissionController {
   /// Total Closed/HalfOpen -> Open transitions across all nodes.
   int64_t total_trips() const;
 
-  /// Queued items evicted by Admit() to make room (drop-tail or
-  /// priority-shed).
+  /// Queued lower-priority items evicted by Admit() to make room.
   int64_t evictions() const { return evictions_; }
 
   const OverloadConfig& config() const { return config_; }

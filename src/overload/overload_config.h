@@ -8,8 +8,8 @@
 
 /// \file overload_config.h
 /// Configuration for the overload-control subsystem: bounded partition
-/// queues, a dequeue-time deadline (latency SLO), a pluggable admission
-/// policy, and per-node circuit breakers. Strictly opt-in: with
+/// queues, a dequeue-time deadline (latency SLO), priority-shed
+/// admission, and per-node circuit breakers. Strictly opt-in: with
 /// `enabled = false` (the default) the engine behaves exactly as an
 /// unbounded-FIFO build — no extra Rng draws, metrics, or events — so
 /// pre-existing traces stay byte-identical.
@@ -22,24 +22,15 @@
 namespace pstore {
 namespace overload {
 
-/// What to do with an arrival when the target partition queue is full.
-enum class AdmissionPolicy {
-  kRejectNew,     ///< Shed the arriving transaction.
-  kDropTail,      ///< Evict the newest queued item, admit the arrival.
-  kPriorityShed,  ///< Evict the lowest-priority queued item strictly
-                  ///< below the arrival's priority; else reject the
-                  ///< arrival.
-};
-
-const char* AdmissionPolicyName(AdmissionPolicy policy);
-
 /// Overload-control knobs (engine-wide; queues are per partition).
 struct OverloadConfig {
   /// Master switch. Everything below is inert while false.
   bool enabled = false;
 
   /// Waiting items allowed per partition queue (excluding the item in
-  /// service). 0 = unbounded (deadline and breaker still apply).
+  /// service). 0 = unbounded (deadline and breaker still apply). An
+  /// arrival at a full queue evicts the lowest-priority queued item
+  /// strictly below its own priority, or is shed if there is none.
   int32_t max_queue_depth = 64;
 
   /// Queueing-delay SLO: work that has not *started* service within
@@ -47,9 +38,6 @@ struct OverloadConfig {
   /// executed (serving it would only produce an SLO-violating response
   /// while delaying everything behind it). 0 disables.
   SimDuration queue_deadline = 0;
-
-  /// Policy applied when a partition queue is at max_queue_depth.
-  AdmissionPolicy policy = AdmissionPolicy::kPriorityShed;
 
   /// Per-node breaker tuning.
   BreakerConfig breaker;

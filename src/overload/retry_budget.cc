@@ -6,29 +6,8 @@
 namespace pstore {
 namespace overload {
 
-Status RetryPolicy::Validate() const {
-  if (max_attempts < 1) return Status::InvalidArgument("max_attempts < 1");
-  if (base_backoff < 1) return Status::InvalidArgument("base_backoff < 1us");
-  if (max_backoff < base_backoff) {
-    return Status::InvalidArgument("max_backoff < base_backoff");
-  }
-  if (jitter < 0 || jitter > 1) {
-    return Status::InvalidArgument("jitter out of [0, 1]");
-  }
-  if (tokens_per_request < 0) {
-    return Status::InvalidArgument("tokens_per_request < 0");
-  }
-  if (token_cap < 1) return Status::InvalidArgument("token_cap < 1");
-  return Status::OK();
-}
-
-RetryBudget::RetryBudget(const RetryPolicy& policy)
-    : policy_(policy), tokens_(policy.token_cap) {
-  assert(policy_.Validate().ok());
-}
-
 void RetryBudget::OnRequest() {
-  tokens_ = std::min(policy_.token_cap, tokens_ + policy_.tokens_per_request);
+  tokens_ = std::min(kTokenCap, tokens_ + kTokensPerRequest);
 }
 
 bool RetryBudget::TrySpend() {
@@ -43,14 +22,12 @@ bool RetryBudget::TrySpend() {
 
 SimDuration RetryBudget::Backoff(int32_t attempt, Rng* rng) const {
   assert(attempt >= 1);
-  double backoff = static_cast<double>(policy_.base_backoff);
-  for (int32_t i = 1; i < attempt && backoff < policy_.max_backoff; ++i) {
+  double backoff = static_cast<double>(kBaseBackoff);
+  for (int32_t i = 1; i < attempt && backoff < kMaxBackoff; ++i) {
     backoff *= 2.0;
   }
-  backoff = std::min(backoff, static_cast<double>(policy_.max_backoff));
-  if (policy_.jitter > 0 && rng != nullptr) {
-    backoff *= 1.0 - policy_.jitter * rng->NextDouble();
-  }
+  backoff = std::min(backoff, static_cast<double>(kMaxBackoff));
+  if (rng != nullptr) backoff *= 1.0 - kJitter * rng->NextDouble();
   return std::max<SimDuration>(1, static_cast<SimDuration>(backoff));
 }
 

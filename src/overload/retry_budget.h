@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "common/status.h"
 
 /// \file retry_budget.h
 /// Client-side retry discipline for shed transactions: a token-bucket
@@ -16,31 +15,24 @@
 namespace pstore {
 namespace overload {
 
-/// Retry knobs.
-struct RetryPolicy {
-  /// Total attempts per transaction, the initial submission included.
-  int32_t max_attempts = 4;
-  /// Backoff before the first retry; doubles per subsequent retry.
-  SimDuration base_backoff = 10 * kMillisecond;
-  /// Backoff ceiling.
-  SimDuration max_backoff = kSecond;
-  /// Fraction of the backoff randomized away: the delay is drawn
-  /// uniformly from [backoff * (1 - jitter), backoff]. 0 = no jitter.
-  double jitter = 0.5;
-  /// Retry tokens earned per fresh (non-retry) submission. 0.1 means at
-  /// most one retry per ten fresh requests once the bucket drains.
-  double tokens_per_request = 0.1;
-  /// Token bucket capacity (also the initial balance, so short shed
-  /// bursts retry freely before the ratio clamps down).
-  double token_cap = 50.0;
-
-  Status Validate() const;
-};
-
 /// \brief Token bucket + jittered exponential backoff.
 class RetryBudget {
  public:
-  explicit RetryBudget(const RetryPolicy& policy);
+  /// Total attempts per transaction, the initial submission included.
+  static constexpr int32_t kMaxAttempts = 4;
+  /// Backoff before the first retry; doubles per subsequent retry.
+  static constexpr SimDuration kBaseBackoff = 10 * kMillisecond;
+  /// Backoff ceiling.
+  static constexpr SimDuration kMaxBackoff = kSecond;
+  /// Fraction of the backoff randomized away: the delay is drawn
+  /// uniformly from [backoff * (1 - kJitter), backoff].
+  static constexpr double kJitter = 0.5;
+  /// Retry tokens earned per fresh (non-retry) submission: at most one
+  /// retry per ten fresh requests once the bucket drains.
+  static constexpr double kTokensPerRequest = 0.1;
+  /// Token bucket capacity (also the initial balance, so short shed
+  /// bursts retry freely before the ratio clamps down).
+  static constexpr double kTokenCap = 50.0;
 
   /// Credit the budget for one fresh submission.
   void OnRequest();
@@ -56,11 +48,9 @@ class RetryBudget {
   double tokens() const { return tokens_; }
   int64_t retries_granted() const { return retries_granted_; }
   int64_t retries_denied() const { return retries_denied_; }
-  const RetryPolicy& policy() const { return policy_; }
 
  private:
-  RetryPolicy policy_;
-  double tokens_;
+  double tokens_ = kTokenCap;
   int64_t retries_granted_ = 0;
   int64_t retries_denied_ = 0;
 };

@@ -50,18 +50,8 @@ DpPlanner::DpPlanner(MoveModel model, int32_t max_nodes)
 
 int32_t DpPlanner::NodesForLoad(double load) const {
   if (load <= 0) return 1;
-  const MoveModelConfig& config = model_.config();
-  if (config.replication_overhead == 0) {
-    return std::max<int32_t>(
-        1, static_cast<int32_t>(std::ceil(load / config.q - 1e-9)));
-  }
-  // Capacity(n) is derated by the overhead: step from the real-valued
-  // estimate to the exact smallest n whose capacity covers the load.
-  int32_t n = std::max<int32_t>(
-      1, static_cast<int32_t>(std::ceil(load / model_.Capacity(1))));
-  while (model_.Capacity(n) < load) ++n;
-  while (n > 1 && model_.Capacity(n - 1) >= load) --n;
-  return n;
+  return std::max<int32_t>(
+      1, static_cast<int32_t>(std::ceil(load / model_.config().q - 1e-9)));
 }
 
 DpPlanner::MoveTables::MoveTables(const MoveModel& model, int32_t z)

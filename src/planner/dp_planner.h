@@ -89,9 +89,8 @@ class DpPlanner {
   Plan BestMoves(const std::vector<double>& load, int32_t n0);
 
   /// Convenience: the smallest machine count whose *steady* capacity
-  /// (MoveModel::Capacity, replication overhead included) covers
-  /// `load`, at least 1. With no replication overhead this is
-  /// ceil(load / Q), forgiving a 1e-9 rounding excess.
+  /// (MoveModel::Capacity) covers `load`, at least 1: ceil(load / Q),
+  /// forgiving a 1e-9 rounding excess.
   int32_t NodesForLoad(double load) const;
 
   /// Forces the textbook recursion: no precomputed per-(b, a) move

@@ -15,9 +15,6 @@ Status MoveModelConfig::Validate() const {
   if (interval_minutes <= 0) {
     return Status::InvalidArgument("interval_minutes must be > 0");
   }
-  if (replication_overhead < 0 || replication_overhead >= 1) {
-    return Status::InvalidArgument("replication_overhead out of [0, 1)");
-  }
   return Status::OK();
 }
 
@@ -90,12 +87,7 @@ double MoveModel::MoveCost(int32_t b, int32_t a) const {
          AvgMachinesAllocated(b, a);
 }
 
-double MoveModel::Capacity(int32_t n) const {
-  // Overhead 0 (the default) must not perturb existing results, so skip
-  // the multiply entirely rather than trusting "* 1.0" to be exact.
-  if (config_.replication_overhead == 0) return config_.q * n;
-  return config_.q * n * (1.0 - config_.replication_overhead);
-}
+double MoveModel::Capacity(int32_t n) const { return config_.q * n; }
 
 double MoveModel::EvacuationTimeMinutes(double g) const {
   g = std::clamp(g, 0.0, 1.0);

@@ -39,16 +39,7 @@ struct MoveModelConfig {
   /// five-minute granularity, §8.3).
   double interval_minutes = 5.0;
 
-  /// Fraction of per-node throughput consumed by synchronous replication
-  /// write amplification (k backups re-apply every committed write, so a
-  /// replicated cluster serves less client load per node). 0 = no
-  /// replication, the paper's single-copy setup; cap(N) becomes
-  /// Q * N * (1 - replication_overhead). Default 0 keeps every existing
-  /// planner result bit-identical.
-  double replication_overhead = 0.0;
-
-  /// Validates ranges (q > 0, P >= 1, D > 0, interval > 0,
-  /// replication_overhead in [0, 1)).
+  /// Validates ranges (q > 0, P >= 1, D > 0, interval > 0).
   Status Validate() const;
 };
 
@@ -81,8 +72,7 @@ class MoveModel {
   /// charges do-nothing moves B machine-intervals explicitly).
   double MoveCost(int32_t b, int32_t a) const;
 
-  /// Equation (5): cap(N) = Q * N, derated by the replication write
-  /// amplification when replication_overhead > 0.
+  /// Equation (5): cap(N) = Q * N.
   double Capacity(int32_t n) const;
 
   /// Equation (7): effective capacity after fraction `f` in [0,1] of the

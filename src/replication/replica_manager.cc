@@ -7,6 +7,13 @@
 namespace pstore {
 namespace replication {
 
+namespace {
+/// Rate at which a restarting node loads its last checkpoint.
+constexpr double kCheckpointLoadKbps = 102400.0;
+/// Replay cost per logged command during restart recovery.
+constexpr double kReplayUsPerEntry = 100.0;
+}  // namespace
+
 ReplicaManager::ReplicaManager(const Catalog* catalog,
                                ReplicationConfig config, int32_t num_buckets,
                                int32_t total_partitions,
@@ -243,18 +250,18 @@ durability::RecoveryPlan ReplicaManager::PlanRecovery(NodeId n) {
 SimDuration ReplicaManager::PlanDuration(
     const durability::RecoveryPlan& plan) const {
   // checkpoint kB / (kB/s) gives seconds; convert to microseconds.
-  double load_us = plan.load_kb / config_.checkpoint_load_kbps * 1e6;
-  double replay_us = static_cast<double>(plan.replay_entries) *
-                     config_.replay_us_per_entry;
+  double load_us = plan.load_kb / kCheckpointLoadKbps * 1e6;
+  double replay_us =
+      static_cast<double>(plan.replay_entries) * kReplayUsPerEntry;
   auto total = static_cast<SimDuration>(load_us + replay_us);
   return total < 1 ? 1 : total;
 }
 
 SimDuration ReplicaManager::RecoveryDuration(NodeId n) const {
   double load_us =
-      durable_->checkpoint_kb(n) / config_.checkpoint_load_kbps * 1e6;
-  double replay_us = static_cast<double>(durable_->log_entries(n)) *
-                     config_.replay_us_per_entry;
+      durable_->checkpoint_kb(n) / kCheckpointLoadKbps * 1e6;
+  double replay_us =
+      static_cast<double>(durable_->log_entries(n)) * kReplayUsPerEntry;
   auto total = static_cast<SimDuration>(load_us + replay_us);
   return total < 1 ? 1 : total;
 }

@@ -10,12 +10,6 @@ Status ReplicationConfig::Validate() const {
   // Every rate/size knob feeds virtual-time arithmetic; a NaN or
   // infinity would poison recovery durations silently, so finiteness
   // is checked before sign.
-  if (!std::isfinite(apply_weight)) {
-    return Status::InvalidArgument("apply_weight not finite");
-  }
-  if (apply_weight < 0) {
-    return Status::InvalidArgument("apply_weight < 0");
-  }
   if (!std::isfinite(db_size_mb)) {
     return Status::InvalidArgument("db_size_mb not finite");
   }
@@ -38,18 +32,6 @@ Status ReplicationConfig::Validate() const {
   if (wire_kbps <= 0) return Status::InvalidArgument("wire_kbps <= 0");
   if (checkpoint_period <= 0) {
     return Status::InvalidArgument("checkpoint_period <= 0");
-  }
-  if (!std::isfinite(checkpoint_load_kbps)) {
-    return Status::InvalidArgument("checkpoint_load_kbps not finite");
-  }
-  if (checkpoint_load_kbps <= 0) {
-    return Status::InvalidArgument("checkpoint_load_kbps <= 0");
-  }
-  if (!std::isfinite(replay_us_per_entry)) {
-    return Status::InvalidArgument("replay_us_per_entry not finite");
-  }
-  if (replay_us_per_entry < 0) {
-    return Status::InvalidArgument("replay_us_per_entry < 0");
   }
   if (durability.enabled) PSTORE_RETURN_NOT_OK(durability.Validate());
   return Status::OK();

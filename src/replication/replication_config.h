@@ -32,15 +32,10 @@ struct ReplicationConfig {
   bool enabled = false;
 
   /// k: backups maintained per bucket (k-safety). With k = 1 every
-  /// committed row survives any single node failure.
+  /// committed row survives any single node failure. A backup's apply
+  /// costs half the primary's drawn service time on its partition's
+  /// executor.
   int32_t k = 1;
-
-  /// Backup apply cost as a fraction of the primary's drawn service
-  /// time. Applying a deterministic command on a replica skips client
-  /// handling and result marshalling, so it is cheaper than the
-  /// original execution — but not free: apply work occupies the backup
-  /// partition's executor (the write amplification Eq. 5/7 must model).
-  double apply_weight = 0.5;
 
   /// Virtual database size used to size rebuild and checkpoint work
   /// (matches MigrationOptions::db_size_mb semantics; 1106 MB in §8.1).
@@ -60,14 +55,9 @@ struct ReplicationConfig {
 
   /// Period of the cluster-wide fuzzy checkpoint. Each checkpoint
   /// snapshots every live node's hosted data size and truncates its
-  /// command log; restart recovery replays checkpoint + log.
+  /// command log; restart recovery loads the checkpoint at 100 MB/s and
+  /// replays the log at 100 us per command.
   SimDuration checkpoint_period = 60 * kSecond;
-
-  /// Rate at which a restarting node loads its last checkpoint.
-  double checkpoint_load_kbps = 102400.0;
-
-  /// Replay cost per logged command during restart recovery.
-  double replay_us_per_entry = 100.0;
 
   /// Content-modeled durable storage (checksummed checkpoint/log
   /// records, corruption detection, scrubbing). Disabled by default;

@@ -86,7 +86,7 @@ ControllerConfig GuardedControllerConfig() {
   pc.q_hat = 125.0;
   pc.horizon_intervals = 8;
   pc.prediction_inflation = 0.15;
-  pc.guard.enabled = true;
+  pc.guard = true;
   return pc;
 }
 
@@ -207,8 +207,7 @@ Status Execute(const Scenario& s, uint64_t seed, ScenarioTelemetry* tel,
   const ProcedureId get = db.get, put = db.put;
   // Shed-aware resubmission for kLoadScaleRetry: retries spend a token
   // budget and back off with jitter drawn from a dedicated stream.
-  overload::RetryPolicy retry_policy;
-  overload::RetryBudget retry_budget(retry_policy);
+  overload::RetryBudget retry_budget;
   Rng retry_rng(seed ^ 0x94d049bb133111ebULL);
   int64_t retries = 0, sheds_seen = 0;
   std::function<void(TxnRequest, int32_t)> submit =
@@ -219,7 +218,7 @@ Status Execute(const Scenario& s, uint64_t seed, ScenarioTelemetry* tel,
                                        attempt](const TxnResult& r) mutable {
           if (!r.shed) return;
           ++sheds_seen;
-          if (attempt + 1 >= retry_policy.max_attempts) return;
+          if (attempt + 1 >= overload::RetryBudget::kMaxAttempts) return;
           if (!retry_budget.TrySpend()) return;
           ++retries;
           sim.Schedule(retry_budget.Backoff(attempt + 1, &retry_rng),

@@ -28,7 +28,6 @@ EngineConfig WithOverload(EngineConfig config) {
   config.overload.enabled = true;
   config.overload.max_queue_depth = 16;
   config.overload.queue_deadline = 200 * kMillisecond;
-  config.overload.policy = overload::AdmissionPolicy::kPriorityShed;
   config.overload.breaker.window = kSecond;
   config.overload.breaker.shed_threshold = 0.2;
   config.overload.breaker.min_samples = 20;

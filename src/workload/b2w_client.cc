@@ -12,7 +12,6 @@ Status B2wClientConfig::Validate() const {
     return Status::InvalidArgument("need peak_txn_rate or absolute_scale");
   }
   if (max_pool < 100) return Status::InvalidArgument("max_pool too small");
-  if (retry_shed) PSTORE_RETURN_NOT_OK(retry.Validate());
   return Status::OK();
 }
 
@@ -25,8 +24,6 @@ B2wClient::B2wClient(ClusterEngine* engine, const B2wTables& tables,
       trace_(std::move(trace_rpm)),
       config_(config),
       rng_(config.seed),
-      retry_rng_(config.seed ^ 0xda3e39cb94b95bdbULL),
-      budget_(config.retry),
       arrivals_(engine->simulator(), [this]() { SubmitOne(); }) {
   assert(config_.Validate().ok());
   assert(!trace_.empty());
@@ -208,37 +205,7 @@ void B2wClient::SubmitOne() {
     req.args = {Value(int64_t{1})};
   }
 
-  Submit(std::move(req), 0);
-}
-
-void B2wClient::Submit(TxnRequest req, int32_t attempt) {
-  if (!config_.retry_shed) {
-    // Historical path: fire-and-forget, no completion callback, so the
-    // engine's event sequence is byte-identical to pre-retry builds.
-    engine_->Submit(std::move(req));
-    return;
-  }
-  if (attempt == 0) budget_.OnRequest();
-  // Keep a copy to resubmit: the engine consumes the request.
-  TxnRequest copy = req;
-  engine_->Submit(
-      std::move(req), [this, copy = std::move(copy),
-                       attempt](const TxnResult& result) mutable {
-        if (!result.shed) return;
-        ++sheds_observed_;
-        if (attempt + 1 >= config_.retry.max_attempts) {
-          ++retries_exhausted_;
-          return;
-        }
-        if (!budget_.TrySpend()) return;  // budget empty: give up quietly
-        ++retries_;
-        const SimDuration backoff =
-            budget_.Backoff(attempt + 1, &retry_rng_);
-        engine_->simulator()->Schedule(
-            backoff, [this, copy = std::move(copy), attempt]() mutable {
-              Submit(std::move(copy), attempt + 1);
-            });
-      });
+  engine_->Submit(std::move(req));
 }
 
 }  // namespace pstore

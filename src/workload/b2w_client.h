@@ -7,7 +7,6 @@
 #include "cluster/engine.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "overload/retry_budget.h"
 #include "sim/slot_arrivals.h"
 #include "workload/b2w_procedures.h"
 #include "workload/b2w_schema.h"
@@ -37,14 +36,6 @@ struct B2wClientConfig {
   int64_t initial_stock = 5000;       ///< Pre-loaded stock rows.
   size_t max_pool = 60000;            ///< Active-key pool bound.
   uint64_t seed = 7;
-
-  /// Resubmit transactions the engine sheds, governed by `retry` (token
-  /// budget + jittered exponential backoff). Off by default: retries
-  /// consult a dedicated Rng, but the submission callback itself changes
-  /// the engine's event pattern, so this is strictly opt-in for
-  /// overload experiments.
-  bool retry_shed = false;
-  overload::RetryPolicy retry;
 
   Status Validate() const;
 };
@@ -83,22 +74,9 @@ class B2wClient {
   /// Transactions submitted so far.
   int64_t submitted() const { return submitted_; }
 
-  /// Shed results observed (0 unless the engine sheds and retry_shed
-  /// or at least one on_done fired with shed=true).
-  int64_t sheds_observed() const { return sheds_observed_; }
-  /// Resubmissions performed under the retry budget.
-  int64_t retries() const { return retries_; }
-  /// Retries refused because the token budget was empty.
-  int64_t retries_denied() const { return budget_.retries_denied(); }
-  /// Transactions abandoned after exhausting max_attempts.
-  int64_t retries_exhausted() const { return retries_exhausted_; }
-
  private:
   void ScheduleSlot(int64_t slot, int64_t end_slot, SimTime slot_start);
   void SubmitOne();
-  /// Submits `req` as attempt number `attempt` (0 = first try); with
-  /// retry_shed on, shed results re-enter here after a backoff.
-  void Submit(TxnRequest req, int32_t attempt);
 
   /// Key pools for coherent sessions.
   int64_t NewKey();
@@ -114,19 +92,12 @@ class B2wClient {
   double scale_ = 1.0;
   SimDuration slot_duration_ = 0;
   Rng rng_;
-  /// Retry jitter flows through a dedicated stream so enabling retries
-  /// never perturbs the workload's own draw sequence.
-  Rng retry_rng_;
-  overload::RetryBudget budget_;
   /// Each slot's arrivals, armed one at a time (SubmitOne each).
   SlotArrivals arrivals_;
   std::deque<int64_t> carts_;
   std::deque<int64_t> checkouts_;
   std::vector<int64_t> stock_;
   int64_t submitted_ = 0;
-  int64_t sheds_observed_ = 0;
-  int64_t retries_ = 0;
-  int64_t retries_exhausted_ = 0;
 };
 
 }  // namespace pstore

@@ -161,24 +161,6 @@ TEST(PartitionExecutorTest, DeadlineStillAheadRuns) {
   EXPECT_EQ(exec.deadline_shed(), 0);
 }
 
-TEST(PartitionExecutorTest, EvictNewestDropsTail) {
-  Simulator sim;
-  PartitionExecutor exec(&sim);
-  exec.Enqueue(100, nullptr);
-  int shed_id = -1;
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(exec.TryEnqueue(
-        Item(10, -1, 2,
-             [&, i](SimTime, PartitionExecutor::ShedCause) { shed_id = i; })));
-  }
-  EXPECT_TRUE(exec.EvictNewest());
-  EXPECT_EQ(shed_id, 1);  // newest goes first
-  EXPECT_EQ(exec.evicted(), 1);
-  EXPECT_EQ(exec.queue_length(), 1u);
-  sim.RunAll();
-  EXPECT_EQ(exec.completed(), 2);
-}
-
 TEST(PartitionExecutorTest, EvictLowestBelowPicksLowestThenNewest) {
   Simulator sim;
   PartitionExecutor exec(&sim);
@@ -278,13 +260,7 @@ TEST(PartitionExecutorTest, QueueMatchesDequeModelAcrossWraps) {
     const uint64_t op = rng.NextBounded(10);
     if (op < 5) {
       enqueue();
-    } else if (op == 5) {
-      ASSERT_EQ(exec.EvictNewest(), !model.empty());
-      if (!model.empty()) {
-        want_shed.push_back(model.back().id);
-        model.pop_back();
-      }
-    } else if (op == 6) {
+    } else if (op == 5 || op == 6) {
       const auto below = static_cast<int8_t>(rng.NextBounded(4));
       auto victim = model.end();
       for (auto it = model.begin(); it != model.end(); ++it) {

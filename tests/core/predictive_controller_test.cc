@@ -206,7 +206,6 @@ TEST_F(PredictiveControllerTest, SafetyNetCatchesUnpredictedOverload) {
   ScriptedPredictor predictor(std::vector<double>(40, 80.0));
   ControllerConfig config = Config();
   config.enable_reactive_safety_net = true;
-  config.safety_net_watermark = 0.95;
   PredictiveController controller(engine_.get(), migrator_.get(), &predictor,
                                   config);
   controller.Start();
@@ -306,7 +305,6 @@ TEST_F(PredictiveControllerTest, MisforecastTripsSafetyNet) {
   MisforecastPredictor predictor(&accurate, &injector);
   ControllerConfig config = Config();
   config.enable_reactive_safety_net = true;
-  config.safety_net_watermark = 0.95;
   PredictiveController controller(engine_.get(), migrator_.get(), &predictor,
                                   config);
   controller.Start();

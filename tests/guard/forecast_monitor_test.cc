@@ -9,12 +9,6 @@ namespace pstore {
 namespace guard {
 namespace {
 
-GuardConfig Enabled() {
-  GuardConfig config;
-  config.enabled = true;
-  return config;
-}
-
 TEST(ForecastMonitorTest, StateNamesAreDistinct) {
   EXPECT_STREQ(GuardStateName(GuardState::kHealthy), "healthy");
   EXPECT_STREQ(GuardStateName(GuardState::kSuspect), "suspect");
@@ -22,7 +16,7 @@ TEST(ForecastMonitorTest, StateNamesAreDistinct) {
 }
 
 TEST(ForecastMonitorTest, AccurateForecastsStayHealthy) {
-  ForecastMonitor monitor(Enabled());
+  ForecastMonitor monitor;
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(monitor.Observe(100.0 + (i % 3), 100.0),
               GuardState::kHealthy);
@@ -33,9 +27,7 @@ TEST(ForecastMonitorTest, AccurateForecastsStayHealthy) {
 }
 
 TEST(ForecastMonitorTest, LargeMissDivergesAfterHysteresis) {
-  GuardConfig config = Enabled();
-  config.diverge_windows = 2;
-  ForecastMonitor monitor(config);
+  ForecastMonitor monitor;
   monitor.Observe(100.0, 100.0);
   // A 3x surge against a flat forecast: first alarming window is only
   // suspect evidence; the second confirms.
@@ -45,7 +37,7 @@ TEST(ForecastMonitorTest, LargeMissDivergesAfterHysteresis) {
 }
 
 TEST(ForecastMonitorTest, OneSettledWindowClearsSuspicion) {
-  ForecastMonitor monitor(Enabled());
+  ForecastMonitor monitor;
   monitor.Observe(300.0, 100.0);
   ASSERT_EQ(monitor.state(), GuardState::kSuspect);
   // Settling is enough to clear suspect (hysteresis binds only on the
@@ -59,45 +51,44 @@ TEST(ForecastMonitorTest, OneSettledWindowClearsSuspicion) {
 }
 
 TEST(ForecastMonitorTest, SustainedSmallBiasTripsCusum) {
-  GuardConfig config = Enabled();
-  config.suspect_threshold = 10.0;  // EWMA path disabled for the test.
-  ForecastMonitor monitor(config);
-  // A persistent 40% under-forecast never trips the (disabled) EWMA
-  // alarm, but banks 0.15 of CUSUM mass per window; h = 1.5 trips
-  // after ten windows plus the two-window diverge hysteresis.
+  ForecastMonitor monitor;
+  // A persistent 40% under-forecast sits above k = 0.25 but below the
+  // EWMA suspect threshold of 0.5, so the EWMA never alarms; it banks
+  // 0.15 of CUSUM mass per window, and h = 1.5 trips after ten windows
+  // plus the two-window diverge hysteresis.
   int windows = 0;
   while (monitor.state() != GuardState::kDiverged && windows < 100) {
     monitor.Observe(140.0, 100.0);
+    EXPECT_LT(monitor.ewma_abs_residual(), kSuspectThreshold);
     ++windows;
   }
   EXPECT_EQ(monitor.state(), GuardState::kDiverged);
-  EXPECT_GT(monitor.cusum_high(), config.cusum_h);
+  EXPECT_GT(monitor.cusum_high(), kCusumH);
   EXPECT_DOUBLE_EQ(monitor.cusum_low(), 0.0);
 }
 
 TEST(ForecastMonitorTest, OverForecastTripsLowSideCusum) {
-  GuardConfig config = Enabled();
-  config.suspect_threshold = 10.0;
-  ForecastMonitor monitor(config);
+  ForecastMonitor monitor;
+  // The mirror image: a 40% over-forecast, CUSUM-only on the low side.
   int windows = 0;
   while (monitor.state() != GuardState::kDiverged && windows < 100) {
     monitor.Observe(60.0, 100.0);
+    EXPECT_LT(monitor.ewma_abs_residual(), kSuspectThreshold);
     ++windows;
   }
   EXPECT_EQ(monitor.state(), GuardState::kDiverged);
-  EXPECT_GT(monitor.cusum_low(), config.cusum_h);
+  EXPECT_GT(monitor.cusum_low(), kCusumH);
   EXPECT_DOUBLE_EQ(monitor.cusum_high(), 0.0);
 }
 
 TEST(ForecastMonitorTest, CusumCapBoundsRejoinInertia) {
-  GuardConfig config = Enabled();
-  ForecastMonitor monitor(config);
+  ForecastMonitor monitor;
   // A long surge must not bank unbounded mass: without the cap, 50
   // windows of residual 2.0 would take (2 - 0.25) * 50 / 0.25 = 350
   // settled windows to drain.
   for (int i = 0; i < 50; ++i) monitor.Observe(300.0, 100.0);
   EXPECT_EQ(monitor.state(), GuardState::kDiverged);
-  EXPECT_LE(monitor.cusum_high(), config.cusum_cap);
+  EXPECT_LE(monitor.cusum_high(), kCusumCap);
   int settled = 0;
   while (monitor.state() == GuardState::kDiverged && settled < 100) {
     monitor.Observe(100.0, 100.0);
@@ -105,21 +96,18 @@ TEST(ForecastMonitorTest, CusumCapBoundsRejoinInertia) {
   }
   EXPECT_EQ(monitor.state(), GuardState::kHealthy);
   // Cap drain (~(cap - h)/k windows) + EWMA decay + rejoin hysteresis:
-  // well under 30 windows at the defaults.
+  // well under 30 windows.
   EXPECT_LT(settled, 30);
 }
 
 TEST(ForecastMonitorTest, RejoinRequiresConsecutiveSettledWindows) {
-  GuardConfig config = Enabled();
-  config.diverge_windows = 2;
-  config.rejoin_windows = 3;
-  ForecastMonitor monitor(config);
+  ForecastMonitor monitor;
   for (int i = 0; i < 3; ++i) monitor.Observe(300.0, 100.0);
   ASSERT_EQ(monitor.state(), GuardState::kDiverged);
   // Drain the trackers until individual windows stop alarming, then
   // interleave one alarming window: the settle streak must restart.
-  while (monitor.ewma_abs_residual() > config.suspect_threshold ||
-         monitor.cusum_high() > config.cusum_h) {
+  while (monitor.ewma_abs_residual() > kSuspectThreshold ||
+         monitor.cusum_high() > kCusumH) {
     monitor.Observe(100.0, 100.0);
   }
   EXPECT_EQ(monitor.state(), GuardState::kDiverged);  // Not enough yet.
@@ -132,7 +120,7 @@ TEST(ForecastMonitorTest, RejoinRequiresConsecutiveSettledWindows) {
     ++more;
   }
   EXPECT_EQ(monitor.state(), GuardState::kHealthy);
-  EXPECT_GT(more, config.rejoin_windows - 1);
+  EXPECT_GT(more, kRejoinWindows - 1);
   EXPECT_EQ(monitor.rejoins(), 1);
   // The surge's CUSUM mass is dropped on rejoin: carrying it over
   // would re-trip on the first post-rejoin window.
@@ -141,18 +129,16 @@ TEST(ForecastMonitorTest, RejoinRequiresConsecutiveSettledWindows) {
 }
 
 TEST(ForecastMonitorTest, NearZeroForecastUsesRateFloor) {
-  GuardConfig config = Enabled();
-  config.min_rate = 10.0;
-  ForecastMonitor monitor(config);
-  // predicted = 0: without the floor the residual would be infinite.
-  monitor.Observe(5.0, 0.0);
-  EXPECT_DOUBLE_EQ(monitor.ewma_abs_residual(),
-                   config.ewma_alpha * 0.5);
+  ForecastMonitor monitor;
+  // predicted = 0: without the 1 txn/s floor the residual would be
+  // infinite; with it, 0.5 txn/s observed is a residual of 0.5.
+  monitor.Observe(0.5, 0.0);
+  EXPECT_DOUBLE_EQ(monitor.ewma_abs_residual(), kEwmaAlpha * 0.5);
 }
 
 TEST(ForecastMonitorTest, MetricsTrackStateAndCounts) {
   obs::TelemetryBundle telemetry;
-  ForecastMonitor monitor(Enabled());
+  ForecastMonitor monitor;
   monitor.set_telemetry(telemetry.view());
   for (int i = 0; i < 3; ++i) monitor.Observe(300.0, 100.0);
   const std::string dump = telemetry.metrics.DumpJson();

@@ -6,12 +6,6 @@ namespace pstore {
 namespace guard {
 namespace {
 
-GuardConfig Enabled() {
-  GuardConfig config;
-  config.enabled = true;
-  return config;
-}
-
 ArbiterInputs Diverged(int32_t active, int32_t needed, int32_t floor,
                        int32_t max) {
   ArbiterInputs in;
@@ -33,7 +27,7 @@ TEST(HybridArbiterTest, ActionNamesAreDistinct) {
 }
 
 TEST(HybridArbiterTest, HealthyAndSuspectAllowPredictive) {
-  HybridArbiter arbiter(Enabled());
+  HybridArbiter arbiter;
   ArbiterInputs in;
   in.state = GuardState::kHealthy;
   EXPECT_EQ(arbiter.Decide(in).action, ArbiterAction::kAllowPredictive);
@@ -44,14 +38,14 @@ TEST(HybridArbiterTest, HealthyAndSuspectAllowPredictive) {
 }
 
 TEST(HybridArbiterTest, DivergedTracksMeasuredNeed) {
-  HybridArbiter arbiter(Enabled());
+  HybridArbiter arbiter;
   const ArbiterRuling ruling = arbiter.Decide(Diverged(3, 6, 1, 8));
   EXPECT_EQ(ruling.action, ArbiterAction::kReactiveControl);
   EXPECT_EQ(ruling.reactive_target, 6);
 }
 
 TEST(HybridArbiterTest, DivergenceNeverShrinksTheCluster) {
-  HybridArbiter arbiter(Enabled());
+  HybridArbiter arbiter;
   // Measured need below the current size: while diverged the arbiter
   // holds capacity — the measurements condemning the forecast are not
   // trusted enough to release machines either.
@@ -61,7 +55,7 @@ TEST(HybridArbiterTest, DivergenceNeverShrinksTheCluster) {
 }
 
 TEST(HybridArbiterTest, ReactiveTargetRespectsFloorAndCeiling) {
-  HybridArbiter arbiter(Enabled());
+  HybridArbiter arbiter;
   // k-aware floor binds even when need and active sit below it.
   EXPECT_EQ(arbiter.Decide(Diverged(2, 1, 3, 8)).reactive_target, 3);
   // max_nodes caps a need the cluster cannot provision.
@@ -69,7 +63,7 @@ TEST(HybridArbiterTest, ReactiveTargetRespectsFloorAndCeiling) {
 }
 
 TEST(HybridArbiterTest, UndersizedInFlightMoveIsRepaired) {
-  HybridArbiter arbiter(Enabled());
+  HybridArbiter arbiter;
   ArbiterInputs in = Diverged(3, 6, 1, 8);
   in.move_in_flight = true;
   in.move_target = 2;  // A stale-forecast scale-in, now exactly wrong.
@@ -79,7 +73,7 @@ TEST(HybridArbiterTest, UndersizedInFlightMoveIsRepaired) {
 }
 
 TEST(HybridArbiterTest, AdequateInFlightMoveIsLeftAlone) {
-  HybridArbiter arbiter(Enabled());
+  HybridArbiter arbiter;
   ArbiterInputs in = Diverged(3, 6, 1, 8);
   in.move_in_flight = true;
   in.move_target = 7;  // Already heading past the reactive target.
@@ -89,7 +83,7 @@ TEST(HybridArbiterTest, AdequateInFlightMoveIsLeftAlone) {
 }
 
 TEST(HybridArbiterTest, InFlightMoveIgnoredWhileHealthy) {
-  HybridArbiter arbiter(Enabled());
+  HybridArbiter arbiter;
   ArbiterInputs in;
   in.state = GuardState::kHealthy;
   in.move_in_flight = true;

@@ -38,7 +38,7 @@ TEST_F(MigrationExecutorTest, OptionsValidation) {
   opts.rate_kbps = -1;
   EXPECT_TRUE(opts.Validate().IsInvalidArgument());
   opts = MigrationOptions{};
-  opts.rate_multiplier = 0;
+  opts.db_size_mb = 0;
   EXPECT_TRUE(opts.Validate().IsInvalidArgument());
 }
 
@@ -292,9 +292,7 @@ TEST_F(MigrationExecutorTest, StalledStreamTimesOutAndRetries) {
 
 TEST_F(MigrationExecutorTest, FailedChunkRetriesWithBackoff) {
   BuildEngine(SmallEngineConfig());
-  MigrationOptions opts = FastMigration();
-  opts.retry_backoff_ms = 50.0;
-  MigrationExecutor migrator(engine_.get(), opts);
+  MigrationExecutor migrator(engine_.get(), FastMigration());
   // Fail the first two attempts on one stream; record consult times.
   std::vector<SimTime> attempts;
   migrator.set_chunk_fault_hook(
@@ -321,11 +319,9 @@ TEST_F(MigrationExecutorTest, FailedChunkRetriesWithBackoff) {
 
 TEST_F(MigrationExecutorTest, RetryBudgetExhaustedAborts) {
   BuildEngine(SmallEngineConfig());
-  MigrationOptions opts = FastMigration();
-  opts.max_chunk_retries = 3;
-  MigrationExecutor migrator(engine_.get(), opts);
-  // Every chunk attempt fails: the retry budget must run out and the
-  // move must abort without flipping any ownership.
+  MigrationExecutor migrator(engine_.get(), FastMigration());
+  // Every chunk attempt fails: the budget of kMaxChunkRetries retries
+  // must run out and the move must abort without flipping any ownership.
   migrator.set_chunk_fault_hook([](PartitionId, PartitionId, SimTime) {
     ChunkFault fault;
     fault.kind = ChunkFault::Kind::kFail;
@@ -339,6 +335,7 @@ TEST_F(MigrationExecutorTest, RetryBudgetExhaustedAborts) {
   EXPECT_FALSE(completed);
   EXPECT_FALSE(migrator.InProgress());
   EXPECT_EQ(migrator.moves_aborted(), 1);
+  EXPECT_GE(migrator.chunk_retries(), kMaxChunkRetries);
   EXPECT_TRUE(migrator.history()[0].aborted);
   EXPECT_DOUBLE_EQ(migrator.total_kb_moved(), 0.0);
   // Ownership is exactly what it was before the move.

@@ -66,7 +66,7 @@ TEST(LeaseFencingTest, IsolationSuspectsThenFencesThenFailsOver) {
 
   // Silence > suspicion_timeout: suspected, still leased.
   sim.RunUntil(2 * kSecond + config.net.suspicion_timeout +
-               2 * config.net.heartbeat_period);
+               2 * net::kHeartbeatPeriod);
   EXPECT_TRUE(engine.IsNodeSuspected(victim));
   EXPECT_GE(engine.nodes_suspected(), 1);
   EXPECT_FALSE(engine.IsNodeFenced(victim));
@@ -74,7 +74,7 @@ TEST(LeaseFencingTest, IsolationSuspectsThenFencesThenFailsOver) {
   // Silence > lease_timeout: the node self-fences before the controller
   // acts — the strict timer chain's whole point.
   sim.RunUntil(2 * kSecond + config.net.lease_timeout +
-               2 * config.net.heartbeat_period);
+               2 * net::kHeartbeatPeriod);
   EXPECT_FALSE(engine.NodeHasLease(victim));
   EXPECT_EQ(engine.fenced_failovers(), 0) << "controller must act later";
 
@@ -116,7 +116,7 @@ TEST(LeaseFencingTest, FencedNodeRejectsInsteadOfCommitting) {
   // not yet failed over: writes landing on it must be rejected, not
   // executed (a commit there could diverge from a promoted backup).
   sim.RunUntil(2 * kSecond + config.net.lease_timeout +
-               2 * config.net.heartbeat_period);
+               2 * net::kHeartbeatPeriod);
   for (int64_t k = 0; k < rows; ++k) {
     TxnRequest req;
     req.proc = db.put;

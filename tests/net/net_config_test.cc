@@ -26,23 +26,9 @@ TEST(NetConfigTest, ValidateRejectsBadKnobsTableDriven) {
     const char* error;
   };
   const std::vector<Case> cases = {
-      {"min_latency_us negative",
-       [](NetConfig* c) { c->min_latency_us = -1; }, "min_latency_us < 0"},
-      {"mean below min",
-       [](NetConfig* c) {
-         c->min_latency_us = 500;
-         c->mean_latency_us = 200;
-       },
-       "mean_latency_us < min_latency_us"},
-      {"heartbeat_period zero",
-       [](NetConfig* c) { c->heartbeat_period = 0; },
-       "heartbeat_period <= 0"},
-      {"heartbeat_period negative",
-       [](NetConfig* c) { c->heartbeat_period = -kSecond; },
-       "heartbeat_period <= 0"},
       {"suspicion at heartbeat",
-       [](NetConfig* c) { c->suspicion_timeout = c->heartbeat_period; },
-       "need heartbeat_period < suspicion_timeout"},
+       [](NetConfig* c) { c->suspicion_timeout = net::kHeartbeatPeriod; },
+       "need heartbeat < suspicion_timeout"},
       {"lease at suspicion",
        [](NetConfig* c) { c->lease_timeout = c->suspicion_timeout; },
        "need suspicion_timeout < lease_timeout"},
@@ -52,12 +38,6 @@ TEST(NetConfigTest, ValidateRejectsBadKnobsTableDriven) {
       {"failover at lease",
        [](NetConfig* c) { c->failover_timeout = c->lease_timeout; },
        "need lease_timeout < failover_timeout"},
-      {"retransmit factor one",
-       [](NetConfig* c) { c->retransmit_timeout_factor = 1.0; },
-       "retransmit_timeout_factor must be > 1"},
-      {"retransmit factor negative",
-       [](NetConfig* c) { c->retransmit_timeout_factor = -4.0; },
-       "retransmit_timeout_factor must be > 1"},
   };
   for (const Case& test : cases) {
     NetConfig config;
@@ -73,10 +53,9 @@ TEST(NetConfigTest, TimerChainValidatesWhenStrictlyOrdered) {
   // The safety argument rests on heartbeat < suspicion < lease <
   // failover; any strictly ordered chain must pass, however tight.
   NetConfig config;
-  config.heartbeat_period = 100 * kMillisecond;
-  config.suspicion_timeout = 101 * kMillisecond;
-  config.lease_timeout = 102 * kMillisecond;
-  config.failover_timeout = 103 * kMillisecond;
+  config.suspicion_timeout = net::kHeartbeatPeriod + 1;
+  config.lease_timeout = net::kHeartbeatPeriod + 2;
+  config.failover_timeout = net::kHeartbeatPeriod + 3;
   EXPECT_TRUE(config.Validate().ok());
 }
 

@@ -28,7 +28,7 @@ TEST(EventStreamRingTest, CapacityEvictsOldestAndCounts) {
   EventStream stream;
   stream.set_capacity(3);
   for (int i = 0; i < 5; ++i) {
-    stream.Record(i, "e" + std::to_string(i));
+    stream.Record(i, std::string("e").append(std::to_string(i)));
   }
   EXPECT_EQ(stream.size(), 3u);
   EXPECT_EQ(stream.dropped(), 2);
@@ -53,7 +53,8 @@ TEST(SpanTracerRingTest, ClosedSpansAgeOutAndIdsStayValid) {
   SpanTracer tracer;
   tracer.set_capacity(2);
   for (int i = 0; i < 5; ++i) {
-    const auto id = tracer.BeginAt("s" + std::to_string(i), i * 10);
+    const auto id =
+        tracer.BeginAt(std::string("s").append(std::to_string(i)), i * 10);
     tracer.EndAt(id, i * 10 + 5);
   }
   EXPECT_EQ(tracer.size(), 2u);
@@ -92,12 +93,12 @@ TEST(SpanTracerRingTest, EvictionKeepsFingerprintOfSurvivors) {
   SpanTracer a;
   a.set_capacity(2);
   for (int i = 0; i < 6; ++i) {
-    const auto id = a.BeginAt("s" + std::to_string(i), i);
+    const auto id = a.BeginAt(std::string("s").append(std::to_string(i)), i);
     a.EndAt(id, i + 1);
   }
   SpanTracer b;
   for (int i = 4; i < 6; ++i) {
-    const auto id = b.BeginAt("s" + std::to_string(i), i);
+    const auto id = b.BeginAt(std::string("s").append(std::to_string(i)), i);
     b.EndAt(id, i + 1);
   }
   EXPECT_EQ(a.ToString(), b.ToString());

@@ -17,11 +17,6 @@ struct FakeQueue {
   QueueOps ops() {
     QueueOps o;
     o.queue_length = [this] { return priorities.size(); };
-    o.evict_newest = [this] {
-      if (priorities.empty()) return false;
-      priorities.pop_back();
-      return true;
-    };
     o.evict_lowest_below = [this](int8_t priority) {
       int best = -1;
       for (size_t i = 0; i < priorities.size(); ++i) {
@@ -38,16 +33,15 @@ struct FakeQueue {
   }
 };
 
-OverloadConfig TestConfig(AdmissionPolicy policy) {
+OverloadConfig TestConfig() {
   OverloadConfig config;
   config.enabled = true;
   config.max_queue_depth = 3;
-  config.policy = policy;
   return config;
 }
 
 TEST(AdmissionControllerTest, AdmitsBelowLimit) {
-  AdmissionController admission(TestConfig(AdmissionPolicy::kRejectNew), 1);
+  AdmissionController admission(TestConfig(), 1);
   FakeQueue queue;
   queue.priorities = {2, 2};
   EXPECT_EQ(admission.Admit(queue.ops(), 0, 2, 0),
@@ -56,27 +50,19 @@ TEST(AdmissionControllerTest, AdmitsBelowLimit) {
 }
 
 TEST(AdmissionControllerTest, RejectNewShedsArrival) {
-  AdmissionController admission(TestConfig(AdmissionPolicy::kRejectNew), 1);
+  // Nothing queued sits below the arrival's priority: the new item is
+  // the one shed.
+  AdmissionController admission(TestConfig(), 1);
   FakeQueue queue;
   queue.priorities = {2, 2, 2};
-  EXPECT_EQ(admission.Admit(queue.ops(), 0, 3, 0),
+  EXPECT_EQ(admission.Admit(queue.ops(), 0, 1, 0),
             AdmissionDecision::kRejectQueueFull);
   EXPECT_EQ(queue.priorities.size(), 3u);  // queue untouched
-}
-
-TEST(AdmissionControllerTest, DropTailEvictsNewest) {
-  AdmissionController admission(TestConfig(AdmissionPolicy::kDropTail), 1);
-  FakeQueue queue;
-  queue.priorities = {2, 2, 2};
-  EXPECT_EQ(admission.Admit(queue.ops(), 0, 2, 0),
-            AdmissionDecision::kAdmit);
-  EXPECT_EQ(queue.priorities.size(), 2u);
-  EXPECT_EQ(admission.evictions(), 1);
+  EXPECT_EQ(admission.evictions(), 0);
 }
 
 TEST(AdmissionControllerTest, PriorityShedEvictsStrictlyLower) {
-  AdmissionController admission(TestConfig(AdmissionPolicy::kPriorityShed),
-                                1);
+  AdmissionController admission(TestConfig(), 1);
   FakeQueue queue;
   queue.priorities = {2, 0, 1};
   // Arrival at priority 2 may displace the priority-0 item.
@@ -91,7 +77,7 @@ TEST(AdmissionControllerTest, PriorityShedEvictsStrictlyLower) {
 }
 
 TEST(AdmissionControllerTest, UnboundedDepthAlwaysAdmits) {
-  OverloadConfig config = TestConfig(AdmissionPolicy::kRejectNew);
+  OverloadConfig config = TestConfig();
   config.max_queue_depth = 0;
   AdmissionController admission(config, 1);
   FakeQueue queue;
@@ -101,7 +87,7 @@ TEST(AdmissionControllerTest, UnboundedDepthAlwaysAdmits) {
 }
 
 TEST(AdmissionControllerTest, OpenBreakerRejectsAllButCritical) {
-  OverloadConfig config = TestConfig(AdmissionPolicy::kRejectNew);
+  OverloadConfig config = TestConfig();
   config.breaker.window = 1000;
   config.breaker.shed_threshold = 0.5;
   config.breaker.min_samples = 10;

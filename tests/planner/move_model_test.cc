@@ -32,31 +32,6 @@ TEST(MoveModelConfigTest, ValidationCatchesBadValues) {
   c = MoveModelConfig{};
   c.interval_minutes = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = MoveModelConfig{};
-  c.replication_overhead = -0.1;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = MoveModelConfig{};
-  c.replication_overhead = 1.0;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = MoveModelConfig{};
-  c.replication_overhead = 0.3;
-  EXPECT_TRUE(c.Validate().ok());
-}
-
-TEST(MoveModelTest, ReplicationOverheadDeratesCapacity) {
-  MoveModelConfig config = UnitConfig();
-  config.replication_overhead = 0.25;
-  MoveModel m(config);
-  // cap(N) = Q * N * (1 - overhead): each node gives up the throughput
-  // it spends re-applying writes to the backups it hosts.
-  EXPECT_DOUBLE_EQ(m.Capacity(1), 75.0);
-  EXPECT_DOUBLE_EQ(m.Capacity(4), 300.0);
-  // Effective capacity inherits the derating through Capacity(1).
-  EXPECT_DOUBLE_EQ(m.EffectiveCapacity(3, 14, 0.0), m.Capacity(3));
-
-  // The default of 0 leaves every capacity number bit-identical.
-  MoveModel plain(UnitConfig());
-  EXPECT_EQ(plain.Capacity(7), 700.0);
 }
 
 TEST(MoveModelTest, MaxParallelismEquation2) {

@@ -203,8 +203,10 @@ TEST_F(FragmentTest, ExtractMiddleEntryKeepsMovedBucketWhole) {
   for (BucketId b = 0; b < 3; ++b) {
     const std::vector<int64_t>& in_b = keys[static_cast<size_t>(b)];
     for (int64_t k : in_b) {
-      ASSERT_TRUE(frag.Insert(table_, MakeRow(k, "b" + std::to_string(b)))
-                      .ok());
+      ASSERT_TRUE(
+          frag.Insert(table_,
+                      MakeRow(k, std::string("b").append(std::to_string(b))))
+              .ok());
     }
     ASSERT_TRUE(frag.Insert(table2_, Row({Value(in_b[0])})).ok());
   }
@@ -228,7 +230,8 @@ TEST_F(FragmentTest, ExtractMiddleEntryKeepsMovedBucketWhole) {
     for (int64_t k : want) {
       auto row = frag.Get(table_, k);
       ASSERT_TRUE(row.ok()) << "key " << k;
-      EXPECT_EQ(row->at(1).as_string(), "b" + std::to_string(b));
+      EXPECT_EQ(row->at(1).as_string(),
+                std::string("b").append(std::to_string(b)));
       EXPECT_TRUE(frag.Contains(table_, k));
       EXPECT_EQ(frag.Contains(table2_, k), k == want[0]);
     }
