@@ -55,7 +55,6 @@ SkewRunResult RunOne(bool manage_skew) {
   skew_config.monitor_period = 5 * kSecond;
   skew_config.imbalance_threshold = 1.25;
   skew_config.max_buckets_per_cycle = 6;
-  skew_config.kb_per_bucket = 1106.0 * 1024.0 / engine_config.num_buckets;
   SkewManager manager(&engine, &migrator, skew_config);
   if (manage_skew) manager.Start();
 

@@ -369,7 +369,8 @@ BENCHMARK(BM_EngineTxnPathBatch);
 // One reactive-controller monitor tick over a live engine: sample the
 // submitted-rate counters, smooth, compare against the watermarks. The
 // watermarks are pinned so no tick ever triggers a migration — this
-// isolates the recurring monitoring cost every elastic run pays.
+// isolates the recurring monitoring cost every elastic run pays. The
+// case fails if a move starts anyway.
 void BM_ControllerTick(benchmark::State& state) {
   EngineFixture fx;
   MigrationOptions migration;
@@ -382,7 +383,9 @@ void BM_ControllerTick(benchmark::State& state) {
   reactive.q = 100.0;
   reactive.q_hat = 125.0;
   reactive.monitor_period = kSecond;
-  reactive.low_watermark = 0.0;  // Never scale in from the idle load.
+  // Scale in only below 0.001 * q * 3 = 0.3 txn/s; the smoothed rate of
+  // one txn per tick is at least 0.5 from the first tick on.
+  reactive.low_watermark = 0.001;
   ReactiveController controller(fx.engine.get(), &migrator, reactive);
   controller.Start();
   int64_t key = 0;
@@ -392,6 +395,10 @@ void BM_ControllerTick(benchmark::State& state) {
     req.key = ++key;
     fx.engine->Submit(std::move(req));
     fx.sim.RunUntil(fx.sim.Now() + reactive.monitor_period);
+    if (!migrator.history().empty()) {
+      state.SkipWithError("the controller started a move");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }

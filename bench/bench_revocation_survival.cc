@@ -82,7 +82,6 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   config.replication.checkpoint_period = 5 * kSecond;
   config.topology.enabled = true;
   config.topology.num_domains = num_domains;
-  config.topology.spot_from_node = 1;
   ClusterEngine engine(&sim, db.catalog, db.registry, config);
   if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());

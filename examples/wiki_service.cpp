@@ -84,8 +84,6 @@ int main() {
   SkewManagerConfig skew_config;
   skew_config.monitor_period = 15 * kSecond;
   skew_config.imbalance_threshold = 1.35;
-  skew_config.kb_per_bucket =
-      migration.db_size_mb * 1024.0 / engine_config.num_buckets;
   SkewManager skew(&engine, &migrator, skew_config);
   skew.Start();
 

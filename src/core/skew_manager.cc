@@ -9,6 +9,11 @@
 
 namespace pstore {
 
+namespace {
+/// Windows with fewer accesses than this never act (noise floor).
+constexpr int64_t kMinWindowAccesses = 200;
+}  // namespace
+
 Status SkewManagerConfig::Validate() const {
   if (monitor_period <= 0) {
     return Status::InvalidArgument("monitor_period <= 0");
@@ -18,9 +23,6 @@ Status SkewManagerConfig::Validate() const {
   }
   if (max_buckets_per_cycle < 1) {
     return Status::InvalidArgument("max_buckets_per_cycle < 1");
-  }
-  if (kb_per_bucket <= 0 || wire_kbps <= 0) {
-    return Status::InvalidArgument("transfer parameters must be positive");
   }
   return Status::OK();
 }
@@ -32,6 +34,7 @@ SkewManager::SkewManager(ClusterEngine* engine, MigrationExecutor* migrator,
       config_(config),
       transfer_(engine) {
   assert(engine != nullptr);
+  assert(migrator != nullptr);
   assert(config_.Validate().ok());
 }
 
@@ -58,7 +61,7 @@ bool SkewManager::PlanRelocations(std::vector<BucketMove>* moves) const {
       total += bucket_counts[static_cast<size_t>(b)];
     }
   }
-  if (total < config_.min_window_accesses || active < 2) return false;
+  if (total < kMinWindowAccesses || active < 2) return false;
 
   const double mean = static_cast<double>(total) / active;
   const auto hottest_it =
@@ -124,8 +127,8 @@ void SkewManager::ExecuteRelocation(const BucketMove& move) {
   // flip ownership when the later side finishes. With overload on each
   // side is background work in the bounded queue; a side refused or
   // evicted never finishes, so the bucket stays put.
-  const SimDuration busy =
-      SecondsToDuration(config_.kb_per_bucket / config_.wire_kbps);
+  const SimDuration busy = SecondsToDuration(
+      migrator_->kb_per_bucket() / migrator_->options().wire_kbps);
   auto landed = ChunkTransfer::BothSides([this, move]() {
     Status st = engine_->ApplyBucketMove(move);
     if (st.ok()) {
@@ -147,9 +150,7 @@ void SkewManager::Tick() {
   if (!running_) return;
   // Defer to an in-flight elastic reconfiguration: it will rebalance
   // everything anyway, and competing bucket moves would race it.
-  const bool reconfiguring =
-      migrator_ != nullptr && migrator_->InProgress();
-  if (!reconfiguring) {
+  if (!migrator_->InProgress()) {
     std::vector<BucketMove> moves;
     if (PlanRelocations(&moves)) {
       ++rebalances_;

@@ -26,7 +26,8 @@
 
 namespace pstore {
 
-/// Skew-manager knobs.
+/// Skew-manager knobs. Windows under 200 accesses never act, and a
+/// relocation's burst lasts the migrator's kb_per_bucket() / wire_kbps.
 struct SkewManagerConfig {
   /// Monitoring period (E-Store detects imbalance within seconds).
   SimDuration monitor_period = 10 * kSecond;
@@ -34,16 +35,8 @@ struct SkewManagerConfig {
   /// Trigger: hottest partition load > threshold * mean partition load.
   double imbalance_threshold = 1.4;
 
-  /// Minimum accesses per window before acting (noise floor).
-  int64_t min_window_accesses = 200;
-
   /// Buckets relocated per balancing cycle (keep moves cheap).
   int32_t max_buckets_per_cycle = 4;
-
-  /// Virtual size of one bucket (kB), for the transfer burst cost.
-  double kb_per_bucket = 1100.0;
-  /// Burst wire rate while a bucket ships (kB/s).
-  double wire_kbps = 10240.0;
 
   Status Validate() const;
 };
@@ -52,8 +45,9 @@ struct SkewManagerConfig {
 class SkewManager {
  public:
   /// \param engine engine to balance (not owned)
-  /// \param migrator used only to avoid fighting an in-flight
-  ///        reconfiguration (not owned; may be null)
+  /// \param migrator the elastic reconfiguration's executor (not owned):
+  ///        the manager defers while it moves data, and sizes each
+  ///        relocation burst from its bucket size and wire rate
   SkewManager(ClusterEngine* engine, MigrationExecutor* migrator,
               SkewManagerConfig config);
 

@@ -217,6 +217,8 @@ class MigrationExecutor {
   int64_t net_double_applies() const { return net_double_applies_; }
 
   const MigrationOptions& options() const { return options_; }
+  /// Virtual kB per bucket: db_size_mb over the engine's buckets.
+  double kb_per_bucket() const { return kb_per_bucket_; }
 
  private:
   struct Stream;          // one paced partition-to-partition chunk stream
@@ -284,7 +286,6 @@ class MigrationExecutor {
   ClusterEngine* engine_;
   MigrationOptions options_;
   ChunkTransfer transfer_;
-  /// Virtual kB per bucket (db_size_mb over the bucket universe).
   double kb_per_bucket_;
   obs::Telemetry telemetry_;
   // Handles of the metrics the executor keeps no count of itself (null

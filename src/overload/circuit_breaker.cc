@@ -16,7 +16,6 @@ const char* BreakerStateName(BreakerState state) {
 }
 
 Status BreakerConfig::Validate() const {
-  if (window <= 0) return Status::InvalidArgument("breaker window <= 0");
   if (shed_threshold <= 0 || shed_threshold >= 1) {
     return Status::InvalidArgument("shed_threshold out of (0, 1)");
   }
@@ -46,8 +45,8 @@ void CircuitBreaker::Advance(SimTime now) {
       window_shed_ = 0;
       continue;
     }
-    if (now - window_start_ < config_.window) return;
-    const SimTime window_end = window_start_ + config_.window;
+    if (now - window_start_ < kBreakerWindow) return;
+    const SimTime window_end = window_start_ + kBreakerWindow;
     const int64_t total = window_admitted_ + window_shed_;
     const bool overloaded =
         total >= config_.min_samples &&

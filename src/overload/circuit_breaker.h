@@ -28,10 +28,11 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 const char* BreakerStateName(BreakerState state);
 
+/// Tumbling evaluation window of every breaker.
+inline constexpr SimDuration kBreakerWindow = kSecond;
+
 /// Breaker tuning knobs.
 struct BreakerConfig {
-  /// Tumbling evaluation window.
-  SimDuration window = kSecond;
   /// Trip when shed / (admitted + shed) exceeds this within a window.
   double shed_threshold = 0.5;
   /// Windows with fewer samples than this never trip (startup noise).

@@ -17,7 +17,7 @@ Result<std::vector<double>> FitRegression(int64_t t_min, int64_t t_max,
                                           int32_t num_features,
                                           const FillFn& fill,
                                           const std::vector<double>& target_series,
-                                          int32_t tau, double ridge) {
+                                          int32_t tau) {
   const int64_t rows = t_max - t_min + 1;
   if (rows < num_features + 2) {
     return Status::InvalidArgument("not enough training data for regression");
@@ -35,7 +35,7 @@ Result<std::vector<double>> FitRegression(int64_t t_min, int64_t t_max,
     }
     target[r] = target_series[static_cast<size_t>(t + tau)];
   }
-  return LeastSquares(design, target, ridge);
+  return LeastSquares(design, target, kFitRidge);
 }
 
 /// Solves fit(tau) for tau = 1..max_horizon, one ParallelFor body per
@@ -77,7 +77,7 @@ Status ArPredictor::Fit(const std::vector<double>& train,
   };
   return FitHorizons(max_horizon, [&](int32_t tau) {
     const int64_t t_max = static_cast<int64_t>(train.size()) - 1 - tau;
-    return FitRegression(t_min, t_max, order_, fill, train, tau, ridge_);
+    return FitRegression(t_min, t_max, order_, fill, train, tau);
   }, &coeffs_);
 }
 
@@ -149,8 +149,7 @@ Status ArmaPredictor::Fit(const std::vector<double>& train,
         out[j] = train[static_cast<size_t>(t - j)];
       }
     };
-    auto fitted =
-        FitRegression(t_min, t_max, long_order_, fill, train, 1, ridge_);
+    auto fitted = FitRegression(t_min, t_max, long_order_, fill, train, 1);
     if (!fitted.ok()) return fitted.status();
     // Stage-1 fit predicts y(t+1) from y(t-j); re-index so that
     // LongArPredict(series, t) predicts series[t] from t-1-j lags.
@@ -176,7 +175,7 @@ Status ArmaPredictor::Fit(const std::vector<double>& train,
   };
   return FitHorizons(max_horizon, [&](int32_t tau) {
     const int64_t t_max = static_cast<int64_t>(train.size()) - 1 - tau;
-    return FitRegression(t_min, t_max, p_ + q_, fill, train, tau, ridge_);
+    return FitRegression(t_min, t_max, p_ + q_, fill, train, tau);
   }, &coeffs_);
 }
 

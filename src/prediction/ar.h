@@ -24,8 +24,7 @@ namespace pstore {
 /// \brief Plain AR(p) with intercept, direct multi-step fit.
 class ArPredictor : public LoadPredictor {
  public:
-  explicit ArPredictor(int32_t order = 30, double ridge = 1e-6)
-      : order_(order), ridge_(ridge) {}
+  explicit ArPredictor(int32_t order = 30) : order_(order) {}
 
   std::string name() const override { return "AR"; }
   Status Fit(const std::vector<double>& train, int32_t max_horizon) override;
@@ -38,7 +37,6 @@ class ArPredictor : public LoadPredictor {
 
  private:
   int32_t order_;
-  double ridge_;
   // coeffs_[tau-1] = [c, a_0..a_{p-1}]
   std::vector<std::vector<double>> coeffs_;
 };
@@ -51,9 +49,8 @@ class ArPredictor : public LoadPredictor {
 /// series with the stage-1 model.
 class ArmaPredictor : public LoadPredictor {
  public:
-  ArmaPredictor(int32_t ar_order = 30, int32_t ma_order = 10,
-                double ridge = 1e-6)
-      : p_(ar_order), q_(ma_order), ridge_(ridge) {}
+  ArmaPredictor(int32_t ar_order = 30, int32_t ma_order = 10)
+      : p_(ar_order), q_(ma_order) {}
 
   std::string name() const override { return "ARMA"; }
   Status Fit(const std::vector<double>& train, int32_t max_horizon) override;
@@ -74,7 +71,6 @@ class ArmaPredictor : public LoadPredictor {
 
   int32_t p_;
   int32_t q_;
-  double ridge_;
   int32_t long_order_ = 0;
   std::vector<double> long_ar_;  // [c, a_0..a_{L-1}], one-step
   // coeffs_[tau-1] = [c, a_0..a_{p-1}, b_0..b_{q-1}]

@@ -16,6 +16,9 @@
 
 namespace pstore {
 
+/// Regularization SPAR, AR and ARMA pass to LeastSquares.
+inline constexpr double kFitRidge = 1e-6;
+
 /// \brief Abstract multi-horizon load forecaster.
 class LoadPredictor {
  public:

@@ -114,7 +114,7 @@ Result<SparModel> SparModel::Fit(const std::vector<double>& train,
     target[r] = train[static_cast<size_t>(t + tau)];
   }
 
-  auto solved = LeastSquares(design, target, config.ridge);
+  auto solved = LeastSquares(design, target, kFitRidge);
   if (!solved.ok()) return solved.status();
   std::vector<double> coeffs = std::move(solved).MoveValueUnsafe();
   std::vector<double> a(coeffs.begin(), coeffs.begin() + n);
@@ -206,8 +206,7 @@ Result<SparModel> SparPredictor::SolveTau(const std::vector<double>& train,
 
   Matrix gram = stats.gram_upper;
   MirrorUpperTriangle(&gram);
-  auto solved = SolveNormalEquations(std::move(gram), stats.xty,
-                                     config_.ridge);
+  auto solved = SolveNormalEquations(std::move(gram), stats.xty, kFitRidge);
   if (!solved.ok()) return solved.status();
   std::vector<double> coeffs = std::move(solved).MoveValueUnsafe();
   std::vector<double> a(coeffs.begin(), coeffs.begin() + n);

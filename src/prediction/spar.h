@@ -29,7 +29,6 @@ struct SparConfig {
   int32_t period = 1440;     ///< T: slots per seasonal period.
   int32_t num_periods = 7;   ///< n: seasonal lags (previous periods).
   int32_t num_recent = 30;   ///< m: recent-offset lags.
-  double ridge = 1e-6;       ///< Regularization passed to LeastSquares.
 
   Status Validate() const;
 };

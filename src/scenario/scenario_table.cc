@@ -28,7 +28,6 @@ EngineConfig WithOverload(EngineConfig config) {
   config.overload.enabled = true;
   config.overload.max_queue_depth = 16;
   config.overload.queue_deadline = 200 * kMillisecond;
-  config.overload.breaker.window = kSecond;
   config.overload.breaker.shed_threshold = 0.2;
   config.overload.breaker.min_samples = 20;
   config.overload.breaker.cooldown = 3 * kSecond;
@@ -69,7 +68,6 @@ EngineConfig WithDurability(EngineConfig config) {
 EngineConfig WithTopology(EngineConfig config) {
   config.topology.enabled = true;
   config.topology.num_domains = 3;
-  config.topology.spot_from_node = 1;
   return config;
 }
 

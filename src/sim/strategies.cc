@@ -6,6 +6,13 @@
 
 namespace pstore {
 
+namespace {
+/// Reactive scale-in: load below this share of q on one machine fewer,
+/// held for kScaleInHoldMinutes.
+constexpr double kLowWatermark = 0.70;
+constexpr int64_t kScaleInHoldMinutes = 15;
+}  // namespace
+
 AllocationDecision ReactiveStrategy::Decide(const std::vector<double>& load,
                                             int64_t minute, int32_t current) {
   // Use the most recent completed minute as the load signal.
@@ -21,14 +28,14 @@ AllocationDecision ReactiveStrategy::Decide(const std::vector<double>& load,
                std::ceil(demand * (1.0 + config_.headroom) / config_.q)));
   };
 
-  if (rate > config_.high_watermark * config_.q_hat * current) {
+  if (rate > config_.q_hat * current) {
     low_streak_minutes_ = 0;
     return AllocationDecision{std::max(current + 1, size_for(rate)), 1.0};
   }
   if (current > 1 &&
-      rate < config_.low_watermark * config_.q * (current - 1)) {
+      rate < kLowWatermark * config_.q * (current - 1)) {
     low_streak_minutes_ += since_last;
-    if (low_streak_minutes_ >= config_.scale_in_hold_minutes) {
+    if (low_streak_minutes_ >= kScaleInHoldMinutes) {
       low_streak_minutes_ = 0;
       return AllocationDecision{std::min(current - 1, size_for(rate)), 1.0};
     }
@@ -93,15 +100,13 @@ AllocationDecision PStoreStrategy::Decide(const std::vector<double>& load,
   const Plan plan = planner_.BestMoves(horizon, current);
   if (!plan.feasible) {
     // Reactive fallback (Section 4.3.1): scale straight to the needed
-    // size; the multiplier picks between riding it out at rate R and
-    // migrating at R x k.
+    // size, migrating at rate R.
     ++infeasible_cycles_;
     scale_in_streak_ = 0;
     const double peak = *std::max_element(horizon.begin(), horizon.end());
     const int32_t target =
         std::min(config_.max_machines, planner_.NodesForLoad(peak));
-    return AllocationDecision{std::max(current, target),
-                              config_.infeasible_rate_multiplier};
+    return AllocationDecision{std::max(current, target), 1.0};
   }
 
   const PlannedMove* first = plan.FirstRealMove();

@@ -73,13 +73,11 @@ class SimpleStrategy : public AllocationStrategy {
 };
 
 /// Reactive strategy parameters (analytic counterpart of
-/// ReactiveConfig).
+/// ReactiveConfig): out at actual overload, in after 15 minutes below
+/// 70% of q on one machine fewer.
 struct ReactiveStrategyConfig {
   double q = 350.0;       ///< Sizing basis (reactive sizes at Q-hat).
   double q_hat = 350.0;
-  double high_watermark = 1.0;  ///< React only at actual overload.
-  double low_watermark = 0.70;
-  int64_t scale_in_hold_minutes = 15;
   double headroom = 0.0;  ///< No forward-looking buffer.
 };
 
@@ -100,13 +98,13 @@ class ReactiveStrategy : public AllocationStrategy {
   int64_t last_decision_minute_ = -1;
 };
 
-/// P-Store strategy parameters.
+/// P-Store strategy parameters. An infeasible plan falls back to
+/// scaling straight to the peak at rate R.
 struct PStoreStrategyConfig {
   MoveModelConfig move_model;  ///< Q, P, D, interval (5 minutes).
   int32_t horizon_intervals = 12;
   double prediction_inflation = 0.15;
   int32_t scale_in_confirmations = 3;
-  double infeasible_rate_multiplier = 1.0;
   int32_t max_machines = 40;
 };
 

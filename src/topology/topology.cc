@@ -19,10 +19,6 @@ Status TopologyConfig::Validate() const {
   if (num_domains < 1) {
     return Status::InvalidArgument("num_domains must be >= 1");
   }
-  if (spot_from_node < 1) {
-    return Status::InvalidArgument(
-        "spot_from_node must be >= 1 (node 0 is always on-demand)");
-  }
   return Status::OK();
 }
 

@@ -46,14 +46,7 @@ struct TopologyConfig {
   /// are pure functions of the node id).
   int32_t num_domains = 3;
 
-  /// First node id of the spot class: nodes [spot_from_node, max) are
-  /// revocable, nodes below it are on-demand. Node 0 must stay
-  /// on-demand (the fault injector never kills node 0, keeping the
-  /// cluster alive and the choice deterministic).
-  NodeId spot_from_node = 1;
-
-  /// Validates ranges (num_domains >= 1, spot_from_node >= 1 so node 0
-  /// is always on-demand).
+  /// Validates ranges (num_domains >= 1).
   Status Validate() const;
 };
 
@@ -75,10 +68,10 @@ class PlacementPolicy {
     return n % config_.num_domains;
   }
 
-  /// Capacity class of node `n` (kSpot iff n >= spot_from_node).
+  /// Capacity class of node `n`: every node but node 0, which the fault
+  /// injector never kills, is spot.
   NodeClass ClassOf(NodeId n) const {
-    return n >= config_.spot_from_node ? NodeClass::kSpot
-                                       : NodeClass::kOnDemand;
+    return n > 0 ? NodeClass::kSpot : NodeClass::kOnDemand;
   }
 
   bool SameDomain(NodeId a, NodeId b) const {

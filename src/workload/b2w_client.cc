@@ -6,12 +6,16 @@
 
 namespace pstore {
 
+namespace {
+/// Bound on the active cart and checkout key pools.
+constexpr size_t kMaxPool = 60000;
+}  // namespace
+
 Status B2wClientConfig::Validate() const {
   if (speedup <= 0) return Status::InvalidArgument("speedup <= 0");
   if (peak_txn_rate <= 0 && absolute_scale <= 0) {
     return Status::InvalidArgument("need peak_txn_rate or absolute_scale");
   }
-  if (max_pool < 100) return Status::InvalidArgument("max_pool too small");
   return Status::OK();
 }
 
@@ -136,7 +140,7 @@ void B2wClient::SubmitOne() {
     const int64_t cart = fresh ? NewKey() : PickCart();
     if (fresh) {
       carts_.push_back(cart);
-      if (carts_.size() > config_.max_pool) carts_.pop_front();
+      if (carts_.size() > kMaxPool) carts_.pop_front();
     }
     req.proc = procs_.add_line_to_cart;
     req.key = cart;
@@ -156,7 +160,7 @@ void B2wClient::SubmitOne() {
     // CreateCheckout for some cart.
     const int64_t checkout = NewKey();
     checkouts_.push_back(checkout);
-    if (checkouts_.size() > config_.max_pool) checkouts_.pop_front();
+    if (checkouts_.size() > kMaxPool) checkouts_.pop_front();
     req.proc = procs_.create_checkout;
     req.key = checkout;
     req.args = {Value(PickCart())};

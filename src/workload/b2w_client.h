@@ -24,7 +24,7 @@
 
 namespace pstore {
 
-/// Client configuration.
+/// Client configuration (the active key pools hold 60,000 keys each).
 struct B2wClientConfig {
   double speedup = 10.0;          ///< Trace-time compression factor.
   double peak_txn_rate = 2800.0;  ///< txn/s (sim time) at the trace max.
@@ -34,7 +34,6 @@ struct B2wClientConfig {
   int64_t initial_carts = 20000;      ///< Pre-loaded cart rows.
   int64_t initial_checkouts = 8000;   ///< Pre-loaded checkout rows.
   int64_t initial_stock = 5000;       ///< Pre-loaded stock rows.
-  size_t max_pool = 60000;            ///< Active-key pool bound.
   uint64_t seed = 7;
 
   Status Validate() const;

@@ -10,19 +10,23 @@ namespace pstore {
 
 namespace {
 constexpr int32_t kMinutesPerDay = 1440;
+constexpr double kPeakRpm = 25000.0;  ///< Typical weekday peak (Figure 1).
+constexpr double kShapePower = 1.6;   ///< Sharpens the diurnal curve.
+/// Day-of-week multipliers, Monday first.
+constexpr double kWeekdayFactors[7] = {1.0,  1.02, 1.01, 0.99,
+                                       1.05, 0.88, 0.82};
+constexpr double kDailyDriftRho = 0.85;
+constexpr double kPromoBoost = 0.5;  ///< Fractional load increase at center.
+constexpr double kPromoHours = 3.0;  ///< Width (FWHM) of the bump.
 }  // namespace
 
 Status B2wTraceConfig::Validate() const {
   if (days < 1) return Status::InvalidArgument("days < 1");
-  if (peak_rpm <= 0) return Status::InvalidArgument("peak_rpm <= 0");
   if (peak_to_trough < 1) {
     return Status::InvalidArgument("peak_to_trough < 1");
   }
   if (noise_rho < 0 || noise_rho >= 1) {
     return Status::InvalidArgument("noise_rho out of [0, 1)");
-  }
-  if (daily_drift_rho < 0 || daily_drift_rho >= 1) {
-    return Status::InvalidArgument("daily_drift_rho out of [0, 1)");
   }
   if (black_friday_day >= days) {
     return Status::InvalidArgument("black_friday_day beyond trace");
@@ -45,7 +49,7 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
   std::vector<double> spike_start(static_cast<size_t>(config.days), -1.0);
   double drift = 0;
   for (int32_t d = 0; d < config.days; ++d) {
-    drift = config.daily_drift_rho * drift +
+    drift = kDailyDriftRho * drift +
             config.daily_drift_sigma * rng.NextGaussian();
     drift_factor[static_cast<size_t>(d)] = std::exp(drift);
     if (promo_rng.NextBernoulli(config.promo_probability)) {
@@ -63,7 +67,7 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
         config.forced_spike_minute;
   }
 
-  // Diurnal shape: raised sine sharpened by shape_power, scaled so
+  // Diurnal shape: raised sine sharpened by kShapePower, scaled so
   // max/min = peak_to_trough. It depends only on the minute of the day,
   // as the drift factor does only on the day, so both are tabulated
   // once; the minute loop multiplies the same values in the same order
@@ -72,10 +76,10 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
   std::vector<double> diurnal(kMinutesPerDay);
   for (int32_t m = 0; m < kMinutesPerDay; ++m) {
     const double phase = 2.0 * M_PI *
-                         (static_cast<double>(m) - config.peak_hour * 60.0) /
+                         (static_cast<double>(m) - kB2wPeakHour * 60.0) /
                          kMinutesPerDay;
     const double raised = (1.0 + std::cos(phase)) / 2.0;  // 1 at peak hour
-    const double shaped = std::pow(raised, config.shape_power);
+    const double shaped = std::pow(raised, kShapePower);
     diurnal[static_cast<size_t>(m)] =
         trough_level + (1.0 - trough_level) * shaped;
   }
@@ -99,18 +103,16 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
     for (int32_t minute_of_day = 0; minute_of_day < kMinutesPerDay;
          ++minute_of_day) {
       const double minute = static_cast<double>(minute_of_day);
-      double level = config.peak_rpm *
-                     diurnal[static_cast<size_t>(minute_of_day)] *
-                     config.weekday_factors[dow] *
+      double level = kPeakRpm * diurnal[static_cast<size_t>(minute_of_day)] *
+                     kWeekdayFactors[dow] *
                      drift_factor[static_cast<size_t>(day)];
 
       // Promotion bump: Gaussian in time around the promo center.
       const double promo = promo_center[static_cast<size_t>(day)];
       if (promo >= 0) {
-        const double width = config.promo_hours * 60.0 / 2.355;  // FWHM
+        const double width = kPromoHours * 60.0 / 2.355;  // FWHM
         const double d2 = (minute - promo) * (minute - promo);
-        level *=
-            1.0 + config.promo_boost * std::exp(-d2 / (2 * width * width));
+        level *= 1.0 + kPromoBoost * std::exp(-d2 / (2 * width * width));
       }
 
       // Black Friday: surge that starts abruptly at midnight and stays
@@ -120,7 +122,7 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
             std::exp(-minute / 180.0);  // decays over ~3 hours
         level *= 1.0 + config.black_friday_boost *
                            (0.55 * midnight_burst + 0.45);
-        level += 0.35 * config.black_friday_boost * config.peak_rpm *
+        level += 0.35 * config.black_friday_boost * kPeakRpm *
                  midnight_burst;
       }
 

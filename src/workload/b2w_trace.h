@@ -17,16 +17,14 @@
 
 namespace pstore {
 
+/// Hour of the daily load peak. The rest of the measured load shape
+/// (peak rate, sharpening, weekdays, drift, promotions) is b2w_trace.cc's.
+inline constexpr double kB2wPeakHour = 15.0;
+
 /// Knobs of the synthetic B2W trace.
 struct B2wTraceConfig {
   int32_t days = 7 * 10;           ///< Trace length in days.
-  double peak_rpm = 25000.0;       ///< Typical weekday peak (Figure 1).
   double peak_to_trough = 10.0;    ///< Diurnal ratio (~10x in the paper).
-  double peak_hour = 15.0;         ///< Daily load peak (local time).
-  double shape_power = 1.6;        ///< Sharpens the diurnal curve.
-
-  /// Day-of-week multipliers, Monday first.
-  double weekday_factors[7] = {1.0, 1.02, 1.01, 0.99, 1.05, 0.88, 0.82};
 
   /// Short-term correlated multiplicative noise: log-AR(1). Calibrated
   /// so SPAR's MRE lands near the paper's (~6% at tau=10 min rising to
@@ -34,14 +32,13 @@ struct B2wTraceConfig {
   double noise_rho = 0.97;
   double noise_sigma = 0.026;
 
-  /// Slow day-scale drift (seasonality of demand): log-AR(1) per day.
-  double daily_drift_rho = 0.85;
+  /// Slow day-scale drift (seasonality of demand): log-AR(1) per day
+  /// with coefficient 0.85.
   double daily_drift_sigma = 0.05;
 
-  /// Promotions: each day may carry an advertising bump of a few hours.
+  /// Promotions: each day may carry an advertising bump (+50% at its
+  /// center, 3 hours wide).
   double promo_probability = 0.05;  ///< Per day.
-  double promo_boost = 0.5;         ///< Fractional load increase at center.
-  double promo_hours = 3.0;         ///< Width of the bump.
 
   /// Black Friday: a much larger surge on one day, starting at midnight
   /// (doorbuster sales), as in Figure 13 (right).

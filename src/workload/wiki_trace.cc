@@ -9,6 +9,13 @@ namespace pstore {
 
 namespace {
 constexpr int32_t kHoursPerDay = 24;
+constexpr double kPeakHour = 19.0;  ///< Evening reading peak.
+constexpr double kShapePower = 1.2;
+/// Day-of-week multipliers, Monday first.
+constexpr double kWeekdayFactors[7] = {1.03, 1.02, 1.0, 0.99,
+                                       0.95, 0.92, 0.98};
+constexpr double kDailyDriftRho = 0.9;
+constexpr double kEventHours = 8.0;  ///< Width (FWHM) of a news burst.
 }  // namespace
 
 Status WikiTraceConfig::Validate() const {
@@ -35,7 +42,7 @@ Result<std::vector<double>> GenerateWikiTrace(const WikiTraceConfig& config) {
   std::vector<double> event_center(static_cast<size_t>(config.days), -1.0);
   double drift = 0;
   for (int32_t d = 0; d < config.days; ++d) {
-    drift = config.daily_drift_rho * drift +
+    drift = kDailyDriftRho * drift +
             config.daily_drift_sigma * rng.NextGaussian();
     day_drift[static_cast<size_t>(d)] = drift;
     if (event_rng.NextBernoulli(config.event_probability)) {
@@ -46,9 +53,9 @@ Result<std::vector<double>> GenerateWikiTrace(const WikiTraceConfig& config) {
   const double trough_level = 1.0 / config.peak_to_trough;
   auto diurnal = [&](double hour_of_day) {
     const double phase =
-        2.0 * M_PI * (hour_of_day - config.peak_hour) / kHoursPerDay;
+        2.0 * M_PI * (hour_of_day - kPeakHour) / kHoursPerDay;
     const double raised = (1.0 + std::cos(phase)) / 2.0;
-    const double shaped = std::pow(raised, config.shape_power);
+    const double shaped = std::pow(raised, kShapePower);
     return trough_level + (1.0 - trough_level) * shaped;
   };
 
@@ -59,12 +66,12 @@ Result<std::vector<double>> GenerateWikiTrace(const WikiTraceConfig& config) {
     const int32_t dow = day % 7;
 
     double level = config.peak_views * diurnal(hour) *
-                   config.weekday_factors[dow] *
+                   kWeekdayFactors[dow] *
                    std::exp(day_drift[static_cast<size_t>(day)]);
 
     const double center = event_center[static_cast<size_t>(day)];
     if (center >= 0) {
-      const double width = config.event_hours / 2.355;
+      const double width = kEventHours / 2.355;
       const double d2 = (hour - center) * (hour - center);
       level *= 1.0 + config.event_boost * std::exp(-d2 / (2 * width * width));
     }

@@ -15,30 +15,25 @@
 
 namespace pstore {
 
-/// Knobs of the synthetic Wikipedia trace (hourly slots).
+/// Knobs of the synthetic Wikipedia trace (hourly slots). The editions
+/// share the 19:00 peak and its sharpening, the weekday factors, the
+/// drift coefficient and the event width (wiki_trace.cc).
 struct WikiTraceConfig {
   int32_t days = 62;              ///< July + August 2016.
   double peak_views = 9.0e6;      ///< Requests/hour at the daily peak.
   double peak_to_trough = 2.2;    ///< Diurnal ratio (shallower than B2W).
-  double peak_hour = 19.0;        ///< Evening reading peak.
-  double shape_power = 1.2;
-
-  /// Day-of-week multipliers, Monday first.
-  double weekday_factors[7] = {1.03, 1.02, 1.0, 0.99, 0.95, 0.92, 0.98};
 
   /// Short-term correlated noise (log-AR(1) per hour).
   double noise_rho = 0.75;
   double noise_sigma = 0.02;
 
-  /// Slow drift across days.
-  double daily_drift_rho = 0.9;
+  /// Slow drift across days: log-AR(1) with coefficient 0.9.
   double daily_drift_sigma = 0.03;
 
-  /// News-event bursts: hours-long surges on random days (current
-  /// events drive unpredictable traffic, more so for smaller editions).
+  /// News-event bursts: 8-hour surges on random days (current events
+  /// drive unpredictable traffic, more so for smaller editions).
   double event_probability = 0.04;  ///< Per day.
   double event_boost = 0.35;
-  double event_hours = 8.0;
 
   uint64_t seed = 777;
 

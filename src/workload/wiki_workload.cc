@@ -11,6 +11,11 @@ namespace {
 using wiki_cols::kPageContent;
 using wiki_cols::kPageTitle;
 using wiki_cols::kPageViews;
+
+// The client's operation mix; the rest of the draws create pages.
+constexpr double kReadFraction = 0.90;   ///< GetPage share.
+constexpr double kViewFraction = 0.07;   ///< RecordView share.
+constexpr double kEditFraction = 0.025;  ///< EditPage share.
 }  // namespace
 
 Result<WikiWorkload> RegisterWikiWorkload(Catalog* catalog,
@@ -112,10 +117,6 @@ Result<WikiWorkload> RegisterWikiWorkload(Catalog* catalog,
 Status WikiClientConfig::Validate() const {
   if (num_pages < 1) return Status::InvalidArgument("num_pages < 1");
   if (zipf_s <= 0) return Status::InvalidArgument("zipf_s <= 0");
-  if (read_fraction < 0 || view_fraction < 0 || edit_fraction < 0 ||
-      read_fraction + view_fraction + edit_fraction > 1.0) {
-    return Status::InvalidArgument("operation fractions malformed");
-  }
   if (seconds_per_slot <= 0) {
     return Status::InvalidArgument("seconds_per_slot <= 0");
   }
@@ -189,14 +190,13 @@ void WikiClient::SubmitOne() {
   ++submitted_;
   TxnRequest req;
   const double u = rng_.NextDouble();
-  if (u < config_.read_fraction) {
+  if (u < kReadFraction) {
     req.proc = workload_.get_page;
     req.key = PageKey(zipf_.Next(&rng_));
-  } else if (u < config_.read_fraction + config_.view_fraction) {
+  } else if (u < kReadFraction + kViewFraction) {
     req.proc = workload_.record_view;
     req.key = PageKey(zipf_.Next(&rng_));
-  } else if (u < config_.read_fraction + config_.view_fraction +
-                     config_.edit_fraction) {
+  } else if (u < kReadFraction + kViewFraction + kEditFraction) {
     req.proc = workload_.edit_page;
     req.key = PageKey(zipf_.Next(&rng_));
     req.args = {Value(std::string(80, 'e'))};

@@ -47,13 +47,11 @@ inline constexpr size_t kPageViews = 3;
 Result<WikiWorkload> RegisterWikiWorkload(Catalog* catalog,
                                           ProcedureRegistry* registry);
 
-/// Client configuration.
+/// Client configuration. The mix is fixed: 90% GetPage, 7% RecordView,
+/// 2.5% EditPage, the rest CreatePage.
 struct WikiClientConfig {
   int64_t num_pages = 100000;   ///< Pre-loaded page population.
   double zipf_s = 0.99;         ///< Popularity skew exponent.
-  double read_fraction = 0.90;  ///< GetPage share.
-  double view_fraction = 0.07;  ///< RecordView share.
-  double edit_fraction = 0.025; ///< EditPage share (rest: CreatePage).
   /// Trace compression: one hourly trace slot replays in this many
   /// virtual seconds.
   double seconds_per_slot = 30.0;

@@ -149,8 +149,9 @@ TEST(IntegrationTest, ControllerAndSkewManagerCoexist) {
     ASSERT_TRUE(engine.LoadRow(table, Row({Value(k), Value(k)})).ok());
   }
 
+  // 6.25 MB over the 128 buckets: 50 kB per relocated bucket.
   MigrationOptions migration;
-  migration.db_size_mb = 12;
+  migration.db_size_mb = 6.25;
   migration.rate_kbps = 2000;
   MigrationExecutor migrator(&engine, migration);
 
@@ -187,8 +188,6 @@ TEST(IntegrationTest, ControllerAndSkewManagerCoexist) {
   SkewManagerConfig skew_config;
   skew_config.monitor_period = 2 * kSecond;
   skew_config.imbalance_threshold = 1.3;
-  skew_config.min_window_accesses = 50;
-  skew_config.kb_per_bucket = 50;
   SkewManager skew(&engine, &migrator, skew_config);
   skew.Start();
 

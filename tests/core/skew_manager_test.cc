@@ -30,8 +30,9 @@ class SkewManagerTest : public ::testing::Test {
       ASSERT_TRUE(
           engine_->LoadRow(db_.table, Row({Value(k), Value(k)})).ok());
     }
+    // 6.25 MB over the 64 buckets: 100 kB per relocated bucket.
     MigrationOptions migration;
-    migration.db_size_mb = 10;
+    migration.db_size_mb = 6.25;
     migration.rate_kbps = 5000;
     migrator_ = std::make_unique<MigrationExecutor>(engine_.get(),
                                                     migration);
@@ -41,9 +42,7 @@ class SkewManagerTest : public ::testing::Test {
     SkewManagerConfig config;
     config.monitor_period = 2 * kSecond;
     config.imbalance_threshold = 1.3;
-    config.min_window_accesses = 50;
     config.max_buckets_per_cycle = 4;
-    config.kb_per_bucket = 100;
     return config;
   }
 
@@ -85,9 +84,6 @@ TEST_F(SkewManagerTest, ConfigValidation) {
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
   c = Config();
   c.max_buckets_per_cycle = 0;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = Config();
-  c.wire_kbps = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
 }
 

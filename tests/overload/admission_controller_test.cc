@@ -88,24 +88,25 @@ TEST(AdmissionControllerTest, UnboundedDepthAlwaysAdmits) {
 
 TEST(AdmissionControllerTest, OpenBreakerRejectsAllButCritical) {
   OverloadConfig config = TestConfig();
-  config.breaker.window = 1000;
   config.breaker.shed_threshold = 0.5;
   config.breaker.min_samples = 10;
-  config.breaker.cooldown = 5000;
+  config.breaker.cooldown = 5 * kSecond;
   AdmissionController admission(config, 2);
-  for (int i = 0; i < 20; ++i) admission.RecordShed(0, 100);
-  ASSERT_TRUE(admission.AnyBreakerOpen(1000));
-  EXPECT_EQ(admission.OpenBreakerCount(1000), 1);
+  for (int i = 0; i < 20; ++i) admission.RecordShed(0, 100 * kMillisecond);
+  // The shedding window closes at 1 s and trips node 0's breaker.
+  ASSERT_TRUE(admission.AnyBreakerOpen(kSecond));
+  EXPECT_EQ(admission.OpenBreakerCount(kSecond), 1);
   EXPECT_EQ(admission.total_trips(), 1);
 
+  const SimTime later = 1500 * kMillisecond;
   FakeQueue queue;  // plenty of room: the breaker alone rejects
-  EXPECT_EQ(admission.Admit(queue.ops(), 0, 2, 1500),
+  EXPECT_EQ(admission.Admit(queue.ops(), 0, 2, later),
             AdmissionDecision::kRejectBreakerOpen);
   // Critical work (checkout path) passes an open breaker.
-  EXPECT_EQ(admission.Admit(queue.ops(), 0, 3, 1500),
+  EXPECT_EQ(admission.Admit(queue.ops(), 0, 3, later),
             AdmissionDecision::kAdmit);
   // Other nodes' breakers are independent.
-  EXPECT_EQ(admission.Admit(queue.ops(), 1, 2, 1500),
+  EXPECT_EQ(admission.Admit(queue.ops(), 1, 2, later),
             AdmissionDecision::kAdmit);
 }
 

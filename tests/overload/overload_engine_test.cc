@@ -149,7 +149,6 @@ TEST(OverloadEngineTest, CriticalArrivalEvictsQueuedBackground) {
 
 TEST(OverloadEngineTest, SustainedShedTripsNodeBreaker) {
   overload::OverloadConfig config = Limits(2);
-  config.breaker.window = kSecond;
   config.breaker.shed_threshold = 0.3;
   config.breaker.min_samples = 10;
   config.breaker.cooldown = 5 * kSecond;

@@ -57,7 +57,6 @@ TEST(SparModelTest, LearnsPurePeriodicSignalExactly) {
   config.period = 24;
   config.num_periods = 3;
   config.num_recent = 4;
-  config.ridge = 1e-9;
   const auto y = PurePeriodic(24 * 30, 24);
   auto model = SparModel::Fit(y, 2, config);
   ASSERT_TRUE(model.ok());

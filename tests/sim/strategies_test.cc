@@ -110,7 +110,6 @@ TEST(ReactiveStrategyTest, ScaleInNeedsSustainedLow) {
   ReactiveStrategyConfig config;
   config.q = 100;
   config.q_hat = 125;
-  config.scale_in_hold_minutes = 15;
   ReactiveStrategy strategy(config);
   strategy.Reset();
   std::vector<double> load(200, 50.0);
@@ -190,8 +189,6 @@ TEST(PStoreStrategyTest, InfeasibleSpikeTriggersFallback) {
   // Flat low load, then a cliff that no feasible plan can cover.
   std::vector<double> load(1440, 80.0);
   for (size_t t = 700; t < 1440; ++t) load[t] = 1200.0;
-  PStoreStrategyConfig config = PStoreConfig();
-  config.infeasible_rate_multiplier = 8.0;
   // Blind predictor: always forecasts the current value (so the spike
   // is never anticipated).
   class Blind : public LoadPredictor {
@@ -208,12 +205,16 @@ TEST(PStoreStrategyTest, InfeasibleSpikeTriggersFallback) {
                                  s[static_cast<size_t>(t)]);
     }
   };
-  PStoreStrategy pstore(config, std::make_unique<Blind>(), "P-Store Blind");
-  CapacitySimulator sim(SimConfig());
+  PStoreStrategy pstore(PStoreConfig(), std::make_unique<Blind>(),
+                        "P-Store Blind");
+  CapacitySimConfig sim_config = SimConfig();
+  sim_config.record_series = true;
+  CapacitySimulator sim(sim_config);
   auto result = sim.Run(load, &pstore, 0, 1440);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(pstore.infeasible_cycles(), 0);
-  // The fallback still gets capacity there eventually.
+  // The fallback sizes for the peak: 12 machines at q = 100.
+  EXPECT_GE(result->machines.back(), 12.0);
   EXPECT_LT(result->pct_time_insufficient, 10.0);
 }
 

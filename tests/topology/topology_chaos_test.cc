@@ -25,7 +25,6 @@ using testing_util::WithReplication;
 TEST(PlacementPolicyTest, StripesDomainsAndClassesDeterministically) {
   topology::TopologyConfig config;
   config.num_domains = 3;
-  config.spot_from_node = 2;
   topology::PlacementPolicy policy(config);
   // Domain striping is n % num_domains — a pure function of the id.
   EXPECT_EQ(policy.DomainOf(0), 0);
@@ -34,9 +33,9 @@ TEST(PlacementPolicyTest, StripesDomainsAndClassesDeterministically) {
   EXPECT_EQ(policy.DomainOf(3), 0);
   EXPECT_TRUE(policy.SameDomain(0, 3));
   EXPECT_FALSE(policy.SameDomain(0, 1));
-  // Spot class starts at spot_from_node; node 0 is always on-demand.
+  // Node 0 is the one on-demand node; every other node is spot.
   EXPECT_EQ(policy.ClassOf(0), topology::NodeClass::kOnDemand);
-  EXPECT_EQ(policy.ClassOf(1), topology::NodeClass::kOnDemand);
+  EXPECT_EQ(policy.ClassOf(1), topology::NodeClass::kSpot);
   EXPECT_EQ(policy.ClassOf(2), topology::NodeClass::kSpot);
   EXPECT_EQ(policy.ClassOf(7), topology::NodeClass::kSpot);
   // Backup preference is exactly cross-domain placement.
@@ -52,7 +51,6 @@ EngineConfig TopologyEngineConfig(int32_t nodes, int32_t domains) {
   config.replication.checkpoint_period = 5 * kSecond;
   config.topology.enabled = true;
   config.topology.num_domains = domains;
-  config.topology.spot_from_node = 1;
   return config;
 }
 

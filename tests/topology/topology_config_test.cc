@@ -29,10 +29,6 @@ TEST(TopologyConfigTest, ValidateAcceptsWorkingRangesTableDriven) {
        [](topology::TopologyConfig* c) { c->num_domains = 1; }},
       {"many domains",
        [](topology::TopologyConfig* c) { c->num_domains = 64; }},
-      {"everything spot but node 0",
-       [](topology::TopologyConfig* c) { c->spot_from_node = 1; }},
-      {"spot threshold past the fleet (all on-demand)",
-       [](topology::TopologyConfig* c) { c->spot_from_node = 1000; }},
       {"enabled with defaults",
        [](topology::TopologyConfig* c) { c->enabled = true; }},
   };
@@ -56,12 +52,6 @@ TEST(TopologyConfigTest, ValidateRejectsBadKnobsTableDriven) {
       {"num_domains negative",
        [](topology::TopologyConfig* c) { c->num_domains = -3; },
        "num_domains must be >= 1"},
-      {"spot_from_node zero",
-       [](topology::TopologyConfig* c) { c->spot_from_node = 0; },
-       "spot_from_node must be >= 1"},
-      {"spot_from_node negative",
-       [](topology::TopologyConfig* c) { c->spot_from_node = -1; },
-       "spot_from_node must be >= 1"},
       {"bad knobs rejected even when disabled",
        [](topology::TopologyConfig* c) {
          c->enabled = false;

@@ -51,9 +51,6 @@ TEST_F(B2wClientTest, ConfigValidation) {
   c.peak_txn_rate = 0;
   c.absolute_scale = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = B2wClientConfig{};
-  c.max_pool = 10;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
 }
 
 TEST_F(B2wClientTest, PreloadPopulatesTables) {

@@ -66,34 +66,44 @@ uint64_t HashBits(const std::vector<double>& values) {
   return h;
 }
 
-// Pins the generator's output bit for bit: the preset traces feed
-// SPAR's fits, the e2e fingerprints and every B2W figure, so a
-// refactor of the generator must reproduce them exactly.
+// Pins the generators' output bit for bit: the preset traces feed
+// SPAR's fits, the e2e fingerprints and every figure, so a refactor of
+// either generator must reproduce them exactly.
 TEST(B2wTraceTest, PresetTracesArePinnedBitForBit) {
-  // Each preset at its default seed and at seed 7; the digests were
-  // taken from the generator before its noise was drawn in bulk.
+  // Each B2W preset at its default seed and at seed 7, and both
+  // Wikipedia editions at their default length and seed; the B2W
+  // digests were taken from the generator before its noise was drawn
+  // in bulk, the Wikipedia ones before its shape fields became
+  // constants.
   struct Pin {
     const char* name;
-    B2wTraceConfig config;
-    size_t minutes;
+    Result<std::vector<double>> trace;
+    size_t slots;
     uint64_t digest;
   };
   const Pin pins[] = {
-      {"august", B2wAugustToDecember(), 137u * 1440u, 0xec9e0e1468df9e66ULL},
-      {"august/7", B2wAugustToDecember(7), 137u * 1440u,
+      {"august", GenerateB2wTrace(B2wAugustToDecember()), 137u * 1440u,
+       0xec9e0e1468df9e66ULL},
+      {"august/7", GenerateB2wTrace(B2wAugustToDecember(7)), 137u * 1440u,
        0x37ed6a2f32ae0fb1ULL},
-      {"regular", B2wRegularTraffic(), 70u * 1440u, 0xfdb2c403a249069cULL},
-      {"regular/7", B2wRegularTraffic(70, 7), 70u * 1440u,
+      {"regular", GenerateB2wTrace(B2wRegularTraffic()), 70u * 1440u,
+       0xfdb2c403a249069cULL},
+      {"regular/7", GenerateB2wTrace(B2wRegularTraffic(70, 7)), 70u * 1440u,
        0xf560ccf91a479772ULL},
-      {"spike", B2wSpikeDay(), 36u * 1440u, 0x53daed1174519cecULL},
-      {"spike/7", B2wSpikeDay(35, 7), 36u * 1440u, 0xc1023be247e61cadULL},
+      {"spike", GenerateB2wTrace(B2wSpikeDay()), 36u * 1440u,
+       0x53daed1174519cecULL},
+      {"spike/7", GenerateB2wTrace(B2wSpikeDay(35, 7)), 36u * 1440u,
+       0xc1023be247e61cadULL},
+      {"wiki-en", GenerateWikiTrace(WikiEnglish(62)), 62u * 24u,
+       0x63dddfced1fb8761ULL},
+      {"wiki-de", GenerateWikiTrace(WikiGerman(62)), 62u * 24u,
+       0x888f50617a7cab20ULL},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.name);
-    auto trace = GenerateB2wTrace(pin.config);
-    ASSERT_TRUE(trace.ok());
-    EXPECT_EQ(trace->size(), pin.minutes);
-    EXPECT_EQ(HashBits(*trace), pin.digest);
+    ASSERT_TRUE(pin.trace.ok());
+    EXPECT_EQ(pin.trace->size(), pin.slots);
+    EXPECT_EQ(HashBits(*pin.trace), pin.digest);
   }
 }
 
@@ -123,7 +133,7 @@ TEST(B2wTraceTest, PeakNearConfiguredHour) {
   auto day = trace->begin() + 2 * 1440;
   const auto peak_it = std::max_element(day, day + 1440);
   const int64_t peak_minute = peak_it - day;
-  EXPECT_NEAR(static_cast<double>(peak_minute), config.peak_hour * 60, 30);
+  EXPECT_NEAR(static_cast<double>(peak_minute), kB2wPeakHour * 60, 30);
 }
 
 TEST(B2wTraceTest, WeeklyPatternVisible) {

@@ -94,10 +94,6 @@ TEST_F(WikiWorkloadTest, ClientConfigValidation) {
   c.num_pages = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
   c = ClientSmall();
-  c.read_fraction = 0.9;
-  c.view_fraction = 0.2;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = ClientSmall();
   c.zipf_s = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
 }
