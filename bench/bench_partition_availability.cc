@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <vector>
 
@@ -59,9 +58,6 @@ CellResult RunCell(double partition_s, double lease_s,
                    obs::TelemetryBundle* telemetry) {
   const scenario::KvDatabase db =
       scenario::MakeKvDatabase(scenario::KvProcs::kGetPut);
-  const TableId table = db.table;
-  const ProcedureId get = db.get;
-  const ProcedureId put = db.put;
 
   Simulator sim;
   EngineConfig config;
@@ -86,26 +82,11 @@ CellResult RunCell(double partition_s, double lease_s,
   if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }
-  for (int64_t k = 0; k < kRows; ++k) {
-    if (!engine.LoadRow(table, Row({Value(k), Value(k)})).ok()) return {};
-  }
+  if (!bench::PreloadKvRows(&engine, db, kRows)) return {};
 
   // Steady load, one write in four (writes feed the synchronous backup
   // applies that the partition must not dual-commit).
-  const auto arrivals = static_cast<int64_t>(kRateTps * kRunSeconds);
-  for (int64_t i = 0; i < arrivals; ++i) {
-    TxnRequest req;
-    req.key = (i * 48271) % kRows;
-    if (i % 4 == 0) {
-      req.proc = put;
-      req.args.push_back(Value(i));
-    } else {
-      req.proc = get;
-    }
-    const SimTime at =
-        static_cast<SimTime>(static_cast<double>(i) * 1e6 / kRateTps);
-    sim.ScheduleAt(at, [&engine, req]() { engine.Submit(req); });
-  }
+  bench::ScheduleKvWriteMix(&sim, &engine, db, kRows, kRateTps, kRunSeconds);
 
   // The fault: isolate node 2 (with its heartbeats) from the rest of
   // the cluster and the controller for the configured window.
@@ -117,17 +98,8 @@ CellResult RunCell(double partition_s, double lease_s,
   // Goodput sampler: committed/s. The engine's latency windows count
   // every completion — fenced rejections included — so they measure
   // client-observed response time, not goodput.
-  std::vector<int64_t> committed_per_s;
-  auto sample = std::make_shared<std::function<void(int64_t)>>();
-  *sample = [&](int64_t last_committed) {
-    committed_per_s.push_back(engine.txns_committed() - last_committed);
-    if (sim.Now() < SecondsToDuration(kRunSeconds)) {
-      sim.Schedule(kSecond, [&, c = engine.txns_committed()]() {
-        (*sample)(c);
-      });
-    }
-  };
-  sim.Schedule(kSecond, [&]() { (*sample)(0); });
+  const bench::CommittedPerSecond sampler(&sim, &engine, kRunSeconds);
+  const std::vector<int64_t>& committed_per_s = sampler.samples();
 
   sim.RunUntil(SecondsToDuration(kRunSeconds));
   // Drain: heal aftermath — heartbeats resume, rebuilds restore k.

@@ -81,9 +81,6 @@ CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
                    obs::TelemetryBundle* telemetry) {
   const scenario::KvDatabase db =
       scenario::MakeKvDatabase(scenario::KvProcs::kGetPut);
-  const TableId table = db.table;
-  const ProcedureId get = db.get;
-  const ProcedureId put = db.put;
 
   Simulator sim;
   EngineConfig config;
@@ -107,27 +104,11 @@ CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
     engine.set_telemetry(telemetry->view());
   }
   const int64_t rows = 600;
-  for (int64_t k = 0; k < rows; ++k) {
-    if (!engine.LoadRow(table, Row({Value(k), Value(k)})).ok()) return {};
-  }
+  if (!bench::PreloadKvRows(&engine, db, rows)) return {};
 
   // Steady 400 txn/s, one write in four (writes feed the command log
   // and the synchronous backup applies).
-  const double rate_tps = 400.0;
-  const auto arrivals = static_cast<int64_t>(rate_tps * seconds);
-  for (int64_t i = 0; i < arrivals; ++i) {
-    TxnRequest req;
-    req.key = (i * 48271) % rows;
-    if (i % 4 == 0) {
-      req.proc = put;
-      req.args.push_back(Value(i));
-    } else {
-      req.proc = get;
-    }
-    const SimTime at =
-        static_cast<SimTime>(static_cast<double>(i) * 1e6 / rate_tps);
-    sim.ScheduleAt(at, [&engine, req]() { engine.Submit(req); });
-  }
+  bench::ScheduleKvWriteMix(&sim, &engine, db, rows, 400.0, seconds);
 
   // The fault script: crash node 2, restart it two seconds later. With
   // the content store on, bit-rot the crashed node's disk in between so
@@ -155,22 +136,14 @@ CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
 
   // Samplers: committed/s for the goodput dip, and the first virtual
   // time at which every bucket is back at full replication factor.
-  std::vector<int64_t> committed_per_s;
   SimTime k_restored_at = -1;
-  auto sample = std::make_shared<std::function<void(int64_t)>>();
-  *sample = [&](int64_t last_committed) {
-    committed_per_s.push_back(engine.txns_committed() - last_committed);
+  const bench::CommittedPerSecond sampler(&sim, &engine, seconds, [&]() {
     if (k_restored_at < 0 && sim.Now() >= SecondsToDuration(kCrashSecond) &&
         engine.replication()->degraded_buckets() == 0) {
       k_restored_at = sim.Now();
     }
-    if (sim.Now() < SecondsToDuration(seconds)) {
-      sim.Schedule(kSecond, [&, c = engine.txns_committed()]() {
-        (*sample)(c);
-      });
-    }
-  };
-  sim.Schedule(kSecond, [&]() { (*sample)(0); });
+  });
+  const std::vector<int64_t>& committed_per_s = sampler.samples();
   // Tighter probe for the restoration instant (1 s sampling would
   // quantize fast rebuilds to a full second).
   auto probe = std::make_shared<std::function<void()>>();

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <vector>
 
@@ -61,9 +60,6 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
                    obs::TelemetryBundle* telemetry) {
   const scenario::KvDatabase db =
       scenario::MakeKvDatabase(scenario::KvProcs::kGetPut);
-  const TableId table = db.table;
-  const ProcedureId get = db.get;
-  const ProcedureId put = db.put;
 
   Simulator sim;
   EngineConfig config;
@@ -86,9 +82,7 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }
-  for (int64_t k = 0; k < kRows; ++k) {
-    if (!engine.LoadRow(table, Row({Value(k), Value(k)})).ok()) return {};
-  }
+  if (!bench::PreloadKvRows(&engine, db, kRows)) return {};
 
   MigrationOptions migration;
   migration.chunk_kb = 100;
@@ -101,20 +95,7 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
   }
   // Steady load, one write in four, upserts restricted to preloaded
   // keys so the total row count is conserved exactly.
-  const auto arrivals = static_cast<int64_t>(kRateTps * kRunSeconds);
-  for (int64_t i = 0; i < arrivals; ++i) {
-    TxnRequest req;
-    req.key = (i * 48271) % kRows;
-    if (i % 4 == 0) {
-      req.proc = put;
-      req.args.push_back(Value(i));
-    } else {
-      req.proc = get;
-    }
-    const SimTime at =
-        static_cast<SimTime>(static_cast<double>(i) * 1e6 / kRateTps);
-    sim.ScheduleAt(at, [&engine, req]() { engine.Submit(req); });
-  }
+  bench::ScheduleKvWriteMix(&sim, &engine, db, kRows, kRateTps, kRunSeconds);
 
   // The fault: a spot-revocation notice for node 5. The engine starts
   // the graceful drain and schedules the hard kill at the deadline
@@ -130,17 +111,8 @@ CellResult RunCell(double notice_ms, int32_t num_domains,
                  });
 
   // Goodput sampler: committed/s.
-  std::vector<int64_t> committed_per_s;
-  auto sample = std::make_shared<std::function<void(int64_t)>>();
-  *sample = [&](int64_t last_committed) {
-    committed_per_s.push_back(engine.txns_committed() - last_committed);
-    if (sim.Now() < SecondsToDuration(kRunSeconds)) {
-      sim.Schedule(kSecond, [&, c = engine.txns_committed()]() {
-        (*sample)(c);
-      });
-    }
-  };
-  sim.Schedule(kSecond, [&]() { (*sample)(0); });
+  const bench::CommittedPerSecond sampler(&sim, &engine, kRunSeconds);
+  const std::vector<int64_t>& committed_per_s = sampler.samples();
 
   sim.RunUntil(SecondsToDuration(kRunSeconds));
   // Drain: kill aftermath — rebuilds restore k on the survivors.
@@ -221,13 +193,14 @@ int main(int argc, char** argv) {
                       notice, domains);
         const std::string p(prefix);
         bench::RecordBenchCase(
-            {p + "/dip_tps", cell.dip_tps, "", 0.0, 0});
+            {p + "/dip_tps", cell.dip_tps, "txn/s", 0.0, 0});
         bench::RecordBenchCase(
-            {p + "/rows_lost", static_cast<double>(cell.rows_lost), "",
+            {p + "/rows_lost", static_cast<double>(cell.rows_lost), "rows",
              0.0, 0});
         bench::RecordBenchCase(
             {p + "/evacuated",
-             static_cast<double>(cell.buckets_evacuated), "", 0.0, 0});
+             static_cast<double>(cell.buckets_evacuated), "buckets", 0.0,
+             0});
       }
       table.AddRow(
           {TableWriter::Fmt(notice, 0),

@@ -283,5 +283,54 @@ void PrintExperiment(const ExperimentResult& result) {
                    static_cast<double>(result.moves.size()), "", 0.0, 0});
 }
 
+bool PreloadKvRows(ClusterEngine* engine, const scenario::KvDatabase& db,
+                   int64_t rows) {
+  for (int64_t k = 0; k < rows; ++k) {
+    if (!engine->LoadRow(db.table, Row({Value(k), Value(k)})).ok()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ScheduleKvWriteMix(Simulator* sim, ClusterEngine* engine,
+                        const scenario::KvDatabase& db, int64_t rows,
+                        double rate_tps, double seconds) {
+  const auto arrivals = static_cast<int64_t>(rate_tps * seconds);
+  for (int64_t i = 0; i < arrivals; ++i) {
+    TxnRequest req;
+    req.key = (i * 48271) % rows;
+    if (i % 4 == 0) {
+      req.proc = db.put;
+      req.args.push_back(Value(i));
+    } else {
+      req.proc = db.get;
+    }
+    const SimTime at =
+        static_cast<SimTime>(static_cast<double>(i) * 1e6 / rate_tps);
+    sim->ScheduleAt(at, [engine, req]() { engine->Submit(req); });
+  }
+}
+
+CommittedPerSecond::CommittedPerSecond(Simulator* sim,
+                                       ClusterEngine* engine, double seconds,
+                                       std::function<void()> on_sample)
+    : sim_(sim),
+      engine_(engine),
+      end_(SecondsToDuration(seconds)),
+      on_sample_(std::move(on_sample)) {
+  sim_->Schedule(kSecond, [this]() { Sample(0); });
+}
+
+void CommittedPerSecond::Sample(int64_t last_committed) {
+  samples_.push_back(engine_->txns_committed() - last_committed);
+  if (on_sample_) on_sample_();
+  if (sim_->Now() < end_) {
+    sim_->Schedule(kSecond, [this, c = engine_->txns_committed()]() {
+      Sample(c);
+    });
+  }
+}
+
 }  // namespace bench
 }  // namespace pstore

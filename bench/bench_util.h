@@ -1,12 +1,16 @@
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "cluster/engine.h"
 #include "core/experiment.h"
 #include "obs/exporter.h"
 #include "obs/telemetry.h"
 #include "scenario/scenario.h"
+#include "sim/simulator.h"
 
 /// \file bench_util.h
 /// Shared output helpers for the figure/table reproduction harnesses.
@@ -95,6 +99,41 @@ double DoubleFlag(int argc, char** argv, const std::string& key,
 /// Renders one experiment result as the Figure 9-style block: machine
 /// allocation, throughput, latency sparklines and summary counters.
 void PrintExperiment(const ExperimentResult& result);
+
+// --- KV write-mix scaffolding of the subsystem benches ----------------
+
+/// Loads `rows` KV rows (key k, value k) into `db`'s table. Returns
+/// false when a load fails.
+bool PreloadKvRows(ClusterEngine* engine, const scenario::KvDatabase& db,
+                   int64_t rows);
+
+/// Schedules `rate_tps * seconds` arrivals at i * 1e6 / rate_tps us
+/// (truncated): arrival i reads key (i * 48271) % rows, and one in four
+/// upserts it instead, so the row count is conserved exactly.
+void ScheduleKvWriteMix(Simulator* sim, ClusterEngine* engine,
+                        const scenario::KvDatabase& db, int64_t rows,
+                        double rate_tps, double seconds);
+
+/// \brief Samples committed txns per virtual second: the first sample
+/// at 1 s, then one a second while the clock is before `seconds`. Each
+/// sample is the count committed since the previous one (since 0 for
+/// the first); `on_sample`, when set, runs after each.
+class CommittedPerSecond {
+ public:
+  CommittedPerSecond(Simulator* sim, ClusterEngine* engine, double seconds,
+                     std::function<void()> on_sample = nullptr);
+
+  const std::vector<int64_t>& samples() const { return samples_; }
+
+ private:
+  void Sample(int64_t last_committed);
+
+  Simulator* sim_;
+  ClusterEngine* engine_;
+  SimTime end_;
+  std::function<void()> on_sample_;
+  std::vector<int64_t> samples_;
+};
 
 }  // namespace bench
 }  // namespace pstore

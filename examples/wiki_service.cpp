@@ -35,11 +35,8 @@ int main() {
   auto trace = GenerateWikiTrace(WikiEnglish(36, 314));
   if (!trace.ok()) return 1;
 
-  WikiClientConfig client_config;
-  client_config.num_pages = 60000;
-  client_config.zipf_s = 0.99;
-  client_config.seconds_per_slot = 30.0;  // one hour -> 30 virtual s
-  WikiClient client(&engine, workload, *trace, client_config);
+  // 60000 pages; one trace hour replays in 30 virtual seconds.
+  WikiClient client(&engine, workload, *trace, WikiClientConfig{});
   if (!client.PreloadData().ok()) return 1;
   const double peak_rate = 1500.0;
 

@@ -46,7 +46,8 @@ PredictiveController::PredictiveController(ClusterEngine* engine,
       migrator_(migrator),
       predictor_(predictor),
       config_(config),
-      planner_(MoveModel(config.move_model), engine->max_nodes()),
+      step_(MoveModel(config.move_model), engine->max_nodes(),
+            config.prediction_inflation, config.scale_in_confirmations),
       interval_(SecondsToDuration(config.move_model.interval_minutes * 60.0)) {
   assert(config_.Validate().ok());
   if (config_.guard) monitor_ = std::make_unique<guard::ForecastMonitor>();
@@ -62,7 +63,7 @@ void PredictiveController::set_telemetry(const obs::Telemetry& telemetry) {
   obs::MetricsRegistry& m = *telemetry_.metrics;
   m_ticks_ = m.GetCounter("controller.ticks");
   m_plans_ = m.GetCounter("controller.plans");
-  m.BindCounter("controller.plans_infeasible", &infeasible_cycles_);
+  m.BindCounter("controller.plans_infeasible", &step_.infeasible_cycles());
   m.BindCounter("controller.moves_started", &moves_started_);
   m.BindCounter("controller.safety_net_trips", &safety_net_activations_);
   m.BindCounter("controller.refits", &refits_);
@@ -85,25 +86,6 @@ void PredictiveController::Start() {
   running_ = true;
   last_submitted_ = engine_->txns_submitted();
   engine_->simulator()->Schedule(interval_, [this]() { Tick(); });
-}
-
-void PredictiveController::AddReservation(CapacityReservation reservation) {
-  reservations_.push_back(reservation);
-}
-
-void PredictiveController::ApplyReservations(int64_t now_interval,
-                                             std::vector<double>* load) {
-  // Plan as if the load needed min_nodes machines: raise the predicted
-  // load to just under that capacity so the planner provisions it.
-  const double q = config_.move_model.q;
-  for (const auto& res : reservations_) {
-    for (size_t h = 0; h < load->size(); ++h) {
-      const int64_t interval = now_interval + static_cast<int64_t>(h);
-      if (interval >= res.begin_interval && interval < res.end_interval) {
-        (*load)[h] = std::max((*load)[h], q * (res.min_nodes - 0.05));
-      }
-    }
-  }
 }
 
 bool PredictiveController::SafetyNet(double current_rate) {
@@ -141,7 +123,8 @@ bool PredictiveController::SafetyNet(double current_rate) {
   const int32_t target = std::min(
       engine_->max_nodes(),
       std::max(n + 1,
-               planner_.NodesForLoad(current_rate * 1.15) + (n - live)));
+               step_.planner().NodesForLoad(current_rate * 1.15) +
+                   (n - live)));
   if (telemetry_.events != nullptr) {
     telemetry_.events->Record(
         engine_->simulator()->Now(), "controller",
@@ -154,7 +137,7 @@ bool PredictiveController::SafetyNet(double current_rate) {
                                      config_.infeasible_rate_multiplier);
     if (st.ok()) ++moves_started_;
   }
-  scale_in_streak_ = 0;
+  step_.ResetScaleInStreak();
   return true;
 }
 
@@ -168,7 +151,7 @@ void PredictiveController::Tick() {
   const int64_t epoch = engine_->fault_epoch();
   if (epoch != last_fault_epoch_) {
     last_fault_epoch_ = epoch;
-    scale_in_streak_ = 0;
+    step_.ResetScaleInStreak();
   }
   // Measure the load over the interval that just elapsed.
   const int64_t submitted = engine_->txns_submitted();
@@ -254,7 +237,7 @@ bool PredictiveController::GuardStep(double rate) {
   in.move_target =
       in.move_in_flight ? migrator_->history().back().to_nodes : 0;
   in.active_nodes = engine_->active_nodes();
-  in.needed_nodes = planner_.NodesForLoad(rate * 1.15);
+  in.needed_nodes = step_.planner().NodesForLoad(rate * 1.15);
   in.min_floor = engine_->min_active_nodes();
   in.max_nodes = engine_->max_nodes();
   const guard::ArbiterRuling ruling = arbiter_.Decide(in);
@@ -262,7 +245,7 @@ bool PredictiveController::GuardStep(double rate) {
     return false;
   }
   ++guard_vetoes_;
-  scale_in_streak_ = 0;
+  step_.ResetScaleInStreak();
   if (ruling.action == guard::ArbiterAction::kRepairInFlight) {
     // The in-flight schedule was planned from a forecast the guard has
     // condemned, and it lands short of what reactive control needs now:
@@ -317,81 +300,49 @@ void PredictiveController::PlanAndAct(double current_rate) {
       m_forecast_next_->Set(last_forecast_next_);
     }
   }
-  std::vector<double> load;
-  load.reserve(static_cast<size_t>(config_.horizon_intervals) + 1);
-  load.push_back(current_rate);
-  for (double v : *forecast) {
-    load.push_back(std::max(0.0, v * (1.0 + config_.prediction_inflation)));
-  }
-  ApplyReservations(t, &load);
-
+  // Never shrink under strain the forecast cannot see (an open breaker,
+  // recovery, a suspected or draining node): the step defers a planned
+  // scale-in, whose confirmation then restarts from scratch.
+  const std::string veto = ScaleInVeto(engine_);
   const int32_t n0 = engine_->active_nodes();
-  const Plan plan = planner_.BestMoves(load, n0);
+  const RecedingHorizonStep::Decision decision =
+      step_.Step(current_rate, *forecast, n0, veto);
+  const Plan& plan = *decision.plan;
   if (m_plans_ != nullptr) {
     m_plans_->Add(1);
     m_dp_cells_->Add(plan.dp_cells_evaluated);
     if (plan.feasible) m_plan_cost_->Set(plan.total_cost);
   }
 
-  if (!plan.feasible) {
+  using Action = RecedingHorizonStep::Action;
+  if (decision.action == Action::kDeferred && telemetry_.events != nullptr) {
+    telemetry_.events->Record(engine_->simulator()->Now(), "controller",
+                              "scale-in deferred: " + veto);
+  }
+  if (decision.action == Action::kFallback) {
     // No feasible plan: scale out toward the needed capacity right away,
     // at rate R (ride out the spike) or R x 8 (Section 4.3.1).
-    ++infeasible_cycles_;
-    const double peak = *std::max_element(load.begin(), load.end());
-    const int32_t target =
-        std::min(engine_->max_nodes(), planner_.NodesForLoad(peak));
     if (telemetry_.events != nullptr) {
       telemetry_.events->Record(
           engine_->simulator()->Now(), "controller",
-          "no feasible plan (predicted peak " + obs::FormatMetricValue(peak) +
-              " txn/s); reactive fallback target " + std::to_string(target));
+          "no feasible plan (predicted peak " +
+              obs::FormatMetricValue(decision.peak) +
+              " txn/s); reactive fallback target " +
+              std::to_string(decision.target));
     }
-    if (target > n0) {
-      Status st = migrator_->StartMove(target, nullptr,
+    if (decision.target > n0) {
+      Status st = migrator_->StartMove(decision.target, nullptr,
                                        config_.infeasible_rate_multiplier);
       if (st.ok()) ++moves_started_;
     }
-    scale_in_streak_ = 0;
     return;
   }
-
-  const PlannedMove* first = plan.FirstRealMove();
-  if (first == nullptr) {
-    scale_in_streak_ = 0;
-    return;  // the plan is "hold" across the horizon
-  }
-
-  if (first->to_nodes < n0) {
-    // Never shrink under strain the forecast cannot see (an open
-    // breaker, recovery, a suspected or draining node): the planned
-    // scale-in waits and must be re-confirmed from scratch.
-    const std::string veto = ScaleInVeto(engine_);
-    if (!veto.empty()) {
-      scale_in_streak_ = 0;
-      if (telemetry_.events != nullptr) {
-        telemetry_.events->Record(engine_->simulator()->Now(), "controller",
-                                  "scale-in deferred: " + veto);
-      }
-      return;
-    }
-    // Scale-in must be confirmed by N consecutive cycles to avoid
-    // spurious latency-inducing flapping (Section 6).
-    ++scale_in_streak_;
-    if (scale_in_streak_ < config_.scale_in_confirmations) return;
-    scale_in_streak_ = 0;
-  } else {
-    scale_in_streak_ = 0;
-  }
-
-  // Receding horizon: execute only the first move, and only when its
-  // planned start has arrived (the planner delays scale-outs as long as
-  // possible; re-planning next tick keeps the start time honest).
-  if (first->start_interval > 0) return;
+  if (decision.action != Action::kMove) return;
   // Clamp planned shrinks to the k-aware floor: executing a plan below
   // min_active_nodes() would strand every bucket at degraded k with no
   // node left to rebuild onto.
   const int32_t to_nodes =
-      std::max(first->to_nodes, engine_->min_active_nodes());
+      std::max(decision.target, engine_->min_active_nodes());
   if (to_nodes == engine_->active_nodes()) return;
   Status st = migrator_->StartMove(to_nodes, nullptr);
   if (st.ok()) {
@@ -400,8 +351,7 @@ void PredictiveController::PlanAndAct(double current_rate) {
       telemetry_.events->Record(
           engine_->simulator()->Now(), "controller",
           "plan " + plan.ToString() + "; executing first move " +
-              std::to_string(first->from_nodes) + " -> " +
-              std::to_string(to_nodes));
+              std::to_string(n0) + " -> " + std::to_string(to_nodes));
     }
   } else {
     PSTORE_LOG(Warn) << "StartMove failed: " << st.ToString();

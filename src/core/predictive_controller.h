@@ -11,18 +11,20 @@
 #include "guard/hybrid_arbiter.h"
 #include "migration/migration_executor.h"
 #include "obs/telemetry.h"
-#include "planner/dp_planner.h"
+#include "planner/receding_horizon.h"
 #include "prediction/predictor.h"
 
 /// \file predictive_controller.h
 /// P-Store's Predictive Controller (Section 6): the online loop that
-/// monitors load, calls the Predictor for a forecast, the Planner for a
-/// best series of moves, keeps only the first move (receding-horizon
-/// control), and hands it to the Scheduler/Squall to execute. Includes
-/// the paper's two safeguards: a scale-in must be confirmed by three
-/// consecutive planning cycles, and when no feasible plan exists the
-/// controller falls back to reactive scale-out at rate R or R x 8
-/// (Section 4.3.1's options 2 and 1 respectively).
+/// monitors load, calls the Predictor for a forecast and hands it to
+/// the RecedingHorizonStep (planner/receding_horizon.h) the capacity
+/// simulator also runs: plan, keep only the first move, confirm a
+/// scale-in over three cycles, fall back to reactive scale-out when no
+/// feasible plan exists. The controller adds what only a live engine
+/// has: the move itself (through the Scheduler/Squall, at rate R or
+/// R x 8 for the fallback, Section 4.3.1's options 2 and 1), the
+/// fault-aware scale-in veto, the reactive safety net, the forecast
+/// guard and online refits.
 
 namespace pstore {
 
@@ -70,18 +72,6 @@ struct ControllerConfig {
   Status Validate() const;
 };
 
-/// A manual capacity reservation (the composite strategy's third leg:
-/// "manual provisioning for rare one-off, but expected, load spikes,
-/// e.g. special promotions"). While [begin_interval, end_interval) is
-/// inside the planning horizon, the controller plans as if the load
-/// required at least `min_nodes` machines, so capacity is in place
-/// before the event regardless of what the predictor says.
-struct CapacityReservation {
-  int64_t begin_interval = 0;  ///< Absolute control-interval index.
-  int64_t end_interval = 0;    ///< Exclusive.
-  int32_t min_nodes = 1;
-};
-
 /// \brief The predict -> plan -> migrate loop.
 class PredictiveController {
  public:
@@ -105,13 +95,8 @@ class PredictiveController {
   /// Measured + seeded load series (txn/s per interval).
   const std::vector<double>& load_series() const { return series_; }
 
-  /// Registers a manual capacity reservation (absolute interval indices
-  /// in the controller's measured series). May be called at any time
-  /// before the event enters the horizon.
-  void AddReservation(CapacityReservation reservation);
-
   /// Number of planning cycles that found no feasible plan.
-  int64_t infeasible_cycles() const { return infeasible_cycles_; }
+  int64_t infeasible_cycles() const { return step_.infeasible_cycles(); }
 
   /// Number of moves this controller initiated.
   int64_t moves_started() const { return moves_started_; }
@@ -159,8 +144,6 @@ class PredictiveController {
  private:
   void Tick();
   void PlanAndAct(double current_rate);
-  /// Raises forecast entries so reservations are honored.
-  void ApplyReservations(int64_t now_interval, std::vector<double>* load);
   /// Returns true if it fired (and possibly started a move).
   bool SafetyNet(double current_rate);
   /// Guard control step: feeds this tick's residual to the monitor and
@@ -172,7 +155,7 @@ class PredictiveController {
   MigrationExecutor* migrator_;
   LoadPredictor* predictor_;
   ControllerConfig config_;
-  DpPlanner planner_;
+  RecedingHorizonStep step_;
   SimDuration interval_;
   obs::Telemetry telemetry_;
   // Handles of the metrics the controller keeps no count of itself (null
@@ -190,11 +173,8 @@ class PredictiveController {
   double last_forecast_next_ = -1.0;
   bool running_ = false;
   std::vector<double> series_;
-  std::vector<CapacityReservation> reservations_;
   int64_t last_submitted_ = 0;
   int64_t last_fault_epoch_ = 0;
-  int32_t scale_in_streak_ = 0;
-  int64_t infeasible_cycles_ = 0;
   int64_t moves_started_ = 0;
   int64_t safety_net_activations_ = 0;
   int64_t refits_ = 0;

@@ -8,9 +8,9 @@
 #include "cluster/engine.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "fault/event_trace.h"
 #include "fault/fault_plan.h"
 #include "migration/migration_executor.h"
+#include "obs/event_stream.h"
 #include "prediction/predictor.h"
 
 /// \file fault_injector.h
@@ -27,7 +27,7 @@ namespace pstore {
 /// failover included); migration faults are delivered through the
 /// MigrationExecutor's chunk-fault hook; misforecast windows are exposed
 /// via forecast_scale() for a MisforecastPredictor to consult. Every
-/// action lands in the EventTrace with its virtual timestamp.
+/// action lands in the event stream with its virtual timestamp.
 class FaultInjector {
  public:
   /// \param engine engine to fault (not owned)
@@ -66,7 +66,7 @@ class FaultInjector {
   /// their last-good value instead of reading fresh load.
   bool trace_dropout_active() const;
 
-  const EventTrace& trace() const { return trace_; }
+  const obs::EventStream& trace() const { return trace_; }
 
   int64_t crashes() const { return crashes_; }
   int64_t restarts() const { return restarts_; }
@@ -153,7 +153,7 @@ class FaultInjector {
   /// disk events to a plan leaves every other fault's draw sequence
   /// byte-identical.
   Rng disk_rng_;
-  EventTrace trace_;
+  obs::EventStream trace_;
   bool armed_ = false;
 
   // Open fault windows (absolute virtual end times; -1 = closed).

@@ -147,7 +147,8 @@ class MigrationExecutor {
     fault_hook_ = std::move(hook);
   }
 
-  /// Optional sink for fault/retry/abort notices (e.g. an EventTrace).
+  /// Optional sink for fault/retry/abort notices (e.g. one that records
+  /// into an obs::EventStream).
   void set_event_sink(std::function<void(const std::string&)> sink) {
     event_sink_ = std::move(sink);
   }

@@ -13,7 +13,6 @@ void EventStream::Record(SimTime at, const std::string& what) {
   line += "] ";
   line += what;
   lines_.push_back(std::move(line));
-  Trim();
 }
 
 void EventStream::Record(SimTime at, const std::string& category,

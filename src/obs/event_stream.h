@@ -11,11 +11,9 @@
 /// Append-only, deterministic log of structured events. Every line is
 /// stamped with virtual time, so two runs from the same seed must
 /// produce byte-identical streams; golden determinism tests compare
-/// Fingerprint() across runs. This is the fault layer's EventTrace,
-/// promoted into the observability layer so fault events, controller
-/// decisions and migration milestones all share one clock and one
-/// determinism contract (`fault/event_trace.h` keeps the old name as an
-/// alias).
+/// Fingerprint() across runs. Fault events, controller decisions and
+/// migration milestones all share one clock and one determinism
+/// contract.
 
 namespace pstore {
 namespace obs {
@@ -36,16 +34,6 @@ class EventStream {
   size_t size() const { return lines_.size(); }
   bool empty() const { return lines_.empty(); }
 
-  /// Optional ring capacity: once more than `capacity` lines exist, the
-  /// oldest are evicted (and counted in dropped()). 0 (the default)
-  /// keeps the stream unbounded, so existing golden fingerprints are
-  /// unchanged.
-  void set_capacity(size_t capacity) { capacity_ = capacity; Trim(); }
-  size_t capacity() const { return capacity_; }
-
-  /// Lines evicted by the ring cap so far.
-  int64_t dropped() const { return dropped_; }
-
   /// All lines joined with '\n' (trailing newline included when
   /// non-empty) — what the golden tests and chaos example print.
   std::string ToString() const;
@@ -53,22 +41,10 @@ class EventStream {
   /// Order-sensitive 64-bit digest of the whole stream.
   uint64_t Fingerprint() const;
 
-  void Clear() {
-    lines_.clear();
-    dropped_ = 0;
-  }
+  void Clear() { lines_.clear(); }
 
  private:
-  void Trim() {
-    while (capacity_ != 0 && lines_.size() > capacity_) {
-      lines_.pop_front();
-      ++dropped_;
-    }
-  }
-
   std::deque<std::string> lines_;
-  size_t capacity_ = 0;  ///< 0 = unbounded.
-  int64_t dropped_ = 0;
 };
 
 }  // namespace obs

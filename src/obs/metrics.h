@@ -16,8 +16,8 @@
 /// follow "subsystem.name" (e.g. "migration.chunk_retries"). Dumps
 /// iterate names in sorted order, and all inputs are virtual-time or
 /// seeded-Rng derived, so two runs from the same seed produce
-/// byte-identical dumps — the same determinism contract as the fault
-/// layer's EventTrace.
+/// byte-identical dumps — the same determinism contract as the
+/// EventStream.
 ///
 /// Observability is switched off one way: attach no sink. A component
 /// counts each event once, in an int64_t member, and binds that member

@@ -34,10 +34,8 @@ SpanTracer::SpanId SpanTracer::BeginAt(const std::string& name, SimTime at) {
   span.depth = static_cast<int32_t>(stack_.size());
   span.parent = stack_.empty() ? 0 : stack_.back();
   spans_.push_back(std::move(span));
-  // Ids are stable across ring eviction: evicted-count + index + 1.
-  const SpanId id = evicted_ + static_cast<SpanId>(spans_.size());
+  const SpanId id = static_cast<SpanId>(spans_.size());
   stack_.push_back(id);
-  Trim();
   return id;
 }
 
@@ -63,21 +61,10 @@ void SpanTracer::EndAt(SpanId id, SimTime at) {
   }
   Find(id)->end = at;
   stack_.pop_back();
-  Trim();
 }
 
 SpanTracer::Span* SpanTracer::Find(SpanId id) {
-  return &spans_[static_cast<size_t>(id - 1 - evicted_)];
-}
-
-void SpanTracer::Trim() {
-  // Only closed spans at the front are evictable; an open front span
-  // (still on the stack) pins everything behind it.
-  while (capacity_ != 0 && spans_.size() > capacity_ &&
-         spans_.front().end >= 0) {
-    spans_.pop_front();
-    ++evicted_;
-  }
+  return &spans_[static_cast<size_t>(id - 1)];
 }
 
 std::string SpanTracer::ToString() const {
@@ -102,7 +89,6 @@ uint64_t SpanTracer::Fingerprint() const {
 void SpanTracer::Clear() {
   spans_.clear();
   stack_.clear();
-  evicted_ = 0;
   mismatches_ = 0;
 }
 

@@ -56,17 +56,6 @@ class SpanTracer {
   /// Spans currently open.
   size_t open_spans() const { return stack_.size(); }
 
-  /// Optional ring capacity: once more than `capacity` spans are kept,
-  /// the oldest *closed* spans are evicted (and counted in dropped()).
-  /// Open spans are never evicted, so id lookups for the live stack
-  /// stay valid. 0 (the default) keeps the tracer unbounded, so
-  /// existing golden fingerprints are unchanged.
-  void set_capacity(size_t capacity) { capacity_ = capacity; Trim(); }
-  size_t capacity() const { return capacity_; }
-
-  /// Spans evicted by the ring cap so far.
-  int64_t dropped() const { return evicted_; }
-
   /// Begin/end pairing violations observed so far.
   int64_t mismatches() const { return mismatches_; }
 
@@ -81,13 +70,9 @@ class SpanTracer {
 
  private:
   Span* Find(SpanId id);
-  void Trim();
 
-  std::deque<Span> spans_;     ///< Spans still kept; ids are offset by
-                               ///< evicted_ (id = evicted_ + index + 1).
+  std::deque<Span> spans_;     ///< Every span; id = index + 1.
   std::vector<SpanId> stack_;  ///< Open spans, innermost last.
-  size_t capacity_ = 0;        ///< 0 = unbounded.
-  int64_t evicted_ = 0;
   int64_t mismatches_ = 0;
   std::function<SimTime()> clock_;
 };

@@ -101,6 +101,7 @@ class DpPlanner {
   bool exhaustive() const { return exhaustive_; }
 
   const MoveModel& model() const { return model_; }
+  int32_t max_nodes() const { return max_nodes_; }
 
  private:
   /// Move tables for machine counts 1..z (fast mode only): move

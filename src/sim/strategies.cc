@@ -51,15 +51,15 @@ PStoreStrategy::PStoreStrategy(PStoreStrategyConfig config,
     : config_(config),
       predictor_(std::move(predictor)),
       label_(std::move(label)),
-      planner_(MoveModel(config.move_model), config.max_machines) {
+      step_(MoveModel(config.move_model), config.max_machines,
+            config.prediction_inflation, config.scale_in_confirmations) {
   assert(predictor_ != nullptr);
 }
 
 void PStoreStrategy::Reset() {
   slot_series_.clear();
   slots_filled_ = 0;
-  scale_in_streak_ = 0;
-  infeasible_cycles_ = 0;
+  step_.Reset();
 }
 
 AllocationDecision PStoreStrategy::Decide(const std::vector<double>& load,
@@ -86,47 +86,11 @@ AllocationDecision PStoreStrategy::Decide(const std::vector<double>& load,
       predictor_->Forecast(slot_series_, t, config_.horizon_intervals);
   if (!forecast.ok()) return AllocationDecision{current, 1.0};
 
-  std::vector<double> horizon;
-  horizon.reserve(static_cast<size_t>(config_.horizon_intervals) + 1);
   const double now_rate =
       minute > 0 ? load[static_cast<size_t>(minute - 1)]
                  : load[static_cast<size_t>(minute)];
-  horizon.push_back(now_rate);
-  for (double v : *forecast) {
-    horizon.push_back(
-        std::max(0.0, v * (1.0 + config_.prediction_inflation)));
-  }
-
-  const Plan plan = planner_.BestMoves(horizon, current);
-  if (!plan.feasible) {
-    // Reactive fallback (Section 4.3.1): scale straight to the needed
-    // size, migrating at rate R.
-    ++infeasible_cycles_;
-    scale_in_streak_ = 0;
-    const double peak = *std::max_element(horizon.begin(), horizon.end());
-    const int32_t target =
-        std::min(config_.max_machines, planner_.NodesForLoad(peak));
-    return AllocationDecision{std::max(current, target), 1.0};
-  }
-
-  const PlannedMove* first = plan.FirstRealMove();
-  if (first == nullptr) {
-    scale_in_streak_ = 0;
-    return AllocationDecision{current, 1.0};
-  }
-  if (first->to_nodes < current) {
-    ++scale_in_streak_;
-    if (scale_in_streak_ < config_.scale_in_confirmations) {
-      return AllocationDecision{current, 1.0};
-    }
-    scale_in_streak_ = 0;
-  } else {
-    scale_in_streak_ = 0;
-  }
-  if (first->start_interval > 0) {
-    return AllocationDecision{current, 1.0};  // not time yet
-  }
-  return AllocationDecision{first->to_nodes, 1.0};
+  return AllocationDecision{
+      step_.Step(now_rate, *forecast, current, {}).target, 1.0};
 }
 
 }  // namespace pstore

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "planner/dp_planner.h"
+#include "planner/receding_horizon.h"
 #include "prediction/predictor.h"
 #include "sim/capacity_sim.h"
 
@@ -16,9 +16,12 @@
 ///  - SimpleStrategy:   scale up every morning, down every night
 ///                      ("Simple") — works until the pattern breaks.
 ///  - ReactiveStrategy: E-Store-style thresholds ("Reactive").
-///  - PStoreStrategy:   the full predict-plan loop, with either a SPAR
+///  - PStoreStrategy:   P-Store's predict-plan loop, with either a SPAR
 ///                      predictor ("P-Store SPAR") or the true future
-///                      ("P-Store Oracle").
+///                      ("P-Store Oracle"). It averages the observed
+///                      minutes into control slots and runs the same
+///                      RecedingHorizonStep the engine's
+///                      PredictiveController runs.
 ///
 /// Each strategy's cost/capacity trade-off knob (Q, or the reactive
 /// buffer) is exposed so benches can sweep it into Figure 12's curves.
@@ -122,17 +125,15 @@ class PStoreStrategy : public AllocationStrategy {
   AllocationDecision Decide(const std::vector<double>& load, int64_t minute,
                             int32_t current) override;
 
-  int64_t infeasible_cycles() const { return infeasible_cycles_; }
+  int64_t infeasible_cycles() const { return step_.infeasible_cycles(); }
 
  private:
   PStoreStrategyConfig config_;
   std::unique_ptr<LoadPredictor> predictor_;
   std::string label_;
-  DpPlanner planner_;
+  RecedingHorizonStep step_;
   std::vector<double> slot_series_;  ///< Aggregated actuals (lazy).
   int64_t slots_filled_ = 0;
-  int32_t scale_in_streak_ = 0;
-  int64_t infeasible_cycles_ = 0;
 };
 
 }  // namespace pstore

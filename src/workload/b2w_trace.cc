@@ -11,6 +11,8 @@ namespace pstore {
 namespace {
 constexpr int32_t kMinutesPerDay = 1440;
 constexpr double kPeakRpm = 25000.0;  ///< Typical weekday peak (Figure 1).
+constexpr double kPeakToTrough = 10.0;  ///< Diurnal ratio (~10x in the paper).
+constexpr double kNoiseRho = 0.97;    ///< Short-term noise AR(1) coefficient.
 constexpr double kShapePower = 1.6;   ///< Sharpens the diurnal curve.
 /// Day-of-week multipliers, Monday first.
 constexpr double kWeekdayFactors[7] = {1.0,  1.02, 1.01, 0.99,
@@ -18,16 +20,15 @@ constexpr double kWeekdayFactors[7] = {1.0,  1.02, 1.01, 0.99,
 constexpr double kDailyDriftRho = 0.85;
 constexpr double kPromoBoost = 0.5;  ///< Fractional load increase at center.
 constexpr double kPromoHours = 3.0;  ///< Width (FWHM) of the bump.
+/// Black Friday's fractional load increase at its peak: the surge
+/// clearly dominates ordinary promotions (Figure 13 shows roughly double
+/// the normal peak).
+constexpr double kBlackFridayBoost = 2.6;
+constexpr double kForcedSpikeMinute = 840.0;  ///< 14:00.
 }  // namespace
 
 Status B2wTraceConfig::Validate() const {
   if (days < 1) return Status::InvalidArgument("days < 1");
-  if (peak_to_trough < 1) {
-    return Status::InvalidArgument("peak_to_trough < 1");
-  }
-  if (noise_rho < 0 || noise_rho >= 1) {
-    return Status::InvalidArgument("noise_rho out of [0, 1)");
-  }
   if (black_friday_day >= days) {
     return Status::InvalidArgument("black_friday_day beyond trace");
   }
@@ -64,15 +65,15 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
   }
   if (config.forced_spike_day >= 0 && config.forced_spike_day < config.days) {
     spike_start[static_cast<size_t>(config.forced_spike_day)] =
-        config.forced_spike_minute;
+        kForcedSpikeMinute;
   }
 
   // Diurnal shape: raised sine sharpened by kShapePower, scaled so
-  // max/min = peak_to_trough. It depends only on the minute of the day,
+  // max/min = kPeakToTrough. It depends only on the minute of the day,
   // as the drift factor does only on the day, so both are tabulated
   // once; the minute loop multiplies the same values in the same order
   // as evaluating them in place would.
-  const double trough_level = 1.0 / config.peak_to_trough;
+  const double trough_level = 1.0 / kPeakToTrough;
   std::vector<double> diurnal(kMinutesPerDay);
   for (int32_t m = 0; m < kMinutesPerDay; ++m) {
     const double phase = 2.0 * M_PI *
@@ -90,7 +91,7 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
   rng.NextGaussians(trace.data(), trace.size());
   double noise = 0;
   for (double& slot : trace) {
-    noise = config.noise_rho * noise + config.noise_sigma * slot;
+    noise = kNoiseRho * noise + config.noise_sigma * slot;
     slot = noise;
   }
 
@@ -120,10 +121,8 @@ Result<std::vector<double>> GenerateB2wTrace(const B2wTraceConfig& config) {
       if (day == config.black_friday_day) {
         const double midnight_burst =
             std::exp(-minute / 180.0);  // decays over ~3 hours
-        level *= 1.0 + config.black_friday_boost *
-                           (0.55 * midnight_burst + 0.45);
-        level += 0.35 * config.black_friday_boost * kPeakRpm *
-                 midnight_burst;
+        level *= 1.0 + kBlackFridayBoost * (0.55 * midnight_burst + 0.45);
+        level += 0.35 * kBlackFridayBoost * kPeakRpm * midnight_burst;
       }
 
       // Flash-crowd spike: fast ramp, brief plateau, fast decay.
@@ -156,11 +155,8 @@ B2wTraceConfig B2wAugustToDecember(uint64_t seed) {
   config.days = 137;  // Aug 1 - Dec 15, 2016
   config.seed = seed;
   config.promo_probability = 0.06;
-  // Nov 25, 2016 is day index 116 from Aug 1. The surge clearly
-  // dominates ordinary promotions (Figure 13 shows roughly double the
-  // normal peak).
+  // Nov 25, 2016 is day index 116 from Aug 1.
   config.black_friday_day = 116;
-  config.black_friday_boost = 2.6;
   // Occasional internal load tests / unplanned surges.
   config.spike_probability = 0.015;
   config.spike_boost = 0.8;
@@ -174,7 +170,6 @@ B2wTraceConfig B2wSpikeDay(int32_t lead_in_days, uint64_t seed) {
   config.spike_probability = 0.0;
   config.promo_probability = 0.0;
   config.forced_spike_day = lead_in_days;
-  config.forced_spike_minute = 840.0;  // mid-afternoon, near peak
   config.spike_boost = 0.9;
   config.spike_minutes = 60.0;
   return config;

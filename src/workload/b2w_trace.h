@@ -24,12 +24,10 @@ inline constexpr double kB2wPeakHour = 15.0;
 /// Knobs of the synthetic B2W trace.
 struct B2wTraceConfig {
   int32_t days = 7 * 10;           ///< Trace length in days.
-  double peak_to_trough = 10.0;    ///< Diurnal ratio (~10x in the paper).
 
-  /// Short-term correlated multiplicative noise: log-AR(1). Calibrated
-  /// so SPAR's MRE lands near the paper's (~6% at tau=10 min rising to
-  /// ~10% at tau=60, Figure 5b).
-  double noise_rho = 0.97;
+  /// Short-term correlated multiplicative noise: log-AR(1) with
+  /// coefficient 0.97. Calibrated so SPAR's MRE lands near the paper's
+  /// (~6% at tau=10 min rising to ~10% at tau=60, Figure 5b).
   double noise_sigma = 0.026;
 
   /// Slow day-scale drift (seasonality of demand): log-AR(1) per day
@@ -43,7 +41,6 @@ struct B2wTraceConfig {
   /// Black Friday: a much larger surge on one day, starting at midnight
   /// (doorbuster sales), as in Figure 13 (right).
   int32_t black_friday_day = -1;    ///< Day index, or -1 for none.
-  double black_friday_boost = 1.6;  ///< Fractional increase at the peak.
 
   /// Unpredictable flash-crowd spikes (Figure 11): sudden load jumps
   /// lasting under an hour, at random times.
@@ -52,9 +49,9 @@ struct B2wTraceConfig {
   double spike_minutes = 45.0;      ///< Spike duration.
 
   /// Deterministically place one spike (for Figure 11's scripted
-  /// "unexpected load spike" day): day index, or -1 for none.
+  /// "unexpected load spike" day) at 14:00, near the daily peak: day
+  /// index, or -1 for none.
   int32_t forced_spike_day = -1;
-  double forced_spike_minute = 840.0;  ///< 14:00, near the daily peak.
 
   uint64_t seed = 20160701;
 

@@ -16,6 +16,10 @@ using wiki_cols::kPageViews;
 constexpr double kReadFraction = 0.90;   ///< GetPage share.
 constexpr double kViewFraction = 0.07;   ///< RecordView share.
 constexpr double kEditFraction = 0.025;  ///< EditPage share.
+constexpr double kZipfS = 0.99;  ///< Page popularity skew exponent.
+/// Trace compression: one hourly trace slot replays in this many
+/// virtual seconds.
+constexpr double kSecondsPerSlot = 30.0;
 }  // namespace
 
 Result<WikiWorkload> RegisterWikiWorkload(Catalog* catalog,
@@ -116,10 +120,6 @@ Result<WikiWorkload> RegisterWikiWorkload(Catalog* catalog,
 
 Status WikiClientConfig::Validate() const {
   if (num_pages < 1) return Status::InvalidArgument("num_pages < 1");
-  if (zipf_s <= 0) return Status::InvalidArgument("zipf_s <= 0");
-  if (seconds_per_slot <= 0) {
-    return Status::InvalidArgument("seconds_per_slot <= 0");
-  }
   return Status::OK();
 }
 
@@ -131,8 +131,8 @@ WikiClient::WikiClient(ClusterEngine* engine, const WikiWorkload& workload,
       trace_(std::move(trace_per_hour)),
       config_(config),
       rng_(config.seed),
-      zipf_(static_cast<uint64_t>(config.num_pages), config.zipf_s),
-      slot_duration_(SecondsToDuration(config.seconds_per_slot)),
+      zipf_(static_cast<uint64_t>(config.num_pages), kZipfS),
+      slot_duration_(SecondsToDuration(kSecondsPerSlot)),
       arrivals_(engine->simulator(), [this]() { SubmitOne(); }) {
   assert(config_.Validate().ok());
   assert(!trace_.empty());
@@ -177,7 +177,7 @@ void WikiClient::ScheduleSlot(int64_t slot, int64_t end_slot, SimTime at,
                               double scale) {
   Simulator* sim = engine_->simulator();
   const double rate = trace_[static_cast<size_t>(slot)] * scale;
-  arrivals_.Draw(&rng_, rate * config_.seconds_per_slot, at, slot_duration_);
+  arrivals_.Draw(&rng_, rate * kSecondsPerSlot, at, slot_duration_);
   if (slot + 1 < end_slot) {
     sim->ScheduleAt(at + slot_duration_, [this, slot, end_slot, at,
                                           scale]() {

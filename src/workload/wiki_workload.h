@@ -48,13 +48,10 @@ Result<WikiWorkload> RegisterWikiWorkload(Catalog* catalog,
                                           ProcedureRegistry* registry);
 
 /// Client configuration. The mix is fixed: 90% GetPage, 7% RecordView,
-/// 2.5% EditPage, the rest CreatePage.
+/// 2.5% EditPage, the rest CreatePage; page popularity is Zipf(0.99),
+/// and one hourly trace slot replays in 30 virtual seconds.
 struct WikiClientConfig {
-  int64_t num_pages = 100000;   ///< Pre-loaded page population.
-  double zipf_s = 0.99;         ///< Popularity skew exponent.
-  /// Trace compression: one hourly trace slot replays in this many
-  /// virtual seconds.
-  double seconds_per_slot = 30.0;
+  int64_t num_pages = 60000;  ///< Pre-loaded page population.
   uint64_t seed = 99;
 
   Status Validate() const;

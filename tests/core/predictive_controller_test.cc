@@ -232,21 +232,6 @@ TEST_F(PredictiveControllerTest, SafetyNetCanBeDisabled) {
   EXPECT_GT(controller.infeasible_cycles(), 0);
 }
 
-TEST_F(PredictiveControllerTest, ManualReservationProvisionsAhead) {
-  Build(1);
-  // Calm forecast and calm load, but operations booked a promotion
-  // needing 4 machines from interval 8 (manual provisioning).
-  ScriptedPredictor predictor(std::vector<double>(60, 60.0));
-  PredictiveController controller(engine_.get(), migrator_.get(), &predictor,
-                                  Config());
-  controller.AddReservation(CapacityReservation{8, 20, 4});
-  controller.Start();
-  OfferLoad(60.0, 30.0);
-  // By the reservation's start (interval 8 = 16 s), capacity is there.
-  sim_.RunUntil(SecondsToDuration(16.5));
-  EXPECT_GE(engine_->active_nodes(), 4);
-}
-
 TEST_F(PredictiveControllerTest, OnlineRefitRuns) {
   Build(2);
   // A real SPAR predictor being refit from measured data. Short period

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/event_trace.h"
+#include "obs/event_stream.h"
 
 namespace pstore {
 namespace {
@@ -403,7 +403,7 @@ TEST(FaultPlanTest, WindowFaultsRejectZeroAndNegativeWindows) {
 }
 
 TEST(EventTraceTest, FingerprintIsOrderSensitive) {
-  EventTrace a, b;
+  obs::EventStream a, b;
   a.Record(0, "x");
   a.Record(kSecond, "y");
   b.Record(kSecond, "y");
@@ -411,7 +411,7 @@ TEST(EventTraceTest, FingerprintIsOrderSensitive) {
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
   EXPECT_EQ(a.size(), 2u);
 
-  EventTrace c;
+  obs::EventStream c;
   c.Record(0, "x");
   c.Record(kSecond, "y");
   EXPECT_EQ(a.Fingerprint(), c.Fingerprint());

@@ -24,12 +24,6 @@ TEST(B2wTraceTest, ValidationCatchesBadConfigs) {
   c.days = 0;
   EXPECT_FALSE(GenerateB2wTrace(c).ok());
   c = B2wTraceConfig{};
-  c.peak_to_trough = 0.5;
-  EXPECT_FALSE(GenerateB2wTrace(c).ok());
-  c = B2wTraceConfig{};
-  c.noise_rho = 1.0;
-  EXPECT_FALSE(GenerateB2wTrace(c).ok());
-  c = B2wTraceConfig{};
   c.black_friday_day = 100;
   c.days = 50;
   EXPECT_FALSE(GenerateB2wTrace(c).ok());

@@ -30,7 +30,6 @@ class WikiWorkloadTest : public ::testing::Test {
   WikiClientConfig ClientSmall() {
     WikiClientConfig config;
     config.num_pages = 2000;
-    config.seconds_per_slot = 5.0;
     return config;
   }
 
@@ -92,9 +91,6 @@ TEST_F(WikiWorkloadTest, ClientConfigValidation) {
   WikiClientConfig c = ClientSmall();
   EXPECT_TRUE(c.Validate().ok());
   c.num_pages = 0;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = ClientSmall();
-  c.zipf_s = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
 }
 

@@ -10,7 +10,11 @@
 #   overload   bench_overload_degradation's inverse goodput (us/txn, so
 #              a goodput collapse raises the value) and p99 (ms); its
 #              baseline was recorded with --seconds=10.
-# The last three are virtual-clock deterministic (same seed, same
+#   mispredict bench_misprediction's SLA violations (txn) and capacity
+#              cost (node-s) per surge and controller mode.
+#   revocation bench_revocation_survival's goodput dip (txn/s), rows
+#              lost, buckets evacuated and latency percentiles (us).
+# The last five are virtual-clock deterministic (same seed, same
 # clock), so they run bench_compare's exact mode (--tolerance): any
 # drift, up or down, is a real behaviour change. Exits 2 when a binary
 # or baseline is missing, 1 when a bench fails, writes no JSON, or any
@@ -36,6 +40,8 @@ bench_micro_perf|--benchmark_min_time=0.05 --benchmark_repetitions=3 --benchmark
 bench_recovery_mttr|--seconds=30|bench/baselines/BENCH_recovery_mttr.json|bench_out/BENCH_recovery_mttr.json|--tolerance=1e-9|s
 bench_partition_availability||bench/baselines/BENCH_partition_availability.json|bench_out/BENCH_partition_availability.json|--tolerance=1e-9|s us
 bench_overload_degradation|--seconds=10|bench/baselines/BENCH_overload_degradation.json|bench_out/BENCH_overload_degradation.json|--tolerance=1e-9|us/txn ms
+bench_misprediction||bench/baselines/BENCH_misprediction.json|bench_out/BENCH_misprediction.json|--tolerance=1e-9|txn node-s
+bench_revocation_survival||bench/baselines/BENCH_revocation_survival.json|bench_out/BENCH_revocation_survival.json|--tolerance=1e-9|txn/s rows buckets us
 '
 
 if [ ! -x "$BENCH_COMPARE" ]; then
